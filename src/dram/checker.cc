@@ -15,16 +15,14 @@ namespace mopac
 
 SecurityChecker::SecurityChecker(unsigned banks, std::uint32_t rows,
                                  unsigned chips, std::uint32_t trh)
-    : banks_(banks), rows_(rows), chips_(chips), trh_(trh),
-      counts_(static_cast<std::size_t>(banks) * rows * chips, 0)
+    : trh_(trh), counts_(banks, rows, chips, RowStore::Layout::kChipMinor)
 {
-    MOPAC_ASSERT(banks > 0 && rows > 0 && chips > 0);
 }
 
 void
 SecurityChecker::bumpChip(unsigned chip, unsigned bank, std::uint32_t row)
 {
-    std::uint32_t &c = counts_[index(chip, bank, row)];
+    std::uint32_t &c = counts_.at(chip, bank, row);
     ++c;
     max_unmitigated_ = std::max(max_unmitigated_, c);
     if (trh_ > 0 && c > trh_) {
@@ -36,12 +34,13 @@ SecurityChecker::bumpChip(unsigned chip, unsigned bank, std::uint32_t row)
 void
 SecurityChecker::onActivate(unsigned bank, std::uint32_t row, Cycle now)
 {
-    // Chip-minor layout: the chips_ counts sit in one contiguous run
+    // Chip-minor layout: the chip counts sit in one contiguous run
     // (typically a single cache line), so this is one memory touch
     // per ACT instead of one per chip.
-    std::uint32_t *base = &counts_[index(0, bank, row)];
+    std::uint32_t *base = counts_.rowWords(bank, row);
     std::uint32_t hi = 0;
-    for (unsigned chip = 0; chip < chips_; ++chip) {
+    const unsigned chips = counts_.chips();
+    for (unsigned chip = 0; chip < chips; ++chip) {
         const std::uint32_t c = ++base[chip];
         hi = std::max(hi, c);
         if (trh_ > 0 && c > trh_) {
@@ -60,16 +59,8 @@ SecurityChecker::onActivate(unsigned bank, std::uint32_t row, Cycle now)
 void
 SecurityChecker::onSweep(std::uint32_t row_begin, std::uint32_t row_end)
 {
-    MOPAC_ASSERT(row_begin <= row_end && row_end <= rows_);
-    // For one bank, rows [begin, end) x all chips are contiguous.
-    for (unsigned bank = 0; bank < banks_; ++bank) {
-        auto base = counts_.begin() +
-                    static_cast<std::ptrdiff_t>(index(0, bank, row_begin));
-        std::fill(base,
-                  base + static_cast<std::ptrdiff_t>(
-                             (row_end - row_begin) *
-                             static_cast<std::size_t>(chips_)),
-                  0u);
+    for (unsigned bank = 0; bank < counts_.banks(); ++bank) {
+        counts_.zeroRows(bank, row_begin, row_end);
     }
 }
 
@@ -79,19 +70,20 @@ SecurityChecker::onVictimRefresh(unsigned chip, unsigned bank,
 {
     (void)now;
     const unsigned chip_begin = (chip == kAllChips) ? 0 : chip;
-    const unsigned chip_end = (chip == kAllChips) ? chips_ : chip + 1;
+    const unsigned chip_end =
+        (chip == kAllChips) ? counts_.chips() : chip + 1;
+    const std::uint32_t rows = counts_.rows();
     for (unsigned c = chip_begin; c < chip_end; ++c) {
         // The aggressor's victims are now fresh: its exposure restarts.
-        counts_[index(c, bank, row)] = 0;
+        counts_.zero(c, bank, row);
         // Blast radius 2: rows r-2, r-1, r+1, r+2 are refreshed.  Per
         // the threat model, a refresh of a row is an intervening event
         // for that row, so its own count restarts too -- and the
         // refresh activates it once, which is its first new act.
         for (int d : {-2, -1, 1, 2}) {
             const std::int64_t v = static_cast<std::int64_t>(row) + d;
-            if (v >= 0 && v < static_cast<std::int64_t>(rows_)) {
-                counts_[index(c, bank,
-                              static_cast<std::uint32_t>(v))] = 0;
+            if (v >= 0 && v < static_cast<std::int64_t>(rows)) {
+                counts_.zero(c, bank, static_cast<std::uint32_t>(v));
                 bumpChip(c, bank, static_cast<std::uint32_t>(v));
             }
         }
@@ -102,7 +94,7 @@ std::uint32_t
 SecurityChecker::count(unsigned chip, unsigned bank,
                        std::uint32_t row) const
 {
-    return counts_[index(chip, bank, row)];
+    return counts_.get(chip, bank, row);
 }
 
 void
@@ -116,7 +108,7 @@ SecurityChecker::enableEpochTracking(Cycle epoch_cycles,
     epoch_hi1_ = hi1;
     epoch_hi2_ = hi2;
     epoch_start_ = 0;
-    epoch_counts_.assign(banks_, {});
+    epoch_counts_.assign(counts_.banks(), {});
 }
 
 void
@@ -156,7 +148,8 @@ SecurityChecker::act64PerBankPerEpoch() const
         return 0.0;
     }
     return static_cast<double>(rows_act64_) /
-           (static_cast<double>(banks_) * static_cast<double>(epochs_));
+           (static_cast<double>(counts_.banks()) *
+            static_cast<double>(epochs_));
 }
 
 double
@@ -166,7 +159,8 @@ SecurityChecker::act200PerBankPerEpoch() const
         return 0.0;
     }
     return static_cast<double>(rows_act200_) /
-           (static_cast<double>(banks_) * static_cast<double>(epochs_));
+           (static_cast<double>(counts_.banks()) *
+            static_cast<double>(epochs_));
 }
 
 
@@ -280,22 +274,11 @@ ProtocolChecker::onCommand(DramCommand cmd, unsigned bank, Cycle now)
 void
 SecurityChecker::saveState(Serializer &ser) const
 {
-    ser.putU32(banks_);
-    ser.putU32(rows_);
-    ser.putU32(chips_);
+    ser.putU32(counts_.banks());
+    ser.putU32(counts_.rows());
+    ser.putU32(counts_.chips());
     ser.putU32(trh_);
-    // The byte stream keeps the original chip-major order, so the
-    // in-memory chip-minor layout never shows up in snapshots.
-    std::vector<std::uint32_t> chip_major(counts_.size());
-    std::size_t k = 0;
-    for (unsigned chip = 0; chip < chips_; ++chip) {
-        for (unsigned bank = 0; bank < banks_; ++bank) {
-            for (std::uint32_t row = 0; row < rows_; ++row) {
-                chip_major[k++] = counts_[index(chip, bank, row)];
-            }
-        }
-    }
-    ser.putVecU32(chip_major);
+    counts_.saveState(ser);
     ser.putU32(max_unmitigated_);
     ser.putU64(violations_);
 
@@ -329,22 +312,11 @@ SecurityChecker::loadState(Deserializer &des)
     const std::uint32_t rows = des.getU32();
     const std::uint32_t chips = des.getU32();
     const std::uint32_t trh = des.getU32();
-    if (banks != banks_ || rows != rows_ || chips != chips_ ||
-        trh != trh_) {
+    if (banks != counts_.banks() || rows != counts_.rows() ||
+        chips != counts_.chips() || trh != trh_) {
         throw SerializeError("security checker shape mismatch");
     }
-    std::vector<std::uint32_t> chip_major = des.getVecU32();
-    if (chip_major.size() != counts_.size()) {
-        throw SerializeError("security checker count array mismatch");
-    }
-    std::size_t k = 0;
-    for (unsigned chip = 0; chip < chips_; ++chip) {
-        for (unsigned bank = 0; bank < banks_; ++bank) {
-            for (std::uint32_t row = 0; row < rows_; ++row) {
-                counts_[index(chip, bank, row)] = chip_major[k++];
-            }
-        }
-    }
+    counts_.loadState(des);
     max_unmitigated_ = des.getU32();
     violations_ = des.getU64();
 
@@ -354,7 +326,7 @@ SecurityChecker::loadState(Deserializer &des)
     epoch_hi2_ = des.getU32();
     epoch_start_ = des.getU64();
     const std::uint64_t num_banks = des.getU64();
-    if (epoch_enabled_ && num_banks != banks_) {
+    if (epoch_enabled_ && num_banks != counts_.banks()) {
         throw SerializeError("epoch tracker bank count mismatch");
     }
     epoch_counts_.assign(num_banks, {});

@@ -18,6 +18,9 @@
  * refreshed the victims in time, so the oracle carries a chip
  * dimension; synchronized designs use chips = 1.
  *
+ * The counts live in a RowStore: only the pages holding rows a run
+ * activates are ever materialized.
+ *
  * The checker can also track per-row activation counts per fixed-size
  * epoch to reproduce Table 4's ACT-64+ / ACT-200+ columns.
  */
@@ -32,6 +35,7 @@
 
 #include "common/types.hh"
 #include "dram/command.hh"
+#include "dram/row_store.hh"
 #include "dram/timing.hh"
 
 namespace mopac
@@ -78,7 +82,7 @@ class SecurityChecker
     std::uint64_t violations() const { return violations_; }
 
     std::uint32_t trh() const { return trh_; }
-    unsigned chips() const { return chips_; }
+    unsigned chips() const { return counts_.chips(); }
 
     /** Current oracle count for a row in a chip. */
     std::uint32_t count(unsigned chip, unsigned bank,
@@ -112,28 +116,17 @@ class SecurityChecker
     void loadState(Deserializer &des);
 
   private:
-    /**
-     * Chip-minor layout: the @p chips_ counts of one (bank, row) are
-     * adjacent, so onActivate's per-chip bump touches one cache line
-     * instead of striding @c banks_*rows_ words per chip.  The
-     * serialized byte stream keeps the original chip-major order
-     * (saveState/loadState transcode), so snapshots are unchanged.
-     */
-    std::size_t
-    index(unsigned chip, unsigned bank, std::uint32_t row) const
-    {
-        return (static_cast<std::size_t>(bank) * rows_ + row) * chips_ +
-               chip;
-    }
-
     void bumpChip(unsigned chip, unsigned bank, std::uint32_t row);
     void rollEpoch(Cycle now);
 
-    unsigned banks_;
-    std::uint32_t rows_;
-    unsigned chips_;
     std::uint32_t trh_;
-    std::vector<std::uint32_t> counts_;
+    /**
+     * Chip-minor layout: the chips() counts of one (bank, row) are
+     * adjacent, so onActivate's per-chip bump touches one cache line
+     * instead of striding banks*rows words per chip.  The snapshot
+     * stream is chip-major either way (RowStore::saveState).
+     */
+    RowStore counts_;
     std::uint32_t max_unmitigated_ = 0;
     std::uint64_t violations_ = 0;
 

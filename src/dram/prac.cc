@@ -15,17 +15,15 @@ namespace mopac
 
 PracCounters::PracCounters(unsigned banks, std::uint32_t rows,
                            unsigned chips)
-    : banks_(banks), rows_(rows), chips_(chips),
-      data_(static_cast<std::size_t>(banks) * rows * chips, 0)
+    : data_(banks, rows, chips, RowStore::Layout::kChipMajor)
 {
-    MOPAC_ASSERT(banks > 0 && rows > 0 && chips > 0);
 }
 
 std::uint32_t
 PracCounters::add(unsigned chip, unsigned bank, std::uint32_t row,
                   std::uint32_t inc)
 {
-    std::uint32_t &slot = data_[index(chip, bank, row)];
+    std::uint32_t &slot = data_.at(chip, bank, row);
     slot = std::min<std::uint64_t>(
         static_cast<std::uint64_t>(slot) + inc, kMax);
     return slot;
@@ -34,37 +32,29 @@ PracCounters::add(unsigned chip, unsigned bank, std::uint32_t row,
 void
 PracCounters::reset(unsigned bank, std::uint32_t row)
 {
-    for (unsigned chip = 0; chip < chips_; ++chip) {
-        data_[index(chip, bank, row)] = 0;
-    }
+    data_.zeroRows(bank, row, row + 1);
 }
 
 void
 PracCounters::resetChip(unsigned chip, unsigned bank, std::uint32_t row)
 {
-    data_[index(chip, bank, row)] = 0;
+    data_.zero(chip, bank, row);
 }
 
 void
 PracCounters::resetRange(unsigned bank, std::uint32_t row_begin,
                          std::uint32_t row_end)
 {
-    MOPAC_ASSERT(row_begin <= row_end && row_end <= rows_);
-    for (unsigned chip = 0; chip < chips_; ++chip) {
-        auto base = data_.begin() +
-                    static_cast<std::ptrdiff_t>(
-                        index(chip, bank, 0));
-        std::fill(base + row_begin, base + row_end, 0u);
-    }
+    data_.zeroRows(bank, row_begin, row_end);
 }
 
 void
 PracCounters::saveState(Serializer &ser) const
 {
-    ser.putU32(banks_);
-    ser.putU32(rows_);
-    ser.putU32(chips_);
-    ser.putVecU32(data_);
+    ser.putU32(banks());
+    ser.putU32(rows());
+    ser.putU32(chips());
+    data_.saveState(ser);
 }
 
 void
@@ -73,17 +63,15 @@ PracCounters::loadState(Deserializer &des)
     const std::uint32_t banks = des.getU32();
     const std::uint32_t rows = des.getU32();
     const std::uint32_t chips = des.getU32();
-    if (banks != banks_ || rows != rows_ || chips != chips_) {
+    if (banks != this->banks() || rows != this->rows() ||
+        chips != this->chips()) {
         throw SerializeError(
             format("PRAC geometry mismatch (saved {}x{}x{}, live "
                    "{}x{}x{})",
-                   chips, banks, rows, chips_, banks_, rows_));
+                   chips, banks, rows, this->chips(), this->banks(),
+                   this->rows()));
     }
-    std::vector<std::uint32_t> data = des.getVecU32();
-    if (data.size() != data_.size()) {
-        throw SerializeError("PRAC counter array size mismatch");
-    }
-    data_ = std::move(data);
+    data_.loadState(des);
 }
 
 } // namespace mopac

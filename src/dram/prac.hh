@@ -11,15 +11,17 @@
  *
  * Counters are reset when the row is refreshed: either by the
  * periodic tREFW sweep or by a mitigation's victim refresh.
+ *
+ * The words live in a RowStore, so only the pages a run's updates
+ * reach are ever materialized.
  */
 
 #ifndef MOPAC_DRAM_PRAC_HH
 #define MOPAC_DRAM_PRAC_HH
 
 #include <cstdint>
-#include <vector>
 
-#include "common/log.hh"
+#include "dram/row_store.hh"
 
 namespace mopac
 {
@@ -27,7 +29,7 @@ namespace mopac
 class Serializer;
 class Deserializer;
 
-/** Dense per-chip, per-bank, per-row activation counters. */
+/** Per-chip, per-bank, per-row activation counters. */
 class PracCounters
 {
   public:
@@ -41,15 +43,15 @@ class PracCounters
     /** Saturation limit of the in-row counter field (22 bits). */
     static constexpr std::uint32_t kMax = (1u << 22) - 1;
 
-    unsigned banks() const { return banks_; }
-    std::uint32_t rows() const { return rows_; }
-    unsigned chips() const { return chips_; }
+    unsigned banks() const { return data_.banks(); }
+    std::uint32_t rows() const { return data_.rows(); }
+    unsigned chips() const { return data_.chips(); }
 
     /** Current counter value. */
     std::uint32_t
     get(unsigned chip, unsigned bank, std::uint32_t row) const
     {
-        return data_[index(chip, bank, row)];
+        return data_.get(chip, bank, row);
     }
 
     /**
@@ -68,7 +70,7 @@ class PracCounters
     set(unsigned chip, unsigned bank, std::uint32_t row,
         std::uint32_t value)
     {
-        data_[index(chip, bank, row)] = value < kMax ? value : kMax;
+        data_.at(chip, bank, row) = value < kMax ? value : kMax;
     }
 
     /** Reset one counter (row refreshed / mitigated) on all chips. */
@@ -91,25 +93,13 @@ class PracCounters
     void loadState(Deserializer &des);
 
     /** Storage footprint in bytes (for reporting). */
-    std::uint64_t
-    storageBytes() const
-    {
-        return static_cast<std::uint64_t>(data_.size()) * sizeof(data_[0]);
-    }
+    std::uint64_t storageBytes() const { return data_.bytes(); }
+
+    /** Bytes of counter pages materialized so far. */
+    std::uint64_t writtenBytes() const { return data_.writtenBytes(); }
 
   private:
-    std::size_t
-    index(unsigned chip, unsigned bank, std::uint32_t row) const
-    {
-        MOPAC_ASSERT(chip < chips_ && bank < banks_ && row < rows_);
-        return (static_cast<std::size_t>(chip) * banks_ + bank) * rows_ +
-               row;
-    }
-
-    unsigned banks_;
-    std::uint32_t rows_;
-    unsigned chips_;
-    std::vector<std::uint32_t> data_;
+    RowStore data_;
 };
 
 } // namespace mopac

@@ -109,6 +109,8 @@ GrapheneTracker::onRefreshSweep(std::uint32_t row_begin,
 {
     // Reset the window when the sweep wraps (once per tREFW): rows
     // refreshed by the sweep can no longer be mid-window aggressors.
+    // Only the wrap matters, not how far this REF reached.
+    (void)row_end;
     if (row_begin != 0) {
         return;
     }

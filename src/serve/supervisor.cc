@@ -27,6 +27,10 @@ struct Supervisor::Slot
     int fd = -1;
     bool busy = false;
     bool hang_killed = false; //!< Watchdog (not chaos/crash) kill.
+    /** SIGKILL sent: the death is certain, so whatever the worker
+     *  wrote before it landed (a kPointDone racing a scheduled kill)
+     *  is dropped and the in-flight point counts as crashed. */
+    bool killed = false;
     std::size_t index = 0;    //!< In-flight point (when busy).
     std::uint32_t attempt = 0;
     /** Cycles the in-flight attempt had executed at its last durable
@@ -156,6 +160,7 @@ Supervisor::spawnWorker(Slot &slot)
     slot.fd = pair.supervisor_fd;
     slot.busy = false;
     slot.hang_killed = false;
+    slot.killed = false;
     slot.last_beat = wallclock::now();
     ++report_->workers_forked;
 }
@@ -165,6 +170,7 @@ Supervisor::killWorker(Slot &slot)
 {
     if (slot.alive()) {
         ::kill(slot.pid, SIGKILL);
+        slot.killed = true;
     }
 }
 
@@ -405,9 +411,9 @@ Supervisor::handleMessage(Slot &slot)
         killWorker(slot);
         return;
     }
-    if (msg.status != IoStatus::kOk) {
+    if (msg.status != IoStatus::kOk || slot.killed) {
         // kPeerClosed: the reaper collects the death.  kTimeout: a
-        // spurious wakeup; nothing to do.
+        // spurious wakeup; nothing to do.  Killed: see Slot::killed.
         return;
     }
     const auto now = wallclock::now();

@@ -57,8 +57,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(MitigationKind::kPracMoat,
                       MitigationKind::kQprac, MitigationKind::kMopacC,
                       MitigationKind::kMopacD),
-    [](const ::testing::TestParamInfo<MitigationKind> &info) {
-        std::string name = toString(info.param);
+    [](const ::testing::TestParamInfo<MitigationKind> &param_info) {
+        std::string name = toString(param_info.param);
         for (char &c : name) {
             if (c == '-') {
                 c = '_';
