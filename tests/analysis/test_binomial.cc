@@ -77,11 +77,22 @@ TEST(Binomial, CdfBelowFullRangeIsOne)
  */
 struct Table6Case
 {
+    Table6Case(unsigned ath_, double p_, unsigned c_, double expect_)
+        : ath(ath_), p(p_), c(c_), expect(expect_)
+    {
+    }
+
     unsigned ath;
+    // gtest names each case after the raw bytes of its parameter, so
+    // the alignment gaps are explicit zeroed members: uninitialised
+    // padding would give the cases different names on every build.
+    unsigned pad0 = 0;
     double p;
     unsigned c;
+    unsigned pad1 = 0;
     double expect;
 };
+static_assert(sizeof(Table6Case) == 32, "no implicit padding");
 
 class Table6 : public ::testing::TestWithParam<Table6Case>
 {
