@@ -359,7 +359,7 @@ runBenchPoints(const std::vector<ExperimentPoint> &points,
  *
  * Call precompute() with the full grid first: it expands every
  * (config, workload, seed) cell -- plus the baselines they pair with
- * -- into sim::ExperimentPoints, executes them on the work-stealing
+ * -- into sim::ExperimentPoints, executes them on the parallel
  * Runner, and fills the cache.  slowdown() / baseline() then read the
  * cache; any cell missed by precompute() falls back to a serial run,
  * so partial precomputation degrades gracefully instead of failing.

@@ -37,25 +37,60 @@ defaultInstsPerCore(std::uint64_t base)
     return base;
 }
 
+namespace
+{
+
+std::vector<TraceSource *>
+borrowAll(const std::vector<std::unique_ptr<TraceSource>> &owned)
+{
+    std::vector<TraceSource *> raw;
+    raw.reserve(owned.size());
+    for (const auto &t : owned) {
+        raw.push_back(t.get());
+    }
+    return raw;
+}
+
+/**
+ * A System wired to a named workload's trace sources.  Members are
+ * declared in lifetime order: the traces borrow the address map and
+ * the System borrows the traces.
+ */
+struct WorkloadSystem
+{
+    WorkloadSystem(const SystemConfig &cfg, const std::string &name)
+        : map(cfg.geometry),
+          owned(makeWorkloadTraces(name, map, cfg.num_cores, cfg.seed)),
+          traces(borrowAll(owned)), system(cfg, traces)
+    {
+    }
+
+    /** Value snapshot of every component statistic, into @p out. */
+    void
+    snapshotStats(StatSnapshot *out) const
+    {
+        if (out != nullptr) {
+            StatRegistry registry;
+            system.registerStats(registry);
+            *out = StatSnapshot(registry);
+        }
+    }
+
+    const AddressMap map;
+    const std::vector<std::unique_ptr<TraceSource>> owned;
+    const std::vector<TraceSource *> traces;
+    System system;
+};
+
+} // namespace
+
 RunResult
 runWorkload(const SystemConfig &cfg, const std::string &name,
             StatSnapshot *stats_out)
 {
-    const AddressMap map(cfg.geometry);
-    auto owned =
-        makeWorkloadTraces(name, map, cfg.num_cores, cfg.seed);
-    std::vector<TraceSource *> traces;
-    traces.reserve(owned.size());
-    for (auto &t : owned) {
-        traces.push_back(t.get());
-    }
-    System system(cfg, traces);
-    RunResult result = system.run();
-    if (stats_out != nullptr) {
-        StatRegistry registry;
-        system.registerStats(registry);
-        *stats_out = StatSnapshot(registry);
-    }
+    WorkloadSystem run(cfg, name);
+    RunResult result = run.system.run();
+    run.snapshotStats(stats_out);
     return result;
 }
 
@@ -76,13 +111,26 @@ classifyRun(const RunResult &result)
 
 RunOutcome
 tryRunWorkload(const SystemConfig &cfg, const std::string &name,
-               bool capture_stats)
+               bool capture_stats, const CheckpointOptions *ckpt,
+               CheckpointedRun *ckpt_out)
 {
     RunOutcome outcome;
+    StatSnapshot *stats = capture_stats ? &outcome.stats : nullptr;
+    if (ckpt_out != nullptr) {
+        *ckpt_out = CheckpointedRun{};
+    }
     const ErrorTrap trap;
     try {
-        outcome.result = runWorkload(
-            cfg, name, capture_stats ? &outcome.stats : nullptr);
+        if (ckpt == nullptr) {
+            outcome.result = runWorkload(cfg, name, stats);
+        } else {
+            const CheckpointedRun chk =
+                runWorkloadCheckpointed(cfg, name, *ckpt, stats);
+            outcome.result = chk.result;
+            if (ckpt_out != nullptr) {
+                *ckpt_out = chk;
+            }
+        }
         outcome.ok = true;
         outcome.outcome = classifyRun(outcome.result);
     } catch (const AbortError &) {
@@ -158,15 +206,9 @@ runWorkloadCheckpointed(const SystemConfig &cfg, const std::string &name,
                         const CheckpointOptions &ckpt,
                         StatSnapshot *stats_out)
 {
-    const AddressMap map(cfg.geometry);
-    auto owned =
-        makeWorkloadTraces(name, map, cfg.num_cores, cfg.seed);
-    std::vector<TraceSource *> traces;
-    traces.reserve(owned.size());
-    for (auto &t : owned) {
-        traces.push_back(t.get());
-    }
-    System system(cfg, traces);
+    WorkloadSystem run(cfg, name);
+    System &system = run.system;
+    const std::vector<TraceSource *> &traces = run.traces;
 
     const std::uint64_t hash = snapshotConfigHash(cfg, name);
     if (!ckpt.restore_path.empty()) {
@@ -216,11 +258,7 @@ runWorkloadCheckpointed(const SystemConfig &cfg, const std::string &name,
     out.finished = true;
     out.result = system.finishRun();
     out.executed_cycles = system.runCycle() - out.resumed_from;
-    if (stats_out != nullptr) {
-        StatRegistry registry;
-        system.registerStats(registry);
-        *stats_out = StatSnapshot(registry);
-    }
+    run.snapshotStats(stats_out);
     return out;
 }
 

@@ -65,17 +65,6 @@ struct RunOutcome
 };
 
 /**
- * runWorkload with the failure path made structural: panic(), fatal(),
- * and any exception thrown while building or running the point are
- * captured into RunOutcome::error instead of propagating (or calling
- * abort()/exit()).  This is what lets a sweep quarantine one broken
- * point and keep the other results.
- */
-RunOutcome tryRunWorkload(const SystemConfig &cfg,
-                          const std::string &name,
-                          bool capture_stats = false);
-
-/**
  * What the checkpoint-cadence callback tells the run loop to do after
  * each periodic snapshot has been written.
  */
@@ -167,6 +156,25 @@ CheckpointedRun runWorkloadCheckpointed(const SystemConfig &cfg,
                                         const std::string &name,
                                         const CheckpointOptions &ckpt,
                                         StatSnapshot *stats_out = nullptr);
+
+/**
+ * runWorkload with the failure path made structural: panic(), fatal(),
+ * and any exception thrown while building or running the point are
+ * captured into RunOutcome::error instead of propagating (or calling
+ * abort()/exit()).  This is what lets a sweep quarantine one broken
+ * point and keep the other results.  An AbortError (operator abort)
+ * still propagates.
+ *
+ * With @p ckpt the run goes through runWorkloadCheckpointed instead,
+ * and @p ckpt_out (when non-null) receives its progress (reset when
+ * the run crashes).  A run that yields at a checkpoint is ok with an
+ * empty result; ckpt_out->finished tells it apart.
+ */
+RunOutcome tryRunWorkload(const SystemConfig &cfg,
+                          const std::string &name,
+                          bool capture_stats = false,
+                          const CheckpointOptions *ckpt = nullptr,
+                          CheckpointedRun *ckpt_out = nullptr);
 
 /**
  * Convenience: slowdown of mitigation @p kind vs the unprotected

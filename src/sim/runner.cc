@@ -1,12 +1,11 @@
 /**
  * @file
- * Work-stealing runner implementation.
+ * Parallel runner implementation.
  *
  * Concurrency notes (the TSan preset runs the determinism test against
  * exactly this code):
- *  - Shard deques are each guarded by their own mutex; pops from the
- *    owner take the front, steals take the back, so owner and thief
- *    contend only on the lock, never on an element.
+ *  - Workers claim points through one atomic cursor over the index
+ *    list; each index is handed out exactly once.
  *  - results[] is pre-sized and each slot is written by exactly one
  *    worker before the join; readers only touch it after join(), so
  *    the join is the only synchronization the results need.
@@ -14,13 +13,13 @@
 
 #include "runner.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <deque>
-#include <mutex>
+#include <numeric>
+#include <optional>
 #include <thread>
-
-#include <atomic>
 
 #include "common/log.hh"
 #include "common/rng.hh"
@@ -31,6 +30,97 @@
 
 namespace mopac
 {
+
+namespace
+{
+
+/**
+ * How one attempt at a point runs, given the guarded (and possibly
+ * reseeded) point and the 1-based attempt number.  std::nullopt means
+ * the attempt yielded at a checkpoint without a terminal state.
+ */
+using AttemptFn = std::function<std::optional<RunOutcome>(
+    const ExperimentPoint &point, unsigned attempt)>;
+
+/**
+ * Execute @p point under @p opts into @p result: apply the cycle
+ * guard, run attempts through @p run_attempt (retrying a fault-plan
+ * point that classifies VIOLATED or HUNG with a reseeded fault
+ * stream), then classify the last attempt.  Returns false when an
+ * attempt yielded; @p result then holds only the point's identity,
+ * attempts and wall time.
+ */
+bool
+executePoint(const ExperimentPoint &point, const RunnerOptions &opts,
+             const AttemptFn &run_attempt, PointResult &result)
+{
+    const auto start = wallclock::now();
+
+    ExperimentPoint guarded = point;
+    if (guarded.cfg.max_cycles == 0 && opts.point_max_cycles > 0) {
+        guarded.cfg.max_cycles = opts.point_max_cycles;
+    }
+
+    result.point_id = point.point_id;
+    result.seed = guarded.cfg.seed;
+
+    // Fault-plan points: a VIOLATED / HUNG attempt may be retried with
+    // a reseeded fault stream (deterministic: attempt n always draws
+    // streamSeed(base, n)).  Fault-free points never loop.
+    const bool faulted_cfg = guarded.cfg.faults.enabled();
+    const std::uint64_t base_fault_seed =
+        guarded.cfg.faults.seed != 0 ? guarded.cfg.faults.seed
+                                     : guarded.cfg.seed;
+
+    std::optional<RunOutcome> outcome;
+    unsigned attempt = 0;
+    for (;;) {
+        ++attempt;
+        outcome = run_attempt(guarded, attempt);
+        if (!outcome) {
+            break;
+        }
+        const bool bad = outcome->outcome == OutcomeClass::kViolated ||
+                         outcome->outcome == OutcomeClass::kHung;
+        if (!faulted_cfg || !bad || attempt > opts.fault_retries) {
+            break;
+        }
+        guarded.cfg.faults.seed =
+            Rng::streamSeed(base_fault_seed, attempt);
+    }
+    result.attempts = attempt;
+    result.wall_seconds = wallclock::secondsSince(start);
+    if (!outcome) {
+        return false;
+    }
+    result.outcome = outcome->outcome;
+
+    if (!outcome->ok) {
+        result.status =
+            faulted_cfg ? PointStatus::kFaulted : PointStatus::kFailed;
+        result.error = outcome->error;
+        return true;
+    }
+    result.run = std::move(outcome->result);
+    result.stats = std::move(outcome->stats);
+    if (result.run.timed_out) {
+        result.status =
+            faulted_cfg ? PointStatus::kFaulted : PointStatus::kTimedOut;
+        result.error = "hit the max_cycles guard";
+    } else if (faulted_cfg &&
+               outcome->outcome == OutcomeClass::kViolated) {
+        result.status = PointStatus::kFaulted;
+        result.error = format(
+            "security violated under fault plan ({} violations, max "
+            "unmitigated {})",
+            result.run.violations, result.run.max_unmitigated);
+    } else {
+        result.status = PointStatus::kOk;
+    }
+    return true;
+}
+
+} // namespace
 
 const char *
 toString(PointStatus status)
@@ -94,144 +184,53 @@ Runner::jobs() const
     return hw > 0 ? hw : 1;
 }
 
-PointResult
-Runner::executePoint(const ExperimentPoint &point) const
+std::size_t
+Runner::runPool(const std::vector<ExperimentPoint> &points,
+                const std::vector<std::size_t> &order,
+                std::vector<PointResult> &results, SweepJournal *journal,
+                const ProgressFn &progress) const
 {
-    const auto start = wallclock::now();
-
-    ExperimentPoint guarded = point;
-    if (guarded.cfg.max_cycles == 0 && opts_.point_max_cycles > 0) {
-        guarded.cfg.max_cycles = opts_.point_max_cycles;
+    if (order.empty()) {
+        return 0;
     }
-
-    PointResult result;
-    result.point_id = point.point_id;
-    result.seed = guarded.cfg.seed;
-
-    // Fault-plan points: a VIOLATED / HUNG attempt may be retried with
-    // a reseeded fault stream (deterministic: attempt n always draws
-    // streamSeed(base, n)).  Fault-free points never loop.
-    const bool faulted_cfg = guarded.cfg.faults.enabled();
-    const std::uint64_t base_fault_seed =
-        guarded.cfg.faults.seed != 0 ? guarded.cfg.faults.seed
-                                     : guarded.cfg.seed;
-
-    RunOutcome outcome;
-    unsigned attempt = 0;
-    for (;;) {
-        ++attempt;
-        outcome = tryRunWorkload(guarded.cfg, guarded.workload,
-                                 /*capture_stats=*/true);
-        const bool bad = outcome.outcome == OutcomeClass::kViolated ||
-                         outcome.outcome == OutcomeClass::kHung;
-        if (!faulted_cfg || !bad || attempt > opts_.fault_retries) {
-            break;
-        }
-        guarded.cfg.faults.seed =
-            Rng::streamSeed(base_fault_seed, attempt);
-    }
-    result.attempts = attempt;
-    result.outcome = outcome.outcome;
-    result.wall_seconds = wallclock::secondsSince(start);
-
-    if (!outcome.ok) {
-        result.status =
-            faulted_cfg ? PointStatus::kFaulted : PointStatus::kFailed;
-        result.error = outcome.error;
-        return result;
-    }
-    result.run = std::move(outcome.result);
-    result.stats = std::move(outcome.stats);
-    if (result.run.timed_out) {
-        result.status =
-            faulted_cfg ? PointStatus::kFaulted : PointStatus::kTimedOut;
-        result.error = "hit the max_cycles guard";
-    } else if (faulted_cfg &&
-               outcome.outcome == OutcomeClass::kViolated) {
-        result.status = PointStatus::kFaulted;
-        result.error = format(
-            "security violated under fault plan ({} violations, max "
-            "unmitigated {})",
-            result.run.violations, result.run.max_unmitigated);
-    } else if (opts_.point_timeout_sec > 0.0 &&
-               result.wall_seconds > opts_.point_timeout_sec) {
-        result.status = PointStatus::kTimedOut;
-        result.error = format("exceeded the {:.1f}s wall-clock budget",
-                              opts_.point_timeout_sec);
-    } else {
-        result.status = PointStatus::kOk;
-    }
-    return result;
-}
-
-std::vector<PointResult>
-Runner::run(const std::vector<ExperimentPoint> &points,
-            const ProgressFn &progress) const
-{
-    std::vector<PointResult> results(points.size());
-    if (points.empty()) {
-        return results;
-    }
-
     const unsigned num_workers = static_cast<unsigned>(
-        std::min<std::size_t>(jobs(), points.size()));
+        std::min<std::size_t>(jobs(), order.size()));
 
-    // Worker-local shards; stealing keeps the tail balanced.
-    struct Shard
-    {
-        std::mutex mutex;
-        std::deque<std::size_t> queue;
-    };
-    std::vector<Shard> shards(num_workers);
-    const auto assignment =
-        shardRoundRobin(points.size(), num_workers);
-    for (unsigned s = 0; s < num_workers; ++s) {
-        shards[s].queue.assign(assignment[s].begin(),
-                               assignment[s].end());
-    }
-
-    auto worker = [&](unsigned self) {
+    // Every free worker takes the next point in sweep order (greedy
+    // list scheduling), so a few slow points cannot serialize the tail.
+    std::atomic<std::size_t> cursor{0};
+    std::atomic<std::size_t> executed{0};
+    auto worker = [&] {
         for (;;) {
-            std::size_t idx = 0;
-            bool found = false;
-            {
-                // Own shard first, front pop (sweep order).
-                Shard &mine = shards[self];
-                std::lock_guard<std::mutex> lock(mine.mutex);
-                if (!mine.queue.empty()) {
-                    idx = mine.queue.front();
-                    mine.queue.pop_front();
-                    found = true;
-                }
+            // Stop boundary: a journaled sweep takes no new work after
+            // a graceful stop -- unfinished points stay kNotRun and
+            // re-run on resume.
+            if (journal != nullptr && sweepstop::stopRequested()) {
+                return;
             }
-            if (!found) {
-                // Steal from the back of the fullest other shard.
-                unsigned victim = num_workers;
-                std::size_t victim_size = 0;
-                for (unsigned v = 0; v < num_workers; ++v) {
-                    if (v == self) {
-                        continue;
-                    }
-                    std::lock_guard<std::mutex> lock(shards[v].mutex);
-                    if (shards[v].queue.size() > victim_size) {
-                        victim_size = shards[v].queue.size();
-                        victim = v;
-                    }
-                }
-                if (victim < num_workers) {
-                    Shard &target = shards[victim];
-                    std::lock_guard<std::mutex> lock(target.mutex);
-                    if (!target.queue.empty()) {
-                        idx = target.queue.back();
-                        target.queue.pop_back();
-                        found = true;
-                    }
-                }
+            const std::size_t slot = cursor.fetch_add(1);
+            if (slot >= order.size()) {
+                return;
             }
-            if (!found) {
-                return; // Every shard drained.
+            const std::size_t idx = order[slot];
+            try {
+                results[idx] = replay(points[idx], opts_);
+            } catch (const AbortError &e) {
+                if (journal == nullptr) {
+                    throw;
+                }
+                // Abandoned mid-run by the operator / drain watchdog:
+                // leave the point kNotRun and un-journaled so resume
+                // re-runs it cleanly.
+                results[idx].error = e.what();
+                warn("sweep: point {} abandoned: {}",
+                     points[idx].point_id, e.what());
+                return;
             }
-            results[idx] = executePoint(points[idx]);
+            if (journal != nullptr) {
+                journal->record(results[idx]);
+            }
+            executed.fetch_add(1);
             if (progress) {
                 progress(points[idx], results[idx]);
             }
@@ -241,18 +240,28 @@ Runner::run(const std::vector<ExperimentPoint> &points,
     if (num_workers == 1) {
         // --jobs 1: run inline, no thread at all (simplest replay /
         // debugging environment, and the determinism reference).
-        worker(0);
-        return results;
+        worker();
+    } else {
+        std::vector<std::thread> threads;
+        threads.reserve(num_workers);
+        for (unsigned w = 0; w < num_workers; ++w) {
+            threads.emplace_back(worker);
+        }
+        for (std::thread &t : threads) {
+            t.join();
+        }
     }
+    return executed.load();
+}
 
-    std::vector<std::thread> threads;
-    threads.reserve(num_workers);
-    for (unsigned w = 0; w < num_workers; ++w) {
-        threads.emplace_back(worker, w);
-    }
-    for (std::thread &t : threads) {
-        t.join();
-    }
+std::vector<PointResult>
+Runner::run(const std::vector<ExperimentPoint> &points,
+            const ProgressFn &progress) const
+{
+    std::vector<PointResult> results(points.size());
+    std::vector<std::size_t> order(points.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    runPool(points, order, results, nullptr, progress);
     return results;
 }
 
@@ -287,7 +296,6 @@ Runner::runJournaled(const std::vector<ExperimentPoint> &points,
         }
     }
 
-    std::atomic<std::size_t> executed{0};
     std::atomic<bool> workers_done{false};
 
     // Drain watchdog: once a graceful stop is requested, give
@@ -316,109 +324,14 @@ Runner::runJournaled(const std::vector<ExperimentPoint> &points,
         });
     }
 
-    if (!pending.empty()) {
-        const unsigned num_workers = static_cast<unsigned>(
-            std::min<std::size_t>(jobs(), pending.size()));
-
-        struct Shard
-        {
-            std::mutex mutex;
-            std::deque<std::size_t> queue;
-        };
-        std::vector<Shard> shards(num_workers);
-        const auto assignment =
-            shardRoundRobin(pending.size(), num_workers);
-        for (unsigned s = 0; s < num_workers; ++s) {
-            for (std::size_t slot : assignment[s]) {
-                shards[s].queue.push_back(pending[slot]);
-            }
-        }
-
-        auto worker = [&](unsigned self) {
-            for (;;) {
-                // Stop boundary: take no new work after a graceful
-                // stop -- unfinished points stay kNotRun and re-run
-                // on resume.
-                if (sweepstop::stopRequested()) {
-                    return;
-                }
-                std::size_t idx = 0;
-                bool found = false;
-                {
-                    Shard &mine = shards[self];
-                    std::lock_guard<std::mutex> lock(mine.mutex);
-                    if (!mine.queue.empty()) {
-                        idx = mine.queue.front();
-                        mine.queue.pop_front();
-                        found = true;
-                    }
-                }
-                if (!found) {
-                    unsigned victim = num_workers;
-                    std::size_t victim_size = 0;
-                    for (unsigned v = 0; v < num_workers; ++v) {
-                        if (v == self) {
-                            continue;
-                        }
-                        std::lock_guard<std::mutex> lock(
-                            shards[v].mutex);
-                        if (shards[v].queue.size() > victim_size) {
-                            victim_size = shards[v].queue.size();
-                            victim = v;
-                        }
-                    }
-                    if (victim < num_workers) {
-                        Shard &target = shards[victim];
-                        std::lock_guard<std::mutex> lock(target.mutex);
-                        if (!target.queue.empty()) {
-                            idx = target.queue.back();
-                            target.queue.pop_back();
-                            found = true;
-                        }
-                    }
-                }
-                if (!found) {
-                    return;
-                }
-                try {
-                    sweep.results[idx] = executePoint(points[idx]);
-                } catch (const AbortError &e) {
-                    // Abandoned mid-run by the operator / drain
-                    // watchdog: leave the point kNotRun and
-                    // un-journaled so resume re-runs it cleanly.
-                    sweep.results[idx].error = e.what();
-                    warn("sweep: point {} abandoned: {}",
-                         points[idx].point_id, e.what());
-                    return;
-                }
-                journal.record(sweep.results[idx]);
-                executed.fetch_add(1);
-                if (progress) {
-                    progress(points[idx], sweep.results[idx]);
-                }
-            }
-        };
-
-        if (num_workers == 1) {
-            worker(0);
-        } else {
-            std::vector<std::thread> threads;
-            threads.reserve(num_workers);
-            for (unsigned w = 0; w < num_workers; ++w) {
-                threads.emplace_back(worker, w);
-            }
-            for (std::thread &t : threads) {
-                t.join();
-            }
-        }
-    }
+    sweep.executed =
+        runPool(points, pending, sweep.results, &journal, progress);
 
     workers_done.store(true);
     if (drain_monitor.joinable()) {
         drain_monitor.join();
     }
 
-    sweep.executed = executed.load();
     for (const PointResult &result : sweep.results) {
         if (result.status == PointStatus::kNotRun) {
             ++sweep.pending;
@@ -430,9 +343,15 @@ Runner::runJournaled(const std::vector<ExperimentPoint> &points,
 PointResult
 Runner::replay(const ExperimentPoint &point, const RunnerOptions &opts)
 {
-    RunnerOptions single = opts;
-    single.jobs = 1;
-    return Runner(single).executePoint(point);
+    PointResult result;
+    executePoint(
+        point, opts,
+        [](const ExperimentPoint &guarded, unsigned) {
+            return std::optional<RunOutcome>(tryRunWorkload(
+                guarded.cfg, guarded.workload, /*capture_stats=*/true));
+        },
+        result);
+    return result;
 }
 
 CheckpointedPointRun
@@ -440,119 +359,41 @@ Runner::replayCheckpointed(const ExperimentPoint &point,
                            const RunnerOptions &opts,
                            const CheckpointOptions &ckpt)
 {
-    const auto start = wallclock::now();
-
-    ExperimentPoint guarded = point;
-    if (guarded.cfg.max_cycles == 0 && opts.point_max_cycles > 0) {
-        guarded.cfg.max_cycles = opts.point_max_cycles;
-    }
-
-    CheckpointedPointRun out;
-    PointResult &result = out.result;
-    result.point_id = point.point_id;
-    result.seed = guarded.cfg.seed;
-
-    const bool faulted_cfg = guarded.cfg.faults.enabled();
-    const std::uint64_t base_fault_seed =
-        guarded.cfg.faults.seed != 0 ? guarded.cfg.faults.seed
-                                     : guarded.cfg.seed;
-
     CheckpointOptions run_ckpt = ckpt;
     if (!run_ckpt.restore_path.empty() &&
         !fileExists(run_ckpt.restore_path)) {
         run_ckpt.restore_path.clear();
     }
 
-    RunOutcome outcome;
+    CheckpointedPointRun out;
     CheckpointedRun chk;
-    unsigned attempt = 0;
-    for (;;) {
-        ++attempt;
-        outcome = RunOutcome{};
-        chk = CheckpointedRun{};
-        {
-            const ErrorTrap trap;
-            try {
-                chk = runWorkloadCheckpointed(guarded.cfg,
-                                              guarded.workload,
-                                              run_ckpt, &outcome.stats);
-                outcome.ok = true;
-                if (chk.finished) {
-                    outcome.result = chk.result;
-                    outcome.outcome = classifyRun(chk.result);
+    const bool finished = executePoint(
+        point, opts,
+        [&](const ExperimentPoint &guarded,
+            unsigned attempt) -> std::optional<RunOutcome> {
+            if (attempt > 1) {
+                // A reseeded fault stream is a different execution:
+                // the old snapshot must not leak into the retry.
+                if (!ckpt.save_path.empty()) {
+                    std::remove(ckpt.save_path.c_str());
                 }
-            } catch (const AbortError &) {
-                throw;
-            } catch (const std::exception &e) {
-                outcome.error = e.what();
-                outcome.outcome =
-                    outcome.error.find(kWatchdogMarker) !=
-                            std::string::npos
-                        ? OutcomeClass::kHung
-                        : OutcomeClass::kViolated;
-            } catch (...) {
-                outcome.error = "unknown exception";
-                outcome.outcome = OutcomeClass::kViolated;
+                run_ckpt.restore_path.clear();
             }
-        }
-        if (outcome.ok && !chk.finished) {
-            // Preempted (or stop-interrupted) at a snapshot-durable
-            // boundary: hand back the resumable state instead of a
-            // terminal classification.
-            out.preempted = true;
-            out.resumed_from = chk.resumed_from;
-            out.executed_cycles = chk.executed_cycles;
-            result.attempts = attempt;
-            result.wall_seconds = wallclock::secondsSince(start);
-            return out;
-        }
-        const bool bad = outcome.outcome == OutcomeClass::kViolated ||
-                         outcome.outcome == OutcomeClass::kHung;
-        if (!faulted_cfg || !bad || attempt > opts.fault_retries) {
-            break;
-        }
-        guarded.cfg.faults.seed =
-            Rng::streamSeed(base_fault_seed, attempt);
-        // A reseeded fault stream is a different execution: the old
-        // snapshot must not leak into the retry.
-        if (!ckpt.save_path.empty()) {
-            std::remove(ckpt.save_path.c_str());
-        }
-        run_ckpt.restore_path.clear();
-    }
+            RunOutcome outcome =
+                tryRunWorkload(guarded.cfg, guarded.workload,
+                               /*capture_stats=*/true, &run_ckpt, &chk);
+            if (outcome.ok && !chk.finished) {
+                // Preempted (or stop-interrupted) at a snapshot-durable
+                // boundary: hand back the resumable state instead of a
+                // terminal classification.
+                return std::nullopt;
+            }
+            return outcome;
+        },
+        out.result);
+    out.preempted = !finished;
     out.resumed_from = chk.resumed_from;
     out.executed_cycles = chk.executed_cycles;
-    result.attempts = attempt;
-    result.outcome = outcome.outcome;
-    result.wall_seconds = wallclock::secondsSince(start);
-
-    if (!outcome.ok) {
-        result.status =
-            faulted_cfg ? PointStatus::kFaulted : PointStatus::kFailed;
-        result.error = outcome.error;
-        return out;
-    }
-    result.run = std::move(outcome.result);
-    result.stats = std::move(outcome.stats);
-    if (result.run.timed_out) {
-        result.status =
-            faulted_cfg ? PointStatus::kFaulted : PointStatus::kTimedOut;
-        result.error = "hit the max_cycles guard";
-    } else if (faulted_cfg &&
-               outcome.outcome == OutcomeClass::kViolated) {
-        result.status = PointStatus::kFaulted;
-        result.error = format(
-            "security violated under fault plan ({} violations, max "
-            "unmitigated {})",
-            result.run.violations, result.run.max_unmitigated);
-    } else if (opts.point_timeout_sec > 0.0 &&
-               result.wall_seconds > opts.point_timeout_sec) {
-        result.status = PointStatus::kTimedOut;
-        result.error = format("exceeded the {:.1f}s wall-clock budget",
-                              opts.point_timeout_sec);
-    } else {
-        result.status = PointStatus::kOk;
-    }
     return out;
 }
 

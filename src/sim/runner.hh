@@ -1,6 +1,6 @@
 /**
  * @file
- * Work-stealing parallel experiment runner.
+ * Parallel experiment runner.
  *
  * Every figure/table of the paper sweeps many independent
  * (workload x config) points; the Runner executes them on a
@@ -10,13 +10,13 @@
  *    (Rng::streamSeed over (master_seed, stream id), assigned at sweep
  *    expansion), so results do not depend on thread count or
  *    scheduling order.
- *  - Points are sharded round-robin over worker-local deques; an idle
- *    worker steals from the back of the fullest other shard, so a few
- *    slow points cannot serialize the tail of the sweep.
+ *  - Workers share one atomic cursor over the sweep: a free worker
+ *    takes the next point in sweep order (greedy list scheduling), so
+ *    a few slow points cannot serialize the tail of the sweep.
  *  - A crashing point (exception, panic(), fatal()) is quarantined:
  *    it reports PointStatus::kFailed with its seed for single-threaded
  *    replay instead of killing the sweep.  A point that hits its cycle
- *    guard or wall-clock budget reports kTimedOut the same way.
+ *    guard reports kTimedOut the same way.
  *  - Per-point StatSnapshots are merged in point-id order after the
  *    workers join, so the final stats table is also schedule
  *    independent and free of data races.
@@ -42,14 +42,6 @@ struct RunnerOptions
 {
     /** Worker threads; 0 selects std::thread::hardware_concurrency. */
     unsigned jobs = 0;
-    /**
-     * Wall-clock budget per point in seconds (0 = none).  The
-     * simulator is single-threadedly cooperative, so the budget is
-     * enforced through the cycle guard below plus post-hoc
-     * classification: a point whose wall time exceeds the budget is
-     * reported as kTimedOut even if it eventually produced a result.
-     */
-    double point_timeout_sec = 0.0;
     /**
      * Cycle guard applied to points whose config leaves max_cycles at
      * 0 (0 = keep the config's own generous automatic bound).  This is
@@ -203,8 +195,9 @@ class Runner
         const ProgressFn &progress = nullptr) const;
 
     /**
-     * Re-run one point on the calling thread with stats captured --
-     * the `--replay point_id` debugging path.
+     * Run one point on the calling thread with stats captured --
+     * exactly what a sweep worker does per point, and the
+     * `--replay point_id` debugging path.
      */
     static PointResult replay(const ExperimentPoint &point,
                               const RunnerOptions &opts = {});
@@ -236,7 +229,17 @@ class Runner
     unsigned jobs() const;
 
   private:
-    PointResult executePoint(const ExperimentPoint &point) const;
+    /**
+     * The worker pool: execute points[i] for every i in @p order into
+     * results[i] and return how many finished.  With a @p journal,
+     * each finished point is recorded, a graceful stop ends the sweep
+     * at the next point boundary, and an aborted point stays kNotRun.
+     */
+    std::size_t runPool(const std::vector<ExperimentPoint> &points,
+                        const std::vector<std::size_t> &order,
+                        std::vector<PointResult> &results,
+                        SweepJournal *journal,
+                        const ProgressFn &progress) const;
 
     RunnerOptions opts_;
 };

@@ -1,12 +1,11 @@
 /**
  * @file
- * Sweep expansion, config signatures, and shard assignment.
+ * Sweep expansion and config signatures.
  */
 
 #include "sharding.hh"
 
 #include "common/format.hh"
-#include "common/log.hh"
 #include "common/rng.hh"
 
 namespace mopac
@@ -59,20 +58,6 @@ configSignature(const SystemConfig &cfg)
         cfg.geometry.mop_lines, cfg.geometry.chips,
         cfg.watchdog_cycles, cfg.watchdog_tail) +
         " " + cfg.faults.signature();
-}
-
-std::vector<std::vector<std::size_t>>
-shardRoundRobin(std::size_t num_points, unsigned num_shards)
-{
-    MOPAC_ASSERT(num_shards > 0);
-    std::vector<std::vector<std::size_t>> shards(num_shards);
-    for (auto &shard : shards) {
-        shard.reserve(num_points / num_shards + 1);
-    }
-    for (std::size_t i = 0; i < num_points; ++i) {
-        shards[i % num_shards].push_back(i);
-    }
-    return shards;
 }
 
 } // namespace mopac

@@ -1,6 +1,6 @@
 /**
  * @file
- * Sweep expansion and shard assignment for the parallel runner.
+ * Sweep expansion for the parallel runner.
  *
  * A sweep is a grid of (config x workload) cells.  Each cell becomes
  * one self-contained ExperimentPoint whose seed is derived in counter
@@ -80,16 +80,6 @@ struct SweepSpec
  * equal signatures replay identical runs on the same workload.
  */
 std::string configSignature(const SystemConfig &cfg);
-
-/**
- * Round-robin shard assignment of @p num_points point indices over
- * @p num_shards worker-local queues.  Round-robin (rather than
- * contiguous blocks) spreads the expensive workloads -- which cluster
- * in sweep order -- across workers, so the stealing phase has less to
- * re-balance.
- */
-std::vector<std::vector<std::size_t>> shardRoundRobin(
-    std::size_t num_points, unsigned num_shards);
 
 } // namespace mopac
 

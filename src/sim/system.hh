@@ -187,8 +187,7 @@ class System : public RequestSink
      * where the CPU made no progress -- an active CPU would wake at
      * now_ and forbid any skip, so the run loop skips the computation
      * entirely in that case.  A direct min over the handful of
-     * sources; the indexed EventQueue is kept for callers that need
-     * pop/FIFO semantics, but the run loop never pops.
+     * sources: the run loop folds wakeups, it never pops a queue.
      */
     Cycle nextEventCycle(Cycle mc_next) const;
 

@@ -123,7 +123,7 @@ TEST(RngStreams, MappingIsFrozen)
 TEST(RngStreams, OrderIndependence)
 {
     // Unlike fork(), stream seeds do not depend on how many streams
-    // were split before -- the property that makes work-stealing
+    // were split before -- the property that makes parallel sweep
     // schedules deterministic.
     constexpr std::uint64_t kMaster = 5;
     const auto a = Rng::streamSeed(kMaster, 17);

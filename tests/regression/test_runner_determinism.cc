@@ -117,14 +117,15 @@ TEST(RunnerDeterminism, SerialAndParallelSweepsAreBitIdentical)
 
 TEST(RunnerDeterminism, ParallelSchedulesAreRepeatable)
 {
-    // Two 8-worker executions steal differently; results must not.
+    // Two 8-worker executions hand points to workers in different
+    // orders; results must not differ.
     expectIdenticalSweeps(runWithJobs(8), runWithJobs(8));
 }
 
 TEST(RunnerDeterminism, OddWorkerCountMatchesToo)
 {
-    // 3 workers over 6 points exercises non-aligned sharding plus
-    // stealing of a partial tail.
+    // 3 workers over 6 points: each worker claims two points, in an
+    // order set by timing, and the last claims race for the tail.
     expectIdenticalSweeps(runWithJobs(1), runWithJobs(3));
 }
 

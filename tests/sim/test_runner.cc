@@ -1,20 +1,26 @@
 /**
  * @file
- * Unit tests for sweep expansion, shard assignment, and the runner's
- * failure paths (quarantine, timeout, replay).  The heavyweight
+ * Unit tests for sweep expansion and the runner's failure paths
+ * (quarantine, timeout, replay, checkpointed replay).  The heavyweight
  * jobs-1-vs-jobs-N determinism sweep lives in tests/regression.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/serialize.hh"
+#include "sim/faults.hh"
+#include "sim/journal.hh"
 #include "sim/runner.hh"
 #include "sim/sharding.hh"
+#include "sim/stop.hh"
 #include "sim/system.hh"
 
 namespace mopac
@@ -101,39 +107,6 @@ TEST(Sharding, ConfigSignatureSeparatesMeaningfulFields)
     b = a;
     b.geometry.chips = 16;
     EXPECT_NE(configSignature(a), configSignature(b));
-}
-
-TEST(Sharding, RoundRobinCoversEveryPointExactlyOnce)
-{
-    for (unsigned shards : {1u, 3u, 8u}) {
-        const auto assignment = shardRoundRobin(10, shards);
-        ASSERT_EQ(assignment.size(), shards);
-        std::set<std::size_t> seen;
-        for (const auto &shard : assignment) {
-            for (std::size_t idx : shard) {
-                EXPECT_TRUE(seen.insert(idx).second);
-            }
-        }
-        EXPECT_EQ(seen.size(), 10u);
-        // Round-robin: shard sizes differ by at most one.
-        std::size_t lo = ~0ull, hi = 0;
-        for (const auto &shard : assignment) {
-            lo = std::min(lo, shard.size());
-            hi = std::max(hi, shard.size());
-        }
-        EXPECT_LE(hi - lo, 1u);
-    }
-}
-
-TEST(Sharding, MoreShardsThanPointsLeavesEmptyShards)
-{
-    const auto assignment = shardRoundRobin(2, 8);
-    ASSERT_EQ(assignment.size(), 8u);
-    EXPECT_EQ(assignment[0].size(), 1u);
-    EXPECT_EQ(assignment[1].size(), 1u);
-    for (unsigned s = 2; s < 8; ++s) {
-        EXPECT_TRUE(assignment[s].empty());
-    }
 }
 
 TEST(Runner, QuarantinesFailingPointWithoutKillingSweep)
@@ -233,6 +206,149 @@ TEST(Runner, ProgressCallbackFiresOncePerPoint)
                          const PointResult &) { ++calls; });
     EXPECT_EQ(calls.load(), points.size());
 }
+
+/** What a point run through both point paths is set up to hit. */
+enum class PathCase
+{
+    kOk,
+    kUnknownWorkload,
+    kCycleGuard,
+    kFaultWatchdog,
+    kFaultCycleGuard,
+};
+
+const char *
+pathCaseName(PathCase c)
+{
+    switch (c) {
+      case PathCase::kOk: return "ok";
+      case PathCase::kUnknownWorkload: return "unknown_workload";
+      case PathCase::kCycleGuard: return "cycle_guard";
+      case PathCase::kFaultWatchdog: return "fault_watchdog";
+      case PathCase::kFaultCycleGuard: return "fault_cycle_guard";
+    }
+    return "?";
+}
+
+/** Deterministic bytes of a result (wall clock zeroed). */
+std::vector<std::uint8_t>
+canonicalBytes(PointResult result)
+{
+    result.wall_seconds = 0.0;
+    Serializer ser;
+    savePointResult(ser, result);
+    return ser.finish(FileKind::kPointRecord, 0);
+}
+
+/**
+ * Runner::replayCheckpointed must classify every point exactly like
+ * Runner::replay -- both with no checkpoint file and with periodic
+ * snapshots -- because the two share one attempt/retry/classify path
+ * and differ only in how one attempt runs.
+ */
+class RunnerPointPath
+    : public ::testing::TestWithParam<std::tuple<PathCase, bool>>
+{
+  protected:
+    void SetUp() override { sweepstop::reset(); }
+};
+
+TEST_P(RunnerPointPath, CheckpointedReplayMatchesReplay)
+{
+    const auto [which, snapshots] = GetParam();
+
+    ExperimentPoint point;
+    point.point_id = 7;
+    point.config_label = pathCaseName(which);
+    point.workload = "mcf";
+    point.cfg = tinyConfig(MitigationKind::kMopacD);
+    point.cfg.seed = 41;
+    // ~19K cycles: long enough for several periodic snapshots, and
+    // small banks keep each one cheap to write.
+    point.cfg.insts_per_core = 20000;
+    point.cfg.warmup_insts = 2000;
+    point.cfg.geometry.rows_per_bank = 1024;
+    RunnerOptions opts;
+    opts.jobs = 1;
+    PointStatus expected = PointStatus::kOk;
+    unsigned expected_attempts = 1;
+    switch (which) {
+      case PathCase::kOk:
+        break;
+      case PathCase::kUnknownWorkload:
+        point.workload = "nosuchworkload";
+        expected = PointStatus::kFailed;
+        break;
+      case PathCase::kCycleGuard:
+        opts.point_max_cycles = 12000;
+        expected = PointStatus::kTimedOut;
+        break;
+      case PathCase::kFaultWatchdog:
+        // The stuck-bank plan of FaultRuns.StuckForeverIsQuarantined-
+        // HungWithRetries: every reseed trips the watchdog (a crash
+        // classified HUNG), so the point exhausts its retries.
+        point.cfg.faults = FaultPlan::single(FaultKind::kStuckOpenBank,
+                                             1.0, kNeverCycle);
+        point.cfg.watchdog_cycles = 20000;
+        opts.fault_retries = 2;
+        expected = PointStatus::kFaulted;
+        expected_attempts = 3;
+        break;
+      case PathCase::kFaultCycleGuard:
+        // Same plan with the watchdog off: each attempt completes at
+        // the cycle guard instead, classified HUNG.
+        point.cfg.faults = FaultPlan::single(FaultKind::kStuckOpenBank,
+                                             1.0, kNeverCycle);
+        point.cfg.watchdog_cycles = 0;
+        point.cfg.max_cycles = 30000;
+        opts.fault_retries = 1;
+        expected = PointStatus::kFaulted;
+        expected_attempts = 2;
+        break;
+    }
+
+    const PointResult plain = Runner::replay(point, opts);
+    ASSERT_EQ(plain.status, expected) << plain.error;
+    EXPECT_EQ(plain.attempts, expected_attempts);
+
+    CheckpointOptions ckpt;
+    if (snapshots) {
+        ckpt.save_path = ::testing::TempDir() + "mopac_point_path_" +
+                         pathCaseName(which) + ".ckpt";
+        ckpt.restore_path = ckpt.save_path; // Honoured only if present.
+        ckpt.checkpoint_every = 5000;
+        std::remove(ckpt.save_path.c_str());
+    }
+    const CheckpointedPointRun chk =
+        Runner::replayCheckpointed(point, opts, ckpt);
+    if (snapshots) {
+        std::remove(ckpt.save_path.c_str());
+    }
+
+    EXPECT_FALSE(chk.preempted);
+    const PointResult &r = chk.result;
+    EXPECT_EQ(r.point_id, plain.point_id);
+    EXPECT_EQ(r.seed, plain.seed);
+    EXPECT_EQ(r.status, plain.status);
+    EXPECT_EQ(r.error, plain.error);
+    EXPECT_EQ(r.outcome, plain.outcome);
+    EXPECT_EQ(r.attempts, plain.attempts);
+    // Every field of the run (doubles bit-for-bit) and the stats.
+    EXPECT_EQ(canonicalBytes(r), canonicalBytes(plain));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothPaths, RunnerPointPath,
+    ::testing::Combine(::testing::Values(PathCase::kOk,
+                                         PathCase::kUnknownWorkload,
+                                         PathCase::kCycleGuard,
+                                         PathCase::kFaultWatchdog,
+                                         PathCase::kFaultCycleGuard),
+                       ::testing::Bool()),
+    [](const auto &info) {
+        return std::string(pathCaseName(std::get<0>(info.param))) +
+               (std::get<1>(info.param) ? "_snapshots" : "_no_file");
+    });
 
 } // namespace
 } // namespace mopac
