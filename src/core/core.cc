@@ -4,7 +4,8 @@
  *
  * Hot-loop structure (ISSUE 9): tick() is called for every core on
  * every executed cycle, so the per-cycle work is gated hard --
- * MSHR releases only walk the ROB when a pending completion is due,
+ * MSHR releases only walk the MSHR index (never the ROB) when a
+ * pending completion is due,
  * issue() starts at the first-unissued hint and stops at the first
  * point where nothing further can issue, and the ROB itself is a
  * fixed ring (no deque chunk chasing, no allocation).  Every gate is
@@ -49,6 +50,22 @@ Core::Core(unsigned id, const CoreParams &params, TraceSource *trace,
     const std::uint32_t cap = ceilPow2(params_.rob_entries);
     ops_.assign(cap, MemOp{});
     ops_mask_ = cap - 1;
+    mshr_slots_.assign(params_.mshrs, 0);
+}
+
+void
+Core::dropMshr(std::uint32_t i)
+{
+    MOPAC_ASSERT(i < mshr_count_);
+    MemOp &op = ops_[mshr_slots_[i]];
+    MOPAC_ASSERT(op.mshr_held);
+    op.mshr_held = false;
+    mshr_slots_[i] = mshr_slots_[--mshr_count_];
+    MOPAC_ASSERT(outstanding_reads_ > 0);
+    --outstanding_reads_;
+    MOPAC_ASSERT(mshr_releases_ > 0);
+    --mshr_releases_;
+    issue_idle_ = false;
 }
 
 void
@@ -119,22 +136,18 @@ Core::releaseMshrs(Cycle now)
     ++simProfile().core_release_scans;
     bool released = false;
     Cycle next = kNeverCycle;
-    for (std::uint32_t j = 0; j < ops_count_; ++j) {
-        MemOp &op = opAt(j);
-        if (!op.mshr_held || !op.done) {
+    for (std::uint32_t i = 0; i < mshr_count_;) {
+        const MemOp &op = ops_[mshr_slots_[i]];
+        if (op.done && now >= op.done_at) {
+            // dropMshr() moves the last entry into slot i.
+            dropMshr(i);
+            released = true;
             continue;
         }
-        if (now >= op.done_at) {
-            op.mshr_held = false;
-            MOPAC_ASSERT(outstanding_reads_ > 0);
-            --outstanding_reads_;
-            MOPAC_ASSERT(mshr_releases_ > 0);
-            --mshr_releases_;
-            issue_idle_ = false;
-            released = true;
-        } else {
+        if (op.done) {
             next = std::min(next, op.done_at);
         }
+        ++i;
     }
     next_release_at_ = next;
     return released;
@@ -182,9 +195,11 @@ Core::nextSelfEventAt(Cycle now) const
         // engines.
         return next_release_at_;
     }
+    // Every op whose completion is still ahead holds its MSHR (a
+    // release needs now >= done_at), so the index covers them all.
     Cycle next = kNeverCycle;
-    for (std::uint32_t j = 0; j < ops_count_; ++j) {
-        const MemOp &op = opAt(j);
+    for (std::uint32_t i = 0; i < mshr_count_; ++i) {
+        const MemOp &op = ops_[mshr_slots_[i]];
         if (op.done && op.done_at > now) {
             next = std::min(next, op.done_at);
         }
@@ -213,12 +228,12 @@ Core::retire(Cycle now)
                     break;
                 }
                 if (op.mshr_held) {
-                    op.mshr_held = false;
-                    MOPAC_ASSERT(outstanding_reads_ > 0);
-                    --outstanding_reads_;
-                    MOPAC_ASSERT(mshr_releases_ > 0);
-                    --mshr_releases_;
-                    issue_idle_ = false;
+                    // The head sits at ops_ position ops_head_.
+                    std::uint32_t i = 0;
+                    while (mshr_slots_[i] != ops_head_) {
+                        ++i;
+                    }
+                    dropMshr(i);
                 }
             }
             popFront();
@@ -387,6 +402,8 @@ Core::issue(Cycle now)
                     op.issued = true;
                     op.req_id = req.req_id;
                     op.mshr_held = true;
+                    mshr_slots_[mshr_count_++] =
+                        (ops_head_ + j) & ops_mask_;
                     ++outstanding_reads_;
                     ++issued_reads_;
                     --unissued_ops_;
@@ -429,10 +446,11 @@ Core::issue(Cycle now)
 void
 Core::onReadComplete(std::uint64_t req_id, Cycle done_cycle)
 {
-    for (std::uint32_t j = 0; j < ops_count_; ++j) {
-        MemOp &op = opAt(j);
-        if (!op.is_write && op.issued && !op.done &&
-            op.req_id == req_id) {
+    // An issued read holds its MSHR until it is done, so the index
+    // holds every candidate.
+    for (std::uint32_t i = 0; i < mshr_count_; ++i) {
+        MemOp &op = ops_[mshr_slots_[i]];
+        if (!op.done && op.req_id == req_id) {
             op.done = true;
             op.done_at = done_cycle;
             MOPAC_ASSERT(op.mshr_held);
@@ -472,6 +490,17 @@ Core::measuredIpc() const
     }
     return static_cast<double>(measuredInsts()) /
            static_cast<double>(end - measure_start_cycle_);
+}
+
+std::vector<std::uint64_t>
+Core::mshrIndexReqIds() const
+{
+    std::vector<std::uint64_t> ids;
+    ids.reserve(mshr_count_);
+    for (std::uint32_t i = 0; i < mshr_count_; ++i) {
+        ids.push_back(ops_[mshr_slots_[i]].req_id);
+    }
+    return ids;
 }
 
 void
@@ -525,6 +554,7 @@ Core::loadState(Deserializer &des)
     unissued_ops_ = 0;
     unissued_writes_ = 0;
     mshr_releases_ = 0;
+    mshr_count_ = 0;
     next_release_at_ = kNeverCycle;
     issue_idle_ = false;
     issue_wake_at_ = kNeverCycle;
@@ -539,6 +569,13 @@ Core::loadState(Deserializer &des)
         op.mshr_held = des.getU8() != 0;
         op.done_at = des.getU64();
         op.req_id = des.getU64();
+        if (op.mshr_held) {
+            if (mshr_count_ == mshr_slots_.size()) {
+                throw SerializeError(format(
+                    "core holds more than {} MSHRs", mshr_slots_.size()));
+            }
+            mshr_slots_[mshr_count_++] = ops_count_;
+        }
         ops_[ops_count_++] = op;
         if (!op.issued) {
             ++unissued_ops_;

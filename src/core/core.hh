@@ -18,8 +18,9 @@
  * Busy-path layout (ISSUE 9): the ROB is a fixed-capacity power-of-two
  * ring buffer (no per-op allocation, contiguous scans), issue() starts
  * at a first-unissued hint and stops as soon as no further op can
- * issue, and the MSHR-release walk is gated behind the earliest
- * pending completion -- all exactly equivalent to the naive full scans
+ * issue, the MSHR-release walk is gated behind the earliest pending
+ * completion, and completion lookups walk an index of the <= mshrs
+ * MSHR holders -- all exactly equivalent to the naive full scans
  * (the engine-differential suite holds the proof to account).
  */
 
@@ -155,6 +156,12 @@ class Core
     std::uint64_t issuedWrites() const { return issued_writes_; }
 
     /**
+     * Debug/test hook: the req ids of the reads the MSHR index lists,
+     * in index order.  Copies; not for hot paths.
+     */
+    std::vector<std::uint64_t> mshrIndexReqIds() const;
+
+    /**
      * Checkpoint the pipeline: ROB contents (including in-flight
      * reads), the partially dispatched trace record, and every
      * progress counter.  The trace source checkpoints separately.
@@ -185,6 +192,8 @@ class Core
     bool fetch(Cycle now);
     bool issue(Cycle now);
     bool releaseMshrs(Cycle now);
+    /** Release the MSHR of the op at mshr_slots_[@p i]. */
+    void dropMshr(std::uint32_t i);
 
     /** Op at ring position @p i (0 = oldest). */
     MemOp &opAt(std::uint32_t i)
@@ -246,6 +255,13 @@ class Core
     // requires on exact cycles.
     bool issue_idle_ = false;          // mopac-lint: allow(serial-drift)
     Cycle issue_wake_at_ = kNeverCycle; // mopac-lint: allow(serial-drift)
+
+    // MSHR index: the ops_ positions of the ops holding an MSHR, in
+    // no particular order (mshr_count_ entries, at most params_.mshrs).
+    // onReadComplete(), releaseMshrs() and nextSelfEventAt() walk it
+    // instead of the whole ROB; loadState() rebuilds it.
+    std::vector<std::uint32_t> mshr_slots_; // mopac-lint: allow(serial-drift)
+    std::uint32_t mshr_count_ = 0;          // mopac-lint: allow(serial-drift)
 
     // Partially dispatched trace record.
     bool record_pending_ = false;

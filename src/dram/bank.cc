@@ -30,7 +30,6 @@ BankArray::BankArray(const TimingSet *normal, const TimingSet *cu,
     cas_ready_.assign(count, 0);
     pre_cas_constraint_.assign(count, 0);
     last_act_.assign(count, 0);
-    row_ver_.assign(count, 0);
 }
 
 void
@@ -51,7 +50,6 @@ BankArray::act(unsigned b, Cycle now, std::uint32_t row)
     cas_ready_[b] = now + normal_->tRCD;
     pre_cas_constraint_[b] = now;
     open_mask_ |= std::uint64_t{1} << b;
-    ++row_ver_[b];
 }
 
 Cycle
@@ -102,7 +100,6 @@ BankArray::pre(unsigned b, Cycle now, bool counter_update)
         std::max(act_ready_[b],
                  now + trp_by_cu_[counter_update ? 1 : 0]);
     open_mask_ &= ~(std::uint64_t{1} << b);
-    ++row_ver_[b];
 }
 
 void

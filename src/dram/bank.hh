@@ -88,14 +88,6 @@ class BankArray
      */
     std::uint32_t openRow(unsigned b) const { return open_row_[b]; }
 
-    /**
-     * Monotone count of open-row changes for bank @p b (bumped by
-     * act() and pre()).  Cache-validity key for derived per-bank
-     * summaries (the controller's hit/conflict cache); never
-     * serialized -- cache owners re-key on restore.
-     */
-    std::uint64_t rowVersion(unsigned b) const { return row_ver_[b]; }
-
     /** Cycle at which bank @p b's current row was opened. */
     Cycle openSince(unsigned b) const { return open_since_[b]; }
 
@@ -175,10 +167,6 @@ class BankArray
     // Derived from open_row_ (bit b <=> open); loadState() rebuilds
     // it from the restored rows instead of trusting extra bytes.
     std::uint64_t open_mask_ = 0; // mopac-lint: allow(serial-drift)
-
-    // Scratch cache-validity counters (rowVersion); consumers re-key
-    // after a restore, so this is never serialized.
-    std::vector<std::uint64_t> row_ver_; // mopac-lint: allow(serial-drift)
 };
 
 } // namespace mopac

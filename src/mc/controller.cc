@@ -46,7 +46,6 @@ Controller::Controller(SubChannel &device, const AddressMap &map,
     act_claimed_.assign(nbanks, 0);
     read_q_.init(params_.read_queue_cap, nbanks);
     write_q_.init(params_.write_queue_cap, nbanks);
-    invalidateMarkCache();
     if (params_.wq_drain_high > params_.write_queue_cap ||
         params_.wq_drain_low >= params_.wq_drain_high) {
         fatal("controller: bad write-drain watermarks");
@@ -223,6 +222,21 @@ Controller::issueCas(RequestQueue &queue, std::int32_t slot,
 }
 
 // mopac: hot-path
+void
+Controller::issueAct(unsigned bank, std::uint32_t row, Cycle now)
+{
+    device_.cmdAct(now, bank, row);
+    cu_pending_[bank] =
+        device_.mitigator()->selectForUpdate(bank, row, now) ? 1 : 0;
+    act_claimed_[bank] = 1;
+    // The open row changed.  A closed bank's summaries are never read
+    // and every bank reopens through here, so marking the ACT alone
+    // covers the PRE as well.
+    read_q_.markStale(bank);
+    write_q_.markStale(bank);
+}
+
+// mopac: hot-path
 bool
 Controller::tryCas(RequestQueue &queue, bool is_write, Cycle now)
 {
@@ -330,13 +344,7 @@ Controller::tryActs(Cycle now, bool serve_writes)
                 }
             }
             const Request &req = queue.at(best_slot);
-            device_.cmdAct(now, req.bank, req.row);
-            cu_pending_[req.bank] =
-                device_.mitigator()->selectForUpdate(req.bank,
-                                                     req.row, now)
-                    ? 1
-                    : 0;
-            act_claimed_[req.bank] = 1;
+            issueAct(req.bank, req.row, now);
             return true;
         }
         for (unsigned i = 0; i < waits; ++i) {
@@ -433,27 +441,22 @@ Controller::scheduleOne(Cycle now)
 
     // Per-bank pending-hit / pending-conflict summary over exactly
     // the open banks that hold requests (set union, order-free).
-    // The per-(queue, bank) results are *cached* across passes, keyed
-    // by the queue's bankVersion and the bank's rowVersion: a bank
-    // whose list and open row are unchanged since the last walk keeps
-    // its summary, so steady-state passes re-walk only the one or two
-    // banks a command touched, not the whole queue.  The walk also
-    // finds each bank's oldest row hit (bank lists are
-    // arrival-ordered, so the first hit is the oldest) and caches it
-    // for tryCas(), which then needs no list walk of its own.
+    // The per-(queue, bank) results are *cached* across passes: the
+    // queue's stale mask flags every bank whose list changed (push,
+    // erase) or that was reopened (issueAct) since its last walk, so
+    // steady-state passes re-walk only the one or two banks a command
+    // touched and never look at the others.  The walk also finds
+    // each bank's oldest row hit (bank lists are arrival-ordered, so
+    // the first hit is the oldest) and caches it for tryCas(), which
+    // then needs no list walk of its own.
     const BankArray &banks = device_.banks();
-    auto mark = [&](const RequestQueue &queue, unsigned qi,
+    auto mark = [&](RequestQueue &queue, unsigned qi,
                     std::array<std::int32_t, 64> &hit_head) {
-        for (std::uint64_t m = banks.openMask() & queue.bankMask();
-             m != 0; m &= m - 1) {
+        const std::uint64_t walk =
+            banks.openMask() & queue.bankMask() & queue.staleMask();
+        for (std::uint64_t m = walk; m != 0; m &= m - 1) {
             const unsigned bank =
                 static_cast<unsigned>(std::countr_zero(m));
-            const std::uint64_t qver = queue.bankVersion(bank);
-            const std::uint64_t bver = banks.rowVersion(bank);
-            if (cache_qver_[qi][bank] == qver &&
-                cache_bver_[qi][bank] == bver) {
-                continue;
-            }
             ++prof.mc_mark_walks;
             const std::uint32_t open = banks.openRow(bank);
             const std::uint64_t bit = std::uint64_t{1} << bank;
@@ -478,9 +481,8 @@ Controller::scheduleOne(Cycle now)
                 (first_hit != RequestQueue::kNil ? bit : 0);
             conflict_q_mask_[qi] =
                 (conflict_q_mask_[qi] & ~bit) | (conflict ? bit : 0);
-            cache_qver_[qi][bank] = qver;
-            cache_bver_[qi][bank] = bver;
         }
+        queue.clearStale(walk);
     };
     mark(read_q_, 0, hit_head_read_);
     const std::uint64_t open_mask = banks.openMask();
@@ -567,13 +569,7 @@ Controller::tryActsNaive(Cycle now, bool serve_writes)
             const Cycle ready =
                 std::max(banks.actReadyAt(req.bank), subch_ready);
             if (now >= ready) {
-                device_.cmdAct(now, req.bank, req.row);
-                cu_pending_[req.bank] =
-                    device_.mitigator()->selectForUpdate(req.bank,
-                                                         req.row, now)
-                        ? 1
-                        : 0;
-                act_claimed_[req.bank] = 1;
+                issueAct(req.bank, req.row, now);
                 return true;
             }
             consider(ready);
@@ -761,8 +757,9 @@ Controller::saveState(Serializer &ser) const
     ser.putU8(drain_mode_ ? 1 : 0);
     ser.putVecU8(cu_pending_);
     ser.putVecU8(act_claimed_);
-    // hit_mask_ / conflict_mask_ are scratch, rebuilt from scratch by
-    // every scheduleOne() pass -- not checkpointed.
+    // The mark() cache (hit/conflict masks, hit heads) is scratch
+    // derived from the queues and bank state -- not checkpointed; the
+    // restored queues mark every bank stale, so it rebuilds itself.
     stats_.saveState(ser);
 }
 
@@ -796,9 +793,6 @@ Controller::loadState(Deserializer &des)
     cu_pending_ = std::move(cu);
     act_claimed_ = std::move(claimed);
     stats_.loadState(des);
-    // The restored queues renumbered their versions from zero, so
-    // every cached mark() summary is stale.
-    invalidateMarkCache();
 }
 
 } // namespace mopac

@@ -186,6 +186,8 @@ class Controller
     bool tryPres(Cycle now);
     void issueCas(RequestQueue &queue, std::int32_t slot,
                   bool is_write, Cycle now);
+    /** ACT @p row on @p bank and take the PREcu decision for it. */
+    void issueAct(unsigned bank, std::uint32_t row, Cycle now);
 
     // Reference scheduler (ControllerParams::naive_scan): the old
     // full-queue scans over the global arrival list, kept as the
@@ -218,39 +220,21 @@ class Controller
     /** Per-bank: the request that opened the current row was a miss. */
     std::vector<std::uint8_t> act_claimed_;
 
-    // Scratch, derived entirely from the queues and bank state;
-    // never read across a snapshot boundary (loadState() invalidates
-    // the cache), so none of it is checkpointed.  The hit-head arrays
-    // cache each open bank's oldest row hit so tryCas() never walks a
-    // bank list; the per-(queue, bank) version keys let scheduleOne's
-    // mark() pass skip banks whose list and open row are unchanged
-    // since their last walk (see scheduleOne for the invariant).
+    // Scratch, derived entirely from the queues and bank state, so
+    // none of it is checkpointed.  The hit-head arrays cache each
+    // open bank's oldest row hit so tryCas() never walks a bank list.
+    // The per-queue masks ([0] = read queue, [1] = write queue) cache
+    // scheduleOne's mark() summaries; an entry is valid while the
+    // bank's bit in that queue's staleMask() is clear (see
+    // scheduleOne for the invariant).  Only open banks are summarized
+    // and every ACT goes through issueAct(), which marks the bank
+    // stale in both queues; a restored queue starts all-stale.
     std::uint64_t hit_mask_ = 0;      // mopac-lint: allow(serial-drift)
     std::uint64_t conflict_mask_ = 0; // mopac-lint: allow(serial-drift)
     std::array<std::int32_t, 64> hit_head_read_{};  // mopac-lint: allow(serial-drift)
     std::array<std::int32_t, 64> hit_head_write_{}; // mopac-lint: allow(serial-drift)
-    // Cached per-queue hit/conflict bank masks ([0] = read queue,
-    // [1] = write queue) and their validity keys; kInvalidVer marks
-    // an entry that must be rewalked.
-    static constexpr std::uint64_t kInvalidVer = ~std::uint64_t{0};
     std::array<std::uint64_t, 2> hit_q_mask_{};      // mopac-lint: allow(serial-drift)
     std::array<std::uint64_t, 2> conflict_q_mask_{}; // mopac-lint: allow(serial-drift)
-    std::array<std::array<std::uint64_t, 64>, 2> cache_qver_{}; // mopac-lint: allow(serial-drift)
-    std::array<std::array<std::uint64_t, 64>, 2> cache_bver_{}; // mopac-lint: allow(serial-drift)
-
-    /** Invalidate every mark() cache entry (construction, restore). */
-    void
-    invalidateMarkCache()
-    {
-        for (auto &per_queue : cache_qver_) {
-            per_queue.fill(kInvalidVer);
-        }
-        for (auto &per_queue : cache_bver_) {
-            per_queue.fill(kInvalidVer);
-        }
-        hit_q_mask_ = {0, 0};
-        conflict_q_mask_ = {0, 0};
-    }
 
     ControllerStats stats_;
 };

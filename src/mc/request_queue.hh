@@ -16,10 +16,11 @@
  *  - per-bank doubly-linked arrival lists plus a bank-occupancy
  *    bitmask, so scheduling passes touch only banks that hold
  *    requests (candidate sets) instead of every queued request;
- *  - a per-bank modification counter (bankVersion), so the
- *    controller's per-bank hit/conflict summaries can be cached
- *    across scheduling passes and recomputed only for banks whose
- *    list actually changed.
+ *  - a stale-bank mask (staleMask), set for a bank by every push or
+ *    erase touching it and cleared by the owner once it has rebuilt
+ *    its summary of that bank, so the controller's per-bank
+ *    hit/conflict summaries can be cached across scheduling passes
+ *    and recomputed only for banks whose list actually changed.
  *
  * All storage is allocated once at init(); push/erase never allocate
  * (the controller's scheduling functions are `// mopac: hot-path`).
@@ -71,9 +72,10 @@ class RequestQueue
         free_count_ = cap;
         bank_head_.assign(nbanks, kNil);
         bank_tail_.assign(nbanks, kNil);
-        bank_ver_.assign(nbanks, 0);
         head_ = tail_ = kNil;
         bank_mask_ = 0;
+        stale_mask_ = nbanks == 64 ? ~std::uint64_t{0}
+                                   : (std::uint64_t{1} << nbanks) - 1;
         size_ = 0;
         next_seq_ = 0;
     }
@@ -103,15 +105,21 @@ class RequestQueue
     }
 
     /**
-     * Monotone per-bank modification count (bumped by every push or
-     * erase touching the bank).  Cache-validity key for derived
-     * per-bank summaries; never serialized (init() restarts at 0 and
-     * cache owners re-key on restore).
+     * Banks whose derived per-bank summaries are stale: set by every
+     * push or erase touching the bank and by markStale(), cleared by
+     * clearStale().  init() (hence every restore) marks every bank
+     * stale, so it is never serialized.
      */
-    std::uint64_t bankVersion(unsigned bank) const
+    std::uint64_t staleMask() const { return stale_mask_; }
+
+    /** Mark @p bank stale for a change outside the queue (an ACT). */
+    void markStale(unsigned bank)
     {
-        return bank_ver_[bank];
+        stale_mask_ |= std::uint64_t{1} << bank;
     }
+
+    /** The owner has rebuilt its summaries of the banks in @p banks. */
+    void clearStale(std::uint64_t banks) { stale_mask_ &= ~banks; }
 
     /** Append @p req at the FIFO tail. @return its slot. */
     std::int32_t
@@ -141,7 +149,7 @@ class RequestQueue
         }
         bank_tail_[b] = s;
         bank_mask_ |= std::uint64_t{1} << b;
-        ++bank_ver_[b];
+        stale_mask_ |= std::uint64_t{1} << b;
         ++size_;
         return s;
     }
@@ -177,7 +185,7 @@ class RequestQueue
         if (bank_head_[b] == kNil) {
             bank_mask_ &= ~(std::uint64_t{1} << b);
         }
-        ++bank_ver_[b];
+        stale_mask_ |= std::uint64_t{1} << b;
         free_[free_count_++] = slot;
         --size_;
     }
@@ -238,11 +246,11 @@ class RequestQueue
     std::vector<std::int32_t> free_;
     std::vector<std::int32_t> bank_head_;
     std::vector<std::int32_t> bank_tail_;
-    std::vector<std::uint64_t> bank_ver_;
     std::uint32_t free_count_ = 0;
     std::int32_t head_ = kNil;
     std::int32_t tail_ = kNil;
     std::uint64_t bank_mask_ = 0;
+    std::uint64_t stale_mask_ = 0;
     std::uint32_t size_ = 0;
     std::uint64_t next_seq_ = 0;
 };

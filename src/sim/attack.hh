@@ -50,6 +50,14 @@ class AttackRunner
     System &system() { return system_; }
 
   private:
+    /**
+     * The run loop proper.  Under SimEngine::kEvent it jumps over
+     * cycles where the pattern head is blocked and every controller
+     * sleeps, which the per-cycle kTick loop shows to be no-ops.
+     */
+    void drive(AttackPattern &pattern, Cycle duration,
+               unsigned max_inflight);
+
     System system_;
 };
 

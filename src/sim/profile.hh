@@ -33,7 +33,7 @@ namespace mopac
 struct SimProfile
 {
     // Run-loop engine.
-    std::uint64_t cycles_run = 0;      ///< cycles executed by runTo
+    std::uint64_t cycles_run = 0;      ///< cycles executed by runTo / AttackRunner
     std::uint64_t cycles_skipped = 0;  ///< cycles elided by the event engine
     std::uint64_t event_maint = 0;     ///< next-event min computations
 

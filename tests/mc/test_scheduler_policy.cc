@@ -346,7 +346,7 @@ TEST(SchedulerProperty, IndexedMatchesNaiveTimeoutPage)
 /**
  * Reference model for RequestQueue: a plain arrival-ordered vector.
  * Randomized push/erase sequences must keep the global list, the
- * per-bank lists, the occupancy mask, and the version counters in
+ * per-bank lists, the occupancy mask, and the stale-bank mask in
  * exact agreement with it.
  */
 TEST(RequestQueueProperty, MatchesVectorReferenceModel)
@@ -358,7 +358,9 @@ TEST(RequestQueueProperty, MatchesVectorReferenceModel)
         RequestQueue q;
         q.init(kCap, kBanks);
         std::vector<std::int32_t> ref_slots; // arrival order
-        std::vector<std::uint64_t> ver(kBanks, 0);
+        // init() marks every bank stale; push/erase and markStale()
+        // set a bank's bit, clearStale() drops the bits it is given.
+        std::uint64_t stale = (std::uint64_t{1} << kBanks) - 1;
         std::uint64_t last_seq = 0;
         for (int step = 0; step < 4000; ++step) {
             const bool do_push =
@@ -370,16 +372,29 @@ TEST(RequestQueueProperty, MatchesVectorReferenceModel)
                 req.req_id = static_cast<std::uint64_t>(step);
                 const std::int32_t s = q.push(req);
                 ref_slots.push_back(s);
-                ++ver[req.bank];
+                stale |= std::uint64_t{1} << req.bank;
             } else {
                 const std::size_t victim = static_cast<std::size_t>(
                     rng.below(ref_slots.size()));
                 const std::int32_t s = ref_slots[victim];
-                ++ver[q.at(s).bank];
+                stale |= std::uint64_t{1} << q.at(s).bank;
                 q.erase(s);
                 ref_slots.erase(ref_slots.begin() +
                                 static_cast<std::ptrdiff_t>(victim));
             }
+            // The owner's side: rebuild a random subset of banks and
+            // flag an outside change (an ACT) on another.
+            if (rng.chance(0.3)) {
+                const std::uint64_t walked = rng.below(1U << kBanks);
+                q.clearStale(walked);
+                stale &= ~walked;
+            }
+            if (rng.chance(0.1)) {
+                const unsigned b = static_cast<unsigned>(rng.below(kBanks));
+                q.markStale(b);
+                stale |= std::uint64_t{1} << b;
+            }
+            ASSERT_EQ(q.staleMask(), stale);
 
             // Global list == reference vector, seq strictly
             // increasing along it.
@@ -399,10 +414,8 @@ TEST(RequestQueueProperty, MatchesVectorReferenceModel)
             ASSERT_EQ(i, ref_slots.size());
             ASSERT_EQ(q.bankMask(), bank_mask);
 
-            // Each bank list == the bank-filtered global list, and
-            // the version counters count exactly the mutations.
+            // Each bank list == the bank-filtered global list.
             for (unsigned b = 0; b < kBanks; ++b) {
-                ASSERT_EQ(q.bankVersion(b), ver[b]) << "bank " << b;
                 std::int32_t bs = q.bankHead(b);
                 for (const std::int32_t s : ref_slots) {
                     if (q.at(s).bank != b) {
@@ -414,6 +427,10 @@ TEST(RequestQueueProperty, MatchesVectorReferenceModel)
                 ASSERT_EQ(bs, RequestQueue::kNil) << "bank " << b;
             }
         }
+        // A restore rebuilds through clear(): every bank is stale.
+        q.clearStale(~std::uint64_t{0});
+        q.clear();
+        ASSERT_EQ(q.staleMask(), (std::uint64_t{1} << kBanks) - 1);
     }
 }
 

@@ -13,15 +13,21 @@
  *
  * Coverage spans every MitigationKind, each workload generator class
  * of Table 4 (bursty, hot-row skewed, streaming, and a mix), and a
- * many-sided Rowhammer attack stream driving ALERT/ABO storms.
+ * many-sided Rowhammer attack stream driving ALERT/ABO storms.  The
+ * memory-only AttackRunner loop (the §7 performance-attack study) gets
+ * the same treatment: its event engine must match its per-cycle one
+ * on the benchmark's attack cases and under ALERT/RFM fault plans.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "common/serialize.hh"
+#include "sim/attack.hh"
+#include "sim/profile.hh"
 #include "sim/system.hh"
 #include "workload/attack.hh"
 #include "workload/synth.hh"
@@ -210,6 +216,152 @@ TEST(EngineDiff, AttackPatternAlertStormsMatch)
         };
         expectEnginesAgree(cfg, build,
                            std::string("attack/") + toString(kind));
+    }
+}
+
+/** One AttackRunner run: result, per-sub-channel stats, state bytes. */
+struct AttackRun
+{
+    AttackResult result;
+    std::vector<SubChannelStats> subch;
+    std::vector<std::uint8_t> state;
+    SimProfile profile;
+};
+
+enum class AttackShape
+{
+    kMultiBank,
+    kSrqFill,
+};
+
+AttackRun
+runAttackEngine(SystemConfig cfg, SimEngine engine, AttackShape shape)
+{
+    cfg.engine = engine;
+    AttackRunner runner(cfg);
+    const AddressMap &map = runner.system().addressMap();
+    AttackPattern pattern =
+        shape == AttackShape::kMultiBank
+            ? makeMultiBankAttack(map, 64, /*victim_row=*/1500)
+            : makeManySidedAttack(map, 0, 0, 48, /*start_row=*/3000);
+    const SimProfile before = simProfile();
+    AttackRun run;
+    run.result = runner.run(pattern, nsToCycles(100000.0),
+                            /*max_inflight=*/8);
+    run.profile = simProfile();
+    run.profile.cycles_run -= before.cycles_run;
+    run.profile.cycles_skipped -= before.cycles_skipped;
+    for (unsigned s = 0; s < runner.system().numSubchannels(); ++s) {
+        run.subch.push_back(runner.system().subchannel(s).stats());
+    }
+    Serializer ser;
+    runner.system().saveState(ser);
+    run.state = ser.finish(FileKind::kSnapshot, 0);
+    return run;
+}
+
+/** Run both engines, require identical results; @return the event run. */
+AttackRun
+expectAttackEnginesAgree(const SystemConfig &cfg, AttackShape shape,
+                         const std::string &tag)
+{
+    SCOPED_TRACE(tag);
+    const AttackRun tick = runAttackEngine(cfg, SimEngine::kTick, shape);
+    const AttackRun event = runAttackEngine(cfg, SimEngine::kEvent, shape);
+    const AttackResult &a = tick.result;
+    const AttackResult &b = event.result;
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.acts, b.acts);
+    EXPECT_EQ(a.alerts, b.alerts);
+    EXPECT_EQ(a.rfms, b.rfms);
+    EXPECT_EQ(a.mitigations, b.mitigations);
+    EXPECT_EQ(a.max_unmitigated, b.max_unmitigated);
+    EXPECT_EQ(a.violations, b.violations);
+    EXPECT_EQ(a.faults_injected, b.faults_injected);
+    EXPECT_EQ(a.acts_per_us, b.acts_per_us);
+    EXPECT_EQ(tick.subch.size(), event.subch.size());
+    for (std::size_t s = 0;
+         s < std::min(tick.subch.size(), event.subch.size()); ++s) {
+        const SubChannelStats &x = tick.subch[s];
+        const SubChannelStats &y = event.subch[s];
+        EXPECT_EQ(x.acts, y.acts) << "sub-channel " << s;
+        EXPECT_EQ(x.pres, y.pres) << "sub-channel " << s;
+        EXPECT_EQ(x.precus, y.precus) << "sub-channel " << s;
+        EXPECT_EQ(x.reads, y.reads) << "sub-channel " << s;
+        EXPECT_EQ(x.writes, y.writes) << "sub-channel " << s;
+        EXPECT_EQ(x.refs, y.refs) << "sub-channel " << s;
+        EXPECT_EQ(x.rfms, y.rfms) << "sub-channel " << s;
+        EXPECT_EQ(x.alerts, y.alerts) << "sub-channel " << s;
+        EXPECT_EQ(x.victim_refreshes, y.victim_refreshes)
+            << "sub-channel " << s;
+    }
+    EXPECT_EQ(tick.state, event.state)
+        << "serialized System state diverged";
+    // The per-cycle reference executes every cycle; the event engine
+    // must actually skip, and the two must account for all of them.
+    EXPECT_EQ(tick.profile.cycles_run, a.cycles);
+    EXPECT_EQ(tick.profile.cycles_skipped, 0u);
+    EXPECT_GT(event.profile.cycles_skipped, 0u);
+    EXPECT_EQ(event.profile.cycles_run + event.profile.cycles_skipped,
+              b.cycles);
+    EXPECT_GT(a.acts, 0u);
+    return event;
+}
+
+SystemConfig
+attackConfig(MitigationKind kind)
+{
+    SystemConfig cfg = makeConfig(kind, 500);
+    cfg.geometry.rows_per_bank = 4096;
+    return cfg;
+}
+
+TEST(EngineDiff, AttackRunnerMatchesOnBenchmarkAttacks)
+{
+    // The attack_abo cases of the benchmark (Tables 9 and 10).
+    const struct
+    {
+        MitigationKind kind;
+        AttackShape shape;
+        const char *tag;
+    } cases[] = {
+        {MitigationKind::kNone, AttackShape::kMultiBank,
+         "multi-bank/none"},
+        {MitigationKind::kMopacC, AttackShape::kMultiBank,
+         "multi-bank/mopac-c"},
+        {MitigationKind::kMopacD, AttackShape::kMultiBank,
+         "multi-bank/mopac-d"},
+        {MitigationKind::kNone, AttackShape::kSrqFill, "srq-fill/none"},
+        {MitigationKind::kMopacD, AttackShape::kSrqFill,
+         "srq-fill/mopac-d"},
+    };
+    for (const auto &c : cases) {
+        expectAttackEnginesAgree(attackConfig(c.kind), c.shape, c.tag);
+    }
+}
+
+TEST(EngineDiff, AttackRunnerMatchesUnderAlertFaults)
+{
+    // Dropped and delayed ALERTs move alertSince() into the future and
+    // RFM starvation moves the drain deadline: the wakeups the skip
+    // must not outrun.
+    const struct
+    {
+        MitigationKind kind;
+        AttackShape shape;
+    } cases[] = {
+        {MitigationKind::kMopacD, AttackShape::kSrqFill},
+        {MitigationKind::kMopacC, AttackShape::kMultiBank},
+    };
+    for (const auto &c : cases) {
+        SystemConfig cfg = attackConfig(c.kind);
+        cfg.faults.spec(FaultKind::kAlertDrop).rate = 0.2;
+        cfg.faults.spec(FaultKind::kAlertDelay).rate = 0.3;
+        cfg.faults.spec(FaultKind::kRfmStarve).rate = 0.3;
+        const std::string tag = std::string("faults/") + toString(c.kind);
+        const AttackRun event = expectAttackEnginesAgree(cfg, c.shape, tag);
+        EXPECT_GT(event.result.faults_injected, 0u) << tag;
+        EXPECT_GT(event.result.alerts, 0u) << tag;
     }
 }
 
