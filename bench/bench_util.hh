@@ -31,7 +31,7 @@
 #include "common/table.hh"
 #include "serve/client.hh"
 #include "sim/experiment.hh"
-#include "sim/journal.hh"
+#include "sim/result_store.hh"
 #include "sim/runner.hh"
 #include "sim/stop.hh"
 #include "workload/spec.hh"
@@ -55,11 +55,12 @@ benchInsts()
  *                full stats dump, then exit (point ids are printed
  *                when a point fails, or enumerable via --list-points)
  *   --list-points  print the expanded point table, then exit
- *   --journal DIR  journal each finished point to DIR (crash-safe);
+ *   --journal DIR  put each finished point into the result store at
+ *                DIR (crash-safe);
  *                SIGINT/SIGTERM pause the sweep at the next point
  *                boundary and exit with status 75 (resumable)
- *   --resume DIR  alias for --journal: finished points in DIR are
- *                skipped and only the remainder re-runs
+ *   --resume DIR  alias for --journal: points whose result DIR holds
+ *                are skipped and only the remainder runs
  *   --drain-deadline SEC  with --journal: seconds in-flight points
  *                get to finish after a stop request before a hard
  *                abort abandons them (default 30; 0 = wait forever)
@@ -73,7 +74,7 @@ struct BenchOptions
     unsigned jobs = 0;
     std::int64_t replay = -1;
     bool list_points = false;
-    /** Journal directory ("" = plain, non-resumable sweep). */
+    /** Result-store directory ("" = plain, non-resumable sweep). */
     std::string journal;
     double drain_deadline_sec = 30.0;
     /** mopac_serve socket ("" = run the sweep in-process). */
@@ -284,8 +285,8 @@ runBenchPoints(const std::vector<ExperimentPoint> &points,
     std::vector<PointResult> results;
     if (!opts.submit.empty()) {
         // Route the sweep through a mopac_serve daemon: identical
-        // deterministic results, daemon-side journaling, and repeated
-        // cells served from the content-addressed cache.
+        // deterministic results, and finished or repeated cells
+        // served from the daemon's content-addressed result store.
         serve::ClientOptions copts;
         copts.socket_path = opts.submit;
         serve::Client client(copts);
@@ -314,7 +315,7 @@ runBenchPoints(const std::vector<ExperimentPoint> &points,
         }
     } else if (!opts.journal.empty()) {
         // Journaled (resumable) sweep: finished points come from the
-        // journal, new ones are recorded atomically, and a signal
+        // result store, new ones are put atomically, and a signal
         // pauses at the next point boundary with the resumable exit
         // status.
         sweepstop::installSignalHandlers();

@@ -27,7 +27,7 @@
  *
  * Part D turns the deterministic syscall fault shim (serve/io.hh) on
  * the storage and transport layers, in three drills:
- *   D1  full-disk brownout: a supervised sweep with journal + cache
+ *   D1  full-disk brownout: a supervised sweep with a result store
  *       while atomicWriteFile fails with injected ENOSPC and the
  *       worker pipes suffer EINTR / short writes.  Every storage
  *       failure must be tolerated and counted, the manifest must stay
@@ -63,7 +63,7 @@
 #include "serve/supervisor.hh"
 #include "sim/attack.hh"
 #include "sim/faults.hh"
-#include "sim/journal.hh"
+#include "sim/result_store.hh"
 
 namespace
 {
@@ -234,7 +234,7 @@ canonicalBytes(const PointResult &result)
     canon.wall_seconds = 0.0;
     Serializer ser;
     savePointResult(ser, canon);
-    return ser.finish(FileKind::kPointRecord, canon.point_id);
+    return ser.finish(FileKind::kCacheEntry, canon.point_id);
 }
 
 void
@@ -379,13 +379,11 @@ resourcePressureChaos(bool smoke)
 
     // ---- D1: full-disk brownout + budgeted cache eviction --------
     {
-        // Journal and cache are set up before the shim arms, so the
-        // directory scaffolding itself cannot fault.
-        SweepJournal journal(base + "/journal", points);
-        serve::ResultCache cache(base + "/cache");
+        // The store is set up before the shim arms, so the directory
+        // scaffolding itself cannot fault.
+        ResultStore store(base + "/cache");
         serve::Supervisor sup(pressureOptions());
-        sup.setJournal(&journal);
-        sup.setCache(&cache);
+        sup.setStore(&store);
 
         serve::IoFaultConfig shim;
         shim.seed = 0xbeef;
@@ -425,25 +423,25 @@ resourcePressureChaos(bool smoke)
                   report.exitCode());
         }
 
-        // Budget squeeze: halve the cache's footprint allowance and
+        // Budget squeeze: halve the store's footprint allowance and
         // require deterministic oldest-first eviction back under it.
-        const std::uint64_t before = cache.totalBytes();
+        const std::uint64_t before = store.totalBytes();
         if (before == 0) {
-            fatal("pressure chaos: every cache store failed; the "
+            fatal("pressure chaos: every store write failed; the "
                   "eviction drill has nothing to evict");
         }
         const std::uint64_t budget = before / 2;
-        cache.setBudget(budget);
+        store.setBudget(budget);
         table.row({"D1 budget squeeze",
                    format("budget {} B", budget),
                    format("{} -> {} B, {} evicted", before,
-                          cache.totalBytes(), cache.evictions()),
-                   cache.totalBytes() <= budget ? "within budget"
+                          store.totalBytes(), store.evictions()),
+                   store.totalBytes() <= budget ? "within budget"
                                                 : "OVER"});
-        if (cache.evictions() == 0 || cache.totalBytes() > budget) {
+        if (store.evictions() == 0 || store.totalBytes() > budget) {
             fatal("pressure chaos: budget squeeze left {} B against "
                   "a {} B budget ({} evictions)",
-                  cache.totalBytes(), budget, cache.evictions());
+                  store.totalBytes(), budget, store.evictions());
         }
     }
 

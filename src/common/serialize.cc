@@ -9,11 +9,11 @@
  * mopac-lint: allow-file(io-errno)
  *
  * The serve supervisor reaches atomicWriteFile/readFileBytes when it
- * persists snapshots and journals.  That is deliberate: these are
- * bounded local-disk transfers with structured error reporting, the
- * exact discipline serve/io enforces for its own descriptors -- not
- * an unbounded socket/pipe wait the serve-reach closure exists to
- * catch:
+ * persists snapshots and result-store entries.  That is deliberate:
+ * these are bounded local-disk transfers with structured error
+ * reporting, the exact discipline serve/io enforces for its own
+ * descriptors -- not an unbounded socket/pipe wait the serve-reach
+ * closure exists to catch:
  * mopac-lint: allow-file(serve-reach)
  */
 
@@ -201,29 +201,6 @@ Serializer::finish(FileKind kind, std::uint64_t config_hash) const
     appendLe(out, buf_.size(), 8);
     out.insert(out.end(), buf_.begin(), buf_.end());
     appendLe(out, crc32(out.data(), out.size()), 4);
-    return out;
-}
-
-ContainerHeader
-peekHeader(const std::vector<std::uint8_t> &image)
-{
-    if (image.size() < kHeaderSize + kTrailerSize) {
-        corrupt(format("file too small ({} bytes)", image.size()));
-    }
-    if (!std::equal(kMagic.begin(), kMagic.end(), image.begin())) {
-        corrupt("bad magic (not a MOPAC checkpoint file)");
-    }
-    const std::uint8_t *hdr = image.data() + kMagic.size();
-    ContainerHeader out;
-    out.version = static_cast<std::uint32_t>(readLe(hdr, 4));
-    out.kind = static_cast<FileKind>(readLe(hdr + 4, 4));
-    out.config_hash = readLe(hdr + 8, 8);
-    out.payload_size = readLe(hdr + 16, 8);
-    if (out.payload_size != image.size() - kHeaderSize - kTrailerSize) {
-        corrupt(format("declared payload {} bytes, file carries {}",
-                       out.payload_size,
-                       image.size() - kHeaderSize - kTrailerSize));
-    }
     return out;
 }
 

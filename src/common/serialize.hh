@@ -3,13 +3,13 @@
  * Versioned, checksummed binary serialization for checkpoint files.
  *
  * Every on-disk artifact of the crash-recovery subsystem (System
- * snapshots, sweep-journal manifests, per-point journal records)
- * shares one container format:
+ * snapshots, result-store entries, daemon job specs, and the serve
+ * protocol's frames) shares one container format:
  *
  *   +------------------------------------------------------------+
  *   | magic "MOPACSER" (8 bytes)                                 |
  *   | u32 format version                                         |
- *   | u32 file kind (snapshot / manifest / record)               |
+ *   | u32 file kind (snapshot / store entry / message / job)     |
  *   | u64 config hash (FNV-1a of the producing configuration)    |
  *   | u64 payload size in bytes                                  |
  *   | payload: nested tagged sections of little-endian fields    |
@@ -47,10 +47,8 @@ constexpr std::uint32_t kSerializeVersion = 1;
 enum class FileKind : std::uint32_t
 {
     kSnapshot = 1,       //!< Full sim::System state snapshot.
-    kSweepManifest = 2,  //!< Sweep journal manifest (config hashes).
-    kPointRecord = 3,    //!< One completed PointResult.
     kServeMessage = 4,   //!< One mopac_serve protocol message.
-    kCacheEntry = 5,     //!< Content-addressed sweep-cache record.
+    kCacheEntry = 5,     //!< One ResultStore entry (finished point).
     kServeJob = 6,       //!< Persisted daemon job spec (point list).
 };
 
@@ -107,8 +105,6 @@ class Serializer
      */
     std::vector<std::uint8_t> finish(FileKind kind,
                                      std::uint64_t config_hash) const;
-
-    std::size_t payloadSize() const { return buf_.size(); }
 
   private:
     std::vector<std::uint8_t> buf_;
@@ -171,30 +167,6 @@ class Deserializer
     std::uint64_t config_hash_ = 0;
     std::vector<std::size_t> limits_; //!< End offsets of open sections.
 };
-
-/**
- * Decoded container header, exposed without touching the payload.
- * This is what lets the serve-layer result cache index an on-disk
- * entry (and the protocol layer dispatch on a message's config-hash
- * field) before paying for a full strict parse.
- */
-struct ContainerHeader
-{
-    std::uint32_t version = 0;
-    FileKind kind = FileKind::kSnapshot;
-    /** The envelope's config-hash field (cache key / message type). */
-    std::uint64_t config_hash = 0;
-    std::uint64_t payload_size = 0;
-};
-
-/**
- * Validate @p image's magic and fixed header and return the decoded
- * header fields.  Deliberately shallow: the payload and CRC are NOT
- * checked (use Deserializer for a strict load).  Throws
- * SerializeError on a short image, foreign magic, or a declared
- * payload size that disagrees with the image size.
- */
-ContainerHeader peekHeader(const std::vector<std::uint8_t> &image);
 
 /**
  * Crash-safe file write: the bytes are written to a temporary sibling,

@@ -63,8 +63,6 @@ class Histogram
     /** Raw bucket counts; the final entry is the overflow bucket. */
     const std::vector<std::uint64_t> &buckets() const { return buckets_; }
 
-    std::uint64_t bucketWidth() const { return bucket_width_; }
-
     /** Reset all recorded data. */
     void reset();
 

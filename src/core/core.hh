@@ -152,9 +152,6 @@ class Core
 
     unsigned id() const { return id_; }
 
-    std::uint64_t issuedReads() const { return issued_reads_; }
-    std::uint64_t issuedWrites() const { return issued_writes_; }
-
     /**
      * Debug/test hook: the req ids of the reads the MSHR index lists,
      * in index order.  Copies; not for hot paths.

@@ -133,7 +133,6 @@ class SubChannel : public DramBackend
     const SubChannelStats &stats() const { return stats_; }
 
     const TimingSet &normalTiming() const { return *normal_; }
-    const TimingSet &cuTiming() const { return *cu_; }
 
     /**
      * Checkpoint every mutable field of the sub-channel: bank timing

@@ -703,19 +703,6 @@ Controller::rowBufferHitRate() const
            static_cast<double>(cas);
 }
 
-std::vector<Request>
-Controller::queueSnapshot(bool writes) const
-{
-    const RequestQueue &q = writes ? write_q_ : read_q_;
-    std::vector<Request> out;
-    out.reserve(q.size());
-    for (std::int32_t s = q.head(); s != RequestQueue::kNil;
-         s = q.next(s)) {
-        out.push_back(q.at(s));
-    }
-    return out;
-}
-
 void
 ControllerStats::saveState(Serializer &ser) const
 {

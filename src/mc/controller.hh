@@ -150,13 +150,6 @@ class Controller
     double rowBufferHitRate() const;
 
     /**
-     * Debug/test hook: the queued requests of one queue in arrival
-     * order (the order serialization writes and FR-FCFS compares).
-     * Copies; not for hot paths.
-     */
-    std::vector<Request> queueSnapshot(bool writes) const;
-
-    /**
      * Checkpoint queues, maintenance state, per-bank PREcu decisions,
      * and statistics.  The driven SubChannel checkpoints separately.
      */

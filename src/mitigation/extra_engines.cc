@@ -66,13 +66,6 @@ GrapheneTracker::GrapheneTracker(DramBackend &backend,
     }
 }
 
-std::uint64_t
-GrapheneTracker::sramBytesPerBank() const
-{
-    // ~2 B count + ~4 B row tag per entry.
-    return static_cast<std::uint64_t>(params_.entries) * 6;
-}
-
 void
 GrapheneTracker::onActivate(unsigned bank, std::uint32_t row, Cycle)
 {

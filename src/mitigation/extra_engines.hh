@@ -127,9 +127,6 @@ class GrapheneTracker : public Mitigator
     void saveState(Serializer &ser) const override;
     void loadState(Deserializer &des) override;
 
-    /** SRAM footprint in bytes (entries * ~6 B), for reporting. */
-    std::uint64_t sramBytesPerBank() const;
-
   private:
     struct Entry
     {

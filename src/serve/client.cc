@@ -200,8 +200,8 @@ Client::runSweep(const std::vector<ExperimentPoint> &points,
         status = query(job_id);
         if (status.phase == JobPhase::kUnknown) {
             // A restarted daemon that lost (or could not read) the
-            // spec: idempotent resubmission re-creates the job and
-            // adopts everything its journal already holds.
+            // spec: idempotent resubmission re-creates the job, and
+            // its run serves everything the result store holds.
             status = submit(points, opts);
         }
         if (on_status) {

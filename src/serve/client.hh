@@ -3,12 +3,12 @@
  * Client side of the mopac_serve protocol.
  *
  * The client is deliberately forgiving: the daemon owns all durable
- * state (specs, journals, cache), so a client can lose its connection
+ * state (specs, result store), so a client can lose its connection
  * -- or the whole daemon can be SIGKILLed and restarted -- at any
  * point, and the client just reconnects with jittered backoff and
  * resubmits.  Submission is idempotent (the job id is a content hash
  * of the point list), so "resubmit after reconnect" re-attaches to
- * the same job and its journal instead of duplicating work.  This is
+ * the same job, and finished points come from the store.  This is
  * what makes the end-to-end daemon smoke self-healing: kill the
  * daemon mid-sweep, restart it, and the waiting client converges on
  * the same manifest as an uninterrupted run.

@@ -13,7 +13,9 @@
 #include <unistd.h>
 
 #include "common/log.hh"
+#include "common/serialize.hh"
 #include "serve/io.hh"
+#include "sim/sharding.hh"
 #include "sim/stop.hh"
 
 namespace mopac::serve
@@ -34,6 +36,26 @@ hex16(std::uint64_t value)
     return std::string(buf);
 }
 
+/**
+ * Job identity: folds every point's id, configuration signature, and
+ * workload.  Two submissions with equal ids replay identical point
+ * lists.
+ */
+std::uint64_t
+jobId(const std::vector<ExperimentPoint> &points)
+{
+    std::string identity;
+    for (const ExperimentPoint &point : points) {
+        identity += std::to_string(point.point_id);
+        identity += ':';
+        identity += configSignature(point.cfg);
+        identity += '#';
+        identity += point.workload;
+        identity += '\n';
+    }
+    return fnv1a64(identity);
+}
+
 } // namespace
 
 Daemon::Daemon(DaemonOptions opts) : opts_(std::move(opts))
@@ -44,8 +66,8 @@ Daemon::Daemon(DaemonOptions opts) : opts_(std::move(opts))
         throw IoError(format("another mopac_serve instance holds {}",
                              opts_.state_dir + "/lock"));
     }
-    cache_ = std::make_unique<ResultCache>(opts_.state_dir + "/cache");
-    cache_->setBudget(opts_.cache_budget);
+    store_ = std::make_unique<ResultStore>(opts_.state_dir + "/cache");
+    store_->setBudget(opts_.cache_budget);
     ensureDir(opts_.state_dir + "/jobs");
     loadPersistedJobs();
     listen_fd_ = listenUnix(opts_.socket_path);
@@ -79,26 +101,6 @@ Daemon::activeJobs() const
            (live_supervisor_ != nullptr ? 1 : 0);
 }
 
-void
-Daemon::seedReportFromJournal(Job &job)
-{
-    SupervisorReport &report = job.report;
-    report.results.assign(job.points.size(), PointResult{});
-    report.sources.assign(job.points.size(), PointSource::kPending);
-    for (std::size_t i = 0; i < job.points.size(); ++i) {
-        report.results[i].point_id = job.points[i].point_id;
-        report.results[i].status = PointStatus::kNotRun;
-        report.results[i].seed = job.points[i].cfg.seed;
-        report.results[i].attempts = 0;
-        const auto it =
-            job.journal->completed().find(job.points[i].point_id);
-        if (it != job.journal->completed().end()) {
-            report.results[i] = it->second;
-            report.sources[i] = PointSource::kFresh;
-        }
-    }
-}
-
 Daemon::Job &
 Daemon::adoptJob(std::uint64_t job_id, JobOptions opts,
                  std::vector<ExperimentPoint> points, bool persist)
@@ -122,13 +124,10 @@ Daemon::adoptJob(std::uint64_t job_id, JobOptions opts,
         atomicWriteFile(jobDir(job_id) + "/spec.bin",
                         ser.finish(FileKind::kServeJob, job_id));
     }
-    job.journal = std::make_unique<SweepJournal>(
-        jobDir(job_id) + "/journal", job.points);
-    job.journal->setRecordBudget(opts_.journal_budget);
-    seedReportFromJournal(job);
-    if (job.report.counts().pending > 0) {
-        run_queue_.push_back(job_id);
-    }
+    // Every adopted job runs once: the supervisor serves whatever the
+    // store already holds and simulates only the rest.
+    job.report = SupervisorReport::allPending(job.points);
+    run_queue_.push_back(job_id);
     return job;
 }
 
@@ -162,7 +161,7 @@ Daemon::loadPersistedJobs()
             JobOptions opts = loadJobOptions(des);
             std::vector<ExperimentPoint> points = loadPoints(des);
             des.finish();
-            if (SweepJournal::sweepHash(points) != id) {
+            if (jobId(points) != id) {
                 throw SerializeError("spec does not match job id");
             }
             adoptJob(id, opts, std::move(points), false);
@@ -228,8 +227,7 @@ Daemon::runJob(Job &job)
         sup_opts.checkpoint_dir = jobDir(job.id) + "/ckpt";
     }
     Supervisor supervisor(sup_opts);
-    supervisor.setJournal(job.journal.get());
-    supervisor.setCache(cache_.get());
+    supervisor.setStore(store_.get());
     supervisor.setChildSetup([this] {
         // Workers must not hold the daemon's sockets or lock open.
         closeQuiet(listen_fd_);
@@ -308,8 +306,7 @@ Daemon::handleClient(std::size_t slot)
             if (points.empty()) {
                 throw SerializeError("empty point list");
             }
-            const std::uint64_t id =
-                SweepJournal::sweepHash(points);
+            const std::uint64_t id = jobId(points);
             // Admission control: shed NEW jobs past the queue bound
             // before touching disk; re-attaching is always admitted.
             if (opts_.queue_depth > 0 &&
@@ -330,7 +327,7 @@ Daemon::handleClient(std::size_t slot)
                 reply_type = MsgType::kSubmitAck;
                 brownout_ = false;
             } catch (const std::exception &err) {
-                // Could not persist the spec or journal: shed the
+                // Could not persist the spec: shed the
                 // submission rather than lie about crash safety.
                 // Known jobs keep serving -- this is a brownout, not
                 // an outage.

@@ -6,18 +6,18 @@
  * executes them through the Supervisor (forked, supervised worker
  * processes), and serves results -- fresh, cached, or degraded:
  *
- *  - IDEMPOTENT JOBS: a job's identity is SweepJournal::sweepHash of
- *    its point list, so resubmitting the same sweep re-attaches to
- *    the existing job (and its journal) instead of starting over.
+ *  - IDEMPOTENT JOBS: a job's identity is a hash over its point
+ *    list, so resubmitting the same sweep re-attaches to the
+ *    existing job instead of starting over.
  *  - CRASH SAFETY: the job spec is persisted (atomically) before the
- *    submit is acknowledged, and every finished point is journaled.
- *    SIGKILL the daemon at any instant, restart it, and it replays
- *    its journals: unfinished jobs resume losing at most the points
- *    that were in flight.
- *  - MEMOIZATION: finished points land in a content-addressed result
- *    cache keyed by (configSignature, workload); a resubmitted
- *    identical cell is served from disk without re-simulation, even
- *    across different jobs.
+ *    submit is acknowledged, and every finished point is put into
+ *    the result store.  SIGKILL the daemon at any instant, restart
+ *    it, and every persisted job re-runs against the store: finished
+ *    points are served from disk, losing at most the points that
+ *    were in flight.
+ *  - MEMOIZATION: the store is content-addressed (see ResultStore),
+ *    so a resubmitted identical cell is served from disk without
+ *    re-simulation, even across different jobs.
  *  - DEGRADED MODE: a fetch never fails just because work remains --
  *    clients get a partial manifest with per-point pending markers
  *    while the sweep runs, and a job whose points exhausted their
@@ -31,9 +31,9 @@
  * State directory layout:
  *
  *   <state>/lock                single-instance flock
- *   <state>/cache/<key>.rec     content-addressed result cache
+ *   <state>/cache/              the ResultStore shared by all jobs
  *   <state>/jobs/<id>/spec.bin  persisted job (points + options)
- *   <state>/jobs/<id>/journal/  the job's SweepJournal
+ *   <state>/jobs/<id>/ckpt/     in-flight point checkpoints
  */
 
 #ifndef MOPAC_SERVE_DAEMON_HH
@@ -45,10 +45,9 @@
 #include <string>
 #include <vector>
 
-#include "serve/cache.hh"
 #include "serve/protocol.hh"
 #include "serve/supervisor.hh"
-#include "sim/journal.hh"
+#include "sim/result_store.hh"
 
 namespace mopac::serve
 {
@@ -58,7 +57,7 @@ struct DaemonOptions
 {
     /** Unix-domain socket path clients connect to. */
     std::string socket_path;
-    /** State directory (jobs, journals, cache, lock). */
+    /** State directory (jobs, result store, lock). */
     std::string state_dir;
     /** Supervision knobs (workers, watchdogs, retry, chaos). */
     SupervisorOptions supervision;
@@ -69,10 +68,8 @@ struct DaemonOptions
      * a known job is always admitted.
      */
     std::uint64_t queue_depth = 0;
-    /** Result-cache size budget, bytes (0 = unbounded). */
+    /** Result-store size budget, bytes (0 = unbounded). */
     std::uint64_t cache_budget = 0;
-    /** Per-job journal record budget, bytes (0 = unbounded). */
-    std::uint64_t journal_budget = 0;
 };
 
 /** The sweep service; see the file comment. */
@@ -98,9 +95,6 @@ class Daemon
      */
     int serve();
 
-    /** Jobs currently known (loaded + submitted). */
-    std::size_t numJobs() const { return jobs_.size(); }
-
     /** True while storage writes are failing (degraded serving). */
     bool brownout() const { return brownout_; }
 
@@ -110,8 +104,7 @@ class Daemon
         std::uint64_t id = 0;
         JobOptions opts;
         std::vector<ExperimentPoint> points;
-        std::unique_ptr<SweepJournal> journal;
-        /** Latest full report (journal adoption or a finished run). */
+        /** Latest full report (all pending until the job runs). */
         SupervisorReport report;
         bool running = false;
     };
@@ -121,7 +114,6 @@ class Daemon
     Job &adoptJob(std::uint64_t job_id, JobOptions opts,
                   std::vector<ExperimentPoint> points, bool persist);
     void loadPersistedJobs();
-    void seedReportFromJournal(Job &job);
     JobStatus statusOf(const Job &job) const;
     Manifest manifestOf(const Job &job) const;
     void runJob(Job &job);
@@ -133,7 +125,7 @@ class Daemon
     int lock_fd_ = -1;
     int listen_fd_ = -1;
     std::vector<int> clients_;
-    std::unique_ptr<ResultCache> cache_;
+    std::unique_ptr<ResultStore> store_;
     std::map<std::uint64_t, Job> jobs_;
     std::vector<std::uint64_t> run_queue_;
     Supervisor *live_supervisor_ = nullptr;

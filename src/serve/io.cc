@@ -498,8 +498,8 @@ setIoFaultShim(const IoFaultConfig &config)
         }
     }
     // ENOSPC rides the common-layer hook so every atomicWriteFile in
-    // the process (cache entries, journal records, job specs,
-    // checkpoints) injects from the same deterministic stream.
+    // the process (result-store entries, job specs, checkpoints)
+    // injects from the same deterministic stream.
     if (config.seed != 0 && config.enospc_rate > 0.0) {
         setWriteFaultHook([](const std::string &path) {
             if (shimFires(kShimWrite, &IoFaultConfig::enospc_rate,

@@ -172,7 +172,7 @@ int lockFile(const std::string &path);
  * What each rate injects:
  *  - enospc_rate: atomicWriteFile throws SerializeError before any
  *    byte is written (via the common-layer write fault hook), i.e. a
- *    full disk for cache entries, journal records, and job specs.
+ *    full disk for result-store entries, job specs, and checkpoints.
  *  - emfile_rate: acceptClient sheds the pending connection as if
  *    accept() had failed with EMFILE (fd exhaustion).
  *  - eintr_rate: readExact / writeAll skip one syscall iteration as

@@ -6,7 +6,7 @@
 #include "protocol.hh"
 
 #include "common/format.hh"
-#include "sim/journal.hh"
+#include "sim/result_store.hh"
 
 namespace mopac::serve
 {
@@ -14,7 +14,7 @@ namespace mopac::serve
 namespace
 {
 
-/** Section tags (serve-layer range, disjoint from journal tags). */
+/** Section tags (serve-layer range, disjoint from store tags). */
 constexpr std::uint32_t kTagConfig = 0x53434647; // 'SCFG'
 constexpr std::uint32_t kTagPointHdr = 0x53505448; // 'SPTH'
 constexpr std::uint32_t kTagPointList = 0x53505453; // 'SPTS'
@@ -277,7 +277,6 @@ saveJobOptions(Serializer &ser, const JobOptions &opts)
     ser.begin(kTagJobOpts);
     ser.putU32(opts.fault_retries);
     ser.putU64(opts.point_max_cycles);
-    ser.putU8(opts.use_cache ? 1 : 0);
     ser.putU64(opts.checkpoint_every);
     ser.end();
 }
@@ -289,10 +288,18 @@ loadJobOptions(Deserializer &des)
     des.begin(kTagJobOpts);
     opts.fault_retries = des.getU32();
     opts.point_max_cycles = des.getU64();
-    opts.use_cache = des.getU8() != 0;
     opts.checkpoint_every = des.getU64();
     des.end();
     return opts;
+}
+
+RunnerOptions
+runnerOptions(const JobOptions &opts)
+{
+    RunnerOptions ropts;
+    ropts.fault_retries = opts.fault_retries;
+    ropts.point_max_cycles = opts.point_max_cycles;
+    return ropts;
 }
 
 void

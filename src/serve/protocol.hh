@@ -108,8 +108,6 @@ struct JobOptions
     unsigned fault_retries = 0;
     /** Runner point_max_cycles applied by the workers. */
     std::uint64_t point_max_cycles = 0;
-    /** Serve OK results from / store them into the daemon cache. */
-    bool use_cache = true;
     /**
      * Checkpoint cadence in simulated cycles (0 = off).  With a
      * cadence and a supervisor checkpoint dir, workers snapshot the
@@ -119,6 +117,9 @@ struct JobOptions
      */
     std::uint64_t checkpoint_every = 0;
 };
+
+/** The Runner knobs a worker executes a job's points with. */
+RunnerOptions runnerOptions(const JobOptions &opts);
 
 /** Aggregate job progress counters (kStatus payload). */
 struct JobCounts

@@ -81,6 +81,21 @@ SupervisorReport::counts() const
     return counts;
 }
 
+SupervisorReport
+SupervisorReport::allPending(const std::vector<ExperimentPoint> &points)
+{
+    SupervisorReport report;
+    report.results.resize(points.size());
+    report.sources.assign(points.size(), PointSource::kPending);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        report.results[i].point_id = points[i].point_id;
+        report.results[i].status = PointStatus::kNotRun;
+        report.results[i].seed = points[i].cfg.seed;
+        report.results[i].attempts = 0;
+    }
+    return report;
+}
+
 JobPhase
 SupervisorReport::phase() const
 {
@@ -207,34 +222,29 @@ Supervisor::resolve(std::size_t index, const PointResult &result,
 }
 
 void
-Supervisor::resolveFresh(std::size_t index, const PointResult &result)
+Supervisor::persist(std::size_t index, const PointResult &result)
 {
     const ExperimentPoint &point = (*points_)[index];
     // Storage failures (full disk, injected ENOSPC) must not lose a
     // finished result: keep it in memory, count the brownout, and let
     // the sweep keep serving.  A later resume re-runs the point.
-    if (journal_) {
+    if (store_) {
         try {
-            journal_->record(result);
+            store_->put(point, runnerOptions(opts_.job), result);
         } catch (const std::exception &err) {
             ++report_->storage_write_failures;
-            warn("supervisor: journal write for point {} failed ({}); "
+            warn("supervisor: store write for point {} failed ({}); "
                  "serving the in-memory result",
                  point.point_id, err.what());
         }
     }
-    if (cache_ && opts_.job.use_cache &&
-        result.status == PointStatus::kOk) {
-        try {
-            cache_->store(point, result);
-        } catch (const std::exception &err) {
-            ++report_->storage_write_failures;
-            warn("supervisor: cache store for point {} failed ({}); "
-                 "continuing uncached",
-                 point.point_id, err.what());
-        }
-    }
     dropCheckpoint(point.point_id);
+}
+
+void
+Supervisor::resolveFresh(std::size_t index, const PointResult &result)
+{
+    persist(index, result);
     resolve(index, result,
             result.status == PointStatus::kOk
                 ? PointSource::kFresh
@@ -258,17 +268,7 @@ Supervisor::quarantine(std::size_t index, std::uint32_t attempts,
                hang ? "hung" : "died", attempts, point.point_id);
     warn("supervisor: point {} quarantined: {}", point.point_id,
          result.error);
-    if (journal_) {
-        try {
-            journal_->record(result);
-        } catch (const std::exception &err) {
-            ++report_->storage_write_failures;
-            warn("supervisor: journal write for point {} failed ({}); "
-                 "serving the in-memory result",
-                 point.point_id, err.what());
-        }
-    }
-    dropCheckpoint(point.point_id);
+    persist(index, result);
     resolve(index, result, PointSource::kQuarantine);
 }
 
@@ -591,15 +591,7 @@ SupervisorReport
 Supervisor::run(const std::vector<ExperimentPoint> &points,
                 const ProgressFn &progress, const PumpFn &pump)
 {
-    SupervisorReport report;
-    report.results.resize(points.size());
-    report.sources.assign(points.size(), PointSource::kPending);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        report.results[i].point_id = points[i].point_id;
-        report.results[i].status = PointStatus::kNotRun;
-        report.results[i].seed = points[i].cfg.seed;
-        report.results[i].attempts = 0;
-    }
+    SupervisorReport report = SupervisorReport::allPending(points);
 
     points_ = &points;
     report_ = &report;
@@ -614,32 +606,14 @@ Supervisor::run(const std::vector<ExperimentPoint> &points,
         ensureDir(opts_.checkpoint_dir);
     }
 
-    // Adopt journaled results first, then answer from the cache; only
-    // the remainder is scheduled onto workers.
+    // Serve finished points from the store; only the remainder is
+    // scheduled onto workers.
+    const RunnerOptions ropts = runnerOptions(opts_.job);
     for (std::size_t i = 0; i < points.size(); ++i) {
-        if (journal_) {
-            const auto it =
-                journal_->completed().find(points[i].point_id);
-            if (it != journal_->completed().end()) {
-                ++report.journal_reused;
-                resolve(i, it->second, PointSource::kFresh);
-                continue;
-            }
-        }
-        if (cache_ && opts_.job.use_cache) {
-            if (auto cached = cache_->lookup(points[i])) {
+        if (store_) {
+            if (auto hit = store_->lookup(points[i], ropts)) {
                 ++report.cache_hits;
-                if (journal_) {
-                    try {
-                        journal_->record(*cached);
-                    } catch (const std::exception &err) {
-                        ++report.storage_write_failures;
-                        warn("supervisor: journal write for cached "
-                             "point {} failed ({}); serving anyway",
-                             points[i].point_id, err.what());
-                    }
-                }
-                resolve(i, *cached, PointSource::kCache);
+                resolve(i, *hit, PointSource::kCache);
                 continue;
             }
         }

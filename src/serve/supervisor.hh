@@ -20,8 +20,9 @@
  *    function of the failure history, identical at any worker count.
  *  - QUARANTINE: a point whose worker dies max_strikes times is
  *    quarantined with a synthesized kFailed result (outcome kHung
- *    when the watchdog did the killing) and journaled as a replay
- *    artifact, exactly like an in-process crash under the Runner.
+ *    when the watchdog did the killing) and put into the result
+ *    store as a replay artifact, exactly like an in-process crash
+ *    under a journaled Runner sweep.
  *
  * Determinism: a point's simulation seed does not depend on the
  * attempt number or the worker that runs it, so a rerun after a
@@ -44,9 +45,8 @@
 #include <vector>
 
 #include "common/wallclock.hh"
-#include "serve/cache.hh"
 #include "serve/protocol.hh"
-#include "sim/journal.hh"
+#include "sim/result_store.hh"
 #include "sim/runner.hh"
 
 namespace mopac::serve
@@ -144,14 +144,12 @@ struct SupervisorReport
     std::uint64_t workers_crashed = 0;
     /** Workers SIGKILLed by the hang/heartbeat watchdogs. */
     std::uint64_t workers_hung_killed = 0;
-    /** Points served from the result cache. */
+    /** Points served from the result store. */
     std::uint64_t cache_hits = 0;
-    /** Points adopted finished from the journal. */
-    std::uint64_t journal_reused = 0;
     /** Points preempted at a checkpoint rendezvous. */
     std::uint64_t points_preempted = 0;
-    /** Journal/cache writes that failed and were tolerated (the
-     *  result stays in memory; the sweep keeps serving -- brownout). */
+    /** Store writes that failed and were tolerated (the result
+     *  stays in memory; the sweep keeps serving -- brownout). */
     std::uint64_t storage_write_failures = 0;
     /**
      * Simulated cycles executed across every attempt, counting only
@@ -166,6 +164,10 @@ struct SupervisorReport
     std::map<std::uint64_t, std::uint64_t> resumed_from;
     /** True when a graceful stop left points kPending. */
     bool stopped = false;
+
+    /** A report with every point of @p points kPending / kNotRun. */
+    static SupervisorReport allPending(
+        const std::vector<ExperimentPoint> &points);
 
     /** Exit code per the shared map in sim/stop.hh. */
     int exitCode() const;
@@ -189,11 +191,11 @@ class Supervisor
     Supervisor(const Supervisor &) = delete;
     Supervisor &operator=(const Supervisor &) = delete;
 
-    /** Record finished points into @p journal (borrowed; may be null). */
-    void setJournal(SweepJournal *journal) { journal_ = journal; }
-
-    /** Serve/store OK results via @p cache (borrowed; may be null). */
-    void setCache(ResultCache *cache) { cache_ = cache; }
+    /**
+     * Serve finished points from @p store and put every resolved
+     * point into it (borrowed; may be null).
+     */
+    void setStore(ResultStore *store) { store_ = store; }
 
     /**
      * Run extra teardown in each forked worker before its main loop
@@ -252,6 +254,7 @@ class Supervisor
     void dropCheckpoint(std::uint64_t point_id) const;
     void applyChaos(Slot &slot);
     void onWorkerDeath(Slot &slot, bool hang);
+    void persist(std::size_t index, const PointResult &result);
     void resolveFresh(std::size_t index, const PointResult &result);
     void resolve(std::size_t index, const PointResult &result,
                  PointSource source);
@@ -262,8 +265,7 @@ class Supervisor
     void retireWorkers(bool force);
 
     SupervisorOptions opts_;
-    SweepJournal *journal_ = nullptr;
-    ResultCache *cache_ = nullptr;
+    ResultStore *store_ = nullptr;
     std::function<void()> child_setup_;
     std::map<std::pair<std::uint64_t, std::uint32_t>, FailAction>
         fail_schedule_;

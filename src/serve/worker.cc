@@ -7,7 +7,7 @@
 
 #include "common/log.hh"
 #include "serve/protocol.hh"
-#include "sim/journal.hh"
+#include "sim/result_store.hh"
 #include "sim/runner.hh"
 
 namespace mopac::serve
@@ -31,9 +31,7 @@ runAssignment(int fd, const Assignment &assignment)
         return false;
     }
 
-    RunnerOptions opts;
-    opts.fault_retries = assignment.opts.fault_retries;
-    opts.point_max_cycles = assignment.opts.point_max_cycles;
+    const RunnerOptions opts = runnerOptions(assignment.opts);
 
     if (assignment.ckpt_path.empty() ||
         assignment.opts.checkpoint_every == 0) {

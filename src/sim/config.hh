@@ -40,12 +40,12 @@ std::string toString(MitigationKind kind);
  * Which run-loop drives System::runTo().  Both engines produce
  * bit-identical results (tests/sim/test_engine_diff.cc proves it);
  * kEvent skips provably-idle cycles and is the default.  kTick is the
- * legacy cycle-by-cycle loop, kept for one PR as the differential
- * reference.
+ * cycle-by-cycle loop, the permanent reference that the engine
+ * differential tests and kill_resume_smoke compare kEvent against.
  */
 enum class SimEngine
 {
-    kTick,  ///< Legacy loop: one host iteration per DRAM cycle.
+    kTick,  ///< Reference loop: one host iteration per DRAM cycle.
     kEvent, ///< Skip-to-next-event: jump to the earliest wakeup.
 };
 
@@ -80,8 +80,9 @@ struct SystemConfig
 
     /**
      * Run-loop engine.  Deliberately excluded from configSignature():
-     * the engines are bit-identical, so snapshots and sweep journals
-     * written under one engine resume cleanly under the other.
+     * the engines are bit-identical, so snapshots and result-store
+     * entries written under one engine resume cleanly under the
+     * other.
      */
     SimEngine engine = SimEngine::kEvent;
 

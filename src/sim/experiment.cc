@@ -135,8 +135,8 @@ tryRunWorkload(const SystemConfig &cfg, const std::string &name,
         outcome.outcome = classifyRun(outcome.result);
     } catch (const AbortError &) {
         // Operator abort is not a point failure: the point must be
-        // left un-journaled and re-run on resume, so let the sweep
-        // machinery see it.
+        // left out of the result store and re-run on resume, so let
+        // the sweep machinery see it.
         throw;
     } catch (const std::exception &e) {
         outcome.error = e.what();

@@ -25,7 +25,7 @@
 #include "common/rng.hh"
 #include "common/serialize.hh"
 #include "common/wallclock.hh"
-#include "sim/journal.hh"
+#include "sim/result_store.hh"
 #include "sim/stop.hh"
 
 namespace mopac
@@ -56,10 +56,7 @@ executePoint(const ExperimentPoint &point, const RunnerOptions &opts,
 {
     const auto start = wallclock::now();
 
-    ExperimentPoint guarded = point;
-    if (guarded.cfg.max_cycles == 0 && opts.point_max_cycles > 0) {
-        guarded.cfg.max_cycles = opts.point_max_cycles;
-    }
+    ExperimentPoint guarded = guardedPoint(point, opts);
 
     result.point_id = point.point_id;
     result.seed = guarded.cfg.seed;
@@ -121,6 +118,16 @@ executePoint(const ExperimentPoint &point, const RunnerOptions &opts,
 }
 
 } // namespace
+
+ExperimentPoint
+guardedPoint(const ExperimentPoint &point, const RunnerOptions &opts)
+{
+    ExperimentPoint guarded = point;
+    if (guarded.cfg.max_cycles == 0 && opts.point_max_cycles > 0) {
+        guarded.cfg.max_cycles = opts.point_max_cycles;
+    }
+    return guarded;
+}
 
 const char *
 toString(PointStatus status)
@@ -187,7 +194,7 @@ Runner::jobs() const
 std::size_t
 Runner::runPool(const std::vector<ExperimentPoint> &points,
                 const std::vector<std::size_t> &order,
-                std::vector<PointResult> &results, SweepJournal *journal,
+                std::vector<PointResult> &results, ResultStore *store,
                 const ProgressFn &progress) const
 {
     if (order.empty()) {
@@ -205,7 +212,7 @@ Runner::runPool(const std::vector<ExperimentPoint> &points,
             // Stop boundary: a journaled sweep takes no new work after
             // a graceful stop -- unfinished points stay kNotRun and
             // re-run on resume.
-            if (journal != nullptr && sweepstop::stopRequested()) {
+            if (store != nullptr && sweepstop::stopRequested()) {
                 return;
             }
             const std::size_t slot = cursor.fetch_add(1);
@@ -216,19 +223,19 @@ Runner::runPool(const std::vector<ExperimentPoint> &points,
             try {
                 results[idx] = replay(points[idx], opts_);
             } catch (const AbortError &e) {
-                if (journal == nullptr) {
+                if (store == nullptr) {
                     throw;
                 }
                 // Abandoned mid-run by the operator / drain watchdog:
-                // leave the point kNotRun and un-journaled so resume
-                // re-runs it cleanly.
+                // leave the point kNotRun and out of the store so
+                // resume re-runs it cleanly.
                 results[idx].error = e.what();
                 warn("sweep: point {} abandoned: {}",
                      points[idx].point_id, e.what());
                 return;
             }
-            if (journal != nullptr) {
-                journal->record(results[idx]);
+            if (store != nullptr) {
+                store->put(points[idx], opts_, results[idx]);
             }
             executed.fetch_add(1);
             if (progress) {
@@ -267,7 +274,7 @@ Runner::run(const std::vector<ExperimentPoint> &points,
 
 JournaledSweepResult
 Runner::runJournaled(const std::vector<ExperimentPoint> &points,
-                     const std::string &journal_dir,
+                     const std::string &store_dir,
                      const ProgressFn &progress) const
 {
     JournaledSweepResult sweep;
@@ -280,16 +287,12 @@ Runner::runJournaled(const std::vector<ExperimentPoint> &points,
         return sweep;
     }
 
-    // Throws SerializeError if the journal belongs to a different
-    // sweep or holds a torn / corrupt record.
-    SweepJournal journal(journal_dir, points);
-
-    // Adopt finished points from the journal; queue the rest.
+    // Serve finished points from the store; queue the rest.
+    ResultStore store(store_dir);
     std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < points.size(); ++i) {
-        const auto it = journal.completed().find(points[i].point_id);
-        if (it != journal.completed().end()) {
-            sweep.results[i] = it->second;
+        if (auto hit = store.lookup(points[i], opts_)) {
+            sweep.results[i] = std::move(*hit);
             ++sweep.reused;
         } else {
             pending.push_back(i);
@@ -325,7 +328,7 @@ Runner::runJournaled(const std::vector<ExperimentPoint> &points,
     }
 
     sweep.executed =
-        runPool(points, pending, sweep.results, &journal, progress);
+        runPool(points, pending, sweep.results, &store, progress);
 
     workers_done.store(true);
     if (drain_monitor.joinable()) {

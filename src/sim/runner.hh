@@ -124,7 +124,14 @@ struct PointResult
  */
 int sweepExitCode(const std::vector<PointResult> &results);
 
-class SweepJournal;
+/**
+ * @p point as the Runner executes it under @p opts: a config that
+ * leaves max_cycles at 0 takes the point_max_cycles guard.
+ */
+ExperimentPoint guardedPoint(const ExperimentPoint &point,
+                             const RunnerOptions &opts);
+
+class ResultStore;
 
 /**
  * Outcome of one checkpoint-capable point execution
@@ -148,7 +155,7 @@ struct JournaledSweepResult
 {
     /** Per-point results, indexed like the input point list. */
     std::vector<PointResult> results;
-    /** Points loaded finished from the journal (skipped). */
+    /** Points served finished from the result store (skipped). */
     std::size_t reused = 0;
     /** Points executed by this invocation. */
     std::size_t executed = 0;
@@ -179,19 +186,20 @@ class Runner
         const ProgressFn &progress = nullptr) const;
 
     /**
-     * Execute the sweep against an on-disk journal at @p journal_dir:
-     * points already finished in the journal are loaded and skipped,
-     * each newly finished point is recorded atomically, and a
+     * Execute the sweep against the ResultStore at @p store_dir:
+     * points whose result the store holds are served and skipped,
+     * each newly finished point is put atomically, and a
      * graceful-stop request (sweepstop) pauses the sweep at the next
      * point boundary -- in-flight points get drain_deadline_sec to
      * finish before a hard abort abandons them.  Interrupt at any
-     * instant (including SIGKILL), re-invoke with the same journal
-     * directory, and the merged results are bit-identical to an
-     * uninterrupted run at any jobs count.
+     * instant (including SIGKILL), re-invoke with the same directory,
+     * and the merged results are bit-identical to an uninterrupted
+     * run at any jobs count.  A store written by another sweep serves
+     * the cells the two sweeps share.
      */
     JournaledSweepResult runJournaled(
         const std::vector<ExperimentPoint> &points,
-        const std::string &journal_dir,
+        const std::string &store_dir,
         const ProgressFn &progress = nullptr) const;
 
     /**
@@ -231,14 +239,14 @@ class Runner
   private:
     /**
      * The worker pool: execute points[i] for every i in @p order into
-     * results[i] and return how many finished.  With a @p journal,
-     * each finished point is recorded, a graceful stop ends the sweep
-     * at the next point boundary, and an aborted point stays kNotRun.
+     * results[i] and return how many finished.  With a @p store,
+     * each finished point is put, a graceful stop ends the sweep at
+     * the next point boundary, and an aborted point stays kNotRun.
      */
     std::size_t runPool(const std::vector<ExperimentPoint> &points,
                         const std::vector<std::size_t> &order,
                         std::vector<PointResult> &results,
-                        SweepJournal *journal,
+                        ResultStore *store,
                         const ProgressFn &progress) const;
 
     RunnerOptions opts_;

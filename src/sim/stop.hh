@@ -3,8 +3,8 @@
  * Cooperative shutdown for long-running sweeps.
  *
  * The first SIGINT / SIGTERM requests a *graceful* stop: drivers
- * finish (or checkpoint) the work already in flight, flush their
- * journal, and exit with kResumableExit so wrappers can distinguish
+ * finish (or checkpoint) the work already in flight, store their
+ * results, and exit with kResumableExit so wrappers can distinguish
  * "interrupted but resumable" from success and from failure.  A
  * second signal escalates to an *abort*: the run loop notices at its
  * next poll point and abandons the current point with an AbortError
@@ -29,7 +29,7 @@ namespace mopac
 /**
  * Thrown by the run loop when an abort was requested.  Deliberately
  * NOT a SimError: ErrorTrap must not classify an operator abort as a
- * simulator fault, and the sweep must not journal the point as run.
+ * simulator fault, and the sweep must not store the point as run.
  */
 class AbortError : public std::runtime_error
 {

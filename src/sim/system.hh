@@ -80,7 +80,7 @@ class System : public RequestSink
      * @param cfg Configuration.
      * @param traces One trace per core (not owned; may be empty for
      *        memory-only / attack studies, in which case run() is
-     *        unavailable and tickMemory() drives the model).
+     *        unavailable and AttackRunner drives the controllers).
      */
     System(const SystemConfig &cfg, std::vector<TraceSource *> traces);
     ~System() override;
@@ -113,16 +113,7 @@ class System : public RequestSink
     /** Current run-loop cycle (next cycle to simulate). */
     Cycle runCycle() const { return now_; }
 
-    /** Advance only the memory system (attack/driver studies). */
-    void
-    tickMemory(Cycle now)
-    {
-        for (auto &mc : controllers_) {
-            mc->tick(now);
-        }
-    }
-
-    /** Collect current aggregate statistics (memory-only studies). */
+    /** Aggregate statistics as of cycle @p now. */
     RunResult collectStats(Cycle now) const;
 
     /**
@@ -146,7 +137,6 @@ class System : public RequestSink
     Controller &controller(unsigned i) { return *controllers_.at(i); }
     Mitigator &engine(unsigned i) { return *engines_.at(i); }
     Cpu &cpu() { return *cpu_; }
-    bool hasCpu() const { return cpu_ != nullptr; }
 
     /** Total faults fired so far across all sub-channels. */
     std::uint64_t faultsInjected() const;

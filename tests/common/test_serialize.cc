@@ -99,7 +99,7 @@ TEST(Serialize, RejectsConfigHashMismatch)
 TEST(Serialize, RejectsKindMismatch)
 {
     EXPECT_THROW(
-        Deserializer(sampleImage(), FileKind::kSweepManifest, kHash),
+        Deserializer(sampleImage(), FileKind::kCacheEntry, kHash),
         SerializeError);
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Resource-pressure tests: the syscall fault shim (deterministic
- * ENOSPC / EMFILE / EINTR / short-write injection), budgeted cache
- * eviction, brownout (storage failures tolerated, results served
+ * ENOSPC / EMFILE / EINTR / short-write injection), budgeted
+ * result-store eviction, brownout (storage failures tolerated, results served
  * from memory), checkpointed preemption with zero-rework resume, the
  * client's kRetryAfter handling, and daemon admission control.
  *
@@ -26,13 +26,12 @@
 #include <gtest/gtest.h>
 
 #include "common/serialize.hh"
-#include "serve/cache.hh"
 #include "serve/client.hh"
 #include "serve/daemon.hh"
 #include "serve/io.hh"
 #include "serve/supervisor.hh"
 #include "sim/experiment.hh"
-#include "sim/journal.hh"
+#include "sim/result_store.hh"
 #include "sim/sharding.hh"
 #include "sim/stop.hh"
 
@@ -83,7 +82,7 @@ canonicalBytes(const PointResult &result)
     canon.wall_seconds = 0.0;
     Serializer ser;
     savePointResult(ser, canon);
-    return ser.finish(FileKind::kPointRecord, canon.point_id);
+    return ser.finish(FileKind::kCacheEntry, canon.point_id);
 }
 
 /** Fresh scratch directory under the gtest temp root. */
@@ -232,46 +231,48 @@ TEST(IoFaultShim, EnospcFailsAtomicWritesWithoutTornFiles)
 }
 
 // ------------------------------------------------------------------
-// Budgeted cache eviction
+// Budgeted result-store eviction
 // ------------------------------------------------------------------
 
 TEST(CachePressure, BudgetEvictsOldestInsertionFirst)
 {
     const std::vector<ExperimentPoint> points = tinySweep();
+    const RunnerOptions opts;
     PointResult result;
     result.status = PointStatus::kOk;
     result.run.cycles = 1234;
 
     const std::string dir = freshDir("cache_budget");
-    ResultCache cache(dir);
+    ResultStore store(dir);
     for (const ExperimentPoint &point : points) {
         result.point_id = point.point_id;
-        cache.store(point, result);
+        store.put(point, opts, result);
     }
-    const std::uint64_t full = cache.totalBytes();
+    const std::uint64_t full = store.totalBytes();
     ASSERT_GT(full, 0u);
-    EXPECT_EQ(cache.evictions(), 0u);
+    EXPECT_EQ(store.evictions(), 0u);
 
-    // Budget for roughly half: the earliest-stored entries go first.
-    cache.setBudget(full / 2);
-    EXPECT_GT(cache.evictions(), 0u);
-    EXPECT_LE(cache.totalBytes(), full / 2);
-    EXPECT_FALSE(cache.lookup(points[0]).has_value());
-    EXPECT_TRUE(cache.lookup(points.back()).has_value());
+    // Budget for roughly half: the earliest-put entries go first.
+    store.setBudget(full / 2);
+    EXPECT_GT(store.evictions(), 0u);
+    EXPECT_LE(store.totalBytes(), full / 2);
+    EXPECT_FALSE(store.lookup(points[0], opts).has_value());
+    EXPECT_TRUE(store.lookup(points.back(), opts).has_value());
 
-    // A reopened cache rebuilds the same accounting from disk (the
+    // A reopened store rebuilds the same accounting from disk (the
     // sequence numbers are persisted in the entries).
-    ResultCache reopened(dir);
-    EXPECT_EQ(reopened.totalBytes(), cache.totalBytes());
-    EXPECT_TRUE(reopened.lookup(points.back()).has_value());
+    ResultStore reopened(dir);
+    EXPECT_EQ(reopened.totalBytes(), store.totalBytes());
+    EXPECT_TRUE(reopened.lookup(points.back(), opts).has_value());
 }
 
 TEST(CachePressure, EvictionOrderIsAPureFunctionOfStoreHistory)
 {
-    // Two caches fed the same store sequence and budget evict the
-    // same keys -- insertion-order LRU, never access time (lookups
-    // between stores must not perturb it).
+    // Two stores fed the same put sequence and budget evict the same
+    // keys -- insertion-order FIFO, never access time (lookups
+    // between puts must not perturb it).
     const std::vector<ExperimentPoint> points = tinySweep();
+    const RunnerOptions opts;
     PointResult result;
     result.status = PointStatus::kOk;
 
@@ -279,20 +280,20 @@ TEST(CachePressure, EvictionOrderIsAPureFunctionOfStoreHistory)
     std::vector<bool> survive_b;
     for (const char *tag : {"order_a", "order_b"}) {
         const std::string dir = freshDir(tag);
-        ResultCache cache(dir);
+        ResultStore store(dir);
         for (const ExperimentPoint &point : points) {
             result.point_id = point.point_id;
-            cache.store(point, result);
+            store.put(point, opts, result);
             if (std::string(tag) == "order_b") {
                 // Access-pattern noise in one replica only.
-                (void)cache.lookup(points[0]);
+                (void)store.lookup(points[0], opts);
             }
         }
-        cache.setBudget(cache.totalBytes() / 2);
+        store.setBudget(store.totalBytes() / 2);
         std::vector<bool> &survive =
             std::string(tag) == "order_a" ? survive_a : survive_b;
         for (const ExperimentPoint &point : points) {
-            survive.push_back(cache.lookup(point).has_value());
+            survive.push_back(store.lookup(point, opts).has_value());
         }
     }
     EXPECT_EQ(survive_a, survive_b);
@@ -311,13 +312,11 @@ TEST(SupervisorPressure, EnospcBrownoutKeepsServingResults)
     serial.jobs = 1;
     const std::vector<PointResult> clean = Runner(serial).run(points);
 
-    // Journal and cache are created while the disk still works; then
-    // every later durable write fails.  The sweep must complete from
-    // memory, counting (not crashing on) each failed write.
+    // The store is created while the disk still works; then every
+    // later durable write fails.  The sweep must complete from memory,
+    // counting (not crashing on) each failed write.
     const std::string dir = freshDir("brownout");
-    ensureDir(dir);
-    SweepJournal journal(dir + "/journal", points);
-    ResultCache cache(dir + "/cache");
+    ResultStore store(dir);
 
     IoFaultConfig config;
     config.seed = 13;
@@ -325,21 +324,18 @@ TEST(SupervisorPressure, EnospcBrownoutKeepsServingResults)
     ShimGuard shim(config);
 
     Supervisor sup(fastOptions(2));
-    sup.setJournal(&journal);
-    sup.setCache(&cache);
+    sup.setStore(&store);
     const SupervisorReport report = sup.run(points);
 
     EXPECT_EQ(report.exitCode(), 0);
-    // One failed journal write and one failed cache store per point.
-    EXPECT_EQ(report.storage_write_failures, 2 * points.size());
-    EXPECT_EQ(cache.totalBytes(), 0u);
+    // One failed store write per point, and nothing on disk.
+    EXPECT_EQ(report.storage_write_failures, points.size());
+    EXPECT_EQ(store.totalBytes(), 0u);
     for (std::size_t i = 0; i < points.size(); ++i) {
         EXPECT_EQ(report.results[i].status, PointStatus::kOk);
         EXPECT_EQ(canonicalBytes(report.results[i]),
                   canonicalBytes(clean[i]));
-        EXPECT_FALSE(fileExists(journal.dir() + "/points/" +
-                                std::to_string(points[i].point_id) +
-                                ".rec"));
+        EXPECT_FALSE(store.lookup(points[i], RunnerOptions{}).has_value());
     }
 }
 
@@ -478,12 +474,12 @@ TEST(SupervisorPreempt, GracefulStopThenResumeMatchesCleanRun)
 {
     const PreemptFixture fix;
     const std::string ckpt_dir = freshDir("stop_ckpt");
-    const std::string jnl_dir = freshDir("stop_jnl");
+    const std::string store_dir = freshDir("stop_store");
 
     // Run 1: one worker, stop as soon as the first point resolves.
-    SweepJournal journal_a(jnl_dir, fix.points);
+    ResultStore store_a(store_dir);
     Supervisor first(fix.options(1, ckpt_dir));
-    first.setJournal(&journal_a);
+    first.setStore(&store_a);
     std::size_t resolved = 0;
     const SupervisorReport partial = first.run(
         fix.points,
@@ -500,18 +496,18 @@ TEST(SupervisorPreempt, GracefulStopThenResumeMatchesCleanRun)
     }
     EXPECT_GE(pending, 2u);
 
-    // Run 2: same journal + checkpoint dir.  Finished points are
-    // adopted, a point that was checkpointed when the stop drained it
+    // Run 2: same store + checkpoint dir.  Finished points are
+    // served, a point that was checkpointed when the stop drained it
     // resumes mid-stream (the kAssign carries the surviving .ckpt),
     // and the merged manifest is bit-identical to the clean run.
     sweepstop::reset();
-    SweepJournal journal_b(jnl_dir, fix.points);
+    ResultStore store_b(store_dir);
     Supervisor second(fix.options(1, ckpt_dir));
-    second.setJournal(&journal_b);
+    second.setStore(&store_b);
     const SupervisorReport full = second.run(fix.points);
 
     EXPECT_EQ(full.exitCode(), 0);
-    EXPECT_GE(full.journal_reused, 1u);
+    EXPECT_GE(full.cache_hits, 1u);
     for (std::size_t i = 0; i < fix.points.size(); ++i) {
         EXPECT_EQ(canonicalBytes(full.results[i]),
                   canonicalBytes(fix.clean[i]));

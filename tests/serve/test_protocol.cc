@@ -1,21 +1,14 @@
 /**
  * @file
- * Wire-protocol and result-cache tests for the serve layer: codec
- * round-trips (config drift guard included), framing over a real
- * socketpair, timeout/peer-closed outcomes, corrupt-frame rejection,
- * and the content-addressed cache's hit/miss/self-heal behaviour.
+ * Wire-protocol tests for the serve layer: codec round-trips (config
+ * drift guard included), framing over a real socketpair,
+ * timeout/peer-closed outcomes, and corrupt-frame rejection.
  */
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <vector>
-
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
-#include "serve/cache.hh"
 #include "serve/io.hh"
 #include "serve/protocol.hh"
 #include "sim/experiment.hh"
@@ -46,17 +39,8 @@ samplePoint(std::uint64_t id = 3)
     p.config_label = "mopac-c@500";
     p.workload = "mcf";
     p.cfg = sampleConfig();
-    p.cfg.seed += id; // distinct cache identity per id
+    p.cfg.seed += id; // distinct identity per id
     return p;
-}
-
-std::string
-freshDir(const std::string &tag)
-{
-    const std::string dir = ::testing::TempDir() + "mopac_serve_" + tag;
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
-    return dir;
 }
 
 TEST(ServeProtocol, SystemConfigRoundTripsWithMatchingSignature)
@@ -112,7 +96,6 @@ TEST(ServeProtocol, AssignmentAndEventsRoundTrip)
     assign.attempt = 4;
     assign.opts.fault_retries = 2;
     assign.opts.point_max_cycles = 1 << 20;
-    assign.opts.use_cache = false;
     assign.point = samplePoint(9);
     Serializer ser;
     saveAssignment(ser, assign);
@@ -125,7 +108,6 @@ TEST(ServeProtocol, AssignmentAndEventsRoundTrip)
     EXPECT_EQ(back.opts.fault_retries, assign.opts.fault_retries);
     EXPECT_EQ(back.opts.point_max_cycles,
               assign.opts.point_max_cycles);
-    EXPECT_EQ(back.opts.use_cache, assign.opts.use_cache);
     EXPECT_EQ(back.point.point_id, assign.point.point_id);
 
     PointEvent event{77, 3};
@@ -251,95 +233,6 @@ TEST(ServeProtocol, GarbagePayloadIsAStructuredError)
     EXPECT_THROW(recvMessage(pair.worker_fd, 0.5), SerializeError);
     closeQuiet(pair.supervisor_fd);
     closeQuiet(pair.worker_fd);
-}
-
-// ------------------------------------------------------------------
-// Result cache
-// ------------------------------------------------------------------
-
-PointResult
-okResult(const ExperimentPoint &point)
-{
-    PointResult r;
-    r.point_id = point.point_id;
-    r.status = PointStatus::kOk;
-    r.seed = point.cfg.seed;
-    r.wall_seconds = 0.25;
-    r.run.ipcs = {1.25};
-    return r;
-}
-
-TEST(ResultCache, MissThenHitThenKeyIdentity)
-{
-    ResultCache cache(freshDir("cache_hit"));
-    const ExperimentPoint point = samplePoint(5);
-    EXPECT_FALSE(cache.lookup(point).has_value());
-    EXPECT_EQ(cache.misses(), 1u);
-
-    cache.store(point, okResult(point));
-    const auto back = cache.lookup(point);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(back->status, PointStatus::kOk);
-    EXPECT_DOUBLE_EQ(back->run.ipcs.at(0), 1.25);
-
-    // Identity is (config, workload), not the point id: the same cell
-    // under a different id hits and is re-labelled with the new id.
-    ExperimentPoint renumbered = point;
-    renumbered.point_id = 99;
-    const auto relabeled = cache.lookup(renumbered);
-    ASSERT_TRUE(relabeled.has_value());
-    EXPECT_EQ(relabeled->point_id, 99u);
-
-    // A different workload is a different cell entirely.
-    ExperimentPoint other = point;
-    other.workload = "xz";
-    EXPECT_NE(ResultCache::keyFor(other), ResultCache::keyFor(point));
-    EXPECT_FALSE(cache.lookup(other).has_value());
-}
-
-TEST(ResultCache, NonOkResultsAreNeverStored)
-{
-    ResultCache cache(freshDir("cache_nonok"));
-    const ExperimentPoint point = samplePoint(6);
-    PointResult bad = okResult(point);
-    bad.status = PointStatus::kFailed;
-    bad.outcome = OutcomeClass::kViolated;
-    cache.store(point, bad);
-    EXPECT_FALSE(cache.lookup(point).has_value());
-}
-
-TEST(ResultCache, CorruptEntryHealsToAMiss)
-{
-    const std::string dir = freshDir("cache_heal");
-    ResultCache cache(dir);
-    const ExperimentPoint point = samplePoint(7);
-    cache.store(point, okResult(point));
-    ASSERT_TRUE(cache.lookup(point).has_value());
-
-    // Flip one payload byte in the single entry on disk.
-    std::string entry;
-    for (const auto &de : std::filesystem::directory_iterator(dir)) {
-        if (de.path().extension() == ".rec") {
-            entry = de.path().string();
-        }
-    }
-    ASSERT_FALSE(entry.empty());
-    {
-        std::fstream f(entry, std::ios::in | std::ios::out |
-                                  std::ios::binary);
-        f.seekg(0, std::ios::end);
-        const std::streamoff size = f.tellg();
-        f.seekp(size / 2);
-        f.put('\x7f');
-    }
-
-    EXPECT_FALSE(cache.lookup(point).has_value());
-    EXPECT_EQ(cache.healed(), 1u);
-    // The poisoned file is quarantined out of the entry namespace, so
-    // a re-store works and subsequent lookups hit again.
-    cache.store(point, okResult(point));
-    EXPECT_TRUE(cache.lookup(point).has_value());
 }
 
 } // namespace

@@ -4,7 +4,8 @@
  * injected worker-failure schedule => identical retry traces and
  * bit-identical final manifests at ANY worker count), quarantine
  * after max_strikes, the hang watchdog (SIGSTOPped worker), and
- * cache-served reruns.
+ * store-served reruns, including one handed off from a journaled
+ * Runner sweep.
  *
  * Every test scripts failures through setFailSchedule() rather than
  * chaos rates, so each asserted retry is guaranteed, not
@@ -22,7 +23,7 @@
 #include "common/serialize.hh"
 #include "serve/supervisor.hh"
 #include "sim/experiment.hh"
-#include "sim/journal.hh"
+#include "sim/result_store.hh"
 #include "sim/sharding.hh"
 #include "sim/stop.hh"
 
@@ -69,7 +70,7 @@ canonicalBytes(const PointResult &result)
     canon.wall_seconds = 0.0;
     Serializer ser;
     savePointResult(ser, canon);
-    return ser.finish(FileKind::kPointRecord, canon.point_id);
+    return ser.finish(FileKind::kCacheEntry, canon.point_id);
 }
 
 void
@@ -224,16 +225,16 @@ TEST(SupervisorCache, SecondRunIsServedEntirelyFromCache)
         ::testing::TempDir() + "mopac_serve_supcache";
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);
-    ResultCache cache(dir);
+    ResultStore store(dir);
 
     Supervisor first(fastOptions(2));
-    first.setCache(&cache);
+    first.setStore(&store);
     const SupervisorReport a = first.run(points);
     EXPECT_EQ(a.cache_hits, 0u);
     EXPECT_EQ(a.exitCode(), 0);
 
     Supervisor second(fastOptions(2));
-    second.setCache(&cache);
+    second.setStore(&store);
     const SupervisorReport b = second.run(points);
     EXPECT_EQ(b.cache_hits, points.size());
     EXPECT_EQ(b.workers_forked, 0u) << "cache hits must not fork";
@@ -241,6 +242,37 @@ TEST(SupervisorCache, SecondRunIsServedEntirelyFromCache)
         EXPECT_EQ(b.sources[i], PointSource::kCache);
         EXPECT_EQ(canonicalBytes(a.results[i]),
                   canonicalBytes(b.results[i]));
+    }
+}
+
+TEST(SupervisorCache, JournaledRunnerSweepHandsOffWithoutForking)
+{
+    // One store, two executors: a sweep journaled through the
+    // in-process Runner is served whole to a Supervisor run on the
+    // same directory -- no worker is ever forked.
+    sweepstop::reset();
+    const std::vector<ExperimentPoint> points = tinySweep();
+    const std::string dir =
+        ::testing::TempDir() + "mopac_serve_handoff";
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+
+    RunnerOptions ropts;
+    ropts.jobs = 2;
+    const JournaledSweepResult journaled =
+        Runner(ropts).runJournaled(points, dir);
+    ASSERT_TRUE(journaled.complete());
+
+    ResultStore store(dir);
+    Supervisor sup(fastOptions(2));
+    sup.setStore(&store);
+    const SupervisorReport report = sup.run(points);
+    EXPECT_EQ(report.workers_forked, 0u);
+    EXPECT_EQ(report.cache_hits, points.size());
+    EXPECT_EQ(report.exitCode(), 0);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(canonicalBytes(report.results[i]),
+                  canonicalBytes(journaled.results[i]));
     }
 }
 

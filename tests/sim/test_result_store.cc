@@ -1,0 +1,628 @@
+/**
+ * @file
+ * Result-store tests.
+ *
+ * Journal.*: a journaled Runner sweep resumes by serving finished
+ * points from the store -- merged stats are bit-identical to an
+ * uninterrupted run at any jobs count, a store written by another
+ * sweep serves only the cells the two share, and record-level damage
+ * (bit flips, torn tails at any truncation offset) heals to "re-run
+ * that point" with identical final results.
+ *
+ * ResultCache.*: the store as a content-addressed cache -- hit, miss,
+ * relabelling, non-OK results, self-heal.
+ *
+ * ResultStore.*: the key is the point as executed, foreign entries
+ * are never served, and concurrent puts from a 4-job sweep keep the
+ * on-disk accounting exact (the tsan-checkpoint preset runs this
+ * file under ThreadSanitizer).
+ */
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/serialize.hh"
+#include "sim/result_store.hh"
+#include "sim/runner.hh"
+#include "sim/stop.hh"
+
+namespace mopac
+{
+namespace
+{
+
+SystemConfig
+quickConfig(MitigationKind kind, std::uint32_t trh = 500)
+{
+    SystemConfig cfg = makeConfig(kind, trh);
+    cfg.insts_per_core = 6000;
+    cfg.warmup_insts = 600;
+    cfg.num_cores = 2;
+    return cfg;
+}
+
+std::vector<ExperimentPoint>
+samplePoints()
+{
+    const char *workloads[] = {"mcf", "bwaves", "omnetpp", "xz"};
+    const MitigationKind kinds[] = {MitigationKind::kNone,
+                                    MitigationKind::kMopacC};
+    std::vector<ExperimentPoint> points;
+    for (const char *wl : workloads) {
+        for (MitigationKind kind : kinds) {
+            ExperimentPoint p;
+            p.point_id = points.size();
+            p.config_label = toString(kind);
+            p.workload = wl;
+            p.cfg = quickConfig(kind);
+            points.push_back(std::move(p));
+        }
+    }
+    return points;
+}
+
+/** A point with an active fault plan (cache-identity tests). */
+ExperimentPoint
+faultPoint(std::uint64_t id)
+{
+    ExperimentPoint p;
+    p.point_id = id;
+    p.config_label = "mopac-c@500";
+    p.workload = "mcf";
+    p.cfg = makeConfig(MitigationKind::kMopacC, 500);
+    p.cfg.seed = 0xfeedbeef + id; // distinct cache identity per id
+    p.cfg.insts_per_core = 12345;
+    p.cfg.warmup_insts = 678;
+    p.cfg.faults = FaultPlan::single(FaultKind::kAlertDrop, 0.125);
+    return p;
+}
+
+PointResult
+okResult(const ExperimentPoint &point)
+{
+    PointResult r;
+    r.point_id = point.point_id;
+    r.status = PointStatus::kOk;
+    r.seed = point.cfg.seed;
+    r.wall_seconds = 0.25;
+    r.run.ipcs = {1.25};
+    return r;
+}
+
+/** Fresh scratch store directory under the gtest temp root. */
+std::string
+freshDir(const std::string &tag)
+{
+    const std::string dir = ::testing::TempDir() + "mopac_store_" + tag;
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+    return dir;
+}
+
+/** Path of @p point's entry (or quarantine artifact) in @p dir. */
+std::string
+entryFile(const std::string &dir, const ExperimentPoint &point,
+          const RunnerOptions &opts, bool quarantine = false)
+{
+    char name[24];
+    std::snprintf(name, sizeof(name), "%016llx.rec",
+                  static_cast<unsigned long long>(
+                      ResultStore::keyFor(point, opts)));
+    return dir + (quarantine ? "/quarantine/" : "/") + name;
+}
+
+void
+expectSameStats(const StatSnapshot &a, const StatSnapshot &b)
+{
+    std::ostringstream sa;
+    std::ostringstream sb;
+    a.dump(sa);
+    b.dump(sb);
+    EXPECT_EQ(sa.str(), sb.str());
+}
+
+// ------------------------------------------------------------------
+// Journaled Runner sweeps
+// ------------------------------------------------------------------
+
+TEST(Journal, PointResultRoundTripsThroughTheContainer)
+{
+    PointResult result;
+    result.point_id = 17;
+    result.status = PointStatus::kOk;
+    result.seed = 424242;
+    result.wall_seconds = 1.5;
+    result.outcome = OutcomeClass::kDegraded;
+    result.attempts = 3;
+    result.run.ipcs = {0.5, 1.25};
+    result.run.cycles = 123456;
+    result.run.acts = 999;
+    result.run.rbhr = 0.75;
+
+    Serializer ser;
+    savePointResult(ser, result);
+    Deserializer des(ser.finish(FileKind::kCacheEntry, 7),
+                     FileKind::kCacheEntry, 7);
+    const PointResult loaded = loadPointResult(des);
+    des.finish();
+
+    EXPECT_EQ(loaded.point_id, result.point_id);
+    EXPECT_EQ(loaded.status, result.status);
+    EXPECT_EQ(loaded.seed, result.seed);
+    EXPECT_EQ(loaded.wall_seconds, result.wall_seconds);
+    EXPECT_EQ(loaded.outcome, result.outcome);
+    EXPECT_EQ(loaded.attempts, result.attempts);
+    EXPECT_EQ(loaded.run.ipcs, result.run.ipcs);
+    EXPECT_EQ(loaded.run.cycles, result.run.cycles);
+    EXPECT_EQ(loaded.run.acts, result.run.acts);
+    EXPECT_EQ(loaded.run.rbhr, result.run.rbhr);
+}
+
+TEST(Journal, CompletesAndThenResumesWithNothingToDo)
+{
+    sweepstop::reset();
+    const auto points = samplePoints();
+    const std::string dir = freshDir("complete");
+
+    RunnerOptions opts;
+    opts.jobs = 2;
+    const JournaledSweepResult first =
+        Runner(opts).runJournaled(points, dir);
+    EXPECT_TRUE(first.complete());
+    EXPECT_EQ(first.executed, points.size());
+    EXPECT_EQ(first.reused, 0u);
+
+    // Re-invoking is pure store replay: nothing executes.
+    const JournaledSweepResult second =
+        Runner(opts).runJournaled(points, dir);
+    EXPECT_TRUE(second.complete());
+    EXPECT_EQ(second.executed, 0u);
+    EXPECT_EQ(second.reused, points.size());
+}
+
+TEST(Journal, InterruptedSweepResumesToIdenticalMergedStats)
+{
+    sweepstop::reset();
+    const auto points = samplePoints();
+
+    // Reference: uninterrupted, single worker.
+    RunnerOptions ref_opts;
+    ref_opts.jobs = 1;
+    const StatSnapshot reference =
+        Runner::mergeStats(Runner(ref_opts).run(points));
+
+    // Interrupted run: stop after the first few points finish.
+    const std::string dir = freshDir("resume");
+    RunnerOptions opts;
+    opts.jobs = 2;
+    std::atomic<unsigned> finished{0};
+    const JournaledSweepResult partial = Runner(opts).runJournaled(
+        points, dir, [&finished](const ExperimentPoint &,
+                                 const PointResult &) {
+            if (finished.fetch_add(1) + 1 >= 3) {
+                sweepstop::requestStop();
+            }
+        });
+    EXPECT_FALSE(partial.complete());
+    EXPECT_GT(partial.pending, 0u);
+    EXPECT_LT(partial.executed, points.size());
+
+    // Resume at a DIFFERENT jobs count; merged stats must still be
+    // bit-identical to the uninterrupted single-threaded reference.
+    sweepstop::reset();
+    RunnerOptions resume_opts;
+    resume_opts.jobs = 3;
+    const JournaledSweepResult full =
+        Runner(resume_opts).runJournaled(points, dir);
+    EXPECT_TRUE(full.complete());
+    EXPECT_EQ(full.reused + full.executed, points.size());
+    EXPECT_GT(full.reused, 0u);
+    expectSameStats(reference, Runner::mergeStats(full.results));
+
+    // Per-point results are also identical to a plain run.
+    const std::vector<PointResult> plain =
+        Runner(ref_opts).run(points);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(full.results[i].status, plain[i].status) << i;
+        EXPECT_EQ(full.results[i].run.cycles, plain[i].run.cycles)
+            << i;
+        EXPECT_EQ(full.results[i].run.acts, plain[i].run.acts) << i;
+    }
+}
+
+TEST(Journal, ServesOnlyTheCellsADifferentSweepShares)
+{
+    sweepstop::reset();
+    const auto sweep_a = samplePoints();
+    const std::string dir = freshDir("mismatch");
+    RunnerOptions opts;
+    opts.jobs = 1;
+    (void)Runner(opts).runJournaled(sweep_a, dir);
+
+    // Sweep B: the same grid with two cells changed (a new threshold,
+    // a new workload) and the point ids shifted.  Resuming B from A's
+    // store serves exactly the cells the sweeps share and runs the
+    // two new ones.
+    auto sweep_b = sweep_a;
+    sweep_b[0].cfg.trh += 100;
+    sweep_b[5].workload = "lbm";
+    for (ExperimentPoint &point : sweep_b) {
+        point.point_id += 100;
+    }
+    const JournaledSweepResult resumed =
+        Runner(opts).runJournaled(sweep_b, dir);
+    EXPECT_TRUE(resumed.complete());
+    EXPECT_EQ(resumed.executed, 2u);
+    EXPECT_EQ(resumed.reused, sweep_b.size() - 2);
+    for (std::size_t i = 0; i < sweep_b.size(); ++i) {
+        EXPECT_EQ(resumed.results[i].point_id, sweep_b[i].point_id);
+    }
+
+    // B's merged stats equal a clean run of B.
+    const std::vector<PointResult> clean = Runner(opts).run(sweep_b);
+    expectSameStats(Runner::mergeStats(clean),
+                    Runner::mergeStats(resumed.results));
+}
+
+TEST(Journal, ResumeUnderATighterCycleGuardReRunsThePoint)
+{
+    // A result is only reused by a point that would run the same way:
+    // a kOk point finished without a cycle guard must not be served to
+    // a resume whose own guard would time it out.
+    sweepstop::reset();
+    const std::vector<ExperimentPoint> points = {samplePoints()[0]};
+    const std::string dir = freshDir("guard");
+    RunnerOptions opts;
+    opts.jobs = 1;
+    const JournaledSweepResult first =
+        Runner(opts).runJournaled(points, dir);
+    ASSERT_EQ(first.results[0].status, PointStatus::kOk);
+
+    RunnerOptions guarded = opts;
+    guarded.point_max_cycles = 500;
+    const JournaledSweepResult second =
+        Runner(guarded).runJournaled(points, dir);
+    EXPECT_EQ(second.reused, 0u);
+    EXPECT_EQ(second.executed, 1u);
+    EXPECT_EQ(second.results[0].status, PointStatus::kTimedOut);
+
+    // The unguarded result is still there for unguarded resumes.
+    const JournaledSweepResult third =
+        Runner(opts).runJournaled(points, dir);
+    EXPECT_EQ(third.reused, 1u);
+    EXPECT_EQ(third.results[0].status, PointStatus::kOk);
+}
+
+TEST(Journal, HealsACorruptPointRecordByReRunningIt)
+{
+    sweepstop::reset();
+    const auto points = samplePoints();
+    const std::string dir = freshDir("corrupt");
+    RunnerOptions opts;
+    opts.jobs = 1;
+    const JournaledSweepResult first =
+        Runner(opts).runJournaled(points, dir);
+    EXPECT_TRUE(first.complete());
+
+    // Flip one payload bit in a finished record: the store heals
+    // (renames the file *.corrupt, re-runs that one point) rather
+    // than bricking the whole sweep.
+    const std::string victim = entryFile(dir, points[0], opts);
+    std::vector<std::uint8_t> image = readFileBytes(victim);
+    image[image.size() / 2] ^= 0x10;
+    atomicWriteFile(victim, image);
+
+    const JournaledSweepResult healed =
+        Runner(opts).runJournaled(points, dir);
+    EXPECT_TRUE(healed.complete());
+    EXPECT_EQ(healed.executed, 1u);
+    EXPECT_EQ(healed.reused, points.size() - 1);
+    EXPECT_TRUE(fileExists(victim + ".corrupt"));
+
+    // The healed sweep is bit-identical to the uninterrupted one.
+    expectSameStats(Runner::mergeStats(first.results),
+                    Runner::mergeStats(healed.results));
+}
+
+TEST(Journal, HealsATornTailRecordAtEveryTruncationOffset)
+{
+    // A torn record -- the writer died mid-write, leaving a prefix of
+    // the entry -- must heal to "re-run the point" at EVERY truncation
+    // offset.  One-point sweep keeps the loop cheap.
+    sweepstop::reset();
+    const std::vector<ExperimentPoint> points = {samplePoints()[0]};
+    const std::string dir = freshDir("torn");
+    RunnerOptions opts;
+    opts.jobs = 1;
+    const JournaledSweepResult first =
+        Runner(opts).runJournaled(points, dir);
+    ASSERT_TRUE(first.complete());
+
+    const std::string victim = entryFile(dir, points[0], opts);
+    const std::vector<std::uint8_t> pristine = readFileBytes(victim);
+    ASSERT_GT(pristine.size(), 0u);
+
+    for (std::size_t len = 0; len < pristine.size(); ++len) {
+        std::vector<std::uint8_t> torn(pristine.begin(),
+                                       pristine.begin() + len);
+        atomicWriteFile(victim, torn);
+        ResultStore store(dir);
+        EXPECT_EQ(store.healed(), 1u) << "offset " << len;
+        EXPECT_EQ(store.totalBytes(), 0u) << "offset " << len;
+        EXPECT_FALSE(store.lookup(points[0], opts).has_value())
+            << "offset " << len;
+        EXPECT_FALSE(fileExists(victim)) << "offset " << len;
+        std::remove((victim + ".corrupt").c_str());
+    }
+
+    // After the last heal, a resume re-runs the point and converges
+    // on the same results as the clean first pass.
+    const JournaledSweepResult again =
+        Runner(opts).runJournaled(points, dir);
+    EXPECT_TRUE(again.complete());
+    EXPECT_EQ(again.executed, 1u);
+    expectSameStats(Runner::mergeStats(first.results),
+                    Runner::mergeStats(again.results));
+}
+
+TEST(Journal, RecordBudgetEvictsOldestRecordsFirst)
+{
+    sweepstop::reset();
+    const auto points = samplePoints();
+    const std::string dir = freshDir("budget");
+    RunnerOptions opts;
+    opts.jobs = 1;
+    const JournaledSweepResult first =
+        Runner(opts).runJournaled(points, dir);
+    ASSERT_TRUE(first.complete());
+
+    std::uint64_t evicted = 0;
+    {
+        ResultStore store(dir);
+        const std::uint64_t full = store.totalBytes();
+        ASSERT_GT(full, 0u);
+        // Budget for roughly half the records: the OLDEST-put files
+        // go first (one worker puts in point order), the newest stay.
+        store.setBudget(full / 2);
+        evicted = store.evictions();
+        EXPECT_GT(evicted, 0u);
+        EXPECT_LE(store.totalBytes(), full / 2);
+        EXPECT_FALSE(fileExists(entryFile(dir, points[0], opts)));
+        EXPECT_TRUE(fileExists(entryFile(dir, points.back(), opts)));
+    }
+
+    // Evicted points simply re-run on resume; results stay identical.
+    const JournaledSweepResult second =
+        Runner(opts).runJournaled(points, dir);
+    EXPECT_TRUE(second.complete());
+    EXPECT_EQ(second.executed, evicted);
+    EXPECT_EQ(second.reused, points.size() - evicted);
+    expectSameStats(Runner::mergeStats(first.results),
+                    Runner::mergeStats(second.results));
+}
+
+TEST(Journal, QuarantinedPointsReRunOnResume)
+{
+    sweepstop::reset();
+    auto points = samplePoints();
+    // Sabotage one point so it fails and lands in quarantine/.
+    points[2].workload = "no-such-workload";
+    const std::string dir = freshDir("quarantine");
+    RunnerOptions opts;
+    opts.jobs = 1;
+    const JournaledSweepResult first =
+        Runner(opts).runJournaled(points, dir);
+    EXPECT_TRUE(first.complete());
+    EXPECT_EQ(first.results[2].status, PointStatus::kFailed);
+    EXPECT_TRUE(fileExists(entryFile(dir, points[2], opts, true)));
+    EXPECT_FALSE(fileExists(entryFile(dir, points[2], opts)));
+
+    // On resume the failed point re-runs (it may be fixed by now);
+    // the finished ones do not.
+    const JournaledSweepResult second =
+        Runner(opts).runJournaled(points, dir);
+    EXPECT_EQ(second.reused, points.size() - 1);
+    EXPECT_EQ(second.executed, 1u);
+}
+
+// ------------------------------------------------------------------
+// The store as a content-addressed cache
+// ------------------------------------------------------------------
+
+TEST(ResultCache, MissThenHitThenKeyIdentity)
+{
+    ResultStore store(freshDir("cache_hit"));
+    const RunnerOptions opts;
+    const ExperimentPoint point = faultPoint(5);
+    EXPECT_FALSE(store.lookup(point, opts).has_value());
+
+    store.put(point, opts, okResult(point));
+    const auto back = store.lookup(point, opts);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->status, PointStatus::kOk);
+    EXPECT_DOUBLE_EQ(back->run.ipcs.at(0), 1.25);
+
+    // Identity is (config, workload), not the point id: the same cell
+    // under a different id hits and is re-labelled with the new id.
+    ExperimentPoint renumbered = point;
+    renumbered.point_id = 99;
+    const auto relabeled = store.lookup(renumbered, opts);
+    ASSERT_TRUE(relabeled.has_value());
+    EXPECT_EQ(relabeled->point_id, 99u);
+
+    // A different workload is a different cell entirely.
+    ExperimentPoint other = point;
+    other.workload = "xz";
+    EXPECT_NE(ResultStore::keyFor(other, opts),
+              ResultStore::keyFor(point, opts));
+    EXPECT_FALSE(store.lookup(other, opts).has_value());
+}
+
+TEST(ResultCache, NonOkResultsAreNeverStored)
+{
+    // A non-OK result is kept only as its quarantine replay artifact,
+    // never as a servable entry.
+    const std::string dir = freshDir("cache_nonok");
+    ResultStore store(dir);
+    const RunnerOptions opts;
+    const ExperimentPoint point = faultPoint(6);
+    PointResult bad = okResult(point);
+    bad.status = PointStatus::kFailed;
+    bad.outcome = OutcomeClass::kViolated;
+    store.put(point, opts, bad);
+    EXPECT_FALSE(store.lookup(point, opts).has_value());
+    EXPECT_FALSE(fileExists(entryFile(dir, point, opts)));
+    EXPECT_TRUE(fileExists(entryFile(dir, point, opts, true)));
+}
+
+TEST(ResultCache, CorruptEntryHealsToAMiss)
+{
+    const std::string dir = freshDir("cache_heal");
+    ResultStore store(dir);
+    const RunnerOptions opts;
+    const ExperimentPoint point = faultPoint(7);
+    store.put(point, opts, okResult(point));
+    ASSERT_TRUE(store.lookup(point, opts).has_value());
+
+    // Flip one payload byte in the single entry on disk.
+    const std::string entry = entryFile(dir, point, opts);
+    {
+        std::fstream f(entry, std::ios::in | std::ios::out |
+                                  std::ios::binary);
+        f.seekg(0, std::ios::end);
+        const std::streamoff size = f.tellg();
+        f.seekp(size / 2);
+        f.put('\x7f');
+    }
+
+    EXPECT_FALSE(store.lookup(point, opts).has_value());
+    EXPECT_EQ(store.healed(), 1u);
+    EXPECT_EQ(store.totalBytes(), 0u);
+    // The poisoned file is moved out of the entry namespace, so a
+    // re-put works and subsequent lookups hit again.
+    store.put(point, opts, okResult(point));
+    EXPECT_TRUE(store.lookup(point, opts).has_value());
+}
+
+// ------------------------------------------------------------------
+// Keying and foreign entries
+// ------------------------------------------------------------------
+
+TEST(ResultStore, KeyIsThePointAsExecuted)
+{
+    const RunnerOptions plain;
+    ExperimentPoint clean = samplePoints()[0];
+    ExperimentPoint faulty = faultPoint(1);
+
+    // The cycle guard changes the key only when it applies.
+    RunnerOptions guarded;
+    guarded.point_max_cycles = 1000;
+    EXPECT_NE(ResultStore::keyFor(clean, guarded),
+              ResultStore::keyFor(clean, plain));
+    ExperimentPoint bounded = clean;
+    bounded.cfg.max_cycles = 5000;
+    EXPECT_EQ(ResultStore::keyFor(bounded, guarded),
+              ResultStore::keyFor(bounded, plain));
+
+    // fault_retries changes what a fault-plan point produces (its
+    // attempts, and whether it ends kOk or kFaulted), and nothing
+    // about a fault-free one.
+    RunnerOptions retries;
+    retries.fault_retries = 2;
+    EXPECT_NE(ResultStore::keyFor(faulty, retries),
+              ResultStore::keyFor(faulty, plain));
+    EXPECT_EQ(ResultStore::keyFor(clean, retries),
+              ResultStore::keyFor(clean, plain));
+
+    // A fault-free, unguarded point keeps the snapshot config hash,
+    // so entries written before the guard was keyed still serve.
+    EXPECT_EQ(ResultStore::keyFor(clean, plain),
+              snapshotConfigHash(clean.cfg, clean.workload));
+
+    // End to end: a result put under retries is not served without.
+    ResultStore store(freshDir("key_retries"));
+    store.put(faulty, retries, okResult(faulty));
+    EXPECT_TRUE(store.lookup(faulty, retries).has_value());
+    EXPECT_FALSE(store.lookup(faulty, plain).has_value());
+}
+
+TEST(ResultStore, PlantedEntryWithAForeignSignatureHealsToAMiss)
+{
+    // An entry under the right key and envelope, with a valid CRC,
+    // whose stored identity belongs to a different point (an FNV
+    // collision, or a file copied in by hand) is never served.
+    const std::string dir = freshDir("planted");
+    const RunnerOptions opts;
+    const ExperimentPoint point = faultPoint(8);
+    ExperimentPoint other = point;
+    other.cfg.trh += 250;
+
+    {
+        ResultStore store(dir);
+        store.put(other, opts, okResult(other));
+    }
+    const std::string planted = entryFile(dir, point, opts);
+    std::filesystem::rename(entryFile(dir, other, opts), planted);
+    // Re-seal the moved bytes under the victim's key (header bytes
+    // 16..23) with a fresh CRC trailer, so only the stored identity
+    // is wrong.
+    std::vector<std::uint8_t> image = readFileBytes(planted);
+    const std::uint64_t key = ResultStore::keyFor(point, opts);
+    for (unsigned b = 0; b < 8; ++b) {
+        image[16 + b] = static_cast<std::uint8_t>(key >> (8 * b));
+    }
+    const std::uint32_t crc = crc32(image.data(), image.size() - 4);
+    for (unsigned b = 0; b < 4; ++b) {
+        image[image.size() - 4 + b] =
+            static_cast<std::uint8_t>(crc >> (8 * b));
+    }
+    atomicWriteFile(planted, image);
+
+    ResultStore store(dir);
+    EXPECT_EQ(store.healed(), 0u) << "the envelope is valid";
+    EXPECT_FALSE(store.lookup(point, opts).has_value());
+    EXPECT_EQ(store.healed(), 1u);
+    EXPECT_FALSE(fileExists(planted));
+    EXPECT_TRUE(fileExists(planted + ".corrupt"));
+    EXPECT_FALSE(store.lookup(point, opts).has_value());
+}
+
+TEST(ResultStore, ConcurrentPutsFromAFourJobSweepKeepExactAccounting)
+{
+    sweepstop::reset();
+    const auto points = samplePoints();
+    const std::string dir = freshDir("concurrent");
+    RunnerOptions opts;
+    opts.jobs = 4;
+    const JournaledSweepResult first =
+        Runner(opts).runJournaled(points, dir);
+    ASSERT_TRUE(first.complete());
+    EXPECT_EQ(first.executed, points.size());
+
+    // Every concurrent put landed whole: a reopened store accounts
+    // exactly the bytes on disk and serves every point.
+    ResultStore store(dir);
+    std::uint64_t on_disk = 0;
+    for (const ExperimentPoint &point : points) {
+        on_disk += readFileBytes(entryFile(dir, point, opts)).size();
+        EXPECT_TRUE(store.lookup(point, opts).has_value());
+    }
+    EXPECT_EQ(store.healed(), 0u);
+    EXPECT_EQ(store.totalBytes(), on_disk);
+
+    const JournaledSweepResult second =
+        Runner(opts).runJournaled(points, dir);
+    EXPECT_EQ(second.executed, 0u);
+    expectSameStats(Runner::mergeStats(first.results),
+                    Runner::mergeStats(second.results));
+}
+
+} // namespace
+} // namespace mopac

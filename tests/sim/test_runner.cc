@@ -17,7 +17,7 @@
 #include "common/rng.hh"
 #include "common/serialize.hh"
 #include "sim/faults.hh"
-#include "sim/journal.hh"
+#include "sim/result_store.hh"
 #include "sim/runner.hh"
 #include "sim/sharding.hh"
 #include "sim/stop.hh"
@@ -237,7 +237,7 @@ canonicalBytes(PointResult result)
     result.wall_seconds = 0.0;
     Serializer ser;
     savePointResult(ser, result);
-    return ser.finish(FileKind::kPointRecord, 0);
+    return ser.finish(FileKind::kCacheEntry, 0);
 }
 
 /**

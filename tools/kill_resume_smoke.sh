@@ -3,17 +3,18 @@
 #
 # For each bench driver given on the command line:
 #   1. run it cleanly (no journal) and keep the report,
-#   2. run it with --journal, SIGKILL it mid-flight (the harshest
-#      possible interruption: no signal handler, no drain, no flush),
+#   2. run it with --journal (a result-store directory), SIGKILL it
+#      mid-flight (the harshest possible interruption: no signal
+#      handler, no drain, no flush),
 #   3. resume the sweep with --resume at a DIFFERENT --jobs count,
 #   4. require the resumed report to be byte-identical to the clean
 #      one (info:/warn: progress lines excluded -- the resumed run
 #      legitimately reports how many points it reused).
 #
-# Exercises the whole crash-safety stack end to end: atomic journal
-# record writes (a SIGKILL mid-write must leave a loadable journal),
-# manifest verification, finished-point reuse, and schedule-independent
-# stat merging.
+# Exercises the whole crash-safety stack end to end: atomic store
+# entry writes (a SIGKILL mid-write must leave a loadable store),
+# keyed lookup of finished points, and schedule-independent stat
+# merging.
 #
 # The clean run uses the legacy tick engine while the journaled and
 # resumed runs use the event engine (MOPAC_SIM_ENGINE), so the final

@@ -41,8 +41,8 @@ usage(int code)
         "usage: mopac_serve --socket PATH --state DIR [options]\n"
         "\n"
         "  --socket PATH        Unix-domain socket to listen on\n"
-        "  --state DIR          state directory (jobs, journals, "
-        "cache)\n"
+        "  --state DIR          state directory (jobs, result "
+        "store, lock)\n"
         "  --workers N          worker processes (default 2)\n"
         "  --max-strikes N      quarantine a point after N worker "
         "deaths (default 3)\n"
@@ -54,9 +54,7 @@ usage(int code)
         "cycles (0 = off)\n"
         "  --queue-depth N      shed NEW submissions past N active "
         "jobs (0 = unbounded)\n"
-        "  --cache-budget B     result-cache size budget, bytes "
-        "(0 = unbounded)\n"
-        "  --journal-budget B   per-job journal record budget, bytes "
+        "  --cache-budget B     result-store size budget, bytes "
         "(0 = unbounded)\n"
         "  --chaos-kill-rate P  [test] P(SIGKILL worker per point "
         "start)\n"
@@ -142,10 +140,6 @@ main(int argc, char **argv)
             opts.cache_budget = static_cast<std::uint64_t>(
                 parseNonNegative("--cache-budget",
                                  value("--cache-budget")));
-        } else if (arg == "--journal-budget") {
-            opts.journal_budget = static_cast<std::uint64_t>(
-                parseNonNegative("--journal-budget",
-                                 value("--journal-budget")));
         } else if (arg == "--fault-enospc-rate") {
             faults.enospc_rate = parseNonNegative(
                 "--fault-enospc-rate", value("--fault-enospc-rate"));

@@ -6,12 +6,14 @@
 #   2. start mopac_serve, re-run the driver with --submit, and
 #      SIGKILL the DAEMON mid-sweep (no handler, no flush),
 #   3. restart the daemon on the same state dir: it re-adopts the
-#      journaled job, the client reconnects and resubmits
-#      idempotently, and the sweep completes,
+#      persisted job, serves its finished points from the result
+#      store, the client reconnects and resubmits idempotently, and
+#      the sweep completes,
 #   4. require the submitted report to be byte-identical to the
 #      local run (info:/warn: progress lines excluded),
-#   5. prune jobs/ but keep cache/, restart, resubmit: every point
-#      must be served from the result cache, no re-simulation,
+#   5. prune jobs/ (the job specs) but keep cache/ (the result
+#      store), restart, resubmit: every point must be served from
+#      the store, no re-simulation,
 #   6. SIGTERM the daemon mid-sweep: graceful stop, exit 75
 #      (resumable), per the exit-code map in EXPERIMENTS.md.
 #
@@ -108,7 +110,8 @@ fi
 wait "$daemon_pid" 2>/dev/null
 daemon_pid=""
 
-# 3. Restart: journal re-adoption + client reconnect finish the job.
+# 3. Restart: job re-adoption from the store + client reconnect
+#    finish the job.
 start_daemon || exit 1
 if wait "$client_pid"; then
     echo "   client completed across the daemon restart"
@@ -154,11 +157,20 @@ if [ -n "$busy_bench" ]; then
     fi
 fi
 
-# 5. Cache serving: forget the job, keep the cache, resubmit.
+# 5. Store serving: forget the job, keep the result store, resubmit.
 "$submit" --socket "$sock" shutdown >/dev/null 2>&1
 wait "$daemon_pid" 2>/dev/null
 daemon_pid=""
+if [ -n "$(ls "$state/cache"/*.rec 2>/dev/null)" ]; then
+    echo "   OK: finished points are in the result store ($state/cache)"
+else
+    echo "FAIL: the result store holds no entries" >&2
+    status=1
+fi
 rm -rf "$state/jobs"
+# Only this daemon's log lines count below: a job re-adopted by an
+# earlier restart is also served from the store.
+log_mark=$(wc -l <"$workdir/daemon.log")
 start_daemon || exit 1
 if ! "$bench" --jobs 1 --submit "$sock" >"$workdir/cached.out" 2>&1; then
     echo "FAIL: cached resubmission failed" >&2
@@ -177,12 +189,13 @@ fi
 wait "$daemon_pid" 2>/dev/null
 daemon_pid=""
 # The daemon's completion line proves no point re-simulated: all of
-# `done` came from the cache.
-if grep -E 'job [0-9a-f]+ complete: ([1-9][0-9]*) done \(\1 cached\)' \
-        "$workdir/daemon.log" >/dev/null; then
-    echo "   OK: every point was served from the result cache"
+# `done` came from the store.
+if tail -n +"$((log_mark + 1))" "$workdir/daemon.log" | grep -E \
+        'job [0-9a-f]+ complete: ([1-9][0-9]*) done \(\1 cached\)' \
+        >/dev/null; then
+    echo "   OK: every point was served from the result store"
 else
-    echo "FAIL: resubmission re-simulated instead of hitting the cache" >&2
+    echo "FAIL: resubmission re-simulated instead of hitting the store" >&2
     tail -5 "$workdir/daemon.log" >&2
     status=1
 fi
