@@ -290,10 +290,9 @@ runBenchPoints(const std::vector<ExperimentPoint> &points,
         serve::ClientOptions copts;
         copts.socket_path = opts.submit;
         serve::Client client(copts);
-        serve::JobOptions jopts;
         serve::Manifest manifest;
         try {
-            manifest = client.runSweep(points, jopts);
+            manifest = client.runSweep(points);
         } catch (const serve::ClientError &err) {
             fatal("--submit {}: {}", opts.submit, err.what());
         }
@@ -320,20 +319,23 @@ runBenchPoints(const std::vector<ExperimentPoint> &points,
         // status.
         sweepstop::installSignalHandlers();
         ropts.drain_deadline_sec = opts.drain_deadline_sec;
-        JournaledSweepResult sweep;
+        SweepReport sweep;
         try {
-            sweep = Runner(ropts).runJournaled(points, opts.journal);
+            ResultStore store(opts.journal);
+            sweep = Runner(ropts).sweep(points, &store);
         } catch (const SerializeError &e) {
             fatal("journal {}: {}", opts.journal, e.what());
         }
-        if (sweep.reused > 0) {
+        const SweepCounts counts = sweep.counts();
+        if (counts.cached > 0) {
             inform("journal {}: reused {} finished points, ran {}",
-                   opts.journal, sweep.reused, sweep.executed);
+                   opts.journal, counts.cached,
+                   counts.total - counts.cached - counts.pending);
         }
-        if (!sweep.complete()) {
+        if (sweep.stopped) {
             warn("sweep interrupted: {} points pending -- resume "
                  "with --resume {}",
-                 sweep.pending, opts.journal);
+                 counts.pending, opts.journal);
             std::exit(sweepstop::kResumableExit);
         }
         results = std::move(sweep.results);

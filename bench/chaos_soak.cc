@@ -237,6 +237,15 @@ canonicalBytes(const PointResult &result)
     return ser.finish(FileKind::kCacheEntry, canon.point_id);
 }
 
+/** Driver knobs of the supervised drills: three worker processes. */
+RunnerOptions
+poolOptions()
+{
+    RunnerOptions opts;
+    opts.jobs = 3;
+    return opts;
+}
+
 void
 workerKillChaos(bool smoke)
 {
@@ -262,7 +271,6 @@ workerKillChaos(bool smoke)
         Runner(serial_opts).run(points);
 
     serve::SupervisorOptions sopts;
-    sopts.workers = 3;
     sopts.max_strikes = 25;       // Chaos must never quarantine.
     sopts.heartbeat_sec = 0.2;
     sopts.hang_timeout_sec = 10.0; // Catches the SIGSTOPped worker.
@@ -277,7 +285,9 @@ workerKillChaos(bool smoke)
         {{points[0].point_id, 1}, serve::FailAction::kKillWorker},
         {{points[2].point_id, 1}, serve::FailAction::kStopWorker},
     });
-    const serve::SupervisorReport report = sup.run(points);
+    const SweepReport report =
+        Runner(poolOptions()).sweep(points, nullptr, nullptr, &sup);
+    const serve::SupervisorStats &pool = sup.stats();
 
     TextTable table("chaos soak: worker-kill supervision");
     table.header({"id", "config", "workload", "status", "retries",
@@ -287,9 +297,9 @@ workerKillChaos(bool smoke)
         const bool same = canonicalBytes(serial[i]) ==
                           canonicalBytes(report.results[i]);
         mismatches += same ? 0 : 1;
-        const auto it = report.retries.find(points[i].point_id);
+        const auto it = pool.retries.find(points[i].point_id);
         const std::size_t nretries =
-            it == report.retries.end() ? 0 : it->second.size();
+            it == pool.retries.end() ? 0 : it->second.size();
         table.row({std::to_string(points[i].point_id),
                    points[i].config_label, points[i].workload,
                    toString(report.results[i].status),
@@ -297,8 +307,8 @@ workerKillChaos(bool smoke)
     }
     table.note(format(
         "workers forked {}  crashed {}  hang-killed {}",
-        report.workers_forked, report.workers_crashed,
-        report.workers_hung_killed));
+        pool.workers_forked, pool.workers_crashed,
+        pool.workers_hung_killed));
     table.print(std::cout);
 
     if (mismatches > 0) {
@@ -306,11 +316,11 @@ workerKillChaos(bool smoke)
               "from the serial run",
               mismatches, points.size());
     }
-    if (report.workers_crashed == 0 ||
-        report.workers_hung_killed == 0) {
+    if (pool.workers_crashed == 0 ||
+        pool.workers_hung_killed == 0) {
         fatal("worker-kill chaos: scripted failures did not fire "
               "(crashed {}, hang-killed {})",
-              report.workers_crashed, report.workers_hung_killed);
+              pool.workers_crashed, pool.workers_hung_killed);
     }
     if (report.exitCode() != 0) {
         fatal("worker-kill chaos: supervised sweep exit {} != 0",
@@ -328,7 +338,6 @@ serve::SupervisorOptions
 pressureOptions()
 {
     serve::SupervisorOptions sopts;
-    sopts.workers = 3;
     sopts.max_strikes = 25;
     sopts.heartbeat_sec = 0.2;
     sopts.hang_timeout_sec = 20.0;
@@ -383,7 +392,6 @@ resourcePressureChaos(bool smoke)
         // scaffolding itself cannot fault.
         ResultStore store(base + "/cache");
         serve::Supervisor sup(pressureOptions());
-        sup.setStore(&store);
 
         serve::IoFaultConfig shim;
         shim.seed = 0xbeef;
@@ -391,7 +399,8 @@ resourcePressureChaos(bool smoke)
         shim.eintr_rate = 0.20;
         shim.short_write_rate = 0.20;
         serve::setIoFaultShim(shim);
-        const serve::SupervisorReport report = sup.run(points);
+        const SweepReport report =
+            Runner(poolOptions()).sweep(points, &store, nullptr, &sup);
         const serve::IoFaultStats stats = serve::ioFaultShimStats();
         serve::setIoFaultShim(serve::IoFaultConfig{});
 
@@ -448,7 +457,7 @@ resourcePressureChaos(bool smoke)
     // ---- D2: checkpointed preemption under transport pressure ----
     {
         serve::SupervisorOptions sopts = pressureOptions();
-        sopts.job.checkpoint_every =
+        sopts.checkpoint_every =
             std::max<std::uint64_t>(1, min_cycles / 3);
         sopts.checkpoint_dir = base + "/ckpt";
         serve::Supervisor sup(sopts);
@@ -463,7 +472,9 @@ resourcePressureChaos(bool smoke)
         shim.eintr_rate = 0.25;
         shim.short_write_rate = 0.25;
         serve::setIoFaultShim(shim);
-        const serve::SupervisorReport report = sup.run(points);
+        const SweepReport report =
+            Runner(poolOptions()).sweep(points, nullptr, nullptr, &sup);
+        const serve::SupervisorStats &pool = sup.stats();
         const serve::IoFaultStats stats = serve::ioFaultShimStats();
         serve::setIoFaultShim(serve::IoFaultConfig{});
 
@@ -479,14 +490,14 @@ resourcePressureChaos(bool smoke)
         // cycles across every attempt equals the serial total: the
         // drill proves zero rework, not just identical results.
         const bool exact_ledger =
-            report.cycles_executed == total_cycles;
+            pool.cycles_executed == total_cycles;
         table.row({"D2 preempt+ckpt",
                    format("eintr {} short {}", stats.eintr,
                           stats.short_writes),
                    format("preempted {} crashed {} ledger {}/{}",
-                          report.points_preempted,
-                          report.workers_crashed,
-                          report.cycles_executed, total_cycles),
+                          pool.points_preempted,
+                          pool.workers_crashed,
+                          pool.cycles_executed, total_cycles),
                    mismatches == 0 && exact_ledger ? "zero rework"
                                                    : "REWORK"});
         if (mismatches > 0) {
@@ -494,16 +505,16 @@ resourcePressureChaos(bool smoke)
                   "from the serial run",
                   mismatches, points.size());
         }
-        if (report.points_preempted == 0 ||
-            report.workers_crashed == 0) {
+        if (pool.points_preempted == 0 ||
+            pool.workers_crashed == 0) {
             fatal("pressure chaos: scripted preemption did not fire "
                   "(preempted {}, crashed {})",
-                  report.points_preempted, report.workers_crashed);
+                  pool.points_preempted, pool.workers_crashed);
         }
         if (!exact_ledger) {
             fatal("pressure chaos: cycles ledger {} != serial total "
                   "{} (checkpoint resume lost or redid work)",
-                  report.cycles_executed, total_cycles);
+                  pool.cycles_executed, total_cycles);
         }
         if (report.exitCode() != 0) {
             fatal("pressure chaos: preemption sweep exit {} != 0",

@@ -69,7 +69,7 @@
 #include "sim/attack.hh"
 #include "sim/experiment.hh"
 #include "sim/profile.hh"
-#include "sim/sharding.hh"
+#include "sim/sweep.hh"
 #include "workload/synth.hh"
 
 namespace

@@ -144,11 +144,9 @@ Client::ping()
 }
 
 JobStatus
-Client::submit(const std::vector<ExperimentPoint> &points,
-               const JobOptions &opts)
+Client::submit(const std::vector<ExperimentPoint> &points)
 {
     Serializer request;
-    saveJobOptions(request, opts);
     savePoints(request, points);
     ReceivedMessage msg =
         call(request, MsgType::kSubmit, MsgType::kSubmitAck);
@@ -190,9 +188,9 @@ Client::requestShutdown()
 
 Manifest
 Client::runSweep(const std::vector<ExperimentPoint> &points,
-                 const JobOptions &opts, const PollFn &on_status)
+                 const PollFn &on_status)
 {
-    JobStatus status = submit(points, opts);
+    JobStatus status = submit(points);
     const std::uint64_t job_id = status.job_id;
     while (status.phase == JobPhase::kRunning ||
            status.phase == JobPhase::kUnknown) {
@@ -202,7 +200,7 @@ Client::runSweep(const std::vector<ExperimentPoint> &points,
             // A restarted daemon that lost (or could not read) the
             // spec: idempotent resubmission re-creates the job, and
             // its run serves everything the result store holds.
-            status = submit(points, opts);
+            status = submit(points);
         }
         if (on_status) {
             on_status(status);

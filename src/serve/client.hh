@@ -75,8 +75,7 @@ class Client
      * Submit (or re-attach to) a sweep; returns the daemon's status
      * acknowledgement carrying the job id.
      */
-    JobStatus submit(const std::vector<ExperimentPoint> &points,
-                     const JobOptions &opts);
+    JobStatus submit(const std::vector<ExperimentPoint> &points);
 
     /** Query a job's progress. */
     JobStatus query(std::uint64_t job_id);
@@ -98,7 +97,6 @@ class Client
      * budget.
      */
     Manifest runSweep(const std::vector<ExperimentPoint> &points,
-                      const JobOptions &opts,
                       const PollFn &on_status = nullptr);
 
   private:

@@ -15,8 +15,8 @@
 #include "common/log.hh"
 #include "common/serialize.hh"
 #include "serve/io.hh"
-#include "sim/sharding.hh"
 #include "sim/stop.hh"
+#include "sim/sweep.hh"
 
 namespace mopac::serve
 {
@@ -97,12 +97,11 @@ Daemon::jobDir(std::uint64_t job_id) const
 std::size_t
 Daemon::activeJobs() const
 {
-    return run_queue_.size() +
-           (live_supervisor_ != nullptr ? 1 : 0);
+    return run_queue_.size() + (live_report_ != nullptr ? 1 : 0);
 }
 
 Daemon::Job &
-Daemon::adoptJob(std::uint64_t job_id, JobOptions opts,
+Daemon::adoptJob(std::uint64_t job_id,
                  std::vector<ExperimentPoint> points, bool persist)
 {
     const auto existing = jobs_.find(job_id);
@@ -112,21 +111,19 @@ Daemon::adoptJob(std::uint64_t job_id, JobOptions opts,
 
     Job &job = jobs_[job_id];
     job.id = job_id;
-    job.opts = opts;
     job.points = std::move(points);
     ensureDir(jobDir(job_id));
     if (persist) {
         // Persist the spec BEFORE acknowledging: a daemon SIGKILLed
         // right after the ack still knows the job on restart.
         Serializer ser;
-        saveJobOptions(ser, job.opts);
         savePoints(ser, job.points);
         atomicWriteFile(jobDir(job_id) + "/spec.bin",
                         ser.finish(FileKind::kServeJob, job_id));
     }
-    // Every adopted job runs once: the supervisor serves whatever the
+    // Every adopted job runs once: the driver serves whatever the
     // store already holds and simulates only the rest.
-    job.report = SupervisorReport::allPending(job.points);
+    job.report = SweepReport::allPending(job.points);
     run_queue_.push_back(job_id);
     return job;
 }
@@ -158,54 +155,50 @@ Daemon::loadPersistedJobs()
         try {
             Deserializer des(readFileBytes(spec),
                              FileKind::kServeJob, id);
-            JobOptions opts = loadJobOptions(des);
             std::vector<ExperimentPoint> points = loadPoints(des);
             des.finish();
             if (jobId(points) != id) {
                 throw SerializeError("spec does not match job id");
             }
-            adoptJob(id, opts, std::move(points), false);
+            adoptJob(id, std::move(points), false);
         } catch (const std::exception &err) {
-            // A corrupt spec must not brick the daemon: skip the job
-            // (its submitter will resubmit) and keep serving.
+            // A corrupt (or older-format) spec must not brick the
+            // daemon: skip the job (its submitter will resubmit) and
+            // keep serving.
             warn("mopac_serve: skipping unreadable job {}: {}",
                  hex16(id), err.what());
         }
     }
 }
 
+const SweepReport &
+Daemon::reportOf(const Job &job) const
+{
+    return job.running && live_report_ != nullptr ? *live_report_
+                                                  : job.report;
+}
+
 JobStatus
 Daemon::statusOf(const Job &job) const
 {
-    const SupervisorReport *report = &job.report;
-    if (job.running && live_supervisor_ != nullptr &&
-        live_job_ == job.id &&
-        live_supervisor_->liveReport() != nullptr) {
-        report = live_supervisor_->liveReport();
-    }
     JobStatus status;
     status.job_id = job.id;
-    status.counts = report->counts();
-    status.phase = report->phase();
+    status.counts = reportOf(job).counts();
+    status.phase = phaseOf(status.counts);
     return status;
 }
 
 Manifest
 Daemon::manifestOf(const Job &job) const
 {
-    const SupervisorReport *report = &job.report;
-    if (job.running && live_supervisor_ != nullptr &&
-        live_job_ == job.id &&
-        live_supervisor_->liveReport() != nullptr) {
-        report = live_supervisor_->liveReport();
-    }
+    const SweepReport &report = reportOf(job);
     Manifest manifest;
     manifest.status = statusOf(job);
-    manifest.entries.reserve(report->results.size());
-    for (std::size_t i = 0; i < report->results.size(); ++i) {
+    manifest.entries.reserve(report.results.size());
+    for (std::size_t i = 0; i < report.results.size(); ++i) {
         ManifestEntry entry;
-        entry.source = report->sources[i];
-        entry.result = report->results[i];
+        entry.source = report.sources[i];
+        entry.result = report.results[i];
         manifest.entries.push_back(std::move(entry));
     }
     return manifest;
@@ -217,17 +210,10 @@ Daemon::runJob(Job &job)
     inform("mopac_serve: running job {} ({} points)", hex16(job.id),
            job.points.size());
     SupervisorOptions sup_opts = opts_.supervision;
-    sup_opts.job = job.opts;
-    // Jobs that did not pick a cadence inherit the daemon's default.
-    if (sup_opts.job.checkpoint_every == 0) {
-        sup_opts.job.checkpoint_every =
-            opts_.supervision.job.checkpoint_every;
-    }
-    if (sup_opts.job.checkpoint_every > 0) {
+    if (sup_opts.checkpoint_every > 0) {
         sup_opts.checkpoint_dir = jobDir(job.id) + "/ckpt";
     }
     Supervisor supervisor(sup_opts);
-    supervisor.setStore(store_.get());
     supervisor.setChildSetup([this] {
         // Workers must not hold the daemon's sockets or lock open.
         closeQuiet(listen_fd_);
@@ -236,13 +222,15 @@ Daemon::runJob(Job &job)
         }
         closeQuiet(lock_fd_);
     });
+    supervisor.setPump([this](const SweepReport &live) {
+        live_report_ = &live;
+        pumpClients(0.0);
+    });
     job.running = true;
-    live_supervisor_ = &supervisor;
-    live_job_ = job.id;
-    job.report = supervisor.run(
-        job.points, nullptr, [this] { pumpClients(0.0); });
-    live_supervisor_ = nullptr;
+    job.report = Runner(opts_.sweep).sweep(job.points, store_.get(),
+                                           nullptr, &supervisor);
     job.running = false;
+    live_report_ = nullptr;
     // Storage health tracks the latest evidence: failures put the
     // daemon into brownout (serving from memory), a clean run clears
     // it.
@@ -252,10 +240,10 @@ Daemon::runJob(Job &job)
              "entering brownout (results served from memory)",
              hex16(job.id), job.report.storage_write_failures);
     }
-    const JobCounts counts = job.report.counts();
+    const SweepCounts counts = job.report.counts();
     inform("mopac_serve: job {} {}: {} done ({} cached), {} "
            "quarantined, {} pending",
-           hex16(job.id), toString(job.report.phase()), counts.done,
+           hex16(job.id), toString(phaseOf(counts)), counts.done,
            counts.cached, counts.quarantined, counts.pending);
 }
 
@@ -299,7 +287,6 @@ Daemon::handleClient(std::size_t slot)
             break;
           }
           case MsgType::kSubmit: {
-            JobOptions opts = loadJobOptions(*msg.payload);
             std::vector<ExperimentPoint> points =
                 loadPoints(*msg.payload);
             msg.payload->finish();
@@ -321,8 +308,7 @@ Daemon::handleClient(std::size_t slot)
                 break;
             }
             try {
-                Job &job =
-                    adoptJob(id, opts, std::move(points), true);
+                Job &job = adoptJob(id, std::move(points), true);
                 saveJobStatus(reply, statusOf(job));
                 reply_type = MsgType::kSubmitAck;
                 brownout_ = false;

@@ -3,14 +3,16 @@
  * The mopac_serve daemon: a crash-safe sweep service.
  *
  * The daemon listens on a Unix-domain socket, accepts sweep jobs,
- * executes them through the Supervisor (forked, supervised worker
- * processes), and serves results -- fresh, cached, or degraded:
+ * executes them through the sweep driver on the Supervisor's forked,
+ * supervised worker processes, and serves results -- fresh, cached,
+ * or degraded:
  *
  *  - IDEMPOTENT JOBS: a job's identity is a hash over its point
  *    list, so resubmitting the same sweep re-attaches to the
  *    existing job instead of starting over.
  *  - CRASH SAFETY: the job spec is persisted (atomically) before the
- *    submit is acknowledged, and every finished point is put into
+ *    submit is acknowledged, and the sweep driver (Runner::sweep,
+ *    with the Supervisor as its pool) puts every finished point into
  *    the result store.  SIGKILL the daemon at any instant, restart
  *    it, and every persisted job re-runs against the store: finished
  *    points are served from disk, losing at most the points that
@@ -32,7 +34,7 @@
  *
  *   <state>/lock                single-instance flock
  *   <state>/cache/              the ResultStore shared by all jobs
- *   <state>/jobs/<id>/spec.bin  persisted job (points + options)
+ *   <state>/jobs/<id>/spec.bin  persisted job (its point list)
  *   <state>/jobs/<id>/ckpt/     in-flight point checkpoints
  */
 
@@ -59,7 +61,9 @@ struct DaemonOptions
     std::string socket_path;
     /** State directory (jobs, result store, lock). */
     std::string state_dir;
-    /** Supervision knobs (workers, watchdogs, retry, chaos). */
+    /** Sweep knobs: jobs = worker processes; a 10 s drain deadline. */
+    RunnerOptions sweep{.drain_deadline_sec = 10.0};
+    /** Supervision knobs (watchdogs, retry, checkpoints, chaos). */
     SupervisorOptions supervision;
     /**
      * Admission bound on jobs with unfinished work (queued +
@@ -102,18 +106,18 @@ class Daemon
     struct Job
     {
         std::uint64_t id = 0;
-        JobOptions opts;
         std::vector<ExperimentPoint> points;
         /** Latest full report (all pending until the job runs). */
-        SupervisorReport report;
+        SweepReport report;
         bool running = false;
     };
 
     std::string jobDir(std::uint64_t job_id) const;
     std::size_t activeJobs() const;
-    Job &adoptJob(std::uint64_t job_id, JobOptions opts,
+    Job &adoptJob(std::uint64_t job_id,
                   std::vector<ExperimentPoint> points, bool persist);
     void loadPersistedJobs();
+    const SweepReport &reportOf(const Job &job) const;
     JobStatus statusOf(const Job &job) const;
     Manifest manifestOf(const Job &job) const;
     void runJob(Job &job);
@@ -128,8 +132,8 @@ class Daemon
     std::unique_ptr<ResultStore> store_;
     std::map<std::uint64_t, Job> jobs_;
     std::vector<std::uint64_t> run_queue_;
-    Supervisor *live_supervisor_ = nullptr;
-    std::uint64_t live_job_ = 0;
+    /** The running job's in-progress report (set by each pump). */
+    const SweepReport *live_report_ = nullptr;
     bool shutdown_requested_ = false;
     /** Set when a storage write fails, cleared when writes succeed
      *  again.  A submission whose spec cannot be persisted is shed

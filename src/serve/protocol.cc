@@ -18,7 +18,6 @@ namespace
 constexpr std::uint32_t kTagConfig = 0x53434647; // 'SCFG'
 constexpr std::uint32_t kTagPointHdr = 0x53505448; // 'SPTH'
 constexpr std::uint32_t kTagPointList = 0x53505453; // 'SPTS'
-constexpr std::uint32_t kTagJobOpts = 0x534A4F50; // 'SJOP'
 constexpr std::uint32_t kTagCounts = 0x53435453; // 'SCTS'
 constexpr std::uint32_t kTagAssign = 0x5341474E; // 'SAGN'
 constexpr std::uint32_t kTagEvent = 0x53455654;  // 'SEVT'
@@ -54,16 +53,14 @@ toString(JobPhase phase)
     return "?";
 }
 
-const char *
-toString(PointSource source)
+JobPhase
+phaseOf(const SweepCounts &counts)
 {
-    switch (source) {
-      case PointSource::kPending: return "pending";
-      case PointSource::kFresh: return "fresh";
-      case PointSource::kCache: return "cache";
-      case PointSource::kQuarantine: return "quarantine";
+    if (counts.pending > 0) {
+        return JobPhase::kRunning;
     }
-    return "?";
+    return counts.quarantined > 0 ? JobPhase::kDegraded
+                                  : JobPhase::kComplete;
 }
 
 void
@@ -272,70 +269,15 @@ loadPoints(Deserializer &des)
 }
 
 void
-saveJobOptions(Serializer &ser, const JobOptions &opts)
-{
-    ser.begin(kTagJobOpts);
-    ser.putU32(opts.fault_retries);
-    ser.putU64(opts.point_max_cycles);
-    ser.putU64(opts.checkpoint_every);
-    ser.end();
-}
-
-JobOptions
-loadJobOptions(Deserializer &des)
-{
-    JobOptions opts;
-    des.begin(kTagJobOpts);
-    opts.fault_retries = des.getU32();
-    opts.point_max_cycles = des.getU64();
-    opts.checkpoint_every = des.getU64();
-    des.end();
-    return opts;
-}
-
-RunnerOptions
-runnerOptions(const JobOptions &opts)
-{
-    RunnerOptions ropts;
-    ropts.fault_retries = opts.fault_retries;
-    ropts.point_max_cycles = opts.point_max_cycles;
-    return ropts;
-}
-
-void
-saveJobCounts(Serializer &ser, const JobCounts &counts)
-{
-    ser.begin(kTagCounts);
-    ser.putU64(counts.total);
-    ser.putU64(counts.done);
-    ser.putU64(counts.cached);
-    ser.putU64(counts.quarantined);
-    ser.putU64(counts.pending);
-    ser.end();
-}
-
-JobCounts
-loadJobCounts(Deserializer &des)
-{
-    JobCounts counts;
-    des.begin(kTagCounts);
-    counts.total = des.getU64();
-    counts.done = des.getU64();
-    counts.cached = des.getU64();
-    counts.quarantined = des.getU64();
-    counts.pending = des.getU64();
-    des.end();
-    return counts;
-}
-
-void
 saveAssignment(Serializer &ser, const Assignment &assignment)
 {
     ser.begin(kTagAssign);
     ser.putU32(assignment.attempt);
+    ser.putU32(assignment.opts.fault_retries);
+    ser.putU64(assignment.opts.point_max_cycles);
+    ser.putU64(assignment.checkpoint_every);
     ser.putStr(assignment.ckpt_path);
     ser.end();
-    saveJobOptions(ser, assignment.opts);
     savePoint(ser, assignment.point);
 }
 
@@ -345,9 +287,11 @@ loadAssignment(Deserializer &des)
     Assignment assignment;
     des.begin(kTagAssign);
     assignment.attempt = des.getU32();
+    assignment.opts.fault_retries = des.getU32();
+    assignment.opts.point_max_cycles = des.getU64();
+    assignment.checkpoint_every = des.getU64();
     assignment.ckpt_path = des.getStr();
     des.end();
-    assignment.opts = loadJobOptions(des);
     assignment.point = loadPoint(des);
     return assignment;
 }
@@ -400,7 +344,13 @@ saveJobStatus(Serializer &ser, const JobStatus &status)
     ser.putU64(status.job_id);
     ser.putU8(static_cast<std::uint8_t>(status.phase));
     ser.end();
-    saveJobCounts(ser, status.counts);
+    ser.begin(kTagCounts);
+    ser.putU64(status.counts.total);
+    ser.putU64(status.counts.done);
+    ser.putU64(status.counts.cached);
+    ser.putU64(status.counts.quarantined);
+    ser.putU64(status.counts.pending);
+    ser.end();
 }
 
 JobStatus
@@ -414,7 +364,13 @@ loadJobStatus(Deserializer &des)
         static_cast<std::uint64_t>(JobPhase::kDegraded),
         "job phase"));
     des.end();
-    status.counts = loadJobCounts(des);
+    des.begin(kTagCounts);
+    status.counts.total = des.getU64();
+    status.counts.done = des.getU64();
+    status.counts.cached = des.getU64();
+    status.counts.quarantined = des.getU64();
+    status.counts.pending = des.getU64();
+    des.end();
     return status;
 }
 

@@ -36,7 +36,7 @@
 #include "common/serialize.hh"
 #include "serve/io.hh"
 #include "sim/runner.hh"
-#include "sim/sharding.hh"
+#include "sim/sweep.hh"
 
 namespace mopac::serve
 {
@@ -65,7 +65,6 @@ enum class MsgType : std::uint64_t
 
     // Supervisor -> worker.
     kAssign = 100, //!< A chunk of points to execute.
-    kRetire,       //!< Drain and exit cleanly.
     kPreempt,      //!< Checkpoint the running point and yield it.
     kCheckpointAck, //!< Continue past the checkpoint just reported.
 
@@ -89,48 +88,8 @@ enum class JobPhase : std::uint8_t
 /** Printable name of a job phase. */
 const char *toString(JobPhase phase);
 
-/** Where a manifest entry's result came from. */
-enum class PointSource : std::uint8_t
-{
-    kPending,    //!< Not finished yet (partial manifests only).
-    kFresh,      //!< Simulated by this daemon for this job.
-    kCache,      //!< Served from the content-addressed result cache.
-    kQuarantine, //!< Quarantined after exhausting its retries.
-};
-
-/** Printable name of a point source. */
-const char *toString(PointSource source);
-
-/** Per-job execution knobs carried alongside a submit. */
-struct JobOptions
-{
-    /** Runner fault_retries applied by the workers. */
-    unsigned fault_retries = 0;
-    /** Runner point_max_cycles applied by the workers. */
-    std::uint64_t point_max_cycles = 0;
-    /**
-     * Checkpoint cadence in simulated cycles (0 = off).  With a
-     * cadence and a supervisor checkpoint dir, workers snapshot the
-     * in-flight point every interval and rendezvous with the
-     * supervisor, so a preempted or killed point resumes from its
-     * last checkpoint instead of from zero.
-     */
-    std::uint64_t checkpoint_every = 0;
-};
-
-/** The Runner knobs a worker executes a job's points with. */
-RunnerOptions runnerOptions(const JobOptions &opts);
-
-/** Aggregate job progress counters (kStatus payload). */
-struct JobCounts
-{
-    std::uint64_t total = 0;
-    std::uint64_t done = 0;        //!< OK results (fresh + cached).
-    std::uint64_t cached = 0;      //!< Subset of done served stale-free
-                                   //!< from the cache.
-    std::uint64_t quarantined = 0;
-    std::uint64_t pending = 0;     //!< Not yet finished.
-};
+/** Job phase implied by a sweep's counters. */
+JobPhase phaseOf(const SweepCounts &counts);
 
 /** One manifest row: a result plus where it came from. */
 struct ManifestEntry
@@ -146,8 +105,11 @@ struct Assignment
      *  only -- the simulation seed is attempt-independent, so every
      *  attempt of a point is bit-identical). */
     std::uint32_t attempt = 1;
-    /** Execution knobs the worker applies to its Runner. */
-    JobOptions opts;
+    /** The sweep's Runner knobs; the worker uses fault_retries and
+     *  point_max_cycles (pool size and drain stay with the driver). */
+    RunnerOptions opts;
+    /** Checkpoint cadence in simulated cycles (0 = off). */
+    std::uint64_t checkpoint_every = 0;
     /**
      * Checkpoint file for this point ("" = checkpointing off).  An
      * existing file is restored from (resume); the worker rewrites it
@@ -201,7 +163,7 @@ struct JobStatus
 {
     std::uint64_t job_id = 0;
     JobPhase phase = JobPhase::kUnknown;
-    JobCounts counts;
+    SweepCounts counts;
 };
 
 /** A (possibly partial) sweep manifest (kResults payload). */
@@ -238,18 +200,6 @@ void savePoints(Serializer &ser,
 
 /** Restore a point list saved by savePoints(). */
 std::vector<ExperimentPoint> loadPoints(Deserializer &des);
-
-/** Serialize JobOptions. */
-void saveJobOptions(Serializer &ser, const JobOptions &opts);
-
-/** Restore JobOptions. */
-JobOptions loadJobOptions(Deserializer &des);
-
-/** Serialize JobCounts. */
-void saveJobCounts(Serializer &ser, const JobCounts &counts);
-
-/** Restore JobCounts. */
-JobCounts loadJobCounts(Deserializer &des);
 
 /** Serialize an Assignment. */
 void saveAssignment(Serializer &ser, const Assignment &assignment);
@@ -317,7 +267,7 @@ std::vector<std::uint8_t> sealFrame(const Serializer &ser,
 IoStatus sendMessage(int fd, const Serializer &ser, MsgType type,
                      double timeout_sec);
 
-/** Convenience: a message with an empty payload (kPing, kRetire...). */
+/** Convenience: a message with an empty payload (kPing, kPreempt...). */
 IoStatus sendEmptyMessage(int fd, MsgType type, double timeout_sec);
 
 /** A received, envelope-validated message. */

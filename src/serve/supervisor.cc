@@ -15,7 +15,7 @@
 #include "common/rng.hh"
 #include "serve/io.hh"
 #include "serve/worker.hh"
-#include "sim/stop.hh"
+#include "sim/result_store.hh"
 
 namespace mopac::serve
 {
@@ -27,10 +27,11 @@ struct Supervisor::Slot
     int fd = -1;
     bool busy = false;
     bool hang_killed = false; //!< Watchdog (not chaos/crash) kill.
-    /** SIGKILL sent: the death is certain, so whatever the worker
-     *  wrote before it landed (a kPointDone racing a scheduled kill)
-     *  is dropped and the in-flight point counts as crashed. */
-    bool killed = false;
+    /** SIGKILL or SIGSTOP sent: whatever the worker wrote before the
+     *  signal landed (a kPointDone racing a scheduled kill or stop)
+     *  is dropped, so its death -- for a stopped worker the hang
+     *  watchdog's kill -- is the only way the in-flight point ends. */
+    bool silenced = false;
     std::size_t index = 0;    //!< In-flight point (when busy).
     std::uint32_t attempt = 0;
     /** Cycles the in-flight attempt had executed at its last durable
@@ -50,68 +51,8 @@ struct Supervisor::Pending
     wallclock::TimePoint ready;
 };
 
-int
-SupervisorReport::exitCode() const
-{
-    return sweepExitCode(results);
-}
-
-JobCounts
-SupervisorReport::counts() const
-{
-    JobCounts counts;
-    counts.total = sources.size();
-    for (PointSource source : sources) {
-        switch (source) {
-          case PointSource::kPending:
-            ++counts.pending;
-            break;
-          case PointSource::kFresh:
-            ++counts.done;
-            break;
-          case PointSource::kCache:
-            ++counts.done;
-            ++counts.cached;
-            break;
-          case PointSource::kQuarantine:
-            ++counts.quarantined;
-            break;
-        }
-    }
-    return counts;
-}
-
-SupervisorReport
-SupervisorReport::allPending(const std::vector<ExperimentPoint> &points)
-{
-    SupervisorReport report;
-    report.results.resize(points.size());
-    report.sources.assign(points.size(), PointSource::kPending);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        report.results[i].point_id = points[i].point_id;
-        report.results[i].status = PointStatus::kNotRun;
-        report.results[i].seed = points[i].cfg.seed;
-        report.results[i].attempts = 0;
-    }
-    return report;
-}
-
-JobPhase
-SupervisorReport::phase() const
-{
-    const JobCounts c = counts();
-    if (c.pending > 0) {
-        return JobPhase::kRunning;
-    }
-    return c.quarantined > 0 ? JobPhase::kDegraded
-                             : JobPhase::kComplete;
-}
-
 Supervisor::Supervisor(SupervisorOptions opts) : opts_(std::move(opts))
 {
-    if (opts_.workers == 0) {
-        opts_.workers = 1;
-    }
     if (opts_.max_strikes == 0) {
         opts_.max_strikes = 1;
     }
@@ -119,14 +60,9 @@ Supervisor::Supervisor(SupervisorOptions opts) : opts_(std::move(opts))
 
 Supervisor::~Supervisor()
 {
-    // Backstop only: run() retires its workers.  Never leak children.
-    for (Slot &slot : slots_) {
-        if (slot.alive()) {
-            ::kill(slot.pid, SIGKILL);
-            closeQuiet(slot.fd);
-            reapChild(slot.pid);
-        }
-    }
+    // Backstop only: execute() retires its workers.  Never leak
+    // children.
+    retireWorkers();
 }
 
 double
@@ -171,132 +107,62 @@ Supervisor::spawnWorker(Slot &slot)
         ::_exit(workerMain(pair.worker_fd, opts_.heartbeat_sec));
     }
     closeQuiet(pair.worker_fd);
+    slot = Slot{};
     slot.pid = pid;
     slot.fd = pair.supervisor_fd;
-    slot.busy = false;
-    slot.hang_killed = false;
-    slot.killed = false;
     slot.last_beat = wallclock::now();
-    ++report_->workers_forked;
+    ++stats_.workers_forked;
 }
 
 void
-Supervisor::killWorker(Slot &slot)
+Supervisor::killWorker(Slot &slot, int sig)
 {
     if (slot.alive()) {
-        ::kill(slot.pid, SIGKILL);
-        slot.killed = true;
+        ::kill(slot.pid, sig);
+        slot.silenced = true;
     }
 }
 
 std::string
 Supervisor::checkpointPath(std::uint64_t point_id) const
 {
-    if (opts_.checkpoint_dir.empty() ||
-        opts_.job.checkpoint_every == 0) {
+    if (opts_.checkpoint_dir.empty() || opts_.checkpoint_every == 0) {
         return "";
     }
     return format("{}/{}.ckpt", opts_.checkpoint_dir, point_id);
 }
 
 void
-Supervisor::dropCheckpoint(std::uint64_t point_id) const
+Supervisor::resolve(std::size_t index, PointResult result)
 {
-    const std::string path = checkpointPath(point_id);
-    if (!path.empty()) {
-        std::remove(path.c_str());
-    }
-}
-
-void
-Supervisor::resolve(std::size_t index, const PointResult &result,
-                    PointSource source)
-{
-    report_->results[index] = result;
-    report_->sources[index] = source;
     MOPAC_ASSERT(unresolved_ > 0);
     --unresolved_;
-    if (progress_ && *progress_) {
-        (*progress_)((*points_)[index], result);
+    control_->finish(index, std::move(result));
+    // Stored (or kept in memory): the checkpoint has served its turn.
+    const std::string ckpt =
+        checkpointPath((*points_)[index].point_id);
+    if (!ckpt.empty()) {
+        std::remove(ckpt.c_str());
     }
 }
 
 void
-Supervisor::persist(std::size_t index, const PointResult &result)
+Supervisor::requeue(std::size_t index, std::uint32_t failed_attempt,
+                    const char *reason, double delay_sec)
 {
-    const ExperimentPoint &point = (*points_)[index];
-    // Storage failures (full disk, injected ENOSPC) must not lose a
-    // finished result: keep it in memory, count the brownout, and let
-    // the sweep keep serving.  A later resume re-runs the point.
-    if (store_) {
-        try {
-            store_->put(point, runnerOptions(opts_.job), result);
-        } catch (const std::exception &err) {
-            ++report_->storage_write_failures;
-            warn("supervisor: store write for point {} failed ({}); "
-                 "serving the in-memory result",
-                 point.point_id, err.what());
-        }
-    }
-    dropCheckpoint(point.point_id);
-}
-
-void
-Supervisor::resolveFresh(std::size_t index, const PointResult &result)
-{
-    persist(index, result);
-    resolve(index, result,
-            result.status == PointStatus::kOk
-                ? PointSource::kFresh
-                : PointSource::kQuarantine);
-}
-
-void
-Supervisor::quarantine(std::size_t index, std::uint32_t attempts,
-                       bool hang)
-{
-    const ExperimentPoint &point = (*points_)[index];
-    PointResult result;
-    result.point_id = point.point_id;
-    result.status = PointStatus::kFailed;
-    result.seed = point.cfg.seed;
-    result.attempts = attempts;
-    result.outcome = hang ? OutcomeClass::kHung : OutcomeClass::kOk;
-    result.error =
-        format("worker {} on all {} attempts; quarantined "
-               "(replay with --replay {})",
-               hang ? "hung" : "died", attempts, point.point_id);
-    warn("supervisor: point {} quarantined: {}", point.point_id,
-         result.error);
-    persist(index, result);
-    resolve(index, result, PointSource::kQuarantine);
-}
-
-void
-Supervisor::reschedule(std::size_t index,
-                       std::uint32_t failed_attempt, bool hang)
-{
-    const std::uint64_t point_id = (*points_)[index].point_id;
-    const double delay = backoffDelay(point_id, failed_attempt);
-    RetryRecord record;
-    record.attempt = failed_attempt;
-    record.delay_sec = delay;
-    record.reason = hang ? "hang" : "crash";
-    report_->retries[point_id].push_back(record);
-    Pending pending;
-    pending.index = index;
-    pending.attempt = failed_attempt + 1;
-    pending.ready = wallclock::deadlineAfter(delay);
-    pending_.push_back(pending);
+    stats_.retries[(*points_)[index].point_id].push_back(
+        {failed_attempt, delay_sec, reason});
+    pending_.push_back({index, failed_attempt + 1,
+                        wallclock::deadlineAfter(delay_sec)});
 }
 
 void
 Supervisor::onWorkerDeath(Slot &slot, bool hang)
 {
     if (hang) {
-        ++report_->workers_hung_killed;
+        ++stats_.workers_hung_killed;
     } else {
-        ++report_->workers_crashed;
+        ++stats_.workers_crashed;
     }
     closeQuiet(slot.fd);
     slot.fd = -1;
@@ -308,15 +174,30 @@ Supervisor::onWorkerDeath(Slot &slot, bool hang)
     // Only the work up to the last durable checkpoint survives the
     // death; that is what the retry resumes from, so that is what the
     // executed-cycle ledger credits this attempt with.
-    report_->cycles_executed += slot.last_executed;
+    stats_.cycles_executed += slot.last_executed;
     slot.last_executed = 0;
-    const std::size_t index = slot.index;
-    ++strikes_[index];
-    if (strikes_[index] >= opts_.max_strikes) {
-        quarantine(index, strikes_[index], hang);
-    } else {
-        reschedule(index, slot.attempt, hang);
+    const ExperimentPoint &point = (*points_)[slot.index];
+    const std::uint32_t strikes = ++strikes_[slot.index];
+    if (strikes < opts_.max_strikes) {
+        requeue(slot.index, slot.attempt, hang ? "hang" : "crash",
+                backoffDelay(point.point_id, slot.attempt));
+        return;
     }
+    // Out of strikes: quarantine with a synthesized result, stored
+    // by the driver as a replay artifact.
+    PointResult result;
+    result.point_id = point.point_id;
+    result.status = PointStatus::kFailed;
+    result.seed = point.cfg.seed;
+    result.attempts = strikes;
+    result.outcome = hang ? OutcomeClass::kHung : OutcomeClass::kOk;
+    result.error =
+        format("worker {} on all {} attempts; quarantined "
+               "(replay with --replay {})",
+               hang ? "hung" : "died", strikes, point.point_id);
+    warn("supervisor: point {} quarantined: {}", point.point_id,
+         result.error);
+    resolve(slot.index, std::move(result));
 }
 
 void
@@ -331,7 +212,7 @@ Supervisor::applyChaos(Slot &slot)
         if (it->second == FailAction::kKillWorker) {
             killWorker(slot);
         } else if (it->second == FailAction::kStopWorker) {
-            ::kill(slot.pid, SIGSTOP);
+            killWorker(slot, SIGSTOP);
         }
         return;
     }
@@ -344,7 +225,7 @@ Supervisor::applyChaos(Slot &slot)
     if (u < opts_.chaos_kill_rate) {
         killWorker(slot);
     } else if (u < opts_.chaos_kill_rate + opts_.chaos_stop_rate) {
-        ::kill(slot.pid, SIGSTOP);
+        killWorker(slot, SIGSTOP);
     }
 }
 
@@ -368,7 +249,8 @@ Supervisor::assignReady(wallclock::TimePoint now)
 
         Assignment assignment;
         assignment.attempt = item.attempt;
-        assignment.opts = opts_.job;
+        assignment.opts = control_->options();
+        assignment.checkpoint_every = opts_.checkpoint_every;
         assignment.ckpt_path =
             checkpointPath((*points_)[item.index].point_id);
         assignment.point = (*points_)[item.index];
@@ -411,58 +293,46 @@ Supervisor::handleMessage(Slot &slot)
         killWorker(slot);
         return;
     }
-    if (msg.status != IoStatus::kOk || slot.killed) {
+    if (msg.status != IoStatus::kOk || slot.silenced) {
         // kPeerClosed: the reaper collects the death.  kTimeout: a
-        // spurious wakeup; nothing to do.  Killed: see Slot::killed.
+        // spurious wakeup; nothing to do.  Silenced: see the Slot.
         return;
     }
     const auto now = wallclock::now();
     slot.last_beat = now;
+    if (msg.type == MsgType::kHeartbeat) {
+        return;
+    }
     try {
+        // Every other worker message is about the in-flight point.
+        const PointEvent event = loadPointEvent(*msg.payload);
+        PointResult result;
+        if (msg.type == MsgType::kPointDone) {
+            result = loadPointResult(*msg.payload);
+        }
+        msg.payload->finish();
+        if (!slot.busy ||
+            (*points_)[slot.index].point_id != event.point_id) {
+            throw SerializeError(
+                format("message {} about point {}, which is not in "
+                       "flight on this worker",
+                       static_cast<std::uint64_t>(msg.type),
+                       event.point_id));
+        }
         switch (msg.type) {
-          case MsgType::kHeartbeat:
-            break;
-          case MsgType::kPointStart: {
-            const PointEvent event = loadPointEvent(*msg.payload);
-            msg.payload->finish();
-            if (!slot.busy ||
-                (*points_)[slot.index].point_id != event.point_id) {
-                throw SerializeError(format(
-                    "unexpected start of point {}", event.point_id));
-            }
+          case MsgType::kPointStart:
             // The hang clock starts when simulation actually starts.
             slot.busy_since = now;
             applyChaos(slot);
             break;
-          }
-          case MsgType::kPointDone: {
-            const PointEvent event = loadPointEvent(*msg.payload);
-            const PointResult result =
-                loadPointResult(*msg.payload);
-            msg.payload->finish();
-            if (!slot.busy ||
-                (*points_)[slot.index].point_id != event.point_id) {
-                throw SerializeError(format(
-                    "unexpected completion of point {}",
-                    event.point_id));
-            }
-            const std::size_t index = slot.index;
+          case MsgType::kPointDone:
             slot.busy = false;
             slot.last_executed = 0;
-            report_->cycles_executed += event.executed_cycles;
-            report_->resumed_from[event.point_id] = event.resumed_from;
-            resolveFresh(index, result);
+            stats_.cycles_executed += event.executed_cycles;
+            stats_.resumed_from[event.point_id] = event.resumed_from;
+            resolve(slot.index, std::move(result));
             break;
-          }
           case MsgType::kCheckpointed: {
-            const PointEvent event = loadPointEvent(*msg.payload);
-            msg.payload->finish();
-            if (!slot.busy ||
-                (*points_)[slot.index].point_id != event.point_id) {
-                throw SerializeError(format(
-                    "unexpected checkpoint of point {}",
-                    event.point_id));
-            }
             // A checkpoint is a progress proof, not just a liveness
             // beat: restart the per-point hang clock too.
             slot.busy_since = now;
@@ -477,7 +347,7 @@ Supervisor::handleMessage(Slot &slot)
                 break;
             }
             const bool preempt =
-                stopping_ ||
+                control_->stopping() ||
                 (it != fail_schedule_.end() &&
                  it->second == FailAction::kPreemptPoint);
             sendEmptyMessage(slot.fd,
@@ -486,38 +356,19 @@ Supervisor::handleMessage(Slot &slot)
                              10.0);
             break;
           }
-          case MsgType::kPointPreempted: {
-            const PointEvent event = loadPointEvent(*msg.payload);
-            msg.payload->finish();
-            if (!slot.busy ||
-                (*points_)[slot.index].point_id != event.point_id) {
-                throw SerializeError(format(
-                    "unexpected preemption of point {}",
-                    event.point_id));
-            }
-            const std::size_t index = slot.index;
+          case MsgType::kPointPreempted:
             slot.busy = false;
             slot.last_executed = 0;
-            report_->cycles_executed += event.executed_cycles;
-            ++report_->points_preempted;
-            if (!stopping_) {
-                // Voluntary yield: requeue immediately, no strike and
-                // no backoff -- the checkpoint makes the re-run cheap.
-                RetryRecord record;
-                record.attempt = slot.attempt;
-                record.delay_sec = 0.0;
-                record.reason = "preempt";
-                report_->retries[event.point_id].push_back(record);
-                Pending pending;
-                pending.index = index;
-                pending.attempt = slot.attempt + 1;
-                pending.ready = now;
-                pending_.push_back(pending);
-            }
-            // When stopping the point stays kPending; its checkpoint
+            stats_.cycles_executed += event.executed_cycles;
+            ++stats_.points_preempted;
+            // Voluntary yield: requeue at once, no strike and no
+            // backoff -- the checkpoint makes the re-run cheap.  When
+            // stopping, the point stays kPending and its checkpoint
             // file resumes it on the next run.
+            if (!control_->stopping()) {
+                requeue(slot.index, slot.attempt, "preempt", 0.0);
+            }
             break;
-          }
           default:
             throw SerializeError(
                 format("unexpected worker message type {}",
@@ -531,133 +382,70 @@ Supervisor::handleMessage(Slot &slot)
 }
 
 void
-Supervisor::retireWorkers(bool force)
+Supervisor::retireWorkers()
 {
+    // A worker keeps no state between points, so retiring one is a
+    // SIGKILL -- the same for idle, busy and SIGSTOPped workers.
     for (Slot &slot : slots_) {
-        if (!slot.alive()) {
-            continue;
-        }
-        if (force || slot.busy) {
-            killWorker(slot);
-        } else {
-            try {
-                sendEmptyMessage(slot.fd, MsgType::kRetire, 1.0);
-            } catch (const IoError &) {
-                killWorker(slot);
-            }
-        }
+        killWorker(slot);
     }
-    // Collect the exits; SIGKILL stragglers past the grace period.
-    auto grace = wallclock::deadlineAfter(3.0);
-    bool escalated = force;
-    for (;;) {
-        bool any_alive = false;
-        std::vector<int> fds;
-        for (Slot &slot : slots_) {
-            if (!slot.alive()) {
-                continue;
-            }
-            const ChildStatus status = reapChild(slot.pid);
-            if (status.exited) {
-                closeQuiet(slot.fd);
-                slot.fd = -1;
-                slot.pid = -1;
-                continue;
-            }
-            any_alive = true;
-            fds.push_back(slot.fd);
+    for (Slot &slot : slots_) {
+        // SIGKILL cannot be ignored, so each wait ends.
+        while (slot.alive() && !reapChild(slot.pid).exited) {
+            sleepFor(0.01);
         }
-        if (!any_alive) {
-            return;
-        }
-        if (wallclock::secondsSince(grace) >= 0.0) {
-            if (escalated) {
-                // SIGKILL cannot be ignored; give the kernel another
-                // grace period rather than abandoning zombies.
-                grace = wallclock::deadlineAfter(3.0);
-            } else {
-                for (Slot &slot : slots_) {
-                    killWorker(slot);
-                }
-                escalated = true;
-                grace = wallclock::deadlineAfter(3.0);
-            }
-        }
-        waitAnyReadable(fds, 0.05); // Doubles as the retry sleep.
+        closeQuiet(slot.fd);
+        slot.fd = -1;
+        slot.pid = -1;
     }
 }
 
-SupervisorReport
-Supervisor::run(const std::vector<ExperimentPoint> &points,
-                const ProgressFn &progress, const PumpFn &pump)
+void
+Supervisor::execute(const std::vector<ExperimentPoint> &points,
+                    const std::vector<std::size_t> &pending,
+                    SweepControl &control)
 {
-    SupervisorReport report = SupervisorReport::allPending(points);
-
+    stats_ = SupervisorStats{};
     points_ = &points;
-    report_ = &report;
-    progress_ = &progress;
+    control_ = &control;
     pending_.clear();
     strikes_.assign(points.size(), 0);
-    unresolved_ = points.size();
-    stopping_ = false;
+    unresolved_ = pending.size();
 
-    if (!opts_.checkpoint_dir.empty() &&
-        opts_.job.checkpoint_every > 0) {
+    if (!opts_.checkpoint_dir.empty() && opts_.checkpoint_every > 0) {
         ensureDir(opts_.checkpoint_dir);
     }
-
-    // Serve finished points from the store; only the remainder is
-    // scheduled onto workers.
-    const RunnerOptions ropts = runnerOptions(opts_.job);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (store_) {
-            if (auto hit = store_->lookup(points[i], ropts)) {
-                ++report.cache_hits;
-                resolve(i, *hit, PointSource::kCache);
-                continue;
-            }
-        }
-        Pending pending;
-        pending.index = i;
-        pending.attempt = 1;
-        pending.ready = wallclock::now();
-        pending_.push_back(pending);
+    const auto start = wallclock::now();
+    for (std::size_t index : pending) {
+        pending_.push_back({index, 1, start});
     }
 
+    const unsigned workers = control.options().jobs;
     slots_.clear();
-    slots_.resize(opts_.workers);
+    slots_.resize(workers);
 
     const double idle_beat_grace =
         std::max(4.0 * opts_.heartbeat_sec, 2.0);
-    auto drain_deadline = wallclock::now();
 
     while (unresolved_ > 0) {
         const auto now = wallclock::now();
 
-        if (!stopping_ && sweepstop::stopRequested()) {
-            stopping_ = true;
-            pending_.clear(); // Unstarted points stay kPending.
-            drain_deadline = wallclock::deadlineAfter(
-                opts_.drain_deadline_sec > 0.0
-                    ? opts_.drain_deadline_sec
-                    : 3600.0);
-        }
-        if (stopping_) {
-            const bool abort =
-                sweepstop::abortRequested() ||
-                wallclock::secondsSince(drain_deadline) >= 0.0;
+        // After a stop nothing new starts (unstarted points stay
+        // kPending) and the in-flight points drain or are abandoned.
+        const bool stopping = control.stopping();
+        if (stopping) {
             bool any_busy = false;
             for (const Slot &slot : slots_) {
                 any_busy = any_busy || (slot.alive() && slot.busy);
             }
-            if (!any_busy || abort) {
+            if (!any_busy || control.abandon()) {
                 break;
             }
         }
 
         // Keep the pool at strength while there is work for it.
         const std::size_t want = std::min<std::size_t>(
-            opts_.workers, stopping_ ? 0 : unresolved_);
+            workers, stopping ? 0 : unresolved_);
         std::size_t alive = 0;
         for (const Slot &slot : slots_) {
             alive += slot.alive() ? 1 : 0;
@@ -672,7 +460,7 @@ Supervisor::run(const std::vector<ExperimentPoint> &points,
             }
         }
 
-        if (!stopping_) {
+        if (!stopping) {
             assignReady(now);
         }
 
@@ -717,19 +505,16 @@ Supervisor::run(const std::vector<ExperimentPoint> &points,
             }
         }
 
-        if (pump) {
-            pump();
+        if (pump_) {
+            pump_(control.report());
         }
     }
 
-    report.stopped = unresolved_ > 0;
-    retireWorkers(sweepstop::abortRequested());
+    retireWorkers();
 
     points_ = nullptr;
-    report_ = nullptr;
-    progress_ = nullptr;
+    control_ = nullptr;
     pending_.clear();
-    return report;
 }
 
 } // namespace mopac::serve

@@ -1,9 +1,12 @@
 /**
  * @file
- * Worker-process supervision: the self-healing heart of mopac_serve.
+ * Worker-process supervision: the process pool of the sweep driver.
  *
- * The Supervisor shards a point list across fork()ed worker processes
- * and keeps the sweep alive through every worker-side failure mode:
+ * Runner::sweep drives every sweep -- store hits, store writes,
+ * graceful stop, the report.  The Supervisor is the SweepPool that
+ * executes the driver's pending points on fork()ed worker processes
+ * (RunnerOptions::jobs of them) and keeps the sweep alive through
+ * every worker-side failure mode:
  *
  *  - CRASH: a worker that exits or dies on a signal mid-point is
  *    detected via waitpid; its in-flight point is rescheduled.
@@ -12,7 +15,10 @@
  *    SIGKILLed by the watchdog and its point rescheduled.  This is
  *    the process-level analogue of the in-sim forward-progress
  *    watchdog: the simulator catches livelocks *inside* a point, the
- *    supervisor catches dead *processes*.
+ *    supervisor catches dead *processes*.  A worker the supervisor
+ *    SIGSTOPs itself (chaos, scripted failures) is written off at
+ *    once: whatever it wrote before the signal landed is dropped, so
+ *    the hang-kill is its only possible outcome.
  *  - RETRY/BACKOFF: each reschedule is delayed by deterministic
  *    jittered exponential backoff -- the jitter comes from a
  *    counter-mode RNG stream keyed by (backoff_seed, point_id,
@@ -20,23 +26,25 @@
  *    function of the failure history, identical at any worker count.
  *  - QUARANTINE: a point whose worker dies max_strikes times is
  *    quarantined with a synthesized kFailed result (outcome kHung
- *    when the watchdog did the killing) and put into the result
- *    store as a replay artifact, exactly like an in-process crash
- *    under a journaled Runner sweep.
+ *    when the watchdog did the killing), which the driver stores as
+ *    a replay artifact exactly like an in-process crash on the
+ *    thread pool.
  *
  * Determinism: a point's simulation seed does not depend on the
  * attempt number or the worker that runs it, so a rerun after a
  * worker SIGKILL is bit-identical to a clean first run -- the final
  * manifest of a chaos-ridden sweep equals the clean serial one.
  *
- * The supervisor is single-threaded (poll-based event loop), which
- * keeps fork() safe under TSAN and makes it embeddable: the daemon
- * pumps its client sockets from the per-tick callback.
+ * The supervisor is single-threaded (poll-based event loop) and the
+ * driver starts no thread of its own, which keeps fork() safe under
+ * TSAN and makes it embeddable: the daemon pumps its client sockets
+ * from the per-tick callback.
  */
 
 #ifndef MOPAC_SERVE_SUPERVISOR_HH
 #define MOPAC_SERVE_SUPERVISOR_HH
 
+#include <csignal>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -46,7 +54,6 @@
 
 #include "common/wallclock.hh"
 #include "serve/protocol.hh"
-#include "sim/result_store.hh"
 #include "sim/runner.hh"
 
 namespace mopac::serve
@@ -72,11 +79,12 @@ enum class FailAction : std::uint8_t
     kKillAtCheckpoint,
 };
 
-/** Supervision tuning knobs. */
+/**
+ * Supervision tuning knobs.  The pool size (RunnerOptions::jobs) and
+ * the drain deadline belong to the driver's RunnerOptions.
+ */
 struct SupervisorOptions
 {
-    /** Worker processes (>= 1). */
-    unsigned workers = 1;
     /** Quarantine a point after this many failed attempts. */
     unsigned max_strikes = 3;
     /** Idle worker heartbeat period, seconds. */
@@ -89,13 +97,11 @@ struct SupervisorOptions
     double backoff_cap_sec = 2.0;
     /** Counter-mode seed of the backoff jitter streams. */
     std::uint64_t backoff_seed = 0x6d6f706163736572ull;
-    /** Seconds granted to in-flight points after a graceful stop. */
-    double drain_deadline_sec = 10.0;
-    /** Execution knobs forwarded to the workers. */
-    JobOptions job;
+    /** Checkpoint cadence in simulated cycles (0 = off). */
+    std::uint64_t checkpoint_every = 0;
     /**
      * Directory for per-point checkpoint files ("" = preemption off).
-     * With job.checkpoint_every > 0, every assignment carries
+     * With checkpoint_every > 0, every assignment carries
      * <dir>/<point_id>.ckpt: workers snapshot there each interval and
      * rendezvous for a verdict, retries resume from the file, and the
      * supervisor deletes it when the point resolves.
@@ -124,13 +130,13 @@ struct RetryRecord
     std::string reason;
 };
 
-/** Everything a supervised sweep reports back. */
-struct SupervisorReport
+/**
+ * What only the process pool knows about its last execute(); the
+ * results, sources and store counters are in the driver's
+ * SweepReport.
+ */
+struct SupervisorStats
 {
-    /** Per-point results, indexed like the input point list. */
-    std::vector<PointResult> results;
-    /** Where each result came from (kPending = stop cut it off). */
-    std::vector<PointSource> sources;
     /**
      * Retry trace: point_id -> ordered reschedule decisions.  A pure
      * function of (seeds, injected failure schedule), so two runs
@@ -144,13 +150,8 @@ struct SupervisorReport
     std::uint64_t workers_crashed = 0;
     /** Workers SIGKILLed by the hang/heartbeat watchdogs. */
     std::uint64_t workers_hung_killed = 0;
-    /** Points served from the result store. */
-    std::uint64_t cache_hits = 0;
     /** Points preempted at a checkpoint rendezvous. */
     std::uint64_t points_preempted = 0;
-    /** Store writes that failed and were tolerated (the result
-     *  stays in memory; the sweep keeps serving -- brownout). */
-    std::uint64_t storage_write_failures = 0;
     /**
      * Simulated cycles executed across every attempt, counting only
      * checkpoint-durable work for attempts that died.  This minus the
@@ -162,40 +163,24 @@ struct SupervisorReport
     /** point_id -> cycle the result-producing attempt resumed from
      *  (0 = ran fresh; only points executed by workers appear). */
     std::map<std::uint64_t, std::uint64_t> resumed_from;
-    /** True when a graceful stop left points kPending. */
-    bool stopped = false;
-
-    /** A report with every point of @p points kPending / kNotRun. */
-    static SupervisorReport allPending(
-        const std::vector<ExperimentPoint> &points);
-
-    /** Exit code per the shared map in sim/stop.hh. */
-    int exitCode() const;
-    /** Aggregate progress counters. */
-    JobCounts counts() const;
-    /** Job phase implied by the counters. */
-    JobPhase phase() const;
 };
 
-/** Shards points over supervised worker processes; see file comment. */
-class Supervisor
+/** Runs sweep points on supervised worker processes; see file comment. */
+class Supervisor final : public SweepPool
 {
   public:
-    using ProgressFn = Runner::ProgressFn;
-    /** Called once per event-loop tick (daemon client pumping). */
-    using PumpFn = std::function<void()>;
+    /**
+     * Called once per event-loop tick with the driver's in-progress
+     * report (the daemon pumps its clients here and serves partial
+     * manifests and status queries from @p live).
+     */
+    using PumpFn = std::function<void(const SweepReport &live)>;
 
     explicit Supervisor(SupervisorOptions opts);
-    ~Supervisor();
+    ~Supervisor() override;
 
     Supervisor(const Supervisor &) = delete;
     Supervisor &operator=(const Supervisor &) = delete;
-
-    /**
-     * Serve finished points from @p store and put every resolved
-     * point into it (borrowed; may be null).
-     */
-    void setStore(ResultStore *store) { store_ = store; }
 
     /**
      * Run extra teardown in each forked worker before its main loop
@@ -205,6 +190,9 @@ class Supervisor
     {
         child_setup_ = std::move(fn);
     }
+
+    /** Call @p fn once per event-loop tick while a sweep runs. */
+    void setPump(PumpFn fn) { pump_ = std::move(fn); }
 
     /**
      * Inject a deterministic failure schedule: when the mapped
@@ -227,58 +215,47 @@ class Supervisor
                         std::uint32_t attempt) const;
 
     /**
-     * Execute the sweep to completion (or graceful stop).  @p progress
-     * fires once per resolved point from this thread; @p pump fires
-     * once per event-loop tick.
+     * SweepPool: run the pending points on control.options().jobs
+     * workers until each resolved or the driver says stop.  Progress
+     * fires from this thread; so does the pump.
      */
-    SupervisorReport run(const std::vector<ExperimentPoint> &points,
-                         const ProgressFn &progress = nullptr,
-                         const PumpFn &pump = nullptr);
+    void execute(const std::vector<ExperimentPoint> &points,
+                 const std::vector<std::size_t> &pending,
+                 SweepControl &control) override;
 
-    /**
-     * The in-progress report while run() is live (null otherwise).
-     * Single-threaded: only valid from progress/pump callbacks.  The
-     * daemon serves partial manifests and status queries from this.
-     */
-    const SupervisorReport *liveReport() const { return report_; }
+    /** Process-level counters of the last (or running) execute(). */
+    const SupervisorStats &stats() const { return stats_; }
 
   private:
     struct Slot;
     struct Pending;
 
     void spawnWorker(Slot &slot);
-    void killWorker(Slot &slot);
+    void killWorker(Slot &slot, int sig = SIGKILL);
     void assignReady(wallclock::TimePoint now);
     void handleMessage(Slot &slot);
     std::string checkpointPath(std::uint64_t point_id) const;
-    void dropCheckpoint(std::uint64_t point_id) const;
     void applyChaos(Slot &slot);
     void onWorkerDeath(Slot &slot, bool hang);
-    void persist(std::size_t index, const PointResult &result);
-    void resolveFresh(std::size_t index, const PointResult &result);
-    void resolve(std::size_t index, const PointResult &result,
-                 PointSource source);
-    void quarantine(std::size_t index, std::uint32_t attempts,
-                    bool hang);
-    void reschedule(std::size_t index, std::uint32_t failed_attempt,
-                    bool hang);
-    void retireWorkers(bool force);
+    void resolve(std::size_t index, PointResult result);
+    void requeue(std::size_t index, std::uint32_t failed_attempt,
+                 const char *reason, double delay_sec);
+    void retireWorkers();
 
     SupervisorOptions opts_;
-    ResultStore *store_ = nullptr;
     std::function<void()> child_setup_;
+    PumpFn pump_;
     std::map<std::pair<std::uint64_t, std::uint32_t>, FailAction>
         fail_schedule_;
+    SupervisorStats stats_;
 
-    // Live sweep state (valid during run()).
+    // Live sweep state (valid during execute()).
     const std::vector<ExperimentPoint> *points_ = nullptr;
-    SupervisorReport *report_ = nullptr;
-    const ProgressFn *progress_ = nullptr;
+    SweepControl *control_ = nullptr;
     std::vector<Slot> slots_;
     std::vector<Pending> pending_;
     std::vector<std::uint32_t> strikes_;
     std::size_t unresolved_ = 0;
-    bool stopping_ = false;
 };
 
 } // namespace mopac::serve

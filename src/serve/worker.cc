@@ -16,45 +16,23 @@ namespace mopac::serve
 namespace
 {
 
-/** Execute one assignment and report the result. */
-bool
-runAssignment(int fd, const Assignment &assignment)
+/**
+ * Checkpointed execution with a synchronous rendezvous: after every
+ * durable snapshot the worker reports kCheckpointed and blocks for
+ * the supervisor's verdict.  A preemption (or a scripted
+ * kill-at-checkpoint in the tests) therefore lands at exactly the
+ * checkpointed cycle, never mid-interval.  @p peer_gone is set when
+ * the supervisor disappears mid-rendezvous.
+ */
+CheckpointOptions
+rendezvous(int fd, const Assignment &assignment, const PointEvent &event,
+           bool &peer_gone)
 {
-    PointEvent event;
-    event.point_id = assignment.point.point_id;
-    event.attempt = assignment.attempt;
-
-    Serializer start;
-    savePointEvent(start, event);
-    if (sendMessage(fd, start, MsgType::kPointStart, 10.0) !=
-        IoStatus::kOk) {
-        return false;
-    }
-
-    const RunnerOptions opts = runnerOptions(assignment.opts);
-
-    if (assignment.ckpt_path.empty() ||
-        assignment.opts.checkpoint_every == 0) {
-        const PointResult result =
-            Runner::replay(assignment.point, opts);
-        Serializer done;
-        savePointEvent(done, event);
-        savePointResult(done, result);
-        return sendMessage(fd, done, MsgType::kPointDone, 30.0) ==
-               IoStatus::kOk;
-    }
-
-    // Checkpointed execution with a synchronous rendezvous: after
-    // every durable snapshot the worker reports kCheckpointed and
-    // blocks for the supervisor's verdict.  A preemption (or a
-    // scripted kill-at-checkpoint in the tests) therefore lands at
-    // exactly the checkpointed cycle, never mid-interval.
-    bool peer_gone = false;
     CheckpointOptions ckpt;
     ckpt.save_path = assignment.ckpt_path;
     ckpt.restore_path = assignment.ckpt_path;
-    ckpt.checkpoint_every = assignment.opts.checkpoint_every;
-    ckpt.on_checkpoint = [&](const CheckpointBeat &beat) {
+    ckpt.checkpoint_every = assignment.checkpoint_every;
+    ckpt.on_checkpoint = [=, &peer_gone](const CheckpointBeat &beat) {
         PointEvent tick = event;
         tick.resumed_from = beat.resumed_from;
         tick.executed_cycles = beat.now - beat.resumed_from;
@@ -88,25 +66,47 @@ runAssignment(int fd, const Assignment &assignment)
                    ? CheckpointSignal::kContinue
                    : CheckpointSignal::kPreempt;
     };
+    return ckpt;
+}
 
-    const CheckpointedPointRun run =
-        Runner::replayCheckpointed(assignment.point, opts, ckpt);
+/** Execute one assignment and report the result. */
+bool
+runAssignment(int fd, const Assignment &assignment)
+{
+    PointEvent event;
+    event.point_id = assignment.point.point_id;
+    event.attempt = assignment.attempt;
+
+    Serializer start;
+    savePointEvent(start, event);
+    if (sendMessage(fd, start, MsgType::kPointStart, 10.0) !=
+        IoStatus::kOk) {
+        return false;
+    }
+
+    CheckpointedPointRun run;
+    bool peer_gone = false;
+    if (assignment.ckpt_path.empty()) {
+        run.result = Runner::replay(assignment.point, assignment.opts);
+    } else {
+        run = Runner::replayCheckpointed(
+            assignment.point, assignment.opts,
+            rendezvous(fd, assignment, event, peer_gone));
+    }
     if (peer_gone) {
         return false;
     }
     event.resumed_from = run.resumed_from;
     event.executed_cycles = run.executed_cycles;
-    if (run.preempted) {
-        Serializer yielded;
-        savePointEvent(yielded, event);
-        return sendMessage(fd, yielded, MsgType::kPointPreempted,
-                           30.0) == IoStatus::kOk;
+    Serializer reply;
+    savePointEvent(reply, event);
+    if (!run.preempted) {
+        savePointResult(reply, run.result);
     }
-    Serializer done;
-    savePointEvent(done, event);
-    savePointResult(done, run.result);
-    return sendMessage(fd, done, MsgType::kPointDone, 30.0) ==
-           IoStatus::kOk;
+    return sendMessage(fd, reply,
+                       run.preempted ? MsgType::kPointPreempted
+                                     : MsgType::kPointDone,
+                       30.0) == IoStatus::kOk;
 }
 
 } // namespace
@@ -134,8 +134,6 @@ workerMain(int fd, double heartbeat_sec)
             continue;
         }
         switch (msg.type) {
-          case MsgType::kRetire:
-            return 0;
           case MsgType::kAssign: {
             Assignment assignment;
             try {

@@ -6,7 +6,6 @@
  * assigned point at a time on its end of a SOCK_STREAM socketpair:
  *
  *   supervisor -> worker : kAssign (point + attempt + knobs)
- *                          kRetire (drain and exit 0)
  *   worker -> supervisor : kPointStart (about to simulate; a beat)
  *                          kPointDone  (full PointResult)
  *                          kHeartbeat  (idle liveness beat)
@@ -34,12 +33,14 @@ namespace mopac::serve
 
 /**
  * Worker main loop.  Runs in the forked child; services assignments
- * on @p fd until a kRetire message, the socket closes (supervisor
- * died -- orphan workers must not linger), or a protocol error.
+ * on @p fd until the supervisor SIGKILLs it (workers keep no state
+ * between points), the socket closes (supervisor died -- orphan
+ * workers must not linger), or a protocol error.
  *
  * @param fd The worker end of the socketpair.
  * @param heartbeat_sec Idle beat period.
- * @return Process exit code (0 on clean retire, 1 on protocol error).
+ * @return Process exit code (0 when the supervisor is gone, 1 on a
+ *         protocol error).
  *         The caller must _exit() with it -- never return through
  *         main() from a forked child.
  */

@@ -9,8 +9,8 @@
 
 #include "common/log.hh"
 #include "common/serialize.hh"
-#include "sim/sharding.hh"
 #include "sim/stop.hh"
+#include "sim/sweep.hh"
 #include "workload/synth.hh"
 
 namespace mopac

@@ -2,9 +2,10 @@
  * @file
  * Content-addressed, crash-safe on-disk store of finished points.
  *
- * One directory serves every caller that reuses finished work: a
- * journaled Runner sweep (--journal / --resume), a supervised sweep,
- * and the mopac_serve daemon's cache.  The layout is
+ * One directory serves every sweep that reuses finished work, read and
+ * written only by the sweep driver (Runner::sweep) on either pool: a
+ * bench --journal / --resume directory and the mopac_serve daemon's
+ * cache are the same format.  The layout is
  *
  *   <dir>/<key>.rec             one entry per kOk result
  *   <dir>/quarantine/<key>.rec  replay artifact of the last non-OK
@@ -36,8 +37,8 @@
  *    monotonic insertion sequence number, and over budget the lowest
  *    sequence goes first -- FIFO by insertion, never by access, so
  *    two stores fed the same history evict identically.
- *  - put() and lookup() are mutex-guarded: Runner workers call put()
- *    concurrently.
+ *  - put() and lookup() are mutex-guarded: thread-pool workers call
+ *    put() concurrently.
  */
 
 #ifndef MOPAC_SIM_RESULT_STORE_HH
@@ -52,7 +53,7 @@
 
 #include "common/serialize.hh"
 #include "sim/runner.hh"
-#include "sim/sharding.hh"
+#include "sim/sweep.hh"
 
 namespace mopac
 {

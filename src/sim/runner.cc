@@ -4,11 +4,16 @@
  *
  * Concurrency notes (the TSan preset runs the determinism test against
  * exactly this code):
- *  - Workers claim points through one atomic cursor over the index
- *    list; each index is handed out exactly once.
- *  - results[] is pre-sized and each slot is written by exactly one
- *    worker before the join; readers only touch it after join(), so
- *    the join is the only synchronization the results need.
+ *  - Thread-pool workers claim points through one atomic cursor over
+ *    the pending list; each index is handed out exactly once.
+ *  - The report is pre-sized and each slot is written by exactly one
+ *    worker (SweepControl::finish) before the join; the driver only
+ *    reads it after join(), so the join is the only synchronization
+ *    the results need.  The brownout counter is atomic.
+ *  - The drain deadline is polled by the pool's coordinating thread
+ *    (the thread that called sweep(), or the supervisor's event
+ *    loop), so the driver itself never starts a thread: the process
+ *    pool forks with no other thread alive.
  */
 
 #include "runner.hh"
@@ -17,7 +22,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <numeric>
 #include <optional>
 #include <thread>
 
@@ -117,6 +121,76 @@ executePoint(const ExperimentPoint &point, const RunnerOptions &opts,
     return true;
 }
 
+/**
+ * The default pool: worker threads sharing one atomic cursor over the
+ * pending points.  A free worker takes the next point in sweep order
+ * (greedy list scheduling), so a few slow points cannot serialize the
+ * tail.
+ */
+void
+runThreads(const std::vector<ExperimentPoint> &points,
+           const std::vector<std::size_t> &pending, SweepControl &control)
+{
+    if (pending.empty()) {
+        return;
+    }
+    const RunnerOptions &opts = control.options();
+    const unsigned num_workers = static_cast<unsigned>(
+        std::min<std::size_t>(opts.jobs, pending.size()));
+    std::atomic<std::size_t> cursor{0};
+    auto worker = [&] {
+        // Stop boundary: after a graceful stop no new point starts;
+        // unfinished points stay kNotRun.
+        while (!control.stopping()) {
+            const std::size_t slot = cursor.fetch_add(1);
+            if (slot >= pending.size()) {
+                return;
+            }
+            const std::size_t idx = pending[slot];
+            PointResult result;
+            try {
+                result = Runner::replay(points[idx], opts);
+            } catch (const AbortError &e) {
+                // Abandoned by the operator / drain deadline: the
+                // point stays kNotRun and out of the store, so a
+                // resume re-runs it cleanly.
+                warn("sweep: point {} abandoned: {}",
+                     points[idx].point_id, e.what());
+                return;
+            }
+            control.finish(idx, std::move(result));
+        }
+    };
+
+    // The calling thread watches the drain deadline only when there
+    // is one; otherwise --jobs 1 runs inline, with no thread at all
+    // (the simplest replay / debugging environment, and the
+    // determinism reference).
+    const bool watch = opts.drain_deadline_sec > 0.0;
+    if (num_workers == 1 && !watch) {
+        worker();
+        return;
+    }
+    std::atomic<unsigned> running{num_workers};
+    std::vector<std::thread> threads;
+    threads.reserve(num_workers);
+    for (unsigned w = 0; w < num_workers; ++w) {
+        threads.emplace_back([&] {
+            worker();
+            running.fetch_sub(1);
+        });
+    }
+    while (watch && running.load() > 0) {
+        if (control.stopping()) {
+            control.abandon();
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    for (std::thread &t : threads) {
+        t.join();
+    }
+}
+
 } // namespace
 
 ExperimentPoint
@@ -191,156 +265,154 @@ Runner::jobs() const
     return hw > 0 ? hw : 1;
 }
 
-std::size_t
-Runner::runPool(const std::vector<ExperimentPoint> &points,
-                const std::vector<std::size_t> &order,
-                std::vector<PointResult> &results, ResultStore *store,
-                const ProgressFn &progress) const
+const char *
+toString(PointSource source)
 {
-    if (order.empty()) {
-        return 0;
+    switch (source) {
+      case PointSource::kPending: return "pending";
+      case PointSource::kFresh: return "fresh";
+      case PointSource::kCache: return "cache";
+      case PointSource::kQuarantine: return "quarantine";
     }
-    const unsigned num_workers = static_cast<unsigned>(
-        std::min<std::size_t>(jobs(), order.size()));
+    return "?";
+}
 
-    // Every free worker takes the next point in sweep order (greedy
-    // list scheduling), so a few slow points cannot serialize the tail.
-    std::atomic<std::size_t> cursor{0};
-    std::atomic<std::size_t> executed{0};
-    auto worker = [&] {
-        for (;;) {
-            // Stop boundary: a journaled sweep takes no new work after
-            // a graceful stop -- unfinished points stay kNotRun and
-            // re-run on resume.
-            if (store != nullptr && sweepstop::stopRequested()) {
-                return;
-            }
-            const std::size_t slot = cursor.fetch_add(1);
-            if (slot >= order.size()) {
-                return;
-            }
-            const std::size_t idx = order[slot];
-            try {
-                results[idx] = replay(points[idx], opts_);
-            } catch (const AbortError &e) {
-                if (store == nullptr) {
-                    throw;
-                }
-                // Abandoned mid-run by the operator / drain watchdog:
-                // leave the point kNotRun and out of the store so
-                // resume re-runs it cleanly.
-                results[idx].error = e.what();
-                warn("sweep: point {} abandoned: {}",
-                     points[idx].point_id, e.what());
-                return;
-            }
-            if (store != nullptr) {
-                store->put(points[idx], opts_, results[idx]);
-            }
-            executed.fetch_add(1);
-            if (progress) {
-                progress(points[idx], results[idx]);
-            }
-        }
-    };
+SweepReport
+SweepReport::allPending(const std::vector<ExperimentPoint> &points)
+{
+    SweepReport report;
+    report.results.resize(points.size());
+    report.sources.assign(points.size(), PointSource::kPending);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        report.results[i].point_id = points[i].point_id;
+        report.results[i].status = PointStatus::kNotRun;
+        report.results[i].seed = points[i].cfg.seed;
+        report.results[i].attempts = 0;
+    }
+    return report;
+}
 
-    if (num_workers == 1) {
-        // --jobs 1: run inline, no thread at all (simplest replay /
-        // debugging environment, and the determinism reference).
-        worker();
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(num_workers);
-        for (unsigned w = 0; w < num_workers; ++w) {
-            threads.emplace_back(worker);
-        }
-        for (std::thread &t : threads) {
-            t.join();
+SweepCounts
+SweepReport::counts() const
+{
+    SweepCounts counts;
+    counts.total = sources.size();
+    for (PointSource source : sources) {
+        counts.pending += source == PointSource::kPending ? 1 : 0;
+        counts.cached += source == PointSource::kCache ? 1 : 0;
+        counts.done += source == PointSource::kFresh ? 1 : 0;
+        counts.quarantined += source == PointSource::kQuarantine ? 1 : 0;
+    }
+    counts.done += counts.cached;
+    return counts;
+}
+
+SweepControl::SweepControl(const std::vector<ExperimentPoint> &points,
+                           const RunnerOptions &opts, ResultStore *store,
+                           const Runner::ProgressFn &progress)
+    : points_(points), opts_(opts), store_(store), progress_(progress),
+      report_(SweepReport::allPending(points))
+{
+}
+
+void
+SweepControl::finish(std::size_t index, PointResult result)
+{
+    const ExperimentPoint &point = points_[index];
+    // A failed store write (full disk, injected ENOSPC) must not lose
+    // a finished result: keep it in memory, count the brownout, and
+    // go on.  A later resume re-runs the point.
+    if (store_ != nullptr) {
+        try {
+            store_->put(point, opts_, result);
+        } catch (const std::exception &err) {
+            write_failures_.fetch_add(1);
+            warn("sweep: store write for point {} failed ({}); "
+                 "keeping the in-memory result",
+                 point.point_id, err.what());
         }
     }
-    return executed.load();
+    report_.sources[index] = result.status == PointStatus::kOk
+                                 ? PointSource::kFresh
+                                 : PointSource::kQuarantine;
+    report_.results[index] = std::move(result);
+    if (progress_) {
+        progress_(point, report_.results[index]);
+    }
+}
+
+bool
+SweepControl::stopping() const
+{
+    return sweepstop::stopRequested();
+}
+
+bool
+SweepControl::abandon()
+{
+    if (!drain_deadline_) {
+        drain_deadline_ =
+            wallclock::deadlineAfter(opts_.drain_deadline_sec);
+    }
+    if (sweepstop::abortRequested()) {
+        return true;
+    }
+    if (opts_.drain_deadline_sec <= 0.0 ||
+        wallclock::secondsSince(*drain_deadline_) < 0.0) {
+        return false;
+    }
+    // Escalate: the run loops notice the abort at their next poll and
+    // unwind with a command-tail diagnostic instead of wedging the
+    // exit.
+    warn("sweep: drain deadline ({:.1f}s) expired, aborting in-flight "
+         "points",
+         opts_.drain_deadline_sec);
+    sweepstop::requestAbort();
+    return true;
 }
 
 std::vector<PointResult>
 Runner::run(const std::vector<ExperimentPoint> &points,
             const ProgressFn &progress) const
 {
-    std::vector<PointResult> results(points.size());
-    std::vector<std::size_t> order(points.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    runPool(points, order, results, nullptr, progress);
-    return results;
+    return sweep(points, nullptr, progress).results;
 }
 
-JournaledSweepResult
-Runner::runJournaled(const std::vector<ExperimentPoint> &points,
-                     const std::string &store_dir,
-                     const ProgressFn &progress) const
+SweepReport
+Runner::sweep(const std::vector<ExperimentPoint> &points,
+              ResultStore *store, const ProgressFn &progress,
+              SweepPool *pool) const
 {
-    JournaledSweepResult sweep;
-    sweep.results.resize(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        sweep.results[i].point_id = points[i].point_id;
-        sweep.results[i].status = PointStatus::kNotRun;
-    }
-    if (points.empty()) {
-        return sweep;
-    }
+    RunnerOptions opts = opts_;
+    opts.jobs = jobs();
+    SweepControl control(points, opts, store, progress);
 
-    // Serve finished points from the store; queue the rest.
-    ResultStore store(store_dir);
+    // Serve finished points from the store; the pool runs the rest.
     std::vector<std::size_t> pending;
+    pending.reserve(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
-        if (auto hit = store.lookup(points[i], opts_)) {
-            sweep.results[i] = std::move(*hit);
-            ++sweep.reused;
+        std::optional<PointResult> hit =
+            store != nullptr ? store->lookup(points[i], opts)
+                             : std::nullopt;
+        if (hit) {
+            control.report_.results[i] = std::move(*hit);
+            control.report_.sources[i] = PointSource::kCache;
+            ++control.report_.cache_hits;
         } else {
             pending.push_back(i);
         }
     }
 
-    std::atomic<bool> workers_done{false};
-
-    // Drain watchdog: once a graceful stop is requested, give
-    // in-flight points a bounded window, then escalate to a hard abort
-    // -- the run loops notice at their next poll and unwind with a
-    // command-tail diagnostic instead of wedging the exit.
-    std::thread drain_monitor;
-    if (opts_.drain_deadline_sec > 0.0) {
-        drain_monitor = std::thread([this, &workers_done] {
-            const auto tick = std::chrono::milliseconds(20);
-            while (!workers_done.load() && !sweepstop::stopRequested()) {
-                std::this_thread::sleep_for(tick);
-            }
-            const auto deadline =
-                wallclock::deadlineAfter(opts_.drain_deadline_sec);
-            while (!workers_done.load() &&
-                   wallclock::now() < deadline) {
-                std::this_thread::sleep_for(tick);
-            }
-            if (!workers_done.load()) {
-                warn("sweep: drain deadline ({:.1f}s) expired, "
-                     "aborting in-flight points",
-                     opts_.drain_deadline_sec);
-                sweepstop::requestAbort();
-            }
-        });
+    if (pool != nullptr) {
+        pool->execute(points, pending, control);
+    } else {
+        runThreads(points, pending, control);
     }
 
-    sweep.executed =
-        runPool(points, pending, sweep.results, &store, progress);
-
-    workers_done.store(true);
-    if (drain_monitor.joinable()) {
-        drain_monitor.join();
-    }
-
-    for (const PointResult &result : sweep.results) {
-        if (result.status == PointStatus::kNotRun) {
-            ++sweep.pending;
-        }
-    }
-    return sweep;
+    SweepReport report = std::move(control.report_);
+    report.storage_write_failures = control.write_failures_.load();
+    report.stopped = report.counts().pending > 0;
+    return report;
 }
 
 PointResult

@@ -3,16 +3,20 @@
  * Parallel experiment runner.
  *
  * Every figure/table of the paper sweeps many independent
- * (workload x config) points; the Runner executes them on a
- * std::thread pool while keeping each point bit-for-bit deterministic:
+ * (workload x config) points.  Runner::sweep is the one sweep driver:
+ * it serves finished points from an optional ResultStore, hands the
+ * rest to a pool (its own std::thread workers, or the forked worker
+ * processes of serve::Supervisor), stores each finished point, and
+ * owns graceful stop and the sweep report.  Each point stays
+ * bit-for-bit deterministic:
  *
  *  - Each ExperimentPoint carries its own counter-mode RNG stream
  *    (Rng::streamSeed over (master_seed, stream id), assigned at sweep
  *    expansion), so results do not depend on thread count or
  *    scheduling order.
- *  - Workers share one atomic cursor over the sweep: a free worker
- *    takes the next point in sweep order (greedy list scheduling), so
- *    a few slow points cannot serialize the tail of the sweep.
+ *  - Thread-pool workers share one atomic cursor over the sweep: a
+ *    free worker takes the next point in sweep order (greedy list
+ *    scheduling), so a few slow points cannot serialize the tail.
  *  - A crashing point (exception, panic(), fatal()) is quarantined:
  *    it reports PointStatus::kFailed with its seed for single-threaded
  *    replay instead of killing the sweep.  A point that hits its cycle
@@ -25,14 +29,17 @@
 #ifndef MOPAC_SIM_RUNNER_HH
 #define MOPAC_SIM_RUNNER_HH
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/stats.hh"
+#include "common/wallclock.hh"
 #include "sim/experiment.hh"
-#include "sim/sharding.hh"
+#include "sim/sweep.hh"
 
 namespace mopac
 {
@@ -40,7 +47,10 @@ namespace mopac
 /** Runner tuning knobs. */
 struct RunnerOptions
 {
-    /** Worker threads; 0 selects std::thread::hardware_concurrency. */
+    /**
+     * Pool size: worker threads, or worker processes under
+     * serve::Supervisor; 0 selects std::thread::hardware_concurrency.
+     */
     unsigned jobs = 0;
     /**
      * Cycle guard applied to points whose config leaves max_cycles at
@@ -59,10 +69,10 @@ struct RunnerOptions
      */
     unsigned fault_retries = 0;
     /**
-     * Journaled sweeps only: once a graceful stop has been requested,
-     * give in-flight points this many seconds to finish before
-     * escalating to a hard abort (which abandons them with the
-     * watchdog-style command-tail diagnostic).  0 = wait forever.
+     * Runner::sweep on either pool: once a graceful stop has been
+     * requested, give in-flight points this many seconds to finish
+     * before escalating to a hard abort, which abandons them as
+     * kNotRun.  0 = wait forever.
      */
     double drain_deadline_sec = 0.0;
 };
@@ -80,8 +90,8 @@ enum class PointStatus
      */
     kFaulted,
     /**
-     * The point was not executed: a journaled sweep was interrupted
-     * before reaching it (or its in-flight execution was aborted).
+     * The point was not executed: a stop cut the sweep short before
+     * reaching it (or its in-flight execution was abandoned).
      * Resuming the sweep runs it.
      */
     kNotRun,
@@ -132,6 +142,7 @@ ExperimentPoint guardedPoint(const ExperimentPoint &point,
                              const RunnerOptions &opts);
 
 class ResultStore;
+class SweepPool;
 
 /**
  * Outcome of one checkpoint-capable point execution
@@ -150,20 +161,52 @@ struct CheckpointedPointRun
     PointResult result;
 };
 
-/** Outcome of one journaled (resumable) sweep invocation. */
-struct JournaledSweepResult
+/** Where a sweep report's result for one point came from. */
+enum class PointSource : std::uint8_t
+{
+    kPending,    //!< Not finished (a stop cut it off, or still running).
+    kFresh,      //!< Executed by this sweep and finished OK.
+    kCache,      //!< Served from the result store.
+    kQuarantine, //!< Executed by this sweep and quarantined.
+};
+
+/** Printable name of a point source. */
+const char *toString(PointSource source);
+
+/** Aggregate progress counters of a sweep. */
+struct SweepCounts
+{
+    std::uint64_t total = 0;
+    std::uint64_t done = 0;        //!< OK results (fresh + cached).
+    std::uint64_t cached = 0;      //!< Subset of done served from the
+                                   //!< result store.
+    std::uint64_t quarantined = 0;
+    std::uint64_t pending = 0;     //!< Not finished.
+};
+
+/** Everything a sweep reports back (Runner::sweep). */
+struct SweepReport
 {
     /** Per-point results, indexed like the input point list. */
     std::vector<PointResult> results;
-    /** Points served finished from the result store (skipped). */
-    std::size_t reused = 0;
-    /** Points executed by this invocation. */
-    std::size_t executed = 0;
-    /** Points left kNotRun (stop / abort cut the sweep short). */
-    std::size_t pending = 0;
+    /** Where each result came from (kPending = left kNotRun). */
+    std::vector<PointSource> sources;
+    /** Points served from the result store. */
+    std::uint64_t cache_hits = 0;
+    /** Store writes that failed and were tolerated (the result
+     *  stays in memory and the sweep goes on -- brownout). */
+    std::uint64_t storage_write_failures = 0;
+    /** True when a stop left points kPending. */
+    bool stopped = false;
 
-    /** Every point finished OK-or-quarantined; nothing left to run. */
-    bool complete() const { return pending == 0; }
+    /** A report with every point of @p points kPending / kNotRun. */
+    static SweepReport allPending(
+        const std::vector<ExperimentPoint> &points);
+
+    /** Exit code per the shared map in sim/stop.hh. */
+    int exitCode() const { return sweepExitCode(results); }
+    /** Aggregate progress counters. */
+    SweepCounts counts() const;
 };
 
 /** Executes sweeps; see the file comment for the guarantees. */
@@ -177,30 +220,33 @@ class Runner
     explicit Runner(RunnerOptions opts = {});
 
     /**
-     * Execute every point and return results indexed like @p points.
-     * @p progress (optional) is invoked once per finished point; it
-     * must be thread-safe, as workers call it concurrently.
+     * Execute every point on the thread pool and return results
+     * indexed like @p points: sweep() without a store.  @p progress
+     * (optional) is invoked once per finished point; it must be
+     * thread-safe, as workers call it concurrently.
      */
     std::vector<PointResult> run(
         const std::vector<ExperimentPoint> &points,
         const ProgressFn &progress = nullptr) const;
 
     /**
-     * Execute the sweep against the ResultStore at @p store_dir:
-     * points whose result the store holds are served and skipped,
-     * each newly finished point is put atomically, and a
-     * graceful-stop request (sweepstop) pauses the sweep at the next
-     * point boundary -- in-flight points get drain_deadline_sec to
-     * finish before a hard abort abandons them.  Interrupt at any
-     * instant (including SIGKILL), re-invoke with the same directory,
-     * and the merged results are bit-identical to an uninterrupted
-     * run at any jobs count.  A store written by another sweep serves
-     * the cells the two sweeps share.
+     * The sweep driver.  Points whose result @p store (optional)
+     * holds are served from it; @p pool (default: this Runner's
+     * worker threads) executes the rest, and each finished point is
+     * put into the store -- a failed write is counted as a brownout
+     * and the result kept in memory.  A graceful stop (sweepstop)
+     * ends the sweep at the next point boundary; in-flight points get
+     * drain_deadline_sec to finish before a hard abort abandons them
+     * as kNotRun.  Interrupt at any instant (including SIGKILL),
+     * re-invoke with the same store, and the results are
+     * bit-identical to an uninterrupted run on either pool at any
+     * jobs count.  @p progress fires once per executed point (not
+     * for store hits), from whichever thread finished it.
      */
-    JournaledSweepResult runJournaled(
-        const std::vector<ExperimentPoint> &points,
-        const std::string &store_dir,
-        const ProgressFn &progress = nullptr) const;
+    SweepReport sweep(const std::vector<ExperimentPoint> &points,
+                      ResultStore *store,
+                      const ProgressFn &progress = nullptr,
+                      SweepPool *pool = nullptr) const;
 
     /**
      * Run one point on the calling thread with stats captured --
@@ -237,19 +283,79 @@ class Runner
     unsigned jobs() const;
 
   private:
-    /**
-     * The worker pool: execute points[i] for every i in @p order into
-     * results[i] and return how many finished.  With a @p store,
-     * each finished point is put, a graceful stop ends the sweep at
-     * the next point boundary, and an aborted point stays kNotRun.
-     */
-    std::size_t runPool(const std::vector<ExperimentPoint> &points,
-                        const std::vector<std::size_t> &order,
-                        std::vector<PointResult> &results,
-                        ResultStore *store,
-                        const ProgressFn &progress) const;
-
     RunnerOptions opts_;
+};
+
+/**
+ * The driver's side of one sweep, handed to the pool that executes
+ * its pending points.  Owns the result store writes, the report, the
+ * progress callback and the one drain deadline.
+ */
+class SweepControl
+{
+  public:
+    /** Knobs every point executes under (jobs resolved, >= 1). */
+    const RunnerOptions &options() const { return opts_; }
+
+    /** The report as filled so far. */
+    const SweepReport &report() const { return report_; }
+
+    /**
+     * Record finished point @p index (any terminal status): put it
+     * into the store -- a failed write is a brownout, counted and
+     * warned about, never fatal -- then report it and fire progress.
+     * Thread-safe for distinct indices.
+     */
+    void finish(std::size_t index, PointResult result);
+
+    /** Point boundary: has a graceful stop been requested? */
+    bool stopping() const;
+
+    /**
+     * Poll from the pool's coordinating thread once stopping(): true
+     * when the in-flight points are to be given up (they stay
+     * kNotRun) -- on an abort, or once drain_deadline_sec (0 = wait
+     * forever) has passed since the first poll, which escalates the
+     * stop to sweepstop::requestAbort().
+     */
+    bool abandon();
+
+  private:
+    friend class Runner;
+
+    SweepControl(const std::vector<ExperimentPoint> &points,
+                 const RunnerOptions &opts, ResultStore *store,
+                 const Runner::ProgressFn &progress);
+
+    const std::vector<ExperimentPoint> &points_;
+    const RunnerOptions opts_;
+    ResultStore *const store_;
+    const Runner::ProgressFn &progress_;
+    SweepReport report_;
+    std::atomic<std::uint64_t> write_failures_{0};
+    std::optional<wallclock::TimePoint> drain_deadline_;
+};
+
+/**
+ * Executes the pending points of a sweep on something other than the
+ * Runner's own worker threads: serve::Supervisor runs them on forked
+ * worker processes.
+ */
+class SweepPool
+{
+  public:
+    virtual ~SweepPool() = default;
+
+    /**
+     * Execute points[i] for every i in @p pending, reporting each
+     * finished point through control.finish().  Returns once every
+     * point finished or, after a stop, once the in-flight points
+     * drained or were abandoned (control.abandon()); points never
+     * finished stay kNotRun.
+     */
+    virtual void execute(const std::vector<ExperimentPoint> &points,
+                         const std::vector<std::size_t> &pending,
+                         SweepControl &control) = 0;
 };
 
 } // namespace mopac

@@ -25,7 +25,7 @@
 #include "analysis/moat_model.hh"
 #include "analysis/security.hh"
 #include "sim/runner.hh"
-#include "sim/sharding.hh"
+#include "sim/sweep.hh"
 #include "sim/system.hh"
 
 namespace mopac

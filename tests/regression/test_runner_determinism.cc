@@ -15,7 +15,7 @@
 
 #include "common/stats.hh"
 #include "sim/runner.hh"
-#include "sim/sharding.hh"
+#include "sim/sweep.hh"
 #include "sim/system.hh"
 
 namespace mopac

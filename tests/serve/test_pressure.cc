@@ -2,8 +2,9 @@
  * @file
  * Resource-pressure tests: the syscall fault shim (deterministic
  * ENOSPC / EMFILE / EINTR / short-write injection), budgeted
- * result-store eviction, brownout (storage failures tolerated, results served
- * from memory), checkpointed preemption with zero-rework resume, the
+ * result-store eviction, brownout (storage failures tolerated, results
+ * served from memory) and graceful stop / drain on both pools of the
+ * sweep driver, checkpointed preemption with zero-rework resume, the
  * client's kRetryAfter handling, and daemon admission control.
  *
  * Threaded fake servers never fork, and forking tests never run with
@@ -32,8 +33,8 @@
 #include "serve/supervisor.hh"
 #include "sim/experiment.hh"
 #include "sim/result_store.hh"
-#include "sim/sharding.hh"
 #include "sim/stop.hh"
+#include "sim/sweep.hh"
 
 namespace
 {
@@ -63,15 +64,61 @@ tinySweep(std::uint64_t insts = 3000)
 }
 
 SupervisorOptions
-fastOptions(unsigned workers)
+fastOptions()
 {
     SupervisorOptions opts;
-    opts.workers = workers;
     opts.heartbeat_sec = 0.1;
     opts.hang_timeout_sec = 20.0;
     opts.backoff_base_sec = 0.01;
     opts.backoff_cap_sec = 0.04;
     return opts;
+}
+
+/** Which pool executes a driver sweep. */
+enum class PoolKind
+{
+    kThreads,
+    kProcesses,
+};
+
+const char *
+toString(PoolKind kind)
+{
+    return kind == PoolKind::kThreads ? "threads" : "processes";
+}
+
+/** gtest value printer, so test names show the pool by name. */
+void
+PrintTo(PoolKind kind, std::ostream *os)
+{
+    *os << toString(kind);
+}
+
+std::string
+poolName(const ::testing::TestParamInfo<PoolKind> &info)
+{
+    return toString(info.param);
+}
+
+/**
+ * Run @p points through the sweep driver with @p workers on @p kind:
+ * the Runner's threads, or a Supervisor built from @p sup_opts.
+ */
+SweepReport
+sweepOn(PoolKind kind, unsigned workers,
+        const std::vector<ExperimentPoint> &points, ResultStore *store,
+        const Runner::ProgressFn &progress = nullptr,
+        double drain_deadline_sec = 0.0,
+        const SupervisorOptions &sup_opts = fastOptions())
+{
+    RunnerOptions opts;
+    opts.jobs = workers;
+    opts.drain_deadline_sec = drain_deadline_sec;
+    if (kind == PoolKind::kThreads) {
+        return Runner(opts).sweep(points, store, progress);
+    }
+    Supervisor sup(sup_opts);
+    return Runner(opts).sweep(points, store, progress, &sup);
 }
 
 /** Deterministic bytes of a result (wall clock zeroed). */
@@ -300,10 +347,19 @@ TEST(CachePressure, EvictionOrderIsAPureFunctionOfStoreHistory)
 }
 
 // ------------------------------------------------------------------
-// Supervised sweeps under storage pressure (brownout)
+// Driver sweeps under storage pressure (brownout), on both pools
 // ------------------------------------------------------------------
 
-TEST(SupervisorPressure, EnospcBrownoutKeepsServingResults)
+class SweepPressure : public ::testing::TestWithParam<PoolKind>
+{
+};
+
+INSTANTIATE_TEST_SUITE_P(BothPools, SweepPressure,
+                         ::testing::Values(PoolKind::kThreads,
+                                           PoolKind::kProcesses),
+                         poolName);
+
+TEST_P(SweepPressure, EnospcBrownoutKeepsServingResults)
 {
     sweepstop::reset();
     const std::vector<ExperimentPoint> points = tinySweep();
@@ -323,9 +379,7 @@ TEST(SupervisorPressure, EnospcBrownoutKeepsServingResults)
     config.enospc_rate = 1.0;
     ShimGuard shim(config);
 
-    Supervisor sup(fastOptions(2));
-    sup.setStore(&store);
-    const SupervisorReport report = sup.run(points);
+    const SweepReport report = sweepOn(GetParam(), 2, points, &store);
 
     EXPECT_EQ(report.exitCode(), 0);
     // One failed store write per point, and nothing on disk.
@@ -367,15 +421,23 @@ struct PreemptFixture
         checkpoint_every = std::max<std::uint64_t>(1, min_cycles / 4);
     }
 
-    SupervisorOptions options(unsigned workers,
-                              const std::string &ckpt_dir) const
+    SupervisorOptions options(const std::string &ckpt_dir) const
     {
-        SupervisorOptions opts = fastOptions(workers);
-        opts.job.checkpoint_every = checkpoint_every;
+        SupervisorOptions opts = fastOptions();
+        opts.checkpoint_every = checkpoint_every;
         opts.checkpoint_dir = ckpt_dir;
         return opts;
     }
 };
+
+/** Run @p points through the driver on @p sup with two workers. */
+SweepReport
+supervised(Supervisor &sup, const std::vector<ExperimentPoint> &points)
+{
+    RunnerOptions opts;
+    opts.jobs = 2;
+    return Runner(opts).sweep(points, nullptr, nullptr, &sup);
+}
 
 TEST(SupervisorPreempt, PreemptedPointResumesWithZeroRework)
 {
@@ -383,27 +445,28 @@ TEST(SupervisorPreempt, PreemptedPointResumesWithZeroRework)
     const std::uint64_t victim = fix.points[1].point_id;
     const std::string ckpt_dir = freshDir("preempt_ckpt");
 
-    Supervisor sup(fix.options(2, ckpt_dir));
+    Supervisor sup(fix.options(ckpt_dir));
     sup.setFailSchedule({{{victim, 1}, FailAction::kPreemptPoint}});
-    const SupervisorReport report = sup.run(fix.points);
+    const SweepReport report = supervised(sup, fix.points);
+    const SupervisorStats &pool = sup.stats();
 
     EXPECT_EQ(report.exitCode(), 0);
-    EXPECT_EQ(report.points_preempted, 1u);
-    EXPECT_EQ(report.workers_crashed, 0u) << "preempt is not a crash";
+    EXPECT_EQ(pool.points_preempted, 1u);
+    EXPECT_EQ(pool.workers_crashed, 0u) << "preempt is not a crash";
 
     // The yield is requeued with no strike and no backoff delay.
-    const auto &trace = report.retries.at(victim);
+    const auto &trace = pool.retries.at(victim);
     ASSERT_EQ(trace.size(), 1u);
     EXPECT_EQ(trace[0].reason, "preempt");
     EXPECT_DOUBLE_EQ(trace[0].delay_sec, 0.0);
 
     // The retry resumed from the checkpoint, not from cycle 0.
-    EXPECT_GT(report.resumed_from.at(victim), 0u);
+    EXPECT_GT(pool.resumed_from.at(victim), 0u);
 
     // Zero rework: cycles executed across every attempt (durable
     // checkpoint work + resumed completion) equals the clean serial
     // total exactly.
-    EXPECT_EQ(report.cycles_executed, fix.total_cycles);
+    EXPECT_EQ(pool.cycles_executed, fix.total_cycles);
 
     // Preemption is invisible in the results: bit-identical to the
     // uninterrupted serial run, and the checkpoint file is gone.
@@ -421,15 +484,16 @@ TEST(SupervisorPreempt, KillAtCheckpointLosesNoWork)
     const std::uint64_t victim = fix.points[2].point_id;
     const std::string ckpt_dir = freshDir("killckpt");
 
-    Supervisor sup(fix.options(2, ckpt_dir));
+    Supervisor sup(fix.options(ckpt_dir));
     sup.setFailSchedule({{{victim, 1}, FailAction::kKillAtCheckpoint}});
-    const SupervisorReport report = sup.run(fix.points);
+    const SweepReport report = supervised(sup, fix.points);
+    const SupervisorStats &pool = sup.stats();
 
     EXPECT_EQ(report.exitCode(), 0);
-    EXPECT_EQ(report.workers_crashed, 1u);
+    EXPECT_EQ(pool.workers_crashed, 1u);
 
     // A kill is a strike and retries through crash backoff...
-    const auto &trace = report.retries.at(victim);
+    const auto &trace = pool.retries.at(victim);
     ASSERT_EQ(trace.size(), 1u);
     EXPECT_EQ(trace[0].reason, "crash");
 
@@ -437,8 +501,8 @@ TEST(SupervisorPreempt, KillAtCheckpointLosesNoWork)
     // kill landed exactly at the checkpointed cycle: the retry
     // resumes there and the executed-cycle ledger balances exactly
     // (no work ran twice, none was lost).
-    EXPECT_GT(report.resumed_from.at(victim), 0u);
-    EXPECT_EQ(report.cycles_executed, fix.total_cycles);
+    EXPECT_GT(pool.resumed_from.at(victim), 0u);
+    EXPECT_EQ(pool.cycles_executed, fix.total_cycles);
 
     for (std::size_t i = 0; i < fix.points.size(); ++i) {
         EXPECT_EQ(canonicalBytes(report.results[i]),
@@ -456,13 +520,13 @@ TEST(SupervisorPreempt, MidIntervalKillReworkIsBoundedByOneInterval)
     const std::uint64_t victim = fix.points[0].point_id;
     const std::string ckpt_dir = freshDir("midkill");
 
-    Supervisor sup(fix.options(2, ckpt_dir));
+    Supervisor sup(fix.options(ckpt_dir));
     sup.setFailSchedule({{{victim, 1}, FailAction::kKillWorker}});
-    const SupervisorReport report = sup.run(fix.points);
+    const SweepReport report = supervised(sup, fix.points);
 
     EXPECT_EQ(report.exitCode(), 0);
-    EXPECT_GE(report.cycles_executed, fix.total_cycles);
-    EXPECT_LE(report.cycles_executed,
+    EXPECT_GE(sup.stats().cycles_executed, fix.total_cycles);
+    EXPECT_LE(sup.stats().cycles_executed,
               fix.total_cycles + fix.checkpoint_every);
     for (std::size_t i = 0; i < fix.points.size(); ++i) {
         EXPECT_EQ(canonicalBytes(report.results[i]),
@@ -470,24 +534,40 @@ TEST(SupervisorPreempt, MidIntervalKillReworkIsBoundedByOneInterval)
     }
 }
 
-TEST(SupervisorPreempt, GracefulStopThenResumeMatchesCleanRun)
+// ------------------------------------------------------------------
+// Graceful stop and the drain deadline, on both pools
+// ------------------------------------------------------------------
+
+class SweepStop : public ::testing::TestWithParam<PoolKind>
+{
+};
+
+INSTANTIATE_TEST_SUITE_P(BothPools, SweepStop,
+                         ::testing::Values(PoolKind::kThreads,
+                                           PoolKind::kProcesses),
+                         poolName);
+
+TEST_P(SweepStop, GracefulStopThenResumeMatchesCleanRun)
 {
     const PreemptFixture fix;
     const std::string ckpt_dir = freshDir("stop_ckpt");
     const std::string store_dir = freshDir("stop_store");
 
     // Run 1: one worker, stop as soon as the first point resolves.
-    ResultStore store_a(store_dir);
-    Supervisor first(fix.options(1, ckpt_dir));
-    first.setStore(&store_a);
-    std::size_t resolved = 0;
-    const SupervisorReport partial = first.run(
-        fix.points,
-        [&resolved](const ExperimentPoint &, const PointResult &) {
-            if (++resolved == 1) {
-                sweepstop::requestStop();
-            }
-        });
+    // Unstarted points stay pending.
+    SweepReport partial;
+    {
+        ResultStore store(store_dir);
+        std::size_t resolved = 0;
+        partial = sweepOn(
+            GetParam(), 1, fix.points, &store,
+            [&resolved](const ExperimentPoint &, const PointResult &) {
+                if (++resolved == 1) {
+                    sweepstop::requestStop();
+                }
+            },
+            0.0, fix.options(ckpt_dir));
+    }
     EXPECT_TRUE(partial.stopped);
     EXPECT_EQ(partial.exitCode(), sweepstop::kResumableExit);
     std::size_t pending = 0;
@@ -496,21 +576,68 @@ TEST(SupervisorPreempt, GracefulStopThenResumeMatchesCleanRun)
     }
     EXPECT_GE(pending, 2u);
 
-    // Run 2: same store + checkpoint dir.  Finished points are
-    // served, a point that was checkpointed when the stop drained it
-    // resumes mid-stream (the kAssign carries the surviving .ckpt),
-    // and the merged manifest is bit-identical to the clean run.
+    // Run 2: same store (+ checkpoint dir on the process pool).
+    // Finished points are served, a point that was checkpointed when
+    // the stop drained it resumes mid-stream (the kAssign carries the
+    // surviving .ckpt), and the merged results are bit-identical to
+    // the clean run.
     sweepstop::reset();
-    ResultStore store_b(store_dir);
-    Supervisor second(fix.options(1, ckpt_dir));
-    second.setStore(&store_b);
-    const SupervisorReport full = second.run(fix.points);
+    ResultStore store(store_dir);
+    const SweepReport full = sweepOn(GetParam(), 1, fix.points, &store,
+                                     nullptr, 0.0,
+                                     fix.options(ckpt_dir));
 
     EXPECT_EQ(full.exitCode(), 0);
     EXPECT_GE(full.cache_hits, 1u);
     for (std::size_t i = 0; i < fix.points.size(); ++i) {
         EXPECT_EQ(canonicalBytes(full.results[i]),
                   canonicalBytes(fix.clean[i]));
+    }
+}
+
+TEST_P(SweepStop, ExpiredDrainDeadlineLeavesInFlightPointsNotRun)
+{
+    sweepstop::reset();
+    // Point 0 runs far longer than point 1.  Both pools start points
+    // in sweep order, so point 0 is in flight when point 1's finish
+    // requests the stop; the drain deadline then expires on it.
+    std::vector<ExperimentPoint> points = tinySweep();
+    points.resize(2);
+    points[0].cfg.insts_per_core *= 100;
+    points[0].cfg.warmup_insts *= 100;
+    RunnerOptions serial;
+    serial.jobs = 1;
+    const std::vector<PointResult> clean = Runner(serial).run(points);
+
+    const std::string store_dir = freshDir("drain_store");
+    SweepReport cut;
+    {
+        ResultStore store(store_dir);
+        cut = sweepOn(
+            GetParam(), 2, points, &store,
+            [](const ExperimentPoint &, const PointResult &) {
+                sweepstop::requestStop();
+            },
+            0.05);
+    }
+    EXPECT_TRUE(cut.stopped);
+    EXPECT_TRUE(sweepstop::abortRequested())
+        << "an expired drain deadline escalates to an abort";
+    EXPECT_EQ(cut.sources[0], PointSource::kPending);
+    EXPECT_EQ(cut.results[0].status, PointStatus::kNotRun);
+    EXPECT_EQ(cut.sources[1], PointSource::kFresh);
+    EXPECT_EQ(cut.exitCode(), sweepstop::kResumableExit);
+
+    // The abandoned point never reached the store: a resume runs it,
+    // serves the other, and matches the clean run.
+    sweepstop::reset();
+    ResultStore store(store_dir);
+    const SweepReport resumed = sweepOn(GetParam(), 2, points, &store);
+    EXPECT_FALSE(resumed.stopped);
+    EXPECT_EQ(resumed.cache_hits, 1u);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(canonicalBytes(resumed.results[i]),
+                  canonicalBytes(clean[i]));
     }
 }
 
@@ -583,7 +710,7 @@ TEST(ClientPressure, PersistentSheddingFailsAtTheBudget)
         // A daemon that never stops shedding is as unreachable as a
         // dead one: the shed budget shares the reconnect budget.
         try {
-            (void)client.submit(tinySweep(), JobOptions{});
+            (void)client.submit(tinySweep());
             FAIL() << "submit should have exhausted the shed budget";
         } catch (const ClientError &err) {
             EXPECT_NE(std::string(err.what()).find("shedding"),
@@ -643,15 +770,16 @@ TEST(DaemonPressure, QueueDepthShedsNewJobsButReattachesKnownOnes)
     opts.socket_path = socket;
     opts.state_dir = dir + "/state";
     opts.queue_depth = 1;
-    opts.supervision = fastOptions(1);
+    opts.sweep.jobs = 1;
+    opts.supervision = fastOptions();
     // Hold job A in flight for as long as the test needs, whatever the
-    // host speed: every attempt is SIGSTOPped as it starts, and with
-    // the hang watchdog off nothing reschedules it.  At shutdown the
-    // short drain deadline expires and the stopped worker is killed,
-    // leaving job A pending.
+    // host speed: every attempt is SIGSTOPped as it starts (its later
+    // messages are dropped), and with the hang watchdog off nothing
+    // reschedules it.  At shutdown the short drain deadline expires
+    // and the stopped worker is killed, leaving job A pending.
     opts.supervision.chaos_stop_rate = 1.0;
     opts.supervision.hang_timeout_sec = 0.0;
-    opts.supervision.drain_deadline_sec = 0.2;
+    opts.sweep.drain_deadline_sec = 0.2;
 
     const pid_t pid = ::fork();
     ASSERT_GE(pid, 0);
@@ -685,10 +813,10 @@ TEST(DaemonPressure, QueueDepthShedsNewJobsButReattachesKnownOnes)
     EXPECT_EQ(info->queue_depth, 1u);
     EXPECT_FALSE(info->brownout);
 
-    const JobStatus ack_a = client.submit(job_a, JobOptions{});
+    const JobStatus ack_a = client.submit(job_a);
     EXPECT_NE(ack_a.job_id, 0u);
     // Re-attaching to the SAME job is always admitted...
-    const JobStatus again = client.submit(job_a, JobOptions{});
+    const JobStatus again = client.submit(job_a);
     EXPECT_EQ(again.job_id, ack_a.job_id);
 
     // ...but a NEW job past the depth is shed until the budget runs
@@ -697,7 +825,7 @@ TEST(DaemonPressure, QueueDepthShedsNewJobsButReattachesKnownOnes)
     bounded.reconnect_budget_sec = 0.5;
     Client impatient(bounded);
     try {
-        (void)impatient.submit(job_b, JobOptions{});
+        (void)impatient.submit(job_b);
         FAIL() << "new job should have been shed at queue_depth=1";
     } catch (const ClientError &err) {
         EXPECT_NE(std::string(err.what()).find("shedding"),

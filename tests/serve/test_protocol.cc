@@ -12,7 +12,7 @@
 #include "serve/io.hh"
 #include "serve/protocol.hh"
 #include "sim/experiment.hh"
-#include "sim/sharding.hh"
+#include "sim/sweep.hh"
 
 namespace
 {
@@ -96,6 +96,7 @@ TEST(ServeProtocol, AssignmentAndEventsRoundTrip)
     assign.attempt = 4;
     assign.opts.fault_retries = 2;
     assign.opts.point_max_cycles = 1 << 20;
+    assign.checkpoint_every = 12345;
     assign.point = samplePoint(9);
     Serializer ser;
     saveAssignment(ser, assign);
@@ -108,6 +109,7 @@ TEST(ServeProtocol, AssignmentAndEventsRoundTrip)
     EXPECT_EQ(back.opts.fault_retries, assign.opts.fault_retries);
     EXPECT_EQ(back.opts.point_max_cycles,
               assign.opts.point_max_cycles);
+    EXPECT_EQ(back.checkpoint_every, assign.checkpoint_every);
     EXPECT_EQ(back.point.point_id, assign.point.point_id);
 
     PointEvent event{77, 3};

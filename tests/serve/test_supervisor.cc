@@ -1,11 +1,11 @@
 /**
  * @file
- * Supervisor tests: retry/backoff determinism (same seed + same
- * injected worker-failure schedule => identical retry traces and
- * bit-identical final manifests at ANY worker count), quarantine
- * after max_strikes, the hang watchdog (SIGSTOPped worker), and
- * store-served reruns, including one handed off from a journaled
- * Runner sweep.
+ * Supervisor tests: the process pool under the sweep driver.  Retry/
+ * backoff determinism (same seed + same injected worker-failure
+ * schedule => identical retry traces and bit-identical final
+ * manifests at ANY worker count), quarantine after max_strikes, the
+ * hang watchdog (SIGSTOPped worker), and store-served reruns,
+ * including one handed off from a thread-pool sweep.
  *
  * Every test scripts failures through setFailSchedule() rather than
  * chaos rates, so each asserted retry is guaranteed, not
@@ -24,8 +24,8 @@
 #include "serve/supervisor.hh"
 #include "sim/experiment.hh"
 #include "sim/result_store.hh"
-#include "sim/sharding.hh"
 #include "sim/stop.hh"
+#include "sim/sweep.hh"
 
 namespace
 {
@@ -51,15 +51,25 @@ tinySweep()
 }
 
 SupervisorOptions
-fastOptions(unsigned workers)
+fastOptions()
 {
     SupervisorOptions opts;
-    opts.workers = workers;
     opts.heartbeat_sec = 0.1;
     opts.hang_timeout_sec = 20.0;
     opts.backoff_base_sec = 0.01;
     opts.backoff_cap_sec = 0.04;
     return opts;
+}
+
+/** Run @p points through the driver on @p sup with @p workers. */
+SweepReport
+supervised(Supervisor &sup, unsigned workers,
+           const std::vector<ExperimentPoint> &points,
+           ResultStore *store = nullptr)
+{
+    RunnerOptions opts;
+    opts.jobs = workers;
+    return Runner(opts).sweep(points, store, nullptr, &sup);
 }
 
 /** Deterministic bytes of a result (wall clock zeroed). */
@@ -74,8 +84,8 @@ canonicalBytes(const PointResult &result)
 }
 
 void
-expectSameRetryTraces(const SupervisorReport &a,
-                      const SupervisorReport &b)
+expectSameRetryTraces(const SupervisorStats &a,
+                      const SupervisorStats &b)
 {
     ASSERT_EQ(a.retries.size(), b.retries.size());
     for (const auto &[point_id, trace] : a.retries) {
@@ -94,8 +104,10 @@ expectSameRetryTraces(const SupervisorReport &a,
 
 TEST(SupervisorBackoff, DelayIsAPureFunctionOfSeedPointAndAttempt)
 {
-    const Supervisor a(fastOptions(1));
-    const Supervisor b(fastOptions(4)); // worker count is irrelevant
+    const Supervisor a(fastOptions());
+    SupervisorOptions other = fastOptions();
+    other.max_strikes = 7; // Only the backoff knobs matter.
+    const Supervisor b(other);
     for (std::uint64_t point : {0ull, 7ull}) {
         for (std::uint32_t attempt : {1u, 2u, 5u}) {
             const double d = a.backoffDelay(point, attempt);
@@ -108,7 +120,7 @@ TEST(SupervisorBackoff, DelayIsAPureFunctionOfSeedPointAndAttempt)
         }
     }
 
-    SupervisorOptions reseeded = fastOptions(1);
+    SupervisorOptions reseeded = fastOptions();
     reseeded.backoff_seed ^= 0x5eed;
     const Supervisor c(reseeded);
     bool any_differs = false;
@@ -130,26 +142,28 @@ TEST(SupervisorRetry, ScheduleAndManifestAreWorkerCountInvariant)
             {{points[2].point_id, 2}, FailAction::kKillWorker},
         };
 
-    std::vector<SupervisorReport> reports;
+    std::vector<SweepReport> reports;
+    std::vector<SupervisorStats> stats;
     for (unsigned workers : {1u, 2u, 4u}) {
-        Supervisor sup(fastOptions(workers));
+        Supervisor sup(fastOptions());
         sup.setFailSchedule(schedule);
-        reports.push_back(sup.run(points));
+        reports.push_back(supervised(sup, workers, points));
+        stats.push_back(sup.stats());
     }
 
-    for (const SupervisorReport &report : reports) {
-        EXPECT_EQ(report.exitCode(), 0);
-        EXPECT_EQ(report.workers_crashed, 3u);
-        ASSERT_EQ(report.results.size(), points.size());
+    for (std::size_t r = 0; r < reports.size(); ++r) {
+        EXPECT_EQ(reports[r].exitCode(), 0);
+        EXPECT_EQ(stats[r].workers_crashed, 3u);
+        ASSERT_EQ(reports[r].results.size(), points.size());
         // The scripted failures and only they appear in the trace.
-        ASSERT_EQ(report.retries.size(), 2u);
-        EXPECT_EQ(report.retries.at(points[0].point_id).size(), 1u);
-        EXPECT_EQ(report.retries.at(points[2].point_id).size(), 2u);
-        EXPECT_EQ(report.retries.at(points[2].point_id)[1].reason,
+        ASSERT_EQ(stats[r].retries.size(), 2u);
+        EXPECT_EQ(stats[r].retries.at(points[0].point_id).size(), 1u);
+        EXPECT_EQ(stats[r].retries.at(points[2].point_id).size(), 2u);
+        EXPECT_EQ(stats[r].retries.at(points[2].point_id)[1].reason,
                   "crash");
     }
-    expectSameRetryTraces(reports[0], reports[1]);
-    expectSameRetryTraces(reports[0], reports[2]);
+    expectSameRetryTraces(stats[0], stats[1]);
+    expectSameRetryTraces(stats[0], stats[2]);
 
     // The manifests are bit-identical to each other AND to a clean
     // serial in-process run: retries rerun with the same simulation
@@ -168,20 +182,20 @@ TEST(SupervisorRetry, ScheduleAndManifestAreWorkerCountInvariant)
 TEST(SupervisorRetry, MaxStrikesQuarantinesThePoint)
 {
     const std::vector<ExperimentPoint> points = tinySweep();
-    SupervisorOptions opts = fastOptions(2);
+    SupervisorOptions opts = fastOptions();
     opts.max_strikes = 2;
     Supervisor sup(opts);
     sup.setFailSchedule({
         {{points[1].point_id, 1}, FailAction::kKillWorker},
         {{points[1].point_id, 2}, FailAction::kKillWorker},
     });
-    const SupervisorReport report = sup.run(points);
+    const SweepReport report = supervised(sup, 2, points);
 
     EXPECT_EQ(report.sources[1], PointSource::kQuarantine);
     EXPECT_EQ(report.results[1].status, PointStatus::kFailed);
     EXPECT_EQ(report.results[1].attempts, 2u);
     EXPECT_EQ(report.exitCode(), sweepstop::kQuarantinedExit);
-    EXPECT_EQ(report.phase(), JobPhase::kDegraded);
+    EXPECT_EQ(phaseOf(report.counts()), JobPhase::kDegraded);
     // The other points are untouched by the neighbour's quarantine.
     for (std::size_t i : {0u, 2u, 3u}) {
         EXPECT_EQ(report.results[i].status, PointStatus::kOk);
@@ -191,28 +205,20 @@ TEST(SupervisorRetry, MaxStrikesQuarantinesThePoint)
 TEST(SupervisorRetry, HangWatchdogKillsAndReschedulesAStoppedWorker)
 {
     const std::vector<ExperimentPoint> points = tinySweep();
-    SupervisorOptions opts = fastOptions(2);
-    // Calibrate the hang deadline to this host: sanitizers slow a
-    // point by an order of magnitude, and a fixed deadline would
-    // hang-kill legitimate workers there.  A probe run prices one
-    // point; 10x that (plus fork/startup slack) keeps real points
-    // comfortably inside the deadline while the SIGSTOPped worker
-    // still trips it.
-    RunnerOptions probe_opts;
-    probe_opts.jobs = 1;
-    const std::vector<PointResult> probe =
-        Runner(probe_opts).run({points[0]});
-    opts.hang_timeout_sec =
-        std::clamp(10.0 * probe[0].wall_seconds + 1.0, 1.5, 30.0);
+    SupervisorOptions opts = fastOptions();
+    // A SIGSTOPped worker's messages are dropped, so the hang-kill is
+    // certain however fast the point is; the deadline only has to
+    // stay clear of a legitimate point, sanitizers included.
+    opts.hang_timeout_sec = 3.0;
     Supervisor sup(opts);
     sup.setFailSchedule({
         {{points[3].point_id, 1}, FailAction::kStopWorker},
     });
-    const SupervisorReport report = sup.run(points);
+    const SweepReport report = supervised(sup, 2, points);
 
     EXPECT_EQ(report.exitCode(), 0);
-    EXPECT_GE(report.workers_hung_killed, 1u);
-    const auto &trace = report.retries.at(points[3].point_id);
+    EXPECT_GE(sup.stats().workers_hung_killed, 1u);
+    const auto &trace = sup.stats().retries.at(points[3].point_id);
     ASSERT_EQ(trace.size(), 1u);
     EXPECT_EQ(trace[0].reason, "hang");
     EXPECT_EQ(report.results[3].status, PointStatus::kOk);
@@ -227,17 +233,16 @@ TEST(SupervisorCache, SecondRunIsServedEntirelyFromCache)
     std::filesystem::remove_all(dir, ec);
     ResultStore store(dir);
 
-    Supervisor first(fastOptions(2));
-    first.setStore(&store);
-    const SupervisorReport a = first.run(points);
+    Supervisor first(fastOptions());
+    const SweepReport a = supervised(first, 2, points, &store);
     EXPECT_EQ(a.cache_hits, 0u);
     EXPECT_EQ(a.exitCode(), 0);
 
-    Supervisor second(fastOptions(2));
-    second.setStore(&store);
-    const SupervisorReport b = second.run(points);
+    Supervisor second(fastOptions());
+    const SweepReport b = supervised(second, 2, points, &store);
     EXPECT_EQ(b.cache_hits, points.size());
-    EXPECT_EQ(b.workers_forked, 0u) << "cache hits must not fork";
+    EXPECT_EQ(second.stats().workers_forked, 0u)
+        << "cache hits must not fork";
     for (std::size_t i = 0; i < points.size(); ++i) {
         EXPECT_EQ(b.sources[i], PointSource::kCache);
         EXPECT_EQ(canonicalBytes(a.results[i]),
@@ -247,9 +252,9 @@ TEST(SupervisorCache, SecondRunIsServedEntirelyFromCache)
 
 TEST(SupervisorCache, JournaledRunnerSweepHandsOffWithoutForking)
 {
-    // One store, two executors: a sweep journaled through the
-    // in-process Runner is served whole to a Supervisor run on the
-    // same directory -- no worker is ever forked.
+    // One store, two pools: a sweep journaled on the thread pool is
+    // served whole to a process-pool run on the same directory -- no
+    // worker is ever forked.
     sweepstop::reset();
     const std::vector<ExperimentPoint> points = tinySweep();
     const std::string dir =
@@ -259,15 +264,17 @@ TEST(SupervisorCache, JournaledRunnerSweepHandsOffWithoutForking)
 
     RunnerOptions ropts;
     ropts.jobs = 2;
-    const JournaledSweepResult journaled =
-        Runner(ropts).runJournaled(points, dir);
-    ASSERT_TRUE(journaled.complete());
+    SweepReport journaled;
+    {
+        ResultStore store(dir);
+        journaled = Runner(ropts).sweep(points, &store);
+    }
+    ASSERT_FALSE(journaled.stopped);
 
     ResultStore store(dir);
-    Supervisor sup(fastOptions(2));
-    sup.setStore(&store);
-    const SupervisorReport report = sup.run(points);
-    EXPECT_EQ(report.workers_forked, 0u);
+    Supervisor sup(fastOptions());
+    const SweepReport report = supervised(sup, 2, points, &store);
+    EXPECT_EQ(sup.stats().workers_forked, 0u);
     EXPECT_EQ(report.cache_hits, points.size());
     EXPECT_EQ(report.exitCode(), 0);
     for (std::size_t i = 0; i < points.size(); ++i) {

@@ -128,6 +128,26 @@ expectSameStats(const StatSnapshot &a, const StatSnapshot &b)
     EXPECT_EQ(sa.str(), sb.str());
 }
 
+/** A journaled sweep: the driver over the result store at @p dir. */
+SweepReport
+journaled(const RunnerOptions &opts,
+          const std::vector<ExperimentPoint> &points,
+          const std::string &dir,
+          const Runner::ProgressFn &progress = nullptr)
+{
+    ResultStore store(dir);
+    return Runner(opts).sweep(points, &store, progress);
+}
+
+/** Points a sweep executed: neither served from the store nor left
+ *  pending. */
+std::uint64_t
+executed(const SweepReport &report)
+{
+    const SweepCounts counts = report.counts();
+    return counts.total - counts.cached - counts.pending;
+}
+
 // ------------------------------------------------------------------
 // Journaled Runner sweeps
 // ------------------------------------------------------------------
@@ -173,18 +193,16 @@ TEST(Journal, CompletesAndThenResumesWithNothingToDo)
 
     RunnerOptions opts;
     opts.jobs = 2;
-    const JournaledSweepResult first =
-        Runner(opts).runJournaled(points, dir);
-    EXPECT_TRUE(first.complete());
-    EXPECT_EQ(first.executed, points.size());
-    EXPECT_EQ(first.reused, 0u);
+    const SweepReport first = journaled(opts, points, dir);
+    EXPECT_FALSE(first.stopped);
+    EXPECT_EQ(executed(first), points.size());
+    EXPECT_EQ(first.cache_hits, 0u);
 
     // Re-invoking is pure store replay: nothing executes.
-    const JournaledSweepResult second =
-        Runner(opts).runJournaled(points, dir);
-    EXPECT_TRUE(second.complete());
-    EXPECT_EQ(second.executed, 0u);
-    EXPECT_EQ(second.reused, points.size());
+    const SweepReport second = journaled(opts, points, dir);
+    EXPECT_FALSE(second.stopped);
+    EXPECT_EQ(executed(second), 0u);
+    EXPECT_EQ(second.cache_hits, points.size());
 }
 
 TEST(Journal, InterruptedSweepResumesToIdenticalMergedStats)
@@ -203,27 +221,26 @@ TEST(Journal, InterruptedSweepResumesToIdenticalMergedStats)
     RunnerOptions opts;
     opts.jobs = 2;
     std::atomic<unsigned> finished{0};
-    const JournaledSweepResult partial = Runner(opts).runJournaled(
-        points, dir, [&finished](const ExperimentPoint &,
-                                 const PointResult &) {
+    const SweepReport partial = journaled(
+        opts, points, dir, [&finished](const ExperimentPoint &,
+                                       const PointResult &) {
             if (finished.fetch_add(1) + 1 >= 3) {
                 sweepstop::requestStop();
             }
         });
-    EXPECT_FALSE(partial.complete());
-    EXPECT_GT(partial.pending, 0u);
-    EXPECT_LT(partial.executed, points.size());
+    EXPECT_TRUE(partial.stopped);
+    EXPECT_GT(partial.counts().pending, 0u);
+    EXPECT_LT(executed(partial), points.size());
 
     // Resume at a DIFFERENT jobs count; merged stats must still be
     // bit-identical to the uninterrupted single-threaded reference.
     sweepstop::reset();
     RunnerOptions resume_opts;
     resume_opts.jobs = 3;
-    const JournaledSweepResult full =
-        Runner(resume_opts).runJournaled(points, dir);
-    EXPECT_TRUE(full.complete());
-    EXPECT_EQ(full.reused + full.executed, points.size());
-    EXPECT_GT(full.reused, 0u);
+    const SweepReport full = journaled(resume_opts, points, dir);
+    EXPECT_FALSE(full.stopped);
+    EXPECT_EQ(full.cache_hits + executed(full), points.size());
+    EXPECT_GT(full.cache_hits, 0u);
     expectSameStats(reference, Runner::mergeStats(full.results));
 
     // Per-point results are also identical to a plain run.
@@ -244,7 +261,7 @@ TEST(Journal, ServesOnlyTheCellsADifferentSweepShares)
     const std::string dir = freshDir("mismatch");
     RunnerOptions opts;
     opts.jobs = 1;
-    (void)Runner(opts).runJournaled(sweep_a, dir);
+    (void)journaled(opts, sweep_a, dir);
 
     // Sweep B: the same grid with two cells changed (a new threshold,
     // a new workload) and the point ids shifted.  Resuming B from A's
@@ -256,11 +273,10 @@ TEST(Journal, ServesOnlyTheCellsADifferentSweepShares)
     for (ExperimentPoint &point : sweep_b) {
         point.point_id += 100;
     }
-    const JournaledSweepResult resumed =
-        Runner(opts).runJournaled(sweep_b, dir);
-    EXPECT_TRUE(resumed.complete());
-    EXPECT_EQ(resumed.executed, 2u);
-    EXPECT_EQ(resumed.reused, sweep_b.size() - 2);
+    const SweepReport resumed = journaled(opts, sweep_b, dir);
+    EXPECT_FALSE(resumed.stopped);
+    EXPECT_EQ(executed(resumed), 2u);
+    EXPECT_EQ(resumed.cache_hits, sweep_b.size() - 2);
     for (std::size_t i = 0; i < sweep_b.size(); ++i) {
         EXPECT_EQ(resumed.results[i].point_id, sweep_b[i].point_id);
     }
@@ -281,22 +297,19 @@ TEST(Journal, ResumeUnderATighterCycleGuardReRunsThePoint)
     const std::string dir = freshDir("guard");
     RunnerOptions opts;
     opts.jobs = 1;
-    const JournaledSweepResult first =
-        Runner(opts).runJournaled(points, dir);
+    const SweepReport first = journaled(opts, points, dir);
     ASSERT_EQ(first.results[0].status, PointStatus::kOk);
 
     RunnerOptions guarded = opts;
     guarded.point_max_cycles = 500;
-    const JournaledSweepResult second =
-        Runner(guarded).runJournaled(points, dir);
-    EXPECT_EQ(second.reused, 0u);
-    EXPECT_EQ(second.executed, 1u);
+    const SweepReport second = journaled(guarded, points, dir);
+    EXPECT_EQ(second.cache_hits, 0u);
+    EXPECT_EQ(executed(second), 1u);
     EXPECT_EQ(second.results[0].status, PointStatus::kTimedOut);
 
     // The unguarded result is still there for unguarded resumes.
-    const JournaledSweepResult third =
-        Runner(opts).runJournaled(points, dir);
-    EXPECT_EQ(third.reused, 1u);
+    const SweepReport third = journaled(opts, points, dir);
+    EXPECT_EQ(third.cache_hits, 1u);
     EXPECT_EQ(third.results[0].status, PointStatus::kOk);
 }
 
@@ -307,9 +320,8 @@ TEST(Journal, HealsACorruptPointRecordByReRunningIt)
     const std::string dir = freshDir("corrupt");
     RunnerOptions opts;
     opts.jobs = 1;
-    const JournaledSweepResult first =
-        Runner(opts).runJournaled(points, dir);
-    EXPECT_TRUE(first.complete());
+    const SweepReport first = journaled(opts, points, dir);
+    EXPECT_FALSE(first.stopped);
 
     // Flip one payload bit in a finished record: the store heals
     // (renames the file *.corrupt, re-runs that one point) rather
@@ -319,11 +331,10 @@ TEST(Journal, HealsACorruptPointRecordByReRunningIt)
     image[image.size() / 2] ^= 0x10;
     atomicWriteFile(victim, image);
 
-    const JournaledSweepResult healed =
-        Runner(opts).runJournaled(points, dir);
-    EXPECT_TRUE(healed.complete());
-    EXPECT_EQ(healed.executed, 1u);
-    EXPECT_EQ(healed.reused, points.size() - 1);
+    const SweepReport healed = journaled(opts, points, dir);
+    EXPECT_FALSE(healed.stopped);
+    EXPECT_EQ(executed(healed), 1u);
+    EXPECT_EQ(healed.cache_hits, points.size() - 1);
     EXPECT_TRUE(fileExists(victim + ".corrupt"));
 
     // The healed sweep is bit-identical to the uninterrupted one.
@@ -341,9 +352,8 @@ TEST(Journal, HealsATornTailRecordAtEveryTruncationOffset)
     const std::string dir = freshDir("torn");
     RunnerOptions opts;
     opts.jobs = 1;
-    const JournaledSweepResult first =
-        Runner(opts).runJournaled(points, dir);
-    ASSERT_TRUE(first.complete());
+    const SweepReport first = journaled(opts, points, dir);
+    ASSERT_FALSE(first.stopped);
 
     const std::string victim = entryFile(dir, points[0], opts);
     const std::vector<std::uint8_t> pristine = readFileBytes(victim);
@@ -364,10 +374,9 @@ TEST(Journal, HealsATornTailRecordAtEveryTruncationOffset)
 
     // After the last heal, a resume re-runs the point and converges
     // on the same results as the clean first pass.
-    const JournaledSweepResult again =
-        Runner(opts).runJournaled(points, dir);
-    EXPECT_TRUE(again.complete());
-    EXPECT_EQ(again.executed, 1u);
+    const SweepReport again = journaled(opts, points, dir);
+    EXPECT_FALSE(again.stopped);
+    EXPECT_EQ(executed(again), 1u);
     expectSameStats(Runner::mergeStats(first.results),
                     Runner::mergeStats(again.results));
 }
@@ -379,9 +388,8 @@ TEST(Journal, RecordBudgetEvictsOldestRecordsFirst)
     const std::string dir = freshDir("budget");
     RunnerOptions opts;
     opts.jobs = 1;
-    const JournaledSweepResult first =
-        Runner(opts).runJournaled(points, dir);
-    ASSERT_TRUE(first.complete());
+    const SweepReport first = journaled(opts, points, dir);
+    ASSERT_FALSE(first.stopped);
 
     std::uint64_t evicted = 0;
     {
@@ -399,11 +407,10 @@ TEST(Journal, RecordBudgetEvictsOldestRecordsFirst)
     }
 
     // Evicted points simply re-run on resume; results stay identical.
-    const JournaledSweepResult second =
-        Runner(opts).runJournaled(points, dir);
-    EXPECT_TRUE(second.complete());
-    EXPECT_EQ(second.executed, evicted);
-    EXPECT_EQ(second.reused, points.size() - evicted);
+    const SweepReport second = journaled(opts, points, dir);
+    EXPECT_FALSE(second.stopped);
+    EXPECT_EQ(executed(second), evicted);
+    EXPECT_EQ(second.cache_hits, points.size() - evicted);
     expectSameStats(Runner::mergeStats(first.results),
                     Runner::mergeStats(second.results));
 }
@@ -417,19 +424,17 @@ TEST(Journal, QuarantinedPointsReRunOnResume)
     const std::string dir = freshDir("quarantine");
     RunnerOptions opts;
     opts.jobs = 1;
-    const JournaledSweepResult first =
-        Runner(opts).runJournaled(points, dir);
-    EXPECT_TRUE(first.complete());
+    const SweepReport first = journaled(opts, points, dir);
+    EXPECT_FALSE(first.stopped);
     EXPECT_EQ(first.results[2].status, PointStatus::kFailed);
     EXPECT_TRUE(fileExists(entryFile(dir, points[2], opts, true)));
     EXPECT_FALSE(fileExists(entryFile(dir, points[2], opts)));
 
     // On resume the failed point re-runs (it may be fixed by now);
     // the finished ones do not.
-    const JournaledSweepResult second =
-        Runner(opts).runJournaled(points, dir);
-    EXPECT_EQ(second.reused, points.size() - 1);
-    EXPECT_EQ(second.executed, 1u);
+    const SweepReport second = journaled(opts, points, dir);
+    EXPECT_EQ(second.cache_hits, points.size() - 1);
+    EXPECT_EQ(executed(second), 1u);
 }
 
 // ------------------------------------------------------------------
@@ -601,10 +606,9 @@ TEST(ResultStore, ConcurrentPutsFromAFourJobSweepKeepExactAccounting)
     const std::string dir = freshDir("concurrent");
     RunnerOptions opts;
     opts.jobs = 4;
-    const JournaledSweepResult first =
-        Runner(opts).runJournaled(points, dir);
-    ASSERT_TRUE(first.complete());
-    EXPECT_EQ(first.executed, points.size());
+    const SweepReport first = journaled(opts, points, dir);
+    ASSERT_FALSE(first.stopped);
+    EXPECT_EQ(executed(first), points.size());
 
     // Every concurrent put landed whole: a reopened store accounts
     // exactly the bytes on disk and serves every point.
@@ -617,9 +621,8 @@ TEST(ResultStore, ConcurrentPutsFromAFourJobSweepKeepExactAccounting)
     EXPECT_EQ(store.healed(), 0u);
     EXPECT_EQ(store.totalBytes(), on_disk);
 
-    const JournaledSweepResult second =
-        Runner(opts).runJournaled(points, dir);
-    EXPECT_EQ(second.executed, 0u);
+    const SweepReport second = journaled(opts, points, dir);
+    EXPECT_EQ(executed(second), 0u);
     expectSameStats(Runner::mergeStats(first.results),
                     Runner::mergeStats(second.results));
 }

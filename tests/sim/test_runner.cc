@@ -19,8 +19,8 @@
 #include "sim/faults.hh"
 #include "sim/result_store.hh"
 #include "sim/runner.hh"
-#include "sim/sharding.hh"
 #include "sim/stop.hh"
+#include "sim/sweep.hh"
 #include "sim/system.hh"
 
 namespace mopac

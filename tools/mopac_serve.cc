@@ -43,7 +43,7 @@ usage(int code)
         "  --socket PATH        Unix-domain socket to listen on\n"
         "  --state DIR          state directory (jobs, result "
         "store, lock)\n"
-        "  --workers N          worker processes (default 2)\n"
+        "  --workers N          worker processes (default 2; 0 = nproc)\n"
         "  --max-strikes N      quarantine a point after N worker "
         "deaths (default 3)\n"
         "  --hang-timeout SEC   per-point deadline before a busy "
@@ -91,7 +91,7 @@ int
 main(int argc, char **argv)
 {
     DaemonOptions opts;
-    opts.supervision.workers = 2;
+    opts.sweep.jobs = 2;
     IoFaultConfig faults;
 
     for (int i = 1; i < argc; ++i) {
@@ -107,7 +107,7 @@ main(int argc, char **argv)
         } else if (arg == "--state") {
             opts.state_dir = value("--state");
         } else if (arg == "--workers") {
-            opts.supervision.workers = static_cast<unsigned>(
+            opts.sweep.jobs = static_cast<unsigned>(
                 parseNonNegative("--workers", value("--workers")));
         } else if (arg == "--max-strikes") {
             opts.supervision.max_strikes =
@@ -129,7 +129,7 @@ main(int argc, char **argv)
             opts.supervision.chaos_seed = std::strtoull(
                 value("--chaos-seed").c_str(), nullptr, 0);
         } else if (arg == "--checkpoint-every") {
-            opts.supervision.job.checkpoint_every =
+            opts.supervision.checkpoint_every =
                 static_cast<std::uint64_t>(parseNonNegative(
                     "--checkpoint-every", value("--checkpoint-every")));
         } else if (arg == "--queue-depth") {

@@ -28,7 +28,7 @@
 #include "common/table.hh"
 #include "serve/client.hh"
 #include "sim/experiment.hh"
-#include "sim/sharding.hh"
+#include "sim/sweep.hh"
 
 namespace
 {
@@ -227,10 +227,9 @@ main(int argc, char **argv)
             spec.workloads = workloads;
             const std::vector<ExperimentPoint> points = spec.expand();
             const Manifest manifest = client.runSweep(
-                points, JobOptions{}, [](const JobStatus &status) {
+                points, [](const JobStatus &status) {
                     inform("  ... {} done / {} pending",
-                           status.counts.done,
-                           status.counts.pending);
+                           status.counts.done, status.counts.pending);
                 });
             return printManifest(manifest);
         }
