@@ -2,20 +2,22 @@
  * @file
  * Core implementation.
  *
- * Hot-loop structure (ISSUE 9): tick() is called for every core on
- * every executed cycle, so the per-cycle work is gated hard --
- * MSHR releases only walk the MSHR index (never the ROB) when a
- * pending completion is due,
- * issue() starts at the first-unissued hint and stops at the first
- * point where nothing further can issue, and the ROB itself is a
- * fixed ring (no deque chunk chasing, no allocation).  Every gate is
- * exactly equivalent to the naive full scan; the engine-differential
- * and checkpoint suites verify bit-identical results.
+ * Hot-loop structure: the Cpu ticks a core only on cycles where it
+ * can do something, and a core that made progress fast-forwards
+ * through the retire/fetch-only cycles after it (fastForward()).  The
+ * per-tick work is gated hard -- MSHR releases only walk the MSHR
+ * index (never the ROB) when a pending completion is due, issue()
+ * starts at the first-unissued hint and stops at the first point
+ * where nothing further can issue, and the ROB itself is a fixed ring
+ * (no deque chunk chasing, no allocation).  Every gate is exactly
+ * equivalent to the naive full scan; the per-cycle core reference and
+ * the checkpoint suites verify bit-identical results.
  */
 
 #include "core.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/log.hh"
 #include "common/serialize.hh"
@@ -155,11 +157,12 @@ Core::releaseMshrs(Cycle now)
 
 // mopac: hot-path
 Cycle
-Core::idleUntil(Cycle now) const
+Core::nextSelfEventAt(Cycle now) const
 {
-    // A walk that attempted a trySend (issue_idle_ false with work
-    // pending) must repeat every cycle: queue space can free at any
-    // time, and refused reads burn req ids on exact cycles.
+    // A walk that had a trySend refused or ran out of width
+    // (issue_idle_ false with work pending) must repeat every cycle:
+    // queue space can free at any time, and refused reads burn req
+    // ids on exact cycles.
     if (unissued_ops_ != 0 && !issue_idle_) {
         return now + 1;
     }
@@ -182,29 +185,143 @@ Core::idleUntil(Cycle now) const
 }
 
 // mopac: hot-path
-Cycle
-Core::nextSelfEventAt(Cycle now) const
+std::uint64_t
+Core::retireBlock(Cycle now, std::uint64_t reach) const
 {
-    if (mshr_releases_ == 0) {
-        return kNeverCycle;
-    }
-    if (next_release_at_ > now) {
-        // Lower bound on the earliest pending completion: waking at
-        // or before the true event is safe (an early tick is a
-        // certified no-op), so a conservative bound never desyncs the
-        // engines.
-        return next_release_at_;
-    }
-    // Every op whose completion is still ahead holds its MSHR (a
-    // release needs now >= done_at), so the index covers them all.
-    Cycle next = kNeverCycle;
-    for (std::uint32_t i = 0; i < mshr_count_; ++i) {
-        const MemOp &op = ops_[mshr_slots_[i]];
-        if (op.done && op.done_at > now) {
-            next = std::min(next, op.done_at);
+    // Below reach, the first op retirement cannot pass at now: an
+    // unissued write, or a read whose data has not arrived.
+    for (std::uint32_t j = 0; j < ops_count_; ++j) {
+        const MemOp &op = opAt(j);
+        if (op.inst_idx >= reach) {
+            break;
+        }
+        const bool retirable =
+            op.is_write ? op.issued : (op.done && op.done_at <= now);
+        if (!retirable) {
+            return op.inst_idx;
         }
     }
-    return next;
+    return std::numeric_limits<std::uint64_t>::max();
+}
+
+// mopac: hot-path
+Cycle
+Core::fastForward(Cycle now, Cycle last, std::uint64_t retire_cap)
+{
+    // A window covers only cycles whose tick() would not walk issue()
+    // or whose walk would attempt nothing.  An MSHR release re-arms
+    // the walk, so it ends the window if a read waits for the MSHR;
+    // otherwise it stays inside the core.
+    if (unissued_ops_ != 0) {
+        if (!issue_idle_) {
+            return now + 1;
+        }
+        last = std::min(last, issue_wake_at_ - 1);
+        if (mshr_waiter_ && mshr_releases_ != 0) {
+            last = std::min(last, next_release_at_ - 1);
+        }
+    }
+    if (last <= now) {
+        return now + 1;
+    }
+
+    // Between MSHR releases the retirability of every ROB op is
+    // fixed: no write issues and no new data arrives inside the
+    // window, so retirement runs freely up to the first op that
+    // cannot retire.  Ops past what the window could retire at full
+    // width do not matter.
+    const std::uint64_t width = params_.width;
+    std::uint64_t block =
+        retireBlock(now, retire_inst_ + (last - now) * width);
+
+    // A cycle that turns out to need a real tick may already have had
+    // its MSHR release or record pull done here.  That is safe: t <=
+    // last, so the Cpu ticks the core at t before anything reads it,
+    // and tick(t) then finds the release done or the record pending
+    // and finishes cycle t exactly as it would have.
+    Cycle t = now + 1;
+    Cycle wake = 0; // set when the window ends asleep
+    std::uint64_t cycles = 1;
+    for (; t <= last; t += cycles) {
+        // The tick at t, phase by phase: release the MSHRs whose data
+        // has arrived ...
+        const bool released = releaseMshrs(t);
+        if (released) {
+            block = retireBlock(t, retire_inst_ + (last - t + 1) * width);
+            if (unissued_ops_ != 0) {
+                // The walk the release re-arms would find every
+                // waiting read dependency-blocked until
+                // issue_wake_at_ > t: it stays idle.
+                issue_idle_ = true;
+            }
+        }
+        // ... retire up to width instructions, never past fetch or
+        // the blocking op ...
+        const std::uint64_t retired =
+            std::min({retire_inst_ + width, fetch_inst_, block});
+        if (retired >= retire_cap) {
+            break; // the run loop observes this count at t
+        }
+        // ... then fetch into the freed ROB space, up to the next
+        // record's memory op.
+        const std::uint64_t space =
+            retired + params_.rob_entries - fetch_inst_;
+        if (space > 0 && !record_pending_) {
+            record_ = trace_->next();
+            gap_left_ = record_.inst_gap;
+            record_pending_ = true;
+        }
+        const std::uint64_t fetched =
+            std::min<std::uint64_t>({width, space, gap_left_});
+        if (fetched < width && fetched < space) {
+            break; // fetch dispatches the memory op: issue() walks at t
+        }
+        if (!released && retired == retire_inst_ && fetched == 0) {
+            // tick(t) would return false, and so would every tick
+            // before the core's next self event: sleep through them
+            // inside the window if it comes soon enough.
+            wake = std::max(t + 1, nextSelfEventAt(t));
+            if (wake > last) {
+                break;
+            }
+            cycles = wake - t;
+            wake = 0;
+            continue;
+        }
+        // Full-width retire and fetch repeat unchanged until the
+        // blocking op, the record boundary, the retire cap, the next
+        // release or the window's end: take all those cycles at once.
+        cycles = 1;
+        std::uint64_t retire_end = retired;
+        std::uint64_t fetch_n = fetched;
+        if (retired - retire_inst_ == width && fetched == width) {
+            cycles = std::min({(block - retire_inst_) / width,
+                               gap_left_ / width,
+                               (retire_cap - 1 - retire_inst_) / width,
+                               last - t + 1});
+            if (mshr_releases_ != 0) {
+                cycles = std::min<std::uint64_t>(cycles,
+                                                 next_release_at_ - t);
+            }
+            retire_end = retire_inst_ + cycles * width;
+            fetch_n = cycles * width;
+        }
+        while (ops_count_ > 0 && opAt(0).inst_idx < retire_end) {
+            // Retirable reads have released their MSHR already.
+            MOPAC_ASSERT(!opAt(0).mshr_held);
+            popFront();
+        }
+        retire_inst_ = retire_end;
+        fetch_inst_ += fetch_n;
+        gap_left_ -= static_cast<std::uint32_t>(fetch_n);
+    }
+    window_end_ = t - 1;
+    SimProfile &prof = simProfile();
+    prof.core_ff_cycles += t - 1 - now;
+    prof.core_ff_windows += t - 1 > now ? 1 : 0;
+    // An idle core has simulated through t - 1, and tick(t) would be
+    // a no-op, so it sleeps on the bound that no-op would report.
+    return wake != 0 ? wake : t;
 }
 
 // mopac: hot-path
@@ -316,14 +433,8 @@ Core::issue(Cycle now)
         // id, so only unissued writes matter: walk those and nothing
         // else.  Dependency trackers gate reads only, so they are
         // not needed here.
-        if (unissued_writes_ == 0) {
-            // Nothing can issue until a release/completion/fetch,
-            // all of which clear issue_idle_.
-            issue_idle_ = true;
-            issue_wake_at_ = kNeverCycle;
-            return false;
-        }
         bool accepted = false;
+        bool refused = false;
         std::uint32_t remaining_w = unissued_writes_;
         for (std::uint32_t j = first_unissued_;
              j < ops_count_ && budget > 0 && remaining_w > 0; ++j) {
@@ -344,11 +455,14 @@ Core::issue(Cycle now)
                 --unissued_writes_;
                 --budget;
                 accepted = true;
+            } else {
+                refused = true;
             }
         }
-        // A write attempt always happened here (unissued_writes_ was
-        // nonzero), so the walk must repeat next cycle.
-        issue_idle_ = false;
+        // Once every write is in, the reads left wait for an MSHR.
+        issue_idle_ = !refused && unissued_writes_ == 0;
+        issue_wake_at_ = kNeverCycle;
+        mshr_waiter_ = unissued_ops_ != 0;
         return accepted;
     }
 
@@ -366,7 +480,8 @@ Core::issue(Cycle now)
     }
     std::uint32_t remaining = unissued_ops_;
     std::uint32_t remaining_w = unissued_writes_;
-    bool attempted = false;
+    bool refused = false;
+    bool waiter = false;
     bool changed = false;
     Cycle wake = kNeverCycle;
     for (std::uint32_t j = first_unissued_; j < ops_count_; ++j) {
@@ -377,7 +492,6 @@ Core::issue(Cycle now)
         if (!op.issued) {
             if (op.is_write) {
                 --remaining_w;
-                attempted = true;
                 Request req;
                 req.line_addr = op.line_addr;
                 req.is_write = true;
@@ -389,9 +503,10 @@ Core::issue(Cycle now)
                     --unissued_writes_;
                     --budget;
                     changed = true;
+                } else {
+                    refused = true;
                 }
             } else if (dep_ok && outstanding_reads_ < params_.mshrs) {
-                attempted = true;
                 changed = true; // the id draw below, even if refused
                 Request req;
                 req.line_addr = op.line_addr;
@@ -408,11 +523,15 @@ Core::issue(Cycle now)
                     ++issued_reads_;
                     --unissued_ops_;
                     --budget;
+                } else {
+                    refused = true;
                 }
             } else if (!dep_ok) {
                 // Blocked on the predecessor: if it has completed,
                 // time alone unblocks this read at its done_at.
                 wake = std::min(wake, prev_done_at);
+            } else {
+                waiter = true; // only the MSHR limit holds it back
             }
             --remaining;
         }
@@ -431,14 +550,19 @@ Core::issue(Cycle now)
             break;
         }
     }
-    if (!attempted) {
-        // Zero-attempt walks always reach remaining == 0, so every
-        // unissued op's blocking condition is captured in wake.
-        issue_idle_ = true;
-        issue_wake_at_ = wake;
-    } else {
-        issue_idle_ = false;
-    }
+    // A walk that saw every unissued op and had no send refused
+    // leaves only dependency- or MSHR-blocked reads behind: walking
+    // again changes nothing until a fetch, an MSHR release or wake
+    // (the blocking done_at of a completed predecessor).  A refusal
+    // or a budget cut-off makes the next cycle walk again.
+    const bool complete =
+        remaining == 0 ||
+        (outstanding_reads_ >= params_.mshrs && remaining_w == 0);
+    issue_idle_ = !refused && complete;
+    issue_wake_at_ = wake;
+    // Reads past an MSHR-limit cut-off were not examined: assume one
+    // of them waits for an MSHR.
+    mshr_waiter_ = waiter || remaining != 0;
     return changed;
 }
 
@@ -456,8 +580,21 @@ Core::onReadComplete(std::uint64_t req_id, Cycle done_cycle)
             MOPAC_ASSERT(op.mshr_held);
             ++mshr_releases_;
             next_release_at_ = std::min(next_release_at_, done_cycle);
-            // A completion can unblock a dependent read.
-            issue_idle_ = false;
+            // A completion can unblock only the op right after it (the
+            // dependence check looks one op back), and not before its
+            // data arrives: until then every check still sees the read
+            // pending.  So an idle issue walk stays idle, and needs to
+            // rerun at done_cycle only if that op is an unissued
+            // dependent read.
+            const std::uint32_t pos =
+                (mshr_slots_[i] - ops_head_) & ops_mask_;
+            if (pos + 1 < ops_count_) {
+                const MemOp &next = opAt(pos + 1);
+                if (!next.issued && !next.is_write &&
+                    next.depends_on_prev) {
+                    issue_wake_at_ = std::min(issue_wake_at_, done_cycle);
+                }
+            }
             return;
         }
     }
@@ -558,6 +695,8 @@ Core::loadState(Deserializer &des)
     next_release_at_ = kNeverCycle;
     issue_idle_ = false;
     issue_wake_at_ = kNeverCycle;
+    mshr_waiter_ = false;
+    window_end_ = 0;
     for (std::uint32_t i = 0; i < n; ++i) {
         MemOp op;
         op.inst_idx = des.getU64();

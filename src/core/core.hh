@@ -15,13 +15,15 @@
  * Writes retire through a posted write buffer: they only block if the
  * memory controller's write queue refuses them.
  *
- * Busy-path layout (ISSUE 9): the ROB is a fixed-capacity power-of-two
- * ring buffer (no per-op allocation, contiguous scans), issue() starts
- * at a first-unissued hint and stops as soon as no further op can
- * issue, the MSHR-release walk is gated behind the earliest pending
+ * Busy-path layout: the ROB is a fixed-capacity power-of-two ring
+ * buffer (no per-op allocation, contiguous scans), issue() starts at a
+ * first-unissued hint and stops as soon as no further op can issue,
+ * the MSHR-release walk is gated behind the earliest pending
  * completion, and completion lookups walk an index of the <= mshrs
- * MSHR holders -- all exactly equivalent to the naive full scans
- * (the engine-differential suite holds the proof to account).
+ * MSHR holders -- all exactly equivalent to the naive full scans.
+ * Cycles that only release MSHRs, retire and fetch are simulated in
+ * bulk by fastForward(); tests/sim/test_core_reference.cc holds all of
+ * it to a core ticked on every cycle.
  */
 
 #ifndef MOPAC_CORE_CORE_HH
@@ -81,24 +83,25 @@ class Core
      * @return true when any architectural state changed this cycle
      *         (fetch, retire, issue, MSHR release, even a req-id draw
      *         for a refused read).  A false return certifies the tick
-     *         was a no-op, so the event engine may skip this core
-     *         until nextSelfEventAt() or an external wakeup.
+     *         was a no-op, so the Cpu may skip this core until
+     *         nextSelfEventAt() or an external wakeup.
      */
     bool tick(Cycle now);
 
     /**
-     * Per-core skip contract: callable right after tick(@p now)
-     * returned false, this is the earliest cycle at which a tick can
-     * stop being a no-op without an external wakeup.  The Cpu skips
-     * tick() calls strictly before this cycle -- in both engines --
-     * because every channel that could change the outcome earlier is
-     * accounted for:
+     * Next-event contract: callable right after tick(@p now) returned
+     * false, this is the earliest cycle at which a tick can stop being
+     * a no-op without an external wakeup.  The Cpu skips tick() calls
+     * strictly before this cycle -- in both engines -- because every
+     * channel that could change the outcome earlier is accounted for:
      *
      *  - a completion callback (onReadComplete) is external; the Cpu
-     *    clears the core's wake when it dispatches one;
+     *    lowers the core's wake to the completion's data cycle, before
+     *    which nothing the completion changes can act;
      *  - queue space freeing matters only to a core whose last issue
-     *    walk attempted a trySend, and such a walk leaves issue_idle_
-     *    false, which forces a wake at now + 1 here;
+     *    walk had a trySend refused (or ran out of width), and such a
+     *    walk leaves issue_idle_ false, which forces a wake at now + 1
+     *    here;
      *  - time alone acts through a pending completion's done_at
      *    (releaseMshrs / a retire-blocked head) or through
      *    issue_wake_at_ (a dependency-blocked read whose predecessor
@@ -106,21 +109,35 @@ class Core
      *
      * A no-op tick implies fetch is ROB-blocked and retire is head-
      * blocked, so both resume only via the channels above.  The
-     * engine-differential suite pins the certification down.
-     */
-    Cycle idleUntil(Cycle now) const;
-
-    /**
-     * Next-event contract: the earliest cycle after @p now at which
-     * this core can change state *on its own* -- the nearest pending
-     * completion (done_at) of an already-answered read.  External
-     * wakeups (a completion callback, queue space freeing) arrive only
-     * during controller-active cycles, which the controller's own
-     * next-event reports; the run loop re-ticks every core at every
-     * simulated cycle, so those are covered.  kNeverCycle when the
-     * core has no pending completion.
+     * per-cycle reference in tests/sim/test_core_reference.cc pins
+     * the certification down.
      */
     Cycle nextSelfEventAt(Cycle now) const;
+
+    /**
+     * Fast-forward window: callable right after tick(@p now) returned
+     * true, simulate the following cycles whose ticks would only
+     * release MSHRs, retire, fetch or sleep, and return the first
+     * cycle that needs a real tick() -- one whose issue() walk could
+     * send (a freshly fetched memory op, issue_wake_at_, or an MSHR
+     * release while a read waits for the MSHR) or that would push
+     * retirement to @p retire_cap -- or, if the core's next self event
+     * lies past @p last, that event's cycle.  Returns now + 1 when no
+     * cycle qualifies.  Retire and fetch advance in bulk between
+     * events (the next memory op at the ROB head, the next
+     * trace-record boundary, the next MSHR release), not one
+     * instruction at a time.
+     *
+     * @param last Last cycle the window may simulate: the caller caps
+     *        it below the earliest completion data cycle and every
+     *        cycle at which the run loop reads core state.
+     * @param retire_cap Retired-instruction count the window stays
+     *        strictly below (the next threshold the run loop watches).
+     */
+    Cycle fastForward(Cycle now, Cycle last, std::uint64_t retire_cap);
+
+    /** Last cycle a fast-forward window simulated (0 before any). */
+    Cycle windowEnd() const { return window_end_; }
 
     /** A read issued by this core completed (data at @p done_cycle). */
     void onReadComplete(std::uint64_t req_id, Cycle done_cycle);
@@ -189,6 +206,12 @@ class Core
     bool fetch(Cycle now);
     bool issue(Cycle now);
     bool releaseMshrs(Cycle now);
+    /**
+     * Retire bound for fastForward(): the inst_idx of the first op
+     * below @p reach that cannot retire at @p now, or the maximum
+     * index when there is none.
+     */
+    std::uint64_t retireBlock(Cycle now, std::uint64_t reach) const;
     /** Release the MSHR of the op at mshr_slots_[@p i]. */
     void dropMshr(std::uint32_t i);
 
@@ -241,22 +264,32 @@ class Core
     std::uint32_t mshr_releases_ = 0;    // mopac-lint: allow(serial-drift)
     Cycle next_release_at_ = kNeverCycle; // mopac-lint: allow(serial-drift)
 
-    // issue() memoization: true when the last walk made no trySend
-    // attempt and drew no req id -- then the walk stays a no-op (and
-    // may be skipped exactly) until new work arrives (pushOp), a
-    // completion lands (onReadComplete), an MSHR frees, or the clock
-    // reaches issue_wake_at_ (the earliest done_at gating a
+    // issue() memoization: true when the last walk examined every
+    // unissued op and had no trySend refused -- then every op it left
+    // unissued is a dependency- or MSHR-blocked read, and the walk
+    // stays a no-op (and may be skipped exactly) until new work
+    // arrives (pushOp), an MSHR frees, or the clock reaches
+    // issue_wake_at_ (the earliest done_at gating a
     // dependency-blocked read whose predecessor already completed).
-    // A refused trySend clears it, because queue space can free on
-    // any cycle and refused reads burn req ids that bit-identity
-    // requires on exact cycles.
+    // A completion never clears it: it lowers issue_wake_at_ to its
+    // data cycle when the op after its read is an unissued dependent
+    // read, the only op whose check it changes, and before that cycle
+    // the read still counts as pending.  A refused trySend clears it,
+    // because queue space can free on any cycle and refused reads
+    // burn req ids that bit-identity requires on exact cycles; so
+    // does a walk cut short by the issue width.
     bool issue_idle_ = false;          // mopac-lint: allow(serial-drift)
     Cycle issue_wake_at_ = kNeverCycle; // mopac-lint: allow(serial-drift)
+    // Set by an idle walk that left a read held back only by the MSHR
+    // limit (or left reads unexamined): an MSHR release would let the
+    // next walk send it.  Clear means every read left waits on its
+    // predecessor's data, so a release changes nothing for issue().
+    bool mshr_waiter_ = false;          // mopac-lint: allow(serial-drift)
 
     // MSHR index: the ops_ positions of the ops holding an MSHR, in
     // no particular order (mshr_count_ entries, at most params_.mshrs).
-    // onReadComplete(), releaseMshrs() and nextSelfEventAt() walk it
-    // instead of the whole ROB; loadState() rebuilds it.
+    // onReadComplete() and releaseMshrs() walk it instead of the
+    // whole ROB; loadState() rebuilds it.
     std::vector<std::uint32_t> mshr_slots_; // mopac-lint: allow(serial-drift)
     std::uint32_t mshr_count_ = 0;          // mopac-lint: allow(serial-drift)
 
@@ -275,6 +308,10 @@ class Core
     std::uint64_t finish_insts_ = 0;
     Cycle measure_start_cycle_ = 0;
     std::uint64_t measure_start_insts_ = 0;
+
+    // Last cycle fastForward() simulated: the Cpu checks completions
+    // against it.  Scratch; loadState() resets it.
+    Cycle window_end_ = 0; // mopac-lint: allow(serial-drift)
 };
 
 } // namespace mopac

@@ -21,6 +21,8 @@ SimProfile::add(const SimProfile &o)
     core_issue_scans += o.core_issue_scans;
     core_issue_steps += o.core_issue_steps;
     core_release_scans += o.core_release_scans;
+    core_ff_windows += o.core_ff_windows;
+    core_ff_cycles += o.core_ff_cycles;
     mc_ticks += o.mc_ticks;
     mc_sched_passes += o.mc_sched_passes;
     mc_cas_candidates += o.mc_cas_candidates;
@@ -67,6 +69,11 @@ profileReport(const SimProfile &p, double wall_seconds)
                   per(p.core_issue_steps, p.core_issue_scans));
     out += format("  MSHR release scans      {:>14}\n",
                   p.core_release_scans);
+    out += format("  fast-forward windows    {:>14}  ({:.1f} cycles each)\n",
+                  p.core_ff_windows,
+                  per(p.core_ff_cycles, p.core_ff_windows));
+    out += format("  fast-forwarded cycles   {:>14}  ({:.2f}/tick)\n",
+                  p.core_ff_cycles, per(p.core_ff_cycles, p.core_ticks));
     out += "memory controller\n";
     out += format("  awake ticks             {:>14}\n", p.mc_ticks);
     out += format("  scheduler passes        {:>14}\n", p.mc_sched_passes);

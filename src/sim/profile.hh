@@ -2,11 +2,12 @@
  * @file
  * Lightweight always-on cycle-attribution profiler.
  *
- * Busy-point throughput work (ISSUE 9) must be measured, not
- * asserted: every hot loop increments a per-component counter here so
- * `sim_throughput --profile` can print where simulated cycles go
- * (core issue scans, controller scheduler passes, event-engine
- * maintenance, skipped cycles).  The counters are:
+ * Throughput work must be measured, not asserted: every hot loop
+ * increments a per-component counter here so `sim_throughput
+ * --profile` and `profileReport()` can show where simulated cycles go
+ * (core ticks and fast-forward windows, issue scans, controller
+ * scheduler passes, event-engine maintenance, skipped cycles).  The
+ * counters are:
  *
  *  - *cheap*: plain thread-local u64 increments, hoisted to one
  *    `simProfile()` lookup per hot call, so they stay enabled in
@@ -18,6 +19,14 @@
  *    simulation code, and they differ between the tick and event
  *    engines by design (cycles_skipped), so they must never feed
  *    RunResult or snapshot bytes.
+ *
+ * Core cycles come in three kinds.  A real `Core::tick` call
+ * simulates one cycle (core_ticks, of which core_active_ticks changed
+ * state).  A fast-forward window (`Core::fastForward`) simulates in
+ * one call a run of cycles that only release MSHRs, retire, fetch or
+ * sleep (core_ff_windows windows covering core_ff_cycles cycles).
+ * Cycles a core sleeps through outside any window, on its wake bound,
+ * are in neither count.
  */
 
 #ifndef MOPAC_SIM_PROFILE_HH
@@ -43,6 +52,8 @@ struct SimProfile
     std::uint64_t core_issue_scans = 0;    ///< issue() calls that walked ops
     std::uint64_t core_issue_steps = 0;    ///< ROB ops examined by issue()
     std::uint64_t core_release_scans = 0;  ///< MSHR-release walks
+    std::uint64_t core_ff_windows = 0;     ///< fast-forward windows opened
+    std::uint64_t core_ff_cycles = 0;      ///< core-cycles simulated in them
 
     // Memory controller.
     std::uint64_t mc_ticks = 0;           ///< Controller::tick past next_wake_

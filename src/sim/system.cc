@@ -254,10 +254,16 @@ System::System(const SystemConfig &cfg, std::vector<TraceSource *> traces)
             fatal("system: {} traces for {} cores", traces.size(),
                   cfg_.num_cores);
         }
+        // A read's data lands tCL + tBL after its CAS, so a core can
+        // run that many cycles minus one ahead of the controllers
+        // without missing a completion (Cpu::memComplete asserts it).
+        const Cycle data_delay =
+            std::min(normal_.tCL + normal_.tBL, cu_.tCL + cu_.tBL);
         cpu_ = std::make_unique<Cpu>(cfg_.core, traces,
                                      cfg_.warmup_insts +
                                          cfg_.insts_per_core,
-                                     this);
+                                     this, cfg_.warmup_insts,
+                                     data_delay - 1);
         // Completions must reach the cores.
         for (unsigned s = 0; s < subch_.size(); ++s) {
             controllers_[s] = std::make_unique<Controller>(
@@ -294,8 +300,12 @@ alignUpPow2(Cycle c, Cycle align)
     return (c + (align - 1)) & ~(align - 1);
 }
 
-/** Poll period of the aligned checks in runTo() (cycles). */
-constexpr Cycle kWatchdogPollPeriod = 1024;
+/**
+ * Poll period of the aligned checks in runTo() (cycles).  The
+ * watchdog reads core state, so it polls on the cycles the Cpu keeps
+ * fast-forward windows from crossing.
+ */
+constexpr Cycle kWatchdogPollPeriod = Cpu::kPollPeriod;
 constexpr Cycle kAbortPollPeriod = 16384;
 
 } // namespace
@@ -363,6 +373,8 @@ System::runTo(Cycle stop_at)
 
     const bool event_mode = cfg_.engine == SimEngine::kEvent;
     SimProfile &prof = simProfile();
+    // A pause is a snapshot point: no core may have run past it.
+    cpu_->setPauseAt(stop_at);
     // Cores still waiting to clear warmup; once all have started
     // their measured interval the per-cycle check below disappears.
     unsigned measure_pending = 0;
@@ -379,10 +391,14 @@ System::runTo(Cycle stop_at)
     // watchdog / abort polls exist exactly once.  The event engine
     // simulates the same cycle fully, then jumps now_ to the earliest
     // wakeup; every skipped cycle is one where the tick engine would
-    // have done nothing (cores report no progress and no pending
-    // completion, controllers early-return before next_wake_, and the
-    // aligned polls are scheduled as their own wakeups), so the two
-    // executions are bit-identical.
+    // have done nothing (each core sleeps on its wake bound, idle or
+    // already past the cycle in a fast-forward window; controllers
+    // early-return before next_wake_; the aligned polls are
+    // scheduled as their own wakeups), so the two
+    // executions are bit-identical.  The core state read below after
+    // cpu_->tick() is always that of cycle now_: the Cpu opens no
+    // window on a tick that reaches the warmup or target count, nor
+    // past the next aligned poll or stop_at - 1.
     while (!cpu_->allDone()) {
         if (now_ >= stop_at) {
             return false;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/cpu.hh"
+#include "sim/profile.hh"
 
 namespace mopac
 {
@@ -140,6 +141,66 @@ TEST(Cpu, CompletionsRouteToTheRightCore)
         cpu.tick(now);
     }
     EXPECT_TRUE(cpu.allDone());
+}
+
+/** What a run loop observes of one core. */
+struct Observed
+{
+    Cycle measure_start = 0;
+    Cycle finish = 0;
+    Cycle end = 0;
+    std::uint64_t measured = 0;
+    std::uint64_t polled = 0;
+};
+
+/**
+ * System::runTo's observers over a compute-only Cpu: start measuring
+ * on the cycle a core crosses warmup, poll retirement at every
+ * kPollPeriod-aligned cycle, stop the cycle after all cores finish.
+ */
+Observed
+observe(Cycle lookahead, std::uint64_t *core_ticks)
+{
+    ComputeTrace t0;
+    RecordingSink sink;
+    Cpu cpu(CoreParams{}, {&t0}, 20000, &sink, /*warmup_insts=*/3001,
+            lookahead);
+    const std::uint64_t ticks0 = simProfile().core_ticks;
+    Observed o;
+    bool measuring = false;
+    Cycle now = 0;
+    while (!cpu.allDone()) {
+        cpu.tick(now);
+        if (!measuring && cpu.core(0).retiredInsts() >= 3001) {
+            cpu.core(0).startMeasurement(now);
+            o.measure_start = now;
+            measuring = true;
+        }
+        if ((now & (Cpu::kPollPeriod - 1)) == 0) {
+            o.polled += cpu.core(0).retiredInsts() * (now + 1);
+        }
+        ++now;
+    }
+    o.finish = cpu.core(0).finishCycle();
+    o.end = now;
+    o.measured = cpu.core(0).measuredInsts();
+    *core_ticks = simProfile().core_ticks - ticks0;
+    return o;
+}
+
+TEST(Cpu, FastForwardKeepsEveryObservation)
+{
+    std::uint64_t ticks_ref = 0;
+    std::uint64_t ticks_ff = 0;
+    const Observed ref = observe(0, &ticks_ref);
+    const Observed ff = observe(66, &ticks_ff);
+    EXPECT_EQ(ff.measure_start, ref.measure_start);
+    EXPECT_EQ(ff.finish, ref.finish);
+    EXPECT_EQ(ff.end, ref.end);
+    EXPECT_EQ(ff.measured, ref.measured);
+    EXPECT_EQ(ff.polled, ref.polled);
+    // Windows replaced most real ticks.
+    EXPECT_LT(ticks_ff * 10, ticks_ref);
 }
 
 TEST(CpuDeathTest, UnknownCompletionPanics)

@@ -17,6 +17,10 @@
  * memory-only AttackRunner loop (the §7 performance-attack study) gets
  * the same treatment: its event engine must match its per-cycle one
  * on the benchmark's attack cases and under ALERT/RFM fault plans.
+ *
+ * Both engines share the Cpu, so its per-core wake bounds and
+ * fast-forward windows are held to a core ticked on every cycle in
+ * test_core_reference.cc instead.
  */
 
 #include <gtest/gtest.h>
