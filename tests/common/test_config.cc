@@ -9,6 +9,7 @@
 #include <fstream>
 
 #include "common/config.hh"
+#include "scratch_dir.hh"
 
 namespace mopac
 {
@@ -55,7 +56,8 @@ TEST(ConfigDeathTest, DuplicateParsedKeyIsFatal)
 
 TEST(ConfigDeathTest, DuplicateNamesBothOrigins)
 {
-    const std::string path = ::testing::TempDir() + "/mopac_cfg_dup";
+    const test::ScratchDir scratch;
+    const std::string path = scratch.path("dup.cfg");
     {
         std::ofstream out(path);
         out << "x = 1\n"
@@ -64,7 +66,6 @@ TEST(ConfigDeathTest, DuplicateNamesBothOrigins)
     Config c;
     EXPECT_EXIT(c.parseFile(path), ::testing::ExitedWithCode(1),
                 ":1.*:2");
-    std::remove(path.c_str());
 }
 
 TEST(Config, RejectUnknownKeysPassesWhenAllConsumed)
@@ -123,7 +124,8 @@ TEST(Config, NumericFormats)
 
 TEST(Config, FileRoundTrip)
 {
-    const std::string path = ::testing::TempDir() + "/mopac_cfg_test";
+    const test::ScratchDir scratch;
+    const std::string path = scratch.path("test.cfg");
     {
         std::ofstream out(path);
         out << "# test config\n"
@@ -134,7 +136,6 @@ TEST(Config, FileRoundTrip)
     c.parseFile(path);
     EXPECT_EQ(c.getUint("dram.trh"), 500u);
     EXPECT_EQ(c.getString("workload"), "mcf");
-    std::remove(path.c_str());
 }
 
 TEST(ConfigDeathTest, MalformedEntryIsFatal)

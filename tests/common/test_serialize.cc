@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/serialize.hh"
+#include "scratch_dir.hh"
 
 namespace mopac
 {
@@ -197,8 +198,8 @@ TEST(Serialize, EmptyFileIsAStructuredError)
 
 TEST(Serialize, AtomicWriteFileRoundTrips)
 {
-    const std::string path =
-        ::testing::TempDir() + "mopac_serialize_atomic.bin";
+    const test::ScratchDir scratch;
+    const std::string path = scratch.path("atomic.bin");
     const std::vector<std::uint8_t> image = sampleImage();
     atomicWriteFile(path, image);
     EXPECT_TRUE(fileExists(path));
@@ -212,7 +213,6 @@ TEST(Serialize, AtomicWriteFileRoundTrips)
         ser.finish(FileKind::kSnapshot, kHash);
     atomicWriteFile(path, next);
     EXPECT_EQ(readFileBytes(path), next);
-    std::remove(path.c_str());
 }
 
 TEST(Serialize, ReadMissingFileIsAStructuredError)

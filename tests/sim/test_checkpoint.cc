@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/serialize.hh"
+#include "scratch_dir.hh"
 #include "sim/experiment.hh"
 #include "sim/stop.hh"
 #include "sim/system.hh"
@@ -35,12 +36,6 @@ quickConfig(MitigationKind kind, std::uint32_t trh = 500)
     // without changing what the property covers.
     cfg.geometry.rows_per_bank = 4096;
     return cfg;
-}
-
-std::string
-snapshotPath(const std::string &name)
-{
-    return ::testing::TempDir() + "mopac_ckpt_" + name + ".bin";
 }
 
 /** Every RunResult field must match bit-for-bit (doubles included). */
@@ -77,17 +72,16 @@ expectSameRun(const RunResult &a, const RunResult &b)
 /**
  * Interrupt @p cfg on @p workload at an early checkpoint, resume from
  * the snapshot, and require the final result to equal the
- * uninterrupted reference.  Returns the snapshot path (still on disk)
- * for corruption tests.
+ * uninterrupted reference.
  */
-std::string
+void
 roundTrip(const SystemConfig &cfg, const std::string &workload,
           const std::string &tag)
 {
     const RunResult reference = runWorkload(cfg, workload);
 
-    const std::string path = snapshotPath(tag);
-    std::remove(path.c_str());
+    const test::ScratchDir scratch;
+    const std::string path = scratch.path(tag + ".bin");
 
     // A pre-requested stop halts the run at the first checkpoint
     // boundary and flushes the snapshot -- the in-process equivalent
@@ -110,7 +104,6 @@ roundTrip(const SystemConfig &cfg, const std::string &workload,
         runWorkloadCheckpointed(cfg, workload, restore);
     EXPECT_TRUE(resumed.finished) << tag;
     expectSameRun(reference, resumed.result);
-    return path;
 }
 
 TEST(Checkpoint, EveryEngineResumesBitIdentically)
@@ -121,9 +114,7 @@ TEST(Checkpoint, EveryEngineResumesBitIdentically)
           MitigationKind::kMint, MitigationKind::kPride,
           MitigationKind::kTrr, MitigationKind::kPara,
           MitigationKind::kGraphene, MitigationKind::kQprac}) {
-        const std::string path = roundTrip(
-            quickConfig(kind), "mcf", std::string(toString(kind)));
-        std::remove(path.c_str());
+        roundTrip(quickConfig(kind), "mcf", std::string(toString(kind)));
     }
 }
 
@@ -133,17 +124,14 @@ TEST(Checkpoint, SurvivesAnActiveFaultPlan)
     cfg.faults =
         FaultPlan::single(FaultKind::kCounterBitflip, 0.01);
     cfg.faults.seed = 99;
-    const std::string path = roundTrip(cfg, "mcf", "faultplan");
-    std::remove(path.c_str());
+    roundTrip(cfg, "mcf", "faultplan");
 }
 
 TEST(Checkpoint, WorksAcrossWorkloadShapes)
 {
     for (const char *workload : {"bwaves", "mix1"}) {
-        const std::string path =
-            roundTrip(quickConfig(MitigationKind::kMopacC), workload,
-                      std::string("wl_") + workload);
-        std::remove(path.c_str());
+        roundTrip(quickConfig(MitigationKind::kMopacC), workload,
+                  std::string("wl_") + workload);
     }
 }
 
@@ -152,14 +140,14 @@ TEST(Checkpoint, ChunkedRunMatchesPlainRunWhenUninterrupted)
     sweepstop::reset();
     const SystemConfig cfg = quickConfig(MitigationKind::kMopacD);
     const RunResult reference = runWorkload(cfg, "omnetpp");
+    const test::ScratchDir scratch;
     CheckpointOptions ckpt;
-    ckpt.save_path = snapshotPath("chunked");
+    ckpt.save_path = scratch.path("chunked.bin");
     ckpt.checkpoint_every = 4096; // Many periodic snapshots.
     const CheckpointedRun chunked =
         runWorkloadCheckpointed(cfg, "omnetpp", ckpt);
     ASSERT_TRUE(chunked.finished);
     expectSameRun(reference, chunked.result);
-    std::remove(ckpt.save_path.c_str());
 }
 
 class CheckpointCorruption : public ::testing::Test
@@ -169,8 +157,7 @@ class CheckpointCorruption : public ::testing::Test
     SetUp() override
     {
         cfg_ = quickConfig(MitigationKind::kMopacD);
-        path_ = snapshotPath("corruption");
-        std::remove(path_.c_str());
+        path_ = scratch_.path("corruption.bin");
         sweepstop::reset();
         sweepstop::requestStop();
         CheckpointOptions save;
@@ -186,7 +173,6 @@ class CheckpointCorruption : public ::testing::Test
     void
     TearDown() override
     {
-        std::remove(path_.c_str());
         sweepstop::reset();
     }
 
@@ -203,6 +189,7 @@ class CheckpointCorruption : public ::testing::Test
             << what;
     }
 
+    test::ScratchDir scratch_;
     SystemConfig cfg_;
     std::string path_;
 };

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/serialize.hh"
+#include "scratch_dir.hh"
 #include "sim/result_store.hh"
 #include "sim/runner.hh"
 #include "sim/stop.hh"
@@ -94,16 +95,6 @@ okResult(const ExperimentPoint &point)
     r.wall_seconds = 0.25;
     r.run.ipcs = {1.25};
     return r;
-}
-
-/** Fresh scratch store directory under the gtest temp root. */
-std::string
-freshDir(const std::string &tag)
-{
-    const std::string dir = ::testing::TempDir() + "mopac_store_" + tag;
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
-    return dir;
 }
 
 /** Path of @p point's entry (or quarantine artifact) in @p dir. */
@@ -187,9 +178,10 @@ TEST(Journal, PointResultRoundTripsThroughTheContainer)
 
 TEST(Journal, CompletesAndThenResumesWithNothingToDo)
 {
+    const test::ScratchDir scratch;
     sweepstop::reset();
     const auto points = samplePoints();
-    const std::string dir = freshDir("complete");
+    const std::string dir = scratch.path("complete");
 
     RunnerOptions opts;
     opts.jobs = 2;
@@ -207,6 +199,7 @@ TEST(Journal, CompletesAndThenResumesWithNothingToDo)
 
 TEST(Journal, InterruptedSweepResumesToIdenticalMergedStats)
 {
+    const test::ScratchDir scratch;
     sweepstop::reset();
     const auto points = samplePoints();
 
@@ -217,7 +210,7 @@ TEST(Journal, InterruptedSweepResumesToIdenticalMergedStats)
         Runner::mergeStats(Runner(ref_opts).run(points));
 
     // Interrupted run: stop after the first few points finish.
-    const std::string dir = freshDir("resume");
+    const std::string dir = scratch.path("resume");
     RunnerOptions opts;
     opts.jobs = 2;
     std::atomic<unsigned> finished{0};
@@ -256,9 +249,10 @@ TEST(Journal, InterruptedSweepResumesToIdenticalMergedStats)
 
 TEST(Journal, ServesOnlyTheCellsADifferentSweepShares)
 {
+    const test::ScratchDir scratch;
     sweepstop::reset();
     const auto sweep_a = samplePoints();
-    const std::string dir = freshDir("mismatch");
+    const std::string dir = scratch.path("mismatch");
     RunnerOptions opts;
     opts.jobs = 1;
     (void)journaled(opts, sweep_a, dir);
@@ -289,12 +283,13 @@ TEST(Journal, ServesOnlyTheCellsADifferentSweepShares)
 
 TEST(Journal, ResumeUnderATighterCycleGuardReRunsThePoint)
 {
+    const test::ScratchDir scratch;
     // A result is only reused by a point that would run the same way:
     // a kOk point finished without a cycle guard must not be served to
     // a resume whose own guard would time it out.
     sweepstop::reset();
     const std::vector<ExperimentPoint> points = {samplePoints()[0]};
-    const std::string dir = freshDir("guard");
+    const std::string dir = scratch.path("guard");
     RunnerOptions opts;
     opts.jobs = 1;
     const SweepReport first = journaled(opts, points, dir);
@@ -315,9 +310,10 @@ TEST(Journal, ResumeUnderATighterCycleGuardReRunsThePoint)
 
 TEST(Journal, HealsACorruptPointRecordByReRunningIt)
 {
+    const test::ScratchDir scratch;
     sweepstop::reset();
     const auto points = samplePoints();
-    const std::string dir = freshDir("corrupt");
+    const std::string dir = scratch.path("corrupt");
     RunnerOptions opts;
     opts.jobs = 1;
     const SweepReport first = journaled(opts, points, dir);
@@ -344,12 +340,13 @@ TEST(Journal, HealsACorruptPointRecordByReRunningIt)
 
 TEST(Journal, HealsATornTailRecordAtEveryTruncationOffset)
 {
+    const test::ScratchDir scratch;
     // A torn record -- the writer died mid-write, leaving a prefix of
     // the entry -- must heal to "re-run the point" at EVERY truncation
     // offset.  One-point sweep keeps the loop cheap.
     sweepstop::reset();
     const std::vector<ExperimentPoint> points = {samplePoints()[0]};
-    const std::string dir = freshDir("torn");
+    const std::string dir = scratch.path("torn");
     RunnerOptions opts;
     opts.jobs = 1;
     const SweepReport first = journaled(opts, points, dir);
@@ -383,9 +380,10 @@ TEST(Journal, HealsATornTailRecordAtEveryTruncationOffset)
 
 TEST(Journal, RecordBudgetEvictsOldestRecordsFirst)
 {
+    const test::ScratchDir scratch;
     sweepstop::reset();
     const auto points = samplePoints();
-    const std::string dir = freshDir("budget");
+    const std::string dir = scratch.path("budget");
     RunnerOptions opts;
     opts.jobs = 1;
     const SweepReport first = journaled(opts, points, dir);
@@ -417,11 +415,12 @@ TEST(Journal, RecordBudgetEvictsOldestRecordsFirst)
 
 TEST(Journal, QuarantinedPointsReRunOnResume)
 {
+    const test::ScratchDir scratch;
     sweepstop::reset();
     auto points = samplePoints();
     // Sabotage one point so it fails and lands in quarantine/.
     points[2].workload = "no-such-workload";
-    const std::string dir = freshDir("quarantine");
+    const std::string dir = scratch.path("quarantine");
     RunnerOptions opts;
     opts.jobs = 1;
     const SweepReport first = journaled(opts, points, dir);
@@ -443,7 +442,8 @@ TEST(Journal, QuarantinedPointsReRunOnResume)
 
 TEST(ResultCache, MissThenHitThenKeyIdentity)
 {
-    ResultStore store(freshDir("cache_hit"));
+    const test::ScratchDir scratch;
+    ResultStore store(scratch.path("cache_hit"));
     const RunnerOptions opts;
     const ExperimentPoint point = faultPoint(5);
     EXPECT_FALSE(store.lookup(point, opts).has_value());
@@ -472,9 +472,10 @@ TEST(ResultCache, MissThenHitThenKeyIdentity)
 
 TEST(ResultCache, NonOkResultsAreNeverStored)
 {
+    const test::ScratchDir scratch;
     // A non-OK result is kept only as its quarantine replay artifact,
     // never as a servable entry.
-    const std::string dir = freshDir("cache_nonok");
+    const std::string dir = scratch.path("cache_nonok");
     ResultStore store(dir);
     const RunnerOptions opts;
     const ExperimentPoint point = faultPoint(6);
@@ -489,7 +490,8 @@ TEST(ResultCache, NonOkResultsAreNeverStored)
 
 TEST(ResultCache, CorruptEntryHealsToAMiss)
 {
-    const std::string dir = freshDir("cache_heal");
+    const test::ScratchDir scratch;
+    const std::string dir = scratch.path("cache_heal");
     ResultStore store(dir);
     const RunnerOptions opts;
     const ExperimentPoint point = faultPoint(7);
@@ -522,6 +524,7 @@ TEST(ResultCache, CorruptEntryHealsToAMiss)
 
 TEST(ResultStore, KeyIsThePointAsExecuted)
 {
+    const test::ScratchDir scratch;
     const RunnerOptions plain;
     ExperimentPoint clean = samplePoints()[0];
     ExperimentPoint faulty = faultPoint(1);
@@ -552,7 +555,7 @@ TEST(ResultStore, KeyIsThePointAsExecuted)
               snapshotConfigHash(clean.cfg, clean.workload));
 
     // End to end: a result put under retries is not served without.
-    ResultStore store(freshDir("key_retries"));
+    ResultStore store(scratch.path("key_retries"));
     store.put(faulty, retries, okResult(faulty));
     EXPECT_TRUE(store.lookup(faulty, retries).has_value());
     EXPECT_FALSE(store.lookup(faulty, plain).has_value());
@@ -560,10 +563,11 @@ TEST(ResultStore, KeyIsThePointAsExecuted)
 
 TEST(ResultStore, PlantedEntryWithAForeignSignatureHealsToAMiss)
 {
+    const test::ScratchDir scratch;
     // An entry under the right key and envelope, with a valid CRC,
     // whose stored identity belongs to a different point (an FNV
     // collision, or a file copied in by hand) is never served.
-    const std::string dir = freshDir("planted");
+    const std::string dir = scratch.path("planted");
     const RunnerOptions opts;
     const ExperimentPoint point = faultPoint(8);
     ExperimentPoint other = point;
@@ -601,9 +605,10 @@ TEST(ResultStore, PlantedEntryWithAForeignSignatureHealsToAMiss)
 
 TEST(ResultStore, ConcurrentPutsFromAFourJobSweepKeepExactAccounting)
 {
+    const test::ScratchDir scratch;
     sweepstop::reset();
     const auto points = samplePoints();
-    const std::string dir = freshDir("concurrent");
+    const std::string dir = scratch.path("concurrent");
     RunnerOptions opts;
     opts.jobs = 4;
     const SweepReport first = journaled(opts, points, dir);

@@ -16,6 +16,7 @@
 
 #include "common/rng.hh"
 #include "common/serialize.hh"
+#include "scratch_dir.hh"
 #include "sim/faults.hh"
 #include "sim/result_store.hh"
 #include "sim/runner.hh"
@@ -311,19 +312,15 @@ TEST_P(RunnerPointPath, CheckpointedReplayMatchesReplay)
     ASSERT_EQ(plain.status, expected) << plain.error;
     EXPECT_EQ(plain.attempts, expected_attempts);
 
+    const test::ScratchDir scratch;
     CheckpointOptions ckpt;
     if (snapshots) {
-        ckpt.save_path = ::testing::TempDir() + "mopac_point_path_" +
-                         pathCaseName(which) + ".ckpt";
+        ckpt.save_path = scratch.path("point.ckpt");
         ckpt.restore_path = ckpt.save_path; // Honoured only if present.
         ckpt.checkpoint_every = 5000;
-        std::remove(ckpt.save_path.c_str());
     }
     const CheckpointedPointRun chk =
         Runner::replayCheckpointed(point, opts, ckpt);
-    if (snapshots) {
-        std::remove(ckpt.save_path.c_str());
-    }
 
     EXPECT_FALSE(chk.preempted);
     const PointResult &r = chk.result;

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "scratch_dir.hh"
 #include "workload/spec.hh"
 #include "workload/synth.hh"
 #include "workload/trace_file.hh"
@@ -55,20 +56,20 @@ expectEqual(const TraceData &a, const TraceData &b)
 
 TEST(TraceFile, TextRoundTrip)
 {
-    const std::string path = ::testing::TempDir() + "/t.mtr";
+    const test::ScratchDir scratch;
+    const std::string path = scratch.path("t.mtr");
     const TraceData trace = sampleTrace();
     writeTraceText(trace, path);
     expectEqual(trace, loadTrace(path));
-    std::remove(path.c_str());
 }
 
 TEST(TraceFile, BinaryRoundTrip)
 {
-    const std::string path = ::testing::TempDir() + "/t.mtb";
+    const test::ScratchDir scratch;
+    const std::string path = scratch.path("t.mtb");
     const TraceData trace = sampleTrace();
     writeTraceBinary(trace, path);
     expectEqual(trace, loadTrace(path));
-    std::remove(path.c_str());
 }
 
 TEST(TraceFile, CapturedSyntheticTraceRoundTrips)
@@ -78,15 +79,16 @@ TEST(TraceFile, CapturedSyntheticTraceRoundTrips)
     const TraceData trace = captureTrace(*gen, 5000);
     ASSERT_EQ(trace.records.size(), 5000u);
 
-    const std::string path = ::testing::TempDir() + "/synth.mtb";
+    const test::ScratchDir scratch;
+    const std::string path = scratch.path("synth.mtb");
     writeTraceBinary(trace, path);
     expectEqual(trace, loadTrace(path));
-    std::remove(path.c_str());
 }
 
 TEST(TraceFile, TextToleratesCommentsAndBlanks)
 {
-    const std::string path = ::testing::TempDir() + "/c.mtr";
+    const test::ScratchDir scratch;
+    const std::string path = scratch.path("c.mtr");
     {
         std::ofstream out(path);
         out << "# header comment\n"
@@ -98,7 +100,6 @@ TEST(TraceFile, TextToleratesCommentsAndBlanks)
     ASSERT_EQ(trace.records.size(), 2u);
     EXPECT_EQ(trace.records[0].line_addr, 0xFFu);
     EXPECT_TRUE(trace.records[1].is_write);
-    std::remove(path.c_str());
 }
 
 TEST(TraceFile, ReplayLoopsForever)
@@ -121,14 +122,14 @@ TEST(TraceFileDeathTest, MissingFileIsFatal)
 
 TEST(TraceFileDeathTest, MalformedTextIsFatal)
 {
-    const std::string path = ::testing::TempDir() + "/bad.mtr";
+    const test::ScratchDir scratch;
+    const std::string path = scratch.path("bad.mtr");
     {
         std::ofstream out(path);
         out << "10 X ff\n";
     }
     EXPECT_EXIT(loadTrace(path), ::testing::ExitedWithCode(1),
                 "bad record kind");
-    std::remove(path.c_str());
 }
 
 TEST(TraceFileDeathTest, EmptyReplayIsFatal)
