@@ -29,7 +29,6 @@
 
 #include "common/mathutil.hh"
 #include "common/table.hh"
-#include "serve/client.hh"
 #include "sim/experiment.hh"
 #include "sim/result_store.hh"
 #include "sim/runner.hh"
@@ -64,10 +63,6 @@ benchInsts()
  *   --drain-deadline SEC  with --journal: seconds in-flight points
  *                get to finish after a stop request before a hard
  *                abort abandons them (default 30; 0 = wait forever)
- *   --submit SOCKET  run the sweep through a mopac_serve daemon at
- *                SOCKET instead of in-process: identical results
- *                (and cache hits for repeated cells), plus daemon-
- *                side crash safety
  */
 struct BenchOptions
 {
@@ -77,8 +72,6 @@ struct BenchOptions
     /** Result-store directory ("" = plain, non-resumable sweep). */
     std::string journal;
     double drain_deadline_sec = 30.0;
-    /** mopac_serve socket ("" = run the sweep in-process). */
-    std::string submit;
 };
 
 /** Parse the shared bench flags; fatal() on malformed input. */
@@ -140,14 +133,10 @@ parseBenchArgs(int argc, char **argv)
                 fatal("--drain-deadline expects a non-negative "
                       "number of seconds, got '{}'", text);
             }
-        } else if (arg == "--submit" ||
-                   arg.rfind("--submit=", 0) == 0) {
-            opts.submit = value("--submit");
         } else if (arg == "--help" || arg == "-h") {
             std::puts("usage: <bench> [--jobs N] [--replay ID] "
                       "[--list-points] [--journal DIR] "
-                      "[--resume DIR] [--drain-deadline SEC] "
-                      "[--submit SOCKET]");
+                      "[--resume DIR] [--drain-deadline SEC]");
             std::exit(0);
         } else {
             fatal("unknown bench argument '{}'", arg);
@@ -283,36 +272,7 @@ runBenchPoints(const std::vector<ExperimentPoint> &points,
     ropts.jobs = opts.jobs;
 
     std::vector<PointResult> results;
-    if (!opts.submit.empty()) {
-        // Route the sweep through a mopac_serve daemon: identical
-        // deterministic results, and finished or repeated cells
-        // served from the daemon's content-addressed result store.
-        serve::ClientOptions copts;
-        copts.socket_path = opts.submit;
-        serve::Client client(copts);
-        serve::Manifest manifest;
-        try {
-            manifest = client.runSweep(points);
-        } catch (const serve::ClientError &err) {
-            fatal("--submit {}: {}", opts.submit, err.what());
-        }
-        inform("daemon job {:x} {}: {} done ({} cached), {} "
-               "quarantined",
-               manifest.status.job_id,
-               serve::toString(manifest.status.phase),
-               manifest.status.counts.done,
-               manifest.status.counts.cached,
-               manifest.status.counts.quarantined);
-        results.reserve(manifest.entries.size());
-        for (serve::ManifestEntry &entry : manifest.entries) {
-            results.push_back(std::move(entry.result));
-        }
-        if (results.size() != points.size()) {
-            fatal("--submit {}: daemon returned {} results for {} "
-                  "points", opts.submit, results.size(),
-                  points.size());
-        }
-    } else if (!opts.journal.empty()) {
+    if (!opts.journal.empty()) {
         // Journaled (resumable) sweep: finished points come from the
         // result store, new ones are put atomically, and a signal
         // pauses at the next point boundary with the resumable exit

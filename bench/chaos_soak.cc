@@ -26,7 +26,7 @@
  * never results.  A mismatch fails the bench (exit 1).
  *
  * Part D turns the deterministic syscall fault shim (serve/io.hh) on
- * the storage and transport layers, in three drills:
+ * the storage and transport layers, in two drills:
  *   D1  full-disk brownout: a supervised sweep with a result store
  *       while atomicWriteFile fails with injected ENOSPC and the
  *       worker pipes suffer EINTR / short writes.  Every storage
@@ -40,10 +40,6 @@
  *       purpose -- a failed snapshot write inside a worker surfaces
  *       as a failed point by design, so the full-disk drill and the
  *       checkpoint drill are separate experiments.
- *   D3  EMFILE on the accept path: with fd exhaustion injected the
- *       listener sheds the pending connection; once the shim drops,
- *       the same connection is served from the backlog (shed is
- *       recoverable, never fatal).
  *
  * Flags: the shared bench flags plus `--smoke` (short durations and a
  * reduced grid; what the ctest smoke run uses).
@@ -519,40 +515,6 @@ resourcePressureChaos(bool smoke)
         if (report.exitCode() != 0) {
             fatal("pressure chaos: preemption sweep exit {} != 0",
                   report.exitCode());
-        }
-    }
-
-    // ---- D3: EMFILE shed and recovery on the accept path ---------
-    {
-        const int listen_fd = serve::listenUnix(base + "/emfile.sock");
-        const int backlogged =
-            serve::connectUnix(base + "/emfile.sock", 1.0);
-
-        serve::IoFaultConfig shim;
-        shim.seed = 0xef11e;
-        shim.emfile_rate = 1.0;
-        serve::setIoFaultShim(shim);
-        const int shed = serve::acceptClient(listen_fd, 0.5);
-        const std::uint64_t injected =
-            serve::ioFaultShimStats().emfile;
-        serve::setIoFaultShim(serve::IoFaultConfig{});
-
-        // The shed connection stayed in the kernel backlog, so the
-        // first un-shimmed accept serves it.
-        const int served = serve::acceptClient(listen_fd, 1.0);
-        table.row({"D3 EMFILE accept",
-                   format("emfile {}", injected),
-                   format("shed fd {} then served fd {}", shed,
-                          served),
-                   shed == -1 && served >= 0 ? "recovered"
-                                             : "STUCK"});
-        serve::closeQuiet(served);
-        serve::closeQuiet(backlogged);
-        serve::closeQuiet(listen_fd);
-        if (injected == 0 || shed != -1 || served < 0) {
-            fatal("pressure chaos: EMFILE shed/recover failed "
-                  "(injected {}, shed {}, served {})",
-                  injected, shed, served);
         }
     }
 

@@ -3,13 +3,13 @@
  * Versioned, checksummed binary serialization for checkpoint files.
  *
  * Every on-disk artifact of the crash-recovery subsystem (System
- * snapshots, result-store entries, daemon job specs, and the serve
- * protocol's frames) shares one container format:
+ * snapshots and result-store entries) and every frame of the worker
+ * protocol shares one container format:
  *
  *   +------------------------------------------------------------+
  *   | magic "MOPACSER" (8 bytes)                                 |
  *   | u32 format version                                         |
- *   | u32 file kind (snapshot / store entry / message / job)     |
+ *   | u32 file kind (snapshot / store entry / message)           |
  *   | u64 config hash (FNV-1a of the producing configuration)    |
  *   | u64 payload size in bytes                                  |
  *   | payload: nested tagged sections of little-endian fields    |
@@ -47,9 +47,8 @@ constexpr std::uint32_t kSerializeVersion = 1;
 enum class FileKind : std::uint32_t
 {
     kSnapshot = 1,       //!< Full sim::System state snapshot.
-    kServeMessage = 4,   //!< One mopac_serve protocol message.
+    kServeMessage = 4,   //!< One supervisor<->worker message.
     kCacheEntry = 5,     //!< One ResultStore entry (finished point).
-    kServeJob = 6,       //!< Persisted daemon job spec (point list).
 };
 
 /**

@@ -1,9 +1,8 @@
 /**
  * @file
- * Wire protocol of the mopac_serve daemon.
+ * Wire protocol between the Supervisor and its forked workers.
  *
- * Every message -- client<->daemon and supervisor<->worker -- is one
- * length-prefixed frame:
+ * Every message is one length-prefixed frame:
  *
  *   +--------------------------------------------------------------+
  *   | u64 frame length N (little-endian)                           |
@@ -31,7 +30,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
+#include <string>
 
 #include "common/serialize.hh"
 #include "serve/io.hh"
@@ -47,22 +46,6 @@ constexpr std::uint64_t kMaxFrameBytes = 1ull << 30;
 /** Message discriminator (carried in the envelope's hash field). */
 enum class MsgType : std::uint64_t
 {
-    // Client -> daemon.
-    kPing = 1,
-    kSubmit,      //!< Submit (or re-attach to) a sweep job.
-    kQuery,       //!< Job status by id.
-    kFetch,       //!< Fetch the (possibly partial) manifest.
-    kShutdown,    //!< Request a graceful daemon stop.
-
-    // Daemon -> client.
-    kPong = 50,
-    kSubmitAck,
-    kStatus,
-    kResults,
-    kShutdownAck,
-    kError,       //!< Structured failure (text payload).
-    kRetryAfter,  //!< Load shed: back off and resubmit later.
-
     // Supervisor -> worker.
     kAssign = 100, //!< A chunk of points to execute.
     kPreempt,      //!< Checkpoint the running point and yield it.
@@ -74,28 +57,6 @@ enum class MsgType : std::uint64_t
     kHeartbeat,        //!< Idle liveness beat.
     kCheckpointed,     //!< Mid-point checkpoint written (busy beat).
     kPointPreempted,   //!< Point checkpointed and yielded on request.
-};
-
-/** Lifecycle of a job inside the daemon. */
-enum class JobPhase : std::uint8_t
-{
-    kUnknown,  //!< No such job.
-    kRunning,  //!< Points pending or in flight.
-    kComplete, //!< Every point finished OK (fresh or cached).
-    kDegraded, //!< Finished, but some points are quarantined.
-};
-
-/** Printable name of a job phase. */
-const char *toString(JobPhase phase);
-
-/** Job phase implied by a sweep's counters. */
-JobPhase phaseOf(const SweepCounts &counts);
-
-/** One manifest row: a result plus where it came from. */
-struct ManifestEntry
-{
-    PointSource source = PointSource::kPending;
-    PointResult result;
 };
 
 /** One chunk assignment (kAssign payload). */
@@ -137,45 +98,8 @@ struct PointEvent
     std::uint64_t executed_cycles = 0;
 };
 
-/** Daemon identity + health (kPong payload). */
-struct DaemonInfo
-{
-    /** Serialize/protocol format version of the daemon's build. */
-    std::uint32_t protocol_version = kSerializeVersion;
-    std::uint64_t daemon_pid = 0;
-    /** Admission bound on queued+running jobs (0 = unbounded). */
-    std::uint64_t queue_depth = 0;
-    /** True while storage writes are failing (degraded serving). */
-    bool brownout = false;
-};
-
-/** Load-shed response (kRetryAfter payload). */
-struct RetryAfter
-{
-    /** Suggested client backoff before resubmitting. */
-    double seconds = 1.0;
-    /** Human-readable shed reason ("queue full", "brownout", ...). */
-    std::string reason;
-};
-
-/** Job identity + progress (kSubmitAck / kStatus payloads). */
-struct JobStatus
-{
-    std::uint64_t job_id = 0;
-    JobPhase phase = JobPhase::kUnknown;
-    SweepCounts counts;
-};
-
-/** A (possibly partial) sweep manifest (kResults payload). */
-struct Manifest
-{
-    JobStatus status;
-    /** One entry per submitted point, in submission order. */
-    std::vector<ManifestEntry> entries;
-};
-
 // ------------------------------------------------------------------
-// Field codecs (shared by frames, job specs, and cache entries)
+// Field codecs
 // ------------------------------------------------------------------
 
 /** Serialize a full SystemConfig (including its fault plan). */
@@ -194,13 +118,6 @@ void savePoint(Serializer &ser, const ExperimentPoint &point);
 /** Restore an ExperimentPoint saved by savePoint(). */
 ExperimentPoint loadPoint(Deserializer &des);
 
-/** Serialize a point list (job specs, kSubmit payloads). */
-void savePoints(Serializer &ser,
-                const std::vector<ExperimentPoint> &points);
-
-/** Restore a point list saved by savePoints(). */
-std::vector<ExperimentPoint> loadPoints(Deserializer &des);
-
 /** Serialize an Assignment. */
 void saveAssignment(Serializer &ser, const Assignment &assignment);
 
@@ -213,68 +130,26 @@ void savePointEvent(Serializer &ser, const PointEvent &event);
 /** Restore a PointEvent. */
 PointEvent loadPointEvent(Deserializer &des);
 
-/** Serialize a bare job id (kQuery / kFetch payloads). */
-void saveJobId(Serializer &ser, std::uint64_t job_id);
-
-/** Restore a bare job id. */
-std::uint64_t loadJobId(Deserializer &des);
-
-/** Serialize a JobStatus. */
-void saveJobStatus(Serializer &ser, const JobStatus &status);
-
-/** Restore a JobStatus. */
-JobStatus loadJobStatus(Deserializer &des);
-
-/** Serialize a Manifest (status + per-point entries). */
-void saveManifest(Serializer &ser, const Manifest &manifest);
-
-/** Restore a Manifest. */
-Manifest loadManifest(Deserializer &des);
-
-/** Serialize a kError text payload. */
-void saveErrorText(Serializer &ser, const std::string &text);
-
-/** Restore a kError text payload. */
-std::string loadErrorText(Deserializer &des);
-
-/** Serialize a DaemonInfo (kPong payload). */
-void saveDaemonInfo(Serializer &ser, const DaemonInfo &info);
-
-/** Restore a DaemonInfo. */
-DaemonInfo loadDaemonInfo(Deserializer &des);
-
-/** Serialize a RetryAfter (kRetryAfter payload). */
-void saveRetryAfter(Serializer &ser, const RetryAfter &retry);
-
-/** Restore a RetryAfter. */
-RetryAfter loadRetryAfter(Deserializer &des);
-
 // ------------------------------------------------------------------
 // Framing
 // ------------------------------------------------------------------
 
 /**
- * Seal @p ser into a full frame (length prefix + container) for
- * @p type.  The Serializer must have all sections closed.
- */
-std::vector<std::uint8_t> sealFrame(const Serializer &ser,
-                                    MsgType type);
-
-/**
- * Send one message.  Returns kOk / kTimeout / kPeerClosed; throws
+ * Send one message: @p ser (all sections closed) sealed into a frame
+ * for @p type.  Returns kOk / kTimeout / kPeerClosed; throws
  * IoError on hard failures.
  */
 IoStatus sendMessage(int fd, const Serializer &ser, MsgType type,
                      double timeout_sec);
 
-/** Convenience: a message with an empty payload (kPing, kPreempt...). */
+/** Convenience: a message with an empty payload (kHeartbeat...). */
 IoStatus sendEmptyMessage(int fd, MsgType type, double timeout_sec);
 
 /** A received, envelope-validated message. */
 struct ReceivedMessage
 {
     IoStatus status = IoStatus::kTimeout;
-    MsgType type = MsgType::kError;
+    MsgType type = MsgType::kHeartbeat;
     /** Valid when status == kOk; positioned at the payload start. */
     std::optional<Deserializer> payload;
 };

@@ -92,17 +92,13 @@ Supervisor::spawnWorker(Slot &slot)
         throw IoError("fork failed");
     }
     if (pid == 0) {
-        // Worker child: drop every supervisor-side fd, run any
-        // embedder teardown (the daemon closes its sockets here),
-        // then serve assignments until retired.  _exit, never
-        // return: a forked child must not unwind gtest / atexit
-        // state it shares with the parent image.
+        // Worker child: drop every supervisor-side fd, then serve
+        // assignments until retired.  _exit, never return: a forked
+        // child must not unwind gtest / atexit state it shares with
+        // the parent image.
         closeQuiet(pair.supervisor_fd);
         for (const Slot &other : slots_) {
             closeQuiet(other.fd);
-        }
-        if (child_setup_) {
-            child_setup_();
         }
         ::_exit(workerMain(pair.worker_fd, opts_.heartbeat_sec));
     }
@@ -505,9 +501,6 @@ Supervisor::execute(const std::vector<ExperimentPoint> &points,
             }
         }
 
-        if (pump_) {
-            pump_(control.report());
-        }
     }
 
     retireWorkers();

@@ -37,8 +37,7 @@
  *
  * The supervisor is single-threaded (poll-based event loop) and the
  * driver starts no thread of its own, which keeps fork() safe under
- * TSAN and makes it embeddable: the daemon pumps its client sockets
- * from the per-tick callback.
+ * TSAN.
  */
 
 #ifndef MOPAC_SERVE_SUPERVISOR_HH
@@ -46,7 +45,6 @@
 
 #include <csignal>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -169,30 +167,11 @@ struct SupervisorStats
 class Supervisor final : public SweepPool
 {
   public:
-    /**
-     * Called once per event-loop tick with the driver's in-progress
-     * report (the daemon pumps its clients here and serves partial
-     * manifests and status queries from @p live).
-     */
-    using PumpFn = std::function<void(const SweepReport &live)>;
-
     explicit Supervisor(SupervisorOptions opts);
     ~Supervisor() override;
 
     Supervisor(const Supervisor &) = delete;
     Supervisor &operator=(const Supervisor &) = delete;
-
-    /**
-     * Run extra teardown in each forked worker before its main loop
-     * (the daemon closes its listener and client sockets here).
-     */
-    void setChildSetup(std::function<void()> fn)
-    {
-        child_setup_ = std::move(fn);
-    }
-
-    /** Call @p fn once per event-loop tick while a sweep runs. */
-    void setPump(PumpFn fn) { pump_ = std::move(fn); }
 
     /**
      * Inject a deterministic failure schedule: when the mapped
@@ -217,7 +196,7 @@ class Supervisor final : public SweepPool
     /**
      * SweepPool: run the pending points on control.options().jobs
      * workers until each resolved or the driver says stop.  Progress
-     * fires from this thread; so does the pump.
+     * fires from this thread.
      */
     void execute(const std::vector<ExperimentPoint> &points,
                  const std::vector<std::size_t> &pending,
@@ -243,8 +222,6 @@ class Supervisor final : public SweepPool
     void retireWorkers();
 
     SupervisorOptions opts_;
-    std::function<void()> child_setup_;
-    PumpFn pump_;
     std::map<std::pair<std::uint64_t, std::uint32_t>, FailAction>
         fail_schedule_;
     SupervisorStats stats_;

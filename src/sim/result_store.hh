@@ -4,8 +4,8 @@
  *
  * One directory serves every sweep that reuses finished work, read and
  * written only by the sweep driver (Runner::sweep) on either pool: a
- * bench --journal / --resume directory and the mopac_serve daemon's
- * cache are the same format.  The layout is
+ * bench --journal / --resume directory shared by any number of
+ * drivers, run one after another.  The layout is
  *
  *   <dir>/<key>.rec             one entry per kOk result
  *   <dir>/quarantine/<key>.rec  replay artifact of the last non-OK

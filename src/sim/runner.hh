@@ -297,9 +297,6 @@ class SweepControl
     /** Knobs every point executes under (jobs resolved, >= 1). */
     const RunnerOptions &options() const { return opts_; }
 
-    /** The report as filled so far. */
-    const SweepReport &report() const { return report_; }
-
     /**
      * Record finished point @p index (any terminal status): put it
      * into the store -- a failed write is a brownout, counted and

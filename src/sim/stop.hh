@@ -44,8 +44,8 @@ namespace sweepstop
 {
 
 /**
- * Process exit-code map shared by every bench driver, the mopac_serve
- * daemon, and its clients (EXPERIMENTS.md, "Exit codes").  The codes
+ * Process exit-code map shared by every bench driver and mopac_sim
+ * (EXPERIMENTS.md, "Exit codes").  The codes
  * follow the BSD sysexits conventions loosely so wrappers can triage
  * a finished sweep without parsing its report:
  *
@@ -60,7 +60,7 @@ namespace sweepstop
  *                     crash, retry exhaustion) without a VIOLATED /
  *                     HUNG classification
  *   kResumableExit 75 graceful stop: the sweep was interrupted but is
- *                     resumable (--resume / daemon restart)
+ *                     resumable (--resume)
  */
 constexpr int kViolatedExit = 65;
 constexpr int kHungExit = 70;

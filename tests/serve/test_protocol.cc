@@ -68,28 +68,6 @@ TEST(ServeProtocol, TamperedConfigBytesAreAStructuredError)
                  SerializeError);
 }
 
-TEST(ServeProtocol, PointListRoundTrips)
-{
-    std::vector<ExperimentPoint> points = {samplePoint(0),
-                                           samplePoint(1)};
-    points[1].workload = "xz";
-    Serializer ser;
-    savePoints(ser, points);
-    const auto bytes = ser.finish(FileKind::kServeMessage, 0);
-
-    Deserializer des(bytes, FileKind::kServeMessage, 0);
-    const std::vector<ExperimentPoint> back = loadPoints(des);
-    des.finish();
-    ASSERT_EQ(back.size(), points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        EXPECT_EQ(back[i].point_id, points[i].point_id);
-        EXPECT_EQ(back[i].config_label, points[i].config_label);
-        EXPECT_EQ(back[i].workload, points[i].workload);
-        EXPECT_EQ(configSignature(back[i].cfg),
-                  configSignature(points[i].cfg));
-    }
-}
-
 TEST(ServeProtocol, AssignmentAndEventsRoundTrip)
 {
     Assignment assign;
@@ -123,65 +101,30 @@ TEST(ServeProtocol, AssignmentAndEventsRoundTrip)
     EXPECT_EQ(back2.attempt, event.attempt);
 }
 
-TEST(ServeProtocol, ManifestRoundTrips)
-{
-    Manifest manifest;
-    manifest.status.job_id = 0xabcdef;
-    manifest.status.phase = JobPhase::kDegraded;
-    manifest.status.counts.total = 2;
-    manifest.status.counts.done = 1;
-    manifest.status.counts.quarantined = 1;
-    ManifestEntry ok;
-    ok.source = PointSource::kCache;
-    ok.result.point_id = 0;
-    ok.result.status = PointStatus::kOk;
-    ok.result.seed = 11;
-    ManifestEntry bad;
-    bad.source = PointSource::kQuarantine;
-    bad.result.point_id = 1;
-    bad.result.status = PointStatus::kFailed;
-    bad.result.error = "worker died 3 times";
-    bad.result.outcome = OutcomeClass::kHung;
-    manifest.entries = {ok, bad};
-
-    Serializer ser;
-    saveManifest(ser, manifest);
-    const auto bytes = ser.finish(FileKind::kServeMessage, 0);
-    Deserializer des(bytes, FileKind::kServeMessage, 0);
-    const Manifest back = loadManifest(des);
-    des.finish();
-    EXPECT_EQ(back.status.job_id, manifest.status.job_id);
-    EXPECT_EQ(back.status.phase, manifest.status.phase);
-    EXPECT_EQ(back.status.counts.quarantined, 1u);
-    ASSERT_EQ(back.entries.size(), 2u);
-    EXPECT_EQ(back.entries[0].source, PointSource::kCache);
-    EXPECT_EQ(back.entries[1].source, PointSource::kQuarantine);
-    EXPECT_EQ(back.entries[1].result.error, bad.result.error);
-    EXPECT_EQ(back.entries[1].result.outcome, OutcomeClass::kHung);
-}
-
 TEST(ServeProtocol, FramesRoundTripOverASocketpair)
 {
     SocketPair pair = makeSocketPair();
     Serializer ser;
-    saveJobId(ser, 0x1234);
-    ASSERT_EQ(sendMessage(pair.supervisor_fd, ser, MsgType::kQuery,
+    savePointEvent(ser, PointEvent{0x1234, 2});
+    ASSERT_EQ(sendMessage(pair.worker_fd, ser, MsgType::kPointStart,
                           1.0),
               IoStatus::kOk);
 
-    ReceivedMessage msg = recvMessage(pair.worker_fd, 1.0);
+    ReceivedMessage msg = recvMessage(pair.supervisor_fd, 1.0);
     ASSERT_EQ(msg.status, IoStatus::kOk);
-    EXPECT_EQ(msg.type, MsgType::kQuery);
+    EXPECT_EQ(msg.type, MsgType::kPointStart);
     ASSERT_TRUE(msg.payload.has_value());
-    EXPECT_EQ(loadJobId(*msg.payload), 0x1234u);
+    const PointEvent event = loadPointEvent(*msg.payload);
+    EXPECT_EQ(event.point_id, 0x1234u);
+    EXPECT_EQ(event.attempt, 2u);
     msg.payload->finish();
 
-    // Empty payloads (ping et al.) carry only the envelope.
-    ASSERT_EQ(sendEmptyMessage(pair.worker_fd, MsgType::kPing, 1.0),
+    // Empty payloads (heartbeats et al.) carry only the envelope.
+    ASSERT_EQ(sendEmptyMessage(pair.worker_fd, MsgType::kHeartbeat, 1.0),
               IoStatus::kOk);
-    ReceivedMessage ping = recvMessage(pair.supervisor_fd, 1.0);
-    EXPECT_EQ(ping.status, IoStatus::kOk);
-    EXPECT_EQ(ping.type, MsgType::kPing);
+    ReceivedMessage beat = recvMessage(pair.supervisor_fd, 1.0);
+    EXPECT_EQ(beat.status, IoStatus::kOk);
+    EXPECT_EQ(beat.type, MsgType::kHeartbeat);
 
     closeQuiet(pair.supervisor_fd);
     closeQuiet(pair.worker_fd);

@@ -7,7 +7,8 @@ namespace mopac::serve
 {
 void readExact(int fd, void *buf, unsigned long len, double timeout);
 void writeAll(int fd, const void *buf, unsigned long len);
-bool waitReadable(int fd, double timeout_sec);
+std::vector<unsigned long> waitAnyReadable(const std::vector<int> &fds,
+                                           double timeout_sec);
 struct ChildStatus
 {
     bool exited = false;
@@ -24,7 +25,7 @@ struct Frame
 void
 drainGood(int fd, char *buf, unsigned long len, Frame &frame)
 {
-    if (mopac::serve::waitReadable(fd, 0.5)) {
+    if (!mopac::serve::waitAnyReadable({fd}, 0.5).empty()) {
         mopac::serve::readExact(fd, buf, len, 5.0);
     }
     frame.write(buf, len);

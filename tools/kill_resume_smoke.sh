@@ -3,18 +3,26 @@
 #
 # For each bench driver given on the command line:
 #   1. run it cleanly (no journal) and keep the report,
-#   2. run it with --journal (a result-store directory), SIGKILL it
-#      mid-flight (the harshest possible interruption: no signal
-#      handler, no drain, no flush),
+#   2. run it with --journal (a result-store directory) and SIGKILL
+#      it as soon as the first point lands in the store (the harshest
+#      possible interruption: no signal handler, no drain, no flush),
 #   3. resume the sweep with --resume at a DIFFERENT --jobs count,
 #   4. require the resumed report to be byte-identical to the clean
 #      one (info:/warn: progress lines excluded -- the resumed run
-#      legitimately reports how many points it reused).
+#      legitimately reports how many points it reused),
+#   5. resume the finished store once more: the report must again be
+#      byte-identical, and every sweep must report all of its points
+#      reused and none run ("journal ...: reused N finished points,
+#      ran 0"),
+#   6. run it with --journal on a fresh store and SIGTERM it once the
+#      first point is stored: the graceful stop must exit 75
+#      (resumable, per the exit-code map in EXPERIMENTS.md), and its
+#      resume must match the clean report too.
 #
 # Exercises the whole crash-safety stack end to end: atomic store
 # entry writes (a SIGKILL mid-write must leave a loadable store),
-# keyed lookup of finished points, and schedule-independent stat
-# merging.
+# keyed lookup of finished points, graceful stop at a point boundary,
+# and schedule-independent stat merging.
 #
 # The clean run uses the legacy tick engine while the journaled and
 # resumed runs use the event engine (MOPAC_SIM_ENGINE), so the final
@@ -23,7 +31,6 @@
 #
 # Usage: kill_resume_smoke.sh <bench-binary> [<bench-binary> ...]
 # Env:   MOPAC_SIM_SCALE  simulation downscale (default 0.03)
-#        KILL_AFTER       seconds before the SIGKILL (default 2)
 
 set -u
 
@@ -33,7 +40,6 @@ if [ "$#" -lt 1 ]; then
 fi
 
 export MOPAC_SIM_SCALE="${MOPAC_SIM_SCALE:-0.03}"
-KILL_AFTER="${KILL_AFTER:-2}"
 
 workdir=$(mktemp -d) || { echo "FAIL: mktemp -d failed" >&2; exit 1; }
 sweep_pid=""
@@ -51,6 +57,28 @@ strip_progress() {
     grep -v -e '^info:' -e '^warn:' "$1"
 }
 
+# Spin (builtins only, so the poll itself is not the slow part) until
+# the first finished point is in store $1 or process $2 has exited.
+# Points at smoke scale take milliseconds, so a sleep-based poll
+# could miss the whole sweep.
+wait_for_first_point() {
+    while kill -0 "$2" 2>/dev/null; do
+        compgen -G "$1/*.rec" >/dev/null && return 0
+    done
+    return 1
+}
+
+# Report check shared by every resumed run: $1 = report, $2 = label.
+same_as_clean() {
+    if diff -u <(strip_progress "$workdir/$name.clean") \
+               <(strip_progress "$1"); then
+        echo "   OK: $2 report is byte-identical to the clean run"
+    else
+        echo "FAIL: $name $2 report differs from the clean run" >&2
+        status=1
+    fi
+}
+
 status=0
 for bin in "$@"; do
     name=$(basename "$bin")
@@ -65,12 +93,14 @@ for bin in "$@"; do
         continue
     fi
 
+    # Steps 2-4: SIGKILL mid-sweep, resume, compare.
     MOPAC_SIM_ENGINE=event "$bin" --jobs 4 --journal "$journal" \
         >"$workdir/$name.killed" 2>&1 &
     sweep_pid=$!
-    sleep "$KILL_AFTER"
-    if kill -9 "$sweep_pid" 2>/dev/null; then
-        echo "   SIGKILLed journaled sweep (pid $sweep_pid) after ${KILL_AFTER}s"
+    if wait_for_first_point "$journal" "$sweep_pid" &&
+            kill -9 "$sweep_pid" 2>/dev/null; then
+        echo "   SIGKILLed journaled sweep (pid $sweep_pid) after its" \
+             "first stored point"
     else
         echo "   sweep finished before the kill (resume still exercised)"
     fi
@@ -84,13 +114,57 @@ for bin in "$@"; do
         status=1
         continue
     fi
+    same_as_clean "$workdir/$name.resumed" "resumed"
 
-    if diff -u <(strip_progress "$workdir/$name.clean") \
-               <(strip_progress "$workdir/$name.resumed"); then
-        echo "   OK: resumed report is byte-identical to the clean run"
+    # Step 5: a finished store serves the whole rerun.
+    if ! MOPAC_SIM_ENGINE=event "$bin" --jobs 2 --resume "$journal" \
+            >"$workdir/$name.rerun" 2>"$workdir/$name.rerun.err"; then
+        echo "FAIL: rerun of $name on its finished store failed" >&2
+        cat "$workdir/$name.rerun.err" >&2
+        status=1
+        continue
+    fi
+    same_as_clean "$workdir/$name.rerun" "rerun"
+    journal_lines=$(grep -c '^info: journal ' "$workdir/$name.rerun")
+    reused_lines=$(grep -c -E \
+        '^info: journal .*: reused [1-9][0-9]* finished points, ran 0$' \
+        "$workdir/$name.rerun")
+    if [ "$journal_lines" -gt 0 ] &&
+            [ "$reused_lines" -eq "$journal_lines" ]; then
+        echo "   OK: rerun reused every point and ran none"
     else
-        echo "FAIL: $name resumed report differs from the clean run" >&2
+        echo "FAIL: $name rerun did not serve every point from the" \
+             "store" >&2
+        grep '^info: journal ' "$workdir/$name.rerun" >&2
         status=1
     fi
+
+    # Step 6: SIGTERM mid-sweep is a graceful, resumable stop.
+    term_journal="$workdir/$name.term"
+    MOPAC_SIM_ENGINE=event "$bin" --jobs 1 --journal "$term_journal" \
+        >"$workdir/$name.term.out" 2>&1 &
+    sweep_pid=$!
+    wait_for_first_point "$term_journal" "$sweep_pid" &&
+        kill -TERM "$sweep_pid" 2>/dev/null
+    wait "$sweep_pid"
+    rc=$?
+    sweep_pid=""
+    if [ "$rc" -eq 75 ]; then
+        echo "   OK: SIGTERM mid-sweep exits 75 (resumable)"
+    else
+        echo "FAIL: $name exited $rc on SIGTERM mid-sweep (want 75)" >&2
+        tail -5 "$workdir/$name.term.out" >&2
+        status=1
+        continue
+    fi
+    if ! MOPAC_SIM_ENGINE=event "$bin" --jobs 2 --resume "$term_journal" \
+            >"$workdir/$name.term.resumed" \
+            2>"$workdir/$name.term.resumed.err"; then
+        echo "FAIL: resume of $name after SIGTERM failed" >&2
+        cat "$workdir/$name.term.resumed.err" >&2
+        status=1
+        continue
+    fi
+    same_as_clean "$workdir/$name.term.resumed" "post-SIGTERM resume"
 done
 exit $status

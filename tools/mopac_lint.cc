@@ -103,7 +103,7 @@
  *                  wiring) and members carrying a serial-drift allow
  *                  are outside the graph.
  *   serve-reach    The serve-timeout rule propagates transitively:
- *                  no function reachable from the supervisor/daemon
+ *                  no function reachable from the supervisor's
  *                  event loop (any function defined in serve code
  *                  outside serve/io) may hit a raw blocking syscall,
  *                  even when the call sits in a helper far outside
@@ -945,7 +945,7 @@ checkServeTimeout(const SourceFile &sf, Linter &lint)
                         "' can block the supervisor event loop "
                         "forever; use the EINTR-safe bounded wrappers "
                         "in serve/io (readExact, writeAll, "
-                        "waitReadable, reapChild, sleepFor, ...)");
+                        "waitAnyReadable, reapChild, sleepFor, ...)");
     }
 }
 
