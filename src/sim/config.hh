@@ -40,20 +40,14 @@ std::string toString(MitigationKind kind);
  * Which run-loop drives System::runTo().  Both engines produce
  * bit-identical results (tests/sim/test_engine_diff.cc proves it);
  * kEvent skips provably-idle cycles and is the default.  kTick is the
- * cycle-by-cycle loop, the permanent reference that the engine
- * differential tests and kill_resume_smoke compare kEvent against.
+ * cycle-by-cycle loop, the reference that the engine differential
+ * tests compare kEvent against; only tests select it.
  */
 enum class SimEngine
 {
     kTick,  ///< Reference loop: one host iteration per DRAM cycle.
     kEvent, ///< Skip-to-next-event: jump to the earliest wakeup.
 };
-
-/** Printable name of a sim engine ("tick" / "event"). */
-std::string toString(SimEngine engine);
-
-/** Parse "tick" / "event"; fatal on anything else. */
-SimEngine parseSimEngine(const std::string &name);
 
 /**
  * Everything needed to build a System.  Fixed once parsed: a restore

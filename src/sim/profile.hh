@@ -3,11 +3,11 @@
  * Lightweight always-on cycle-attribution profiler.
  *
  * Throughput work must be measured, not asserted: every hot loop
- * increments a per-component counter here so `sim_throughput
- * --profile` and `profileReport()` can show where simulated cycles go
- * (core ticks and fast-forward windows, issue scans, controller
- * scheduler passes, event-engine maintenance, skipped cycles).  The
- * counters are:
+ * increments a per-component counter here so `profileReport()` can
+ * show where simulated cycles go (core ticks and fast-forward
+ * windows, issue scans, controller scheduler passes, event-engine
+ * maintenance, skipped cycles).  `mopac_sim` prints that report for
+ * its main run.  The counters are:
  *
  *  - *cheap*: plain thread-local u64 increments, hoisted to one
  *    `simProfile()` lookup per hot call, so they stay enabled in

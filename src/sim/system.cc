@@ -6,7 +6,6 @@
 #include "system.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "analysis/moat_model.hh"
 #include "analysis/security.hh"
@@ -41,37 +40,12 @@ toString(MitigationKind kind)
     return "?";
 }
 
-std::string
-toString(SimEngine engine)
-{
-    switch (engine) {
-      case SimEngine::kTick: return "tick";
-      case SimEngine::kEvent: return "event";
-    }
-    return "?";
-}
-
-SimEngine
-parseSimEngine(const std::string &name)
-{
-    if (name == "tick") return SimEngine::kTick;
-    if (name == "event") return SimEngine::kEvent;
-    fatal("unknown sim engine '{}' (want tick|event)", name);
-}
-
 SystemConfig
 makeConfig(MitigationKind kind, std::uint32_t trh)
 {
     SystemConfig cfg;
     cfg.mitigation = kind;
     cfg.trh = trh;
-    // Environment override so shell harnesses (kill_resume_smoke.sh,
-    // soak drivers) can flip the engine without plumbing a flag
-    // through every bench binary.  Tests that pin cfg.engine after
-    // makeConfig() are unaffected.
-    if (const char *env = std::getenv("MOPAC_SIM_ENGINE")) {
-        cfg.engine = parseSimEngine(env);
-    }
     return cfg;
 }
 

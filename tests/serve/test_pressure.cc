@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "common/serialize.hh"
+#include "point_bytes.hh"
 #include "scratch_dir.hh"
 #include "serve/io.hh"
 #include "serve/supervisor.hh"
@@ -110,17 +111,6 @@ sweepOn(PoolKind kind, unsigned workers,
     }
     Supervisor sup(sup_opts);
     return Runner(opts).sweep(points, store, progress, &sup);
-}
-
-/** Deterministic bytes of a result (wall clock zeroed). */
-std::vector<std::uint8_t>
-canonicalBytes(const PointResult &result)
-{
-    PointResult canon = result;
-    canon.wall_seconds = 0.0;
-    Serializer ser;
-    savePointResult(ser, canon);
-    return ser.finish(FileKind::kCacheEntry, canon.point_id);
 }
 
 /** RAII: whatever happens in the test, disarm the fault shim. */
@@ -343,8 +333,8 @@ TEST_P(SweepPressure, EnospcBrownoutKeepsServingResults)
     EXPECT_EQ(store.totalBytes(), 0u);
     for (std::size_t i = 0; i < points.size(); ++i) {
         EXPECT_EQ(report.results[i].status, PointStatus::kOk);
-        EXPECT_EQ(canonicalBytes(report.results[i]),
-                  canonicalBytes(clean[i]));
+        EXPECT_EQ(test::canonicalBytes(report.results[i]),
+                  test::canonicalBytes(clean[i]));
         EXPECT_FALSE(store.lookup(points[i], RunnerOptions{}).has_value());
     }
 }
@@ -428,8 +418,8 @@ TEST(SupervisorPreempt, PreemptedPointResumesWithZeroRework)
     // Preemption is invisible in the results: bit-identical to the
     // uninterrupted serial run, and the checkpoint file is gone.
     for (std::size_t i = 0; i < fix.points.size(); ++i) {
-        EXPECT_EQ(canonicalBytes(report.results[i]),
-                  canonicalBytes(fix.clean[i]));
+        EXPECT_EQ(test::canonicalBytes(report.results[i]),
+                  test::canonicalBytes(fix.clean[i]));
     }
     EXPECT_FALSE(fileExists(ckpt_dir + "/" + std::to_string(victim) +
                             ".ckpt"));
@@ -463,8 +453,8 @@ TEST(SupervisorPreempt, KillAtCheckpointLosesNoWork)
     EXPECT_EQ(pool.cycles_executed, fix.total_cycles);
 
     for (std::size_t i = 0; i < fix.points.size(); ++i) {
-        EXPECT_EQ(canonicalBytes(report.results[i]),
-                  canonicalBytes(fix.clean[i]));
+        EXPECT_EQ(test::canonicalBytes(report.results[i]),
+                  test::canonicalBytes(fix.clean[i]));
     }
 }
 
@@ -488,8 +478,8 @@ TEST(SupervisorPreempt, MidIntervalKillReworkIsBoundedByOneInterval)
     EXPECT_LE(sup.stats().cycles_executed,
               fix.total_cycles + fix.checkpoint_every);
     for (std::size_t i = 0; i < fix.points.size(); ++i) {
-        EXPECT_EQ(canonicalBytes(report.results[i]),
-                  canonicalBytes(fix.clean[i]));
+        EXPECT_EQ(test::canonicalBytes(report.results[i]),
+                  test::canonicalBytes(fix.clean[i]));
     }
 }
 
@@ -550,8 +540,8 @@ TEST_P(SweepStop, GracefulStopThenResumeMatchesCleanRun)
     EXPECT_EQ(full.exitCode(), 0);
     EXPECT_GE(full.cache_hits, 1u);
     for (std::size_t i = 0; i < fix.points.size(); ++i) {
-        EXPECT_EQ(canonicalBytes(full.results[i]),
-                  canonicalBytes(fix.clean[i]));
+        EXPECT_EQ(test::canonicalBytes(full.results[i]),
+                  test::canonicalBytes(fix.clean[i]));
     }
 }
 
@@ -597,8 +587,8 @@ TEST_P(SweepStop, ExpiredDrainDeadlineLeavesInFlightPointsNotRun)
     EXPECT_FALSE(resumed.stopped);
     EXPECT_EQ(resumed.cache_hits, 1u);
     for (std::size_t i = 0; i < points.size(); ++i) {
-        EXPECT_EQ(canonicalBytes(resumed.results[i]),
-                  canonicalBytes(clean[i]));
+        EXPECT_EQ(test::canonicalBytes(resumed.results[i]),
+                  test::canonicalBytes(clean[i]));
     }
 }
 

@@ -20,7 +20,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/serialize.hh"
+#include "point_bytes.hh"
 #include "scratch_dir.hh"
 #include "serve/supervisor.hh"
 #include "sim/experiment.hh"
@@ -71,17 +71,6 @@ supervised(Supervisor &sup, unsigned workers,
     RunnerOptions opts;
     opts.jobs = workers;
     return Runner(opts).sweep(points, store, nullptr, &sup);
-}
-
-/** Deterministic bytes of a result (wall clock zeroed). */
-std::vector<std::uint8_t>
-canonicalBytes(const PointResult &result)
-{
-    PointResult canon = result;
-    canon.wall_seconds = 0.0;
-    Serializer ser;
-    savePointResult(ser, canon);
-    return ser.finish(FileKind::kCacheEntry, canon.point_id);
 }
 
 void
@@ -173,10 +162,10 @@ TEST(SupervisorRetry, ScheduleAndManifestAreWorkerCountInvariant)
     serial.jobs = 1;
     const std::vector<PointResult> clean = Runner(serial).run(points);
     for (std::size_t i = 0; i < points.size(); ++i) {
-        const auto want = canonicalBytes(clean[i]);
-        EXPECT_EQ(canonicalBytes(reports[0].results[i]), want);
-        EXPECT_EQ(canonicalBytes(reports[1].results[i]), want);
-        EXPECT_EQ(canonicalBytes(reports[2].results[i]), want);
+        const auto want = test::canonicalBytes(clean[i]);
+        EXPECT_EQ(test::canonicalBytes(reports[0].results[i]), want);
+        EXPECT_EQ(test::canonicalBytes(reports[1].results[i]), want);
+        EXPECT_EQ(test::canonicalBytes(reports[2].results[i]), want);
     }
 }
 
@@ -249,8 +238,8 @@ TEST(SupervisorCache, SecondRunIsServedEntirelyFromCache)
         << "cache hits must not fork";
     for (std::size_t i = 0; i < points.size(); ++i) {
         EXPECT_EQ(b.sources[i], PointSource::kCache);
-        EXPECT_EQ(canonicalBytes(a.results[i]),
-                  canonicalBytes(b.results[i]));
+        EXPECT_EQ(test::canonicalBytes(a.results[i]),
+                  test::canonicalBytes(b.results[i]));
     }
 }
 
@@ -280,8 +269,8 @@ TEST(SupervisorCache, JournaledRunnerSweepHandsOffWithoutForking)
     EXPECT_EQ(report.cache_hits, points.size());
     EXPECT_EQ(report.exitCode(), 0);
     for (std::size_t i = 0; i < points.size(); ++i) {
-        EXPECT_EQ(canonicalBytes(report.results[i]),
-                  canonicalBytes(journaled.results[i]));
+        EXPECT_EQ(test::canonicalBytes(report.results[i]),
+                  test::canonicalBytes(journaled.results[i]));
     }
 }
 

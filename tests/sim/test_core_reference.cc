@@ -279,7 +279,9 @@ constexpr Cycle kPauses = 5;
 unsigned
 expectMatchesReference(const SystemConfig &cfg, const std::string &workload)
 {
-    SCOPED_TRACE(workload + " engine=" + toString(cfg.engine) +
+    const char *engine =
+        cfg.engine == SimEngine::kTick ? "tick" : "event";
+    SCOPED_TRACE(workload + " engine=" + engine +
                  " watchdog=" + std::to_string(cfg.watchdog_cycles));
     Sim ref_sim(cfg, workload);
     ReferenceLoop ref(ref_sim);

@@ -286,7 +286,7 @@ TEST(EngineCheckpoint, CrossEngineResumeIsBitIdentical)
     // The snapshot is engine-agnostic: a tick-engine snapshot resumed
     // under the event engine (and vice versa) must complete the same
     // execution.  This also exercises sweeps whose shards restore the
-    // same journal under different sim.engine settings.
+    // same journal under different engines.
     roundTripAt(quickConfig(MitigationKind::kMopacC), "mcf", 50021,
                 SimEngine::kTick, SimEngine::kEvent, "tick->event");
     roundTripAt(quickConfig(MitigationKind::kQprac), "mcf", 50021,

@@ -12,10 +12,11 @@
  * ResultCache.*: the store as a content-addressed cache -- hit, miss,
  * relabelling, non-OK results, self-heal.
  *
- * ResultStore.*: the key is the point as executed, foreign entries
- * are never served, and concurrent puts from a 4-job sweep keep the
- * on-disk accounting exact (the tsan-checkpoint preset runs this
- * file under ThreadSanitizer).
+ * ResultStore.*: the key is the point as executed (but not the
+ * run-loop engine: a tick-engine entry serves an event-engine sweep),
+ * foreign entries are never served, and concurrent puts from a 4-job
+ * sweep keep the on-disk accounting exact (the tsan-checkpoint preset
+ * runs this file under ThreadSanitizer).
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "common/serialize.hh"
+#include "point_bytes.hh"
 #include "scratch_dir.hh"
 #include "sim/result_store.hh"
 #include "sim/runner.hh"
@@ -559,6 +561,43 @@ TEST(ResultStore, KeyIsThePointAsExecuted)
     store.put(faulty, retries, okResult(faulty));
     EXPECT_TRUE(store.lookup(faulty, retries).has_value());
     EXPECT_FALSE(store.lookup(faulty, plain).has_value());
+}
+
+TEST(ResultStore, TickEngineEntriesServeAnEventEngineSweep)
+{
+    // The engines are bit-identical, so the engine is not part of the
+    // key: a store written by the per-cycle reference loop serves an
+    // event-engine sweep, and what it serves is what the event engine
+    // computes.
+    const test::ScratchDir scratch;
+    sweepstop::reset();
+    std::vector<ExperimentPoint> points = samplePoints();
+    points.resize(4);
+    const std::string dir = scratch.path("cross_engine");
+    RunnerOptions opts;
+    opts.jobs = 2;
+
+    for (ExperimentPoint &point : points) {
+        point.cfg.engine = SimEngine::kTick;
+    }
+    const SweepReport tick = journaled(opts, points, dir);
+    EXPECT_EQ(executed(tick), points.size());
+
+    for (ExperimentPoint &point : points) {
+        point.cfg.engine = SimEngine::kEvent;
+    }
+    const SweepReport served = journaled(opts, points, dir);
+    EXPECT_EQ(served.cache_hits, points.size());
+    EXPECT_EQ(executed(served), 0u);
+
+    const std::vector<PointResult> fresh = Runner(opts).run(points);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(served.sources[i], PointSource::kCache) << i;
+        EXPECT_EQ(served.results[i].status, PointStatus::kOk) << i;
+        EXPECT_EQ(test::canonicalBytes(served.results[i]),
+                  test::canonicalBytes(fresh[i]))
+            << i;
+    }
 }
 
 TEST(ResultStore, PlantedEntryWithAForeignSignatureHealsToAMiss)

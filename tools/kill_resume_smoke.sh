@@ -24,11 +24,6 @@
 # keyed lookup of finished points, graceful stop at a point boundary,
 # and schedule-independent stat merging.
 #
-# The clean run uses the legacy tick engine while the journaled and
-# resumed runs use the event engine (MOPAC_SIM_ENGINE), so the final
-# byte-identical report diff doubles as an end-to-end differential
-# test of the two run-loop engines across a crash/resume cycle.
-#
 # Usage: kill_resume_smoke.sh <bench-binary> [<bench-binary> ...]
 # Env:   MOPAC_SIM_SCALE  simulation downscale (default 0.03)
 
@@ -85,7 +80,7 @@ for bin in "$@"; do
     journal="$workdir/$name.journal"
     echo "== $name (scale $MOPAC_SIM_SCALE)"
 
-    if ! MOPAC_SIM_ENGINE=tick "$bin" --jobs 2 >"$workdir/$name.clean" \
+    if ! "$bin" --jobs 2 >"$workdir/$name.clean" \
             2>"$workdir/$name.clean.err"; then
         echo "FAIL: clean run of $name failed" >&2
         cat "$workdir/$name.clean.err" >&2
@@ -94,7 +89,7 @@ for bin in "$@"; do
     fi
 
     # Steps 2-4: SIGKILL mid-sweep, resume, compare.
-    MOPAC_SIM_ENGINE=event "$bin" --jobs 4 --journal "$journal" \
+    "$bin" --jobs 4 --journal "$journal" \
         >"$workdir/$name.killed" 2>&1 &
     sweep_pid=$!
     if wait_for_first_point "$journal" "$sweep_pid" &&
@@ -107,7 +102,7 @@ for bin in "$@"; do
     wait "$sweep_pid" 2>/dev/null
     sweep_pid=""
 
-    if ! MOPAC_SIM_ENGINE=event "$bin" --jobs 3 --resume "$journal" \
+    if ! "$bin" --jobs 3 --resume "$journal" \
             >"$workdir/$name.resumed" 2>"$workdir/$name.resumed.err"; then
         echo "FAIL: resume of $name failed" >&2
         cat "$workdir/$name.resumed.err" >&2
@@ -117,7 +112,7 @@ for bin in "$@"; do
     same_as_clean "$workdir/$name.resumed" "resumed"
 
     # Step 5: a finished store serves the whole rerun.
-    if ! MOPAC_SIM_ENGINE=event "$bin" --jobs 2 --resume "$journal" \
+    if ! "$bin" --jobs 2 --resume "$journal" \
             >"$workdir/$name.rerun" 2>"$workdir/$name.rerun.err"; then
         echo "FAIL: rerun of $name on its finished store failed" >&2
         cat "$workdir/$name.rerun.err" >&2
@@ -141,7 +136,7 @@ for bin in "$@"; do
 
     # Step 6: SIGTERM mid-sweep is a graceful, resumable stop.
     term_journal="$workdir/$name.term"
-    MOPAC_SIM_ENGINE=event "$bin" --jobs 1 --journal "$term_journal" \
+    "$bin" --jobs 1 --journal "$term_journal" \
         >"$workdir/$name.term.out" 2>&1 &
     sweep_pid=$!
     wait_for_first_point "$term_journal" "$sweep_pid" &&
@@ -157,7 +152,7 @@ for bin in "$@"; do
         status=1
         continue
     fi
-    if ! MOPAC_SIM_ENGINE=event "$bin" --jobs 2 --resume "$term_journal" \
+    if ! "$bin" --jobs 2 --resume "$term_journal" \
             >"$workdir/$name.term.resumed" \
             2>"$workdir/$name.term.resumed.err"; then
         echo "FAIL: resume of $name after SIGTERM failed" >&2

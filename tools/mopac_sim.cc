@@ -5,6 +5,11 @@
  * Usage:
  *   mopac_sim [key=value ...] [--config FILE]
  *
+ * Prints the run's results table, then the cycle-attribution counters
+ * of that run (src/sim/profile.hh: executed vs skipped cycles, core
+ * ticks and fast-forward windows, scheduler passes; after restore=,
+ * of the resumed part only).
+ *
  * Keys (defaults in parentheses):
  *   workload   = Table-4 name or mixN        (mcf)
  *   mitigation = none|prac|mopac-c|mopac-d|mint|pride|trr|para|graphene|qprac (none)
@@ -20,8 +25,6 @@
  *   chips      = chips per sub-channel        (4)
  *   page       = open|close|timeout           (open)
  *   ton_ns     = timeout policy tON in ns     (200)
- *   sim.engine = tick|event run-loop engine; both produce
- *                bit-identical results         (event)
  *   baseline   = also run the unprotected baseline and report
  *                the weighted slowdown        (false)
  *   watchdog   = forward-progress watchdog budget in cycles; a run
@@ -52,6 +55,7 @@
 #include "common/table.hh"
 #include "sim/experiment.hh"
 #include "sim/faults.hh"
+#include "sim/profile.hh"
 #include "sim/stop.hh"
 
 namespace
@@ -149,8 +153,6 @@ main(int argc, char **argv)
         static_cast<int>(conf.getInt("drain", -1));
     cfg.geometry.chips =
         static_cast<unsigned>(conf.getUint("chips", 4));
-    cfg.engine =
-        parseSimEngine(conf.getString("sim.engine", toString(cfg.engine)));
     cfg.mc.page_policy = parsePolicy(conf.getString("page", "open"));
     cfg.mc.timeout_ton = nsToCycles(conf.getDouble("ton_ns", 200.0));
     cfg.watchdog_cycles = conf.getUint("watchdog", cfg.watchdog_cycles);
@@ -210,6 +212,9 @@ main(int argc, char **argv)
         result = outcome.result;
     }
     report(toString(cfg.mitigation).c_str(), result, faulted);
+    // Where the main run's simulated cycles went.  No wall time, so
+    // the output stays deterministic.
+    std::fputs(profileReport(simProfile(), 0.0).c_str(), stdout);
 
     if (baseline && cfg.mitigation != MitigationKind::kNone) {
         SystemConfig base = cfg;
