@@ -17,34 +17,19 @@
  * quarantined (with its replay id) instead of hanging the sweep --
  * and that fault_retries re-runs transiently-unlucky points.
  *
- * Part C (kWorkerKill) moves the chaos up one process level: the same
- * clean sweep runs serially on the Runner and then under the
- * serve::Supervisor while workers are SIGKILLed / SIGSTOPped
- * mid-chunk (a scripted schedule guarantees at least one of each, and
- * rate-based chaos adds more).  The supervised manifest must be
- * bit-identical to the serial one -- a worker death costs wall time,
- * never results.  A mismatch fails the bench (exit 1).
- *
- * Part D turns the deterministic syscall fault shim (serve/io.hh) on
- * the storage and transport layers, in two drills:
- *   D1  full-disk brownout: a supervised sweep with a result store
- *       while atomicWriteFile fails with injected ENOSPC and the
- *       worker pipes suffer EINTR / short writes.  Every storage
- *       failure must be tolerated and counted, the manifest must stay
- *       bit-identical to the serial run, and a post-run cache budget
- *       squeeze must evict oldest-insertion-first back under budget.
- *   D2  checkpointed preemption under EINTR / short-write pressure:
- *       scripted kPreemptPoint + kKillAtCheckpoint with the transport
- *       faults armed; the cycles-executed ledger must equal the
- *       serial total exactly (zero rework).  ENOSPC stays off here on
- *       purpose -- a failed snapshot write inside a worker surfaces
- *       as a failed point by design, so the full-disk drill and the
- *       checkpoint drill are separate experiments.
+ * Part C is a full-disk brownout drill: a journaled sweep on the
+ * Runner's worker threads while every other result-store write fails
+ * with an injected ENOSPC (setWriteFaultHook, common/serialize.hh).
+ * Every failed write must be counted and tolerated, the report must
+ * stay bit-identical to the serial run, and a resume with the disk
+ * back must serve the stored points and re-run exactly the others.
+ * A mismatch fails the bench (exit 1).
  *
  * Flags: the shared bench flags plus `--smoke` (short durations and a
  * reduced grid; what the ctest smoke run uses).
  */
 
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
@@ -55,8 +40,6 @@
 
 #include "bench_util.hh"
 #include "common/serialize.hh"
-#include "serve/io.hh"
-#include "serve/supervisor.hh"
 #include "sim/attack.hh"
 #include "sim/faults.hh"
 #include "sim/result_store.hh"
@@ -219,144 +202,45 @@ quarantineSweep(bool smoke, const BenchOptions &opts)
 
 /**
  * Canonical bytes of one point result: everything deterministic
- * (status, outcome, seed, error, attempts, full RunResult and stats),
- * with the wall-clock field -- the only legitimately nondeterministic
- * one -- zeroed before serializing.
+ * (status, outcome, seed, error, attempts, full RunResult and stats)
+ * as the result store writes it, which leaves the wall time out.
  */
 std::vector<std::uint8_t>
 canonicalBytes(const PointResult &result)
 {
-    PointResult canon = result;
-    canon.wall_seconds = 0.0;
     Serializer ser;
-    savePointResult(ser, canon);
-    return ser.finish(FileKind::kCacheEntry, canon.point_id);
+    savePointResult(ser, result);
+    return ser.finish(FileKind::kCacheEntry, result.point_id);
 }
 
-/** Driver knobs of the supervised drills: three worker processes. */
-RunnerOptions
-poolOptions()
+/** Points of @p report whose bytes differ from @p serial. */
+std::size_t
+mismatches(const std::vector<PointResult> &serial,
+           const SweepReport &report)
 {
-    RunnerOptions opts;
-    opts.jobs = 3;
-    return opts;
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        n += canonicalBytes(serial[i]) ==
+                     canonicalBytes(report.results[i])
+                 ? 0
+                 : 1;
+    }
+    return n;
 }
 
 void
-workerKillChaos(bool smoke)
+brownoutDrill(bool smoke)
 {
     const std::uint64_t insts = smoke ? 15000 : 40000;
 
     // A small clean sweep (no fault plans): it has exactly one
-    // correct manifest, so any divergence is the supervisor's fault.
-    SweepSpec spec;
-    spec.master_seed = 41;
-    for (std::uint32_t trh : {500u, 1000u}) {
-        SystemConfig cfg = makeConfig(MitigationKind::kMopacD, trh);
-        cfg.insts_per_core = insts;
-        cfg.warmup_insts = insts / 10;
-        spec.configs.push_back(
-            {"mopac-d@" + std::to_string(trh), cfg});
-    }
-    spec.workloads = {"mcf", "xz"};
-    const std::vector<ExperimentPoint> points = spec.expand();
-
-    RunnerOptions serial_opts;
-    serial_opts.jobs = 1;
-    const std::vector<PointResult> serial =
-        Runner(serial_opts).run(points);
-
-    serve::SupervisorOptions sopts;
-    sopts.max_strikes = 25;       // Chaos must never quarantine.
-    sopts.heartbeat_sec = 0.2;
-    sopts.hang_timeout_sec = 10.0; // Catches the SIGSTOPped worker.
-    sopts.backoff_base_sec = 0.01;
-    sopts.backoff_cap_sec = 0.05;
-    sopts.chaos_kill_rate = 0.10; // Per (point, attempt) start.
-    sopts.chaos_stop_rate = 0.05;
-    serve::Supervisor sup(sopts);
-    // The rates only kill in expectation; script one crash and one
-    // hang so the smoke run provably exercises both recovery paths.
-    sup.setFailSchedule({
-        {{points[0].point_id, 1}, serve::FailAction::kKillWorker},
-        {{points[2].point_id, 1}, serve::FailAction::kStopWorker},
-    });
-    const SweepReport report =
-        Runner(poolOptions()).sweep(points, nullptr, nullptr, &sup);
-    const serve::SupervisorStats &pool = sup.stats();
-
-    TextTable table("chaos soak: worker-kill supervision");
-    table.header({"id", "config", "workload", "status", "retries",
-                  "identical"});
-    std::size_t mismatches = 0;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const bool same = canonicalBytes(serial[i]) ==
-                          canonicalBytes(report.results[i]);
-        mismatches += same ? 0 : 1;
-        const auto it = pool.retries.find(points[i].point_id);
-        const std::size_t nretries =
-            it == pool.retries.end() ? 0 : it->second.size();
-        table.row({std::to_string(points[i].point_id),
-                   points[i].config_label, points[i].workload,
-                   toString(report.results[i].status),
-                   std::to_string(nretries), same ? "yes" : "NO"});
-    }
-    table.note(format(
-        "workers forked {}  crashed {}  hang-killed {}",
-        pool.workers_forked, pool.workers_crashed,
-        pool.workers_hung_killed));
-    table.print(std::cout);
-
-    if (mismatches > 0) {
-        fatal("worker-kill chaos: {} of {} supervised results differ "
-              "from the serial run",
-              mismatches, points.size());
-    }
-    if (pool.workers_crashed == 0 ||
-        pool.workers_hung_killed == 0) {
-        fatal("worker-kill chaos: scripted failures did not fire "
-              "(crashed {}, hang-killed {})",
-              pool.workers_crashed, pool.workers_hung_killed);
-    }
-    if (report.exitCode() != 0) {
-        fatal("worker-kill chaos: supervised sweep exit {} != 0",
-              report.exitCode());
-    }
-}
-
-/**
- * Common supervision tuning for the Part D drills: enough workers to
- * overlap points, strike budget high enough that injected pressure
- * can never quarantine, fast heartbeat/backoff so the smoke run stays
- * quick.
- */
-serve::SupervisorOptions
-pressureOptions()
-{
-    serve::SupervisorOptions sopts;
-    sopts.max_strikes = 25;
-    sopts.heartbeat_sec = 0.2;
-    sopts.hang_timeout_sec = 20.0;
-    sopts.backoff_base_sec = 0.01;
-    sopts.backoff_cap_sec = 0.05;
-    return sopts;
-}
-
-void
-resourcePressureChaos(bool smoke)
-{
-    const std::uint64_t insts = smoke ? 15000 : 40000;
-
-    // Same clean-sweep shape as Part C, but on a small bank: snapshot
-    // size scales with PRAC's per-row state, and drill D2 writes a
-    // snapshot every checkpoint interval.
+    // correct report, so any divergence is the driver's fault.
     SweepSpec spec;
     spec.master_seed = 43;
     for (std::uint32_t trh : {500u, 1000u}) {
         SystemConfig cfg = makeConfig(MitigationKind::kMopacD, trh);
         cfg.insts_per_core = insts;
         cfg.warmup_insts = insts / 10;
-        cfg.geometry.rows_per_bank = 4096;
         spec.configs.push_back(
             {"mopac-d@" + std::to_string(trh), cfg});
     }
@@ -367,159 +251,72 @@ resourcePressureChaos(bool smoke)
     serial_opts.jobs = 1;
     const std::vector<PointResult> serial =
         Runner(serial_opts).run(points);
-    std::uint64_t total_cycles = 0;
-    std::uint64_t min_cycles = ~0ull;
-    for (const PointResult &r : serial) {
-        total_cycles += r.run.cycles;
-        min_cycles = std::min(min_cycles, r.run.cycles);
-    }
 
-    const std::string base =
-        format("/tmp/mopac_chaos_pressure_{}", ::getpid());
-    std::filesystem::remove_all(base);
-    serve::ensureDir(base);
+    const std::string dir =
+        format("/tmp/mopac_chaos_brownout_{}", ::getpid());
+    std::filesystem::remove_all(dir);
 
-    TextTable table("chaos soak: resource-pressure drills");
-    table.header({"drill", "injected", "observed", "verdict"});
+    RunnerOptions pool;
+    pool.jobs = 3;
+    TextTable table("chaos soak: full-disk brownout");
+    table.header({"run", "injected", "observed", "verdict"});
 
-    // ---- D1: full-disk brownout + budgeted cache eviction --------
+    // Every other durable write fails before a byte lands: the count
+    // is fixed (half the points, rounded up), whichever thread writes.
+    std::atomic<std::uint64_t> writes{0};
+    std::atomic<std::uint64_t> injected{0};
+    setWriteFaultHook([&](const std::string &path) {
+        if (writes.fetch_add(1) % 2 == 0) {
+            injected.fetch_add(1);
+            throw SerializeError("injected ENOSPC writing " + path);
+        }
+    });
+    SweepReport report;
     {
-        // The store is set up before the shim arms, so the directory
-        // scaffolding itself cannot fault.
-        ResultStore store(base + "/cache");
-        serve::Supervisor sup(pressureOptions());
-
-        serve::IoFaultConfig shim;
-        shim.seed = 0xbeef;
-        shim.enospc_rate = 0.25;
-        shim.eintr_rate = 0.20;
-        shim.short_write_rate = 0.20;
-        serve::setIoFaultShim(shim);
-        const SweepReport report =
-            Runner(poolOptions()).sweep(points, &store, nullptr, &sup);
-        const serve::IoFaultStats stats = serve::ioFaultShimStats();
-        serve::setIoFaultShim(serve::IoFaultConfig{});
-
-        std::size_t mismatches = 0;
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            mismatches += canonicalBytes(serial[i]) ==
-                                  canonicalBytes(report.results[i])
-                              ? 0
-                              : 1;
-        }
-        table.row({"D1 brownout",
-                   format("enospc {} eintr {} short {}", stats.enospc,
-                          stats.eintr, stats.short_writes),
-                   format("storage failures {}",
-                          report.storage_write_failures),
-                   mismatches == 0 ? "identical" : "MISMATCH"});
-        if (mismatches > 0) {
-            fatal("pressure chaos: {} of {} brownout results differ "
-                  "from the serial run",
-                  mismatches, points.size());
-        }
-        if (report.storage_write_failures == 0 || stats.enospc == 0) {
-            fatal("pressure chaos: ENOSPC injection never fired "
-                  "(failures {}, injected {})",
-                  report.storage_write_failures, stats.enospc);
-        }
-        if (report.exitCode() != 0) {
-            fatal("pressure chaos: brownout sweep exit {} != 0",
-                  report.exitCode());
-        }
-
-        // Budget squeeze: halve the store's footprint allowance and
-        // require deterministic oldest-first eviction back under it.
-        const std::uint64_t before = store.totalBytes();
-        if (before == 0) {
-            fatal("pressure chaos: every store write failed; the "
-                  "eviction drill has nothing to evict");
-        }
-        const std::uint64_t budget = before / 2;
-        store.setBudget(budget);
-        table.row({"D1 budget squeeze",
-                   format("budget {} B", budget),
-                   format("{} -> {} B, {} evicted", before,
-                          store.totalBytes(), store.evictions()),
-                   store.totalBytes() <= budget ? "within budget"
-                                                : "OVER"});
-        if (store.evictions() == 0 || store.totalBytes() > budget) {
-            fatal("pressure chaos: budget squeeze left {} B against "
-                  "a {} B budget ({} evictions)",
-                  store.totalBytes(), budget, store.evictions());
-        }
+        ResultStore store(dir);
+        report = Runner(pool).sweep(points, &store);
     }
+    setWriteFaultHook(nullptr);
+    const std::size_t bad = mismatches(serial, report);
+    table.row({"brownout", format("enospc {}", injected.load()),
+               format("storage failures {}",
+                      report.storage_write_failures),
+               bad == 0 ? "identical" : "MISMATCH"});
 
-    // ---- D2: checkpointed preemption under transport pressure ----
+    // The disk is back: the stored points are served and the points
+    // whose writes failed re-run, to the same bytes.
+    SweepReport resumed;
     {
-        serve::SupervisorOptions sopts = pressureOptions();
-        sopts.checkpoint_every =
-            std::max<std::uint64_t>(1, min_cycles / 3);
-        sopts.checkpoint_dir = base + "/ckpt";
-        serve::Supervisor sup(sopts);
-        sup.setFailSchedule({
-            {{points[1].point_id, 1}, serve::FailAction::kPreemptPoint},
-            {{points[3].point_id, 1},
-             serve::FailAction::kKillAtCheckpoint},
-        });
-
-        serve::IoFaultConfig shim;
-        shim.seed = 0xd25c;
-        shim.eintr_rate = 0.25;
-        shim.short_write_rate = 0.25;
-        serve::setIoFaultShim(shim);
-        const SweepReport report =
-            Runner(poolOptions()).sweep(points, nullptr, nullptr, &sup);
-        const serve::SupervisorStats &pool = sup.stats();
-        const serve::IoFaultStats stats = serve::ioFaultShimStats();
-        serve::setIoFaultShim(serve::IoFaultConfig{});
-
-        std::size_t mismatches = 0;
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            mismatches += canonicalBytes(serial[i]) ==
-                                  canonicalBytes(report.results[i])
-                              ? 0
-                              : 1;
-        }
-        // Preemption and a checkpoint-rendezvous kill both resume
-        // from the exact snapshot cycle, so the ledger of simulated
-        // cycles across every attempt equals the serial total: the
-        // drill proves zero rework, not just identical results.
-        const bool exact_ledger =
-            pool.cycles_executed == total_cycles;
-        table.row({"D2 preempt+ckpt",
-                   format("eintr {} short {}", stats.eintr,
-                          stats.short_writes),
-                   format("preempted {} crashed {} ledger {}/{}",
-                          pool.points_preempted,
-                          pool.workers_crashed,
-                          pool.cycles_executed, total_cycles),
-                   mismatches == 0 && exact_ledger ? "zero rework"
-                                                   : "REWORK"});
-        if (mismatches > 0) {
-            fatal("pressure chaos: {} of {} preempted results differ "
-                  "from the serial run",
-                  mismatches, points.size());
-        }
-        if (pool.points_preempted == 0 ||
-            pool.workers_crashed == 0) {
-            fatal("pressure chaos: scripted preemption did not fire "
-                  "(preempted {}, crashed {})",
-                  pool.points_preempted, pool.workers_crashed);
-        }
-        if (!exact_ledger) {
-            fatal("pressure chaos: cycles ledger {} != serial total "
-                  "{} (checkpoint resume lost or redid work)",
-                  pool.cycles_executed, total_cycles);
-        }
-        if (report.exitCode() != 0) {
-            fatal("pressure chaos: preemption sweep exit {} != 0",
-                  report.exitCode());
-        }
+        ResultStore store(dir);
+        resumed = Runner(pool).sweep(points, &store);
     }
-
+    const std::size_t bad_resume = mismatches(serial, resumed);
+    table.row({"resume", "none",
+               format("reused {} ran {}", resumed.cache_hits,
+                      points.size() - resumed.cache_hits),
+               bad_resume == 0 ? "identical" : "MISMATCH"});
     table.print(std::cout);
-    std::filesystem::remove_all(base);
+    std::filesystem::remove_all(dir);
+
+    if (bad > 0 || bad_resume > 0) {
+        fatal("brownout chaos: {} brownout and {} resumed results "
+              "of {} differ from the serial run",
+              bad, bad_resume, points.size());
+    }
+    if (injected.load() == 0 ||
+        report.storage_write_failures != injected.load()) {
+        fatal("brownout chaos: {} injected ENOSPC, {} counted storage "
+              "failures",
+              injected.load(), report.storage_write_failures);
+    }
+    if (resumed.cache_hits != points.size() - injected.load()) {
+        fatal("brownout chaos: resume reused {} points, expected {}",
+              resumed.cache_hits, points.size() - injected.load());
+    }
+    if (report.exitCode() != 0 || resumed.exitCode() != 0) {
+        fatal("brownout chaos: sweep exits {} and {}, expected 0",
+              report.exitCode(), resumed.exitCode());
+    }
 }
 
 } // namespace
@@ -547,7 +344,6 @@ main(int argc, char **argv)
 
     degradationTable(smoke, intensities);
     quarantineSweep(smoke, opts);
-    workerKillChaos(smoke);
-    resourcePressureChaos(smoke);
+    brownoutDrill(smoke);
     return mopac::bench::finalExitCode();
 }

@@ -4,17 +4,9 @@
  * the on-disk layout; everything here is strict-on-load.
  *
  * atomicWriteFile is the common layer's durable-write primitive, so
- * this file (like serve/io) legitimately owns raw EINTR loops and
- * errno save/restore around open/write/fsync/rename:
+ * this file legitimately owns raw EINTR loops and errno save/restore
+ * around open/write/fsync/rename:
  * mopac-lint: allow-file(io-errno)
- *
- * The serve supervisor reaches atomicWriteFile/readFileBytes when it
- * persists snapshots and result-store entries.  That is deliberate:
- * these are bounded local-disk transfers with structured error
- * reporting, the exact discipline serve/io enforces for its own
- * descriptors -- not an unbounded socket/pipe wait the serve-reach
- * closure exists to catch:
- * mopac-lint: allow-file(serve-reach)
  */
 
 #include "serialize.hh"

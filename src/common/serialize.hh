@@ -3,13 +3,12 @@
  * Versioned, checksummed binary serialization for checkpoint files.
  *
  * Every on-disk artifact of the crash-recovery subsystem (System
- * snapshots and result-store entries) and every frame of the worker
- * protocol shares one container format:
+ * snapshots and result-store entries) shares one container format:
  *
  *   +------------------------------------------------------------+
  *   | magic "MOPACSER" (8 bytes)                                 |
  *   | u32 format version                                         |
- *   | u32 file kind (snapshot / store entry / message)           |
+ *   | u32 file kind (snapshot / store entry)                     |
  *   | u64 config hash (FNV-1a of the producing configuration)    |
  *   | u64 payload size in bytes                                  |
  *   | payload: nested tagged sections of little-endian fields    |
@@ -47,7 +46,6 @@ constexpr std::uint32_t kSerializeVersion = 1;
 enum class FileKind : std::uint32_t
 {
     kSnapshot = 1,       //!< Full sim::System state snapshot.
-    kServeMessage = 4,   //!< One supervisor<->worker message.
     kCacheEntry = 5,     //!< One ResultStore entry (finished point).
 };
 
@@ -181,9 +179,9 @@ void atomicWriteFile(const std::string &path,
  * Fault-injection hook for tests and chaos drills: invoked with the
  * destination path at the top of every atomicWriteFile, before any
  * byte reaches the disk.  A hook that throws SerializeError simulates
- * a full disk (ENOSPC) without real pressure -- the serve-layer fault
- * shim installs exactly that (see serve/io setIoFaultShim).  Pass an
- * empty function to uninstall.  Thread-safe.
+ * a full disk (ENOSPC) without real pressure (the brownout tests and
+ * chaos_soak's full-disk drill install exactly that).  Pass an empty
+ * function to uninstall.  Thread-safe.
  */
 void setWriteFaultHook(
     std::function<void(const std::string &path)> hook);

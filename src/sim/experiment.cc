@@ -111,26 +111,13 @@ classifyRun(const RunResult &result)
 
 RunOutcome
 tryRunWorkload(const SystemConfig &cfg, const std::string &name,
-               bool capture_stats, const CheckpointOptions *ckpt,
-               CheckpointedRun *ckpt_out)
+               bool capture_stats)
 {
     RunOutcome outcome;
     StatSnapshot *stats = capture_stats ? &outcome.stats : nullptr;
-    if (ckpt_out != nullptr) {
-        *ckpt_out = CheckpointedRun{};
-    }
     const ErrorTrap trap;
     try {
-        if (ckpt == nullptr) {
-            outcome.result = runWorkload(cfg, name, stats);
-        } else {
-            const CheckpointedRun chk =
-                runWorkloadCheckpointed(cfg, name, *ckpt, stats);
-            outcome.result = chk.result;
-            if (ckpt_out != nullptr) {
-                *ckpt_out = chk;
-            }
-        }
+        outcome.result = runWorkload(cfg, name, stats);
         outcome.ok = true;
         outcome.outcome = classifyRun(outcome.result);
     } catch (const AbortError &) {
@@ -222,7 +209,6 @@ runWorkloadCheckpointed(const SystemConfig &cfg, const std::string &name,
         ckpt.checkpoint_every > 0 ? ckpt.checkpoint_every : (1u << 20);
 
     CheckpointedRun out;
-    out.resumed_from = system.runCycle();
     Cycle target = system.runCycle();
     for (;;) {
         target += step;
@@ -235,29 +221,15 @@ runWorkloadCheckpointed(const SystemConfig &cfg, const std::string &name,
             }
             out.finished = false;
             out.stopped_at = system.runCycle();
-            out.executed_cycles = system.runCycle() - out.resumed_from;
             return out;
         }
         if (!ckpt.save_path.empty() && ckpt.checkpoint_every > 0) {
             writeSnapshot(ckpt.save_path, hash, system, traces);
-            const CheckpointBeat beat{system.runCycle(),
-                                      out.resumed_from};
-            if (ckpt.on_checkpoint &&
-                ckpt.on_checkpoint(beat) ==
-                    CheckpointSignal::kPreempt) {
-                out.finished = false;
-                out.preempted = true;
-                out.stopped_at = system.runCycle();
-                out.executed_cycles =
-                    system.runCycle() - out.resumed_from;
-                return out;
-            }
         }
     }
 
     out.finished = true;
     out.result = system.finishRun();
-    out.executed_cycles = system.runCycle() - out.resumed_from;
     run.snapshotStats(stats_out);
     return out;
 }

@@ -8,7 +8,6 @@
 #ifndef MOPAC_SIM_EXPERIMENT_HH
 #define MOPAC_SIM_EXPERIMENT_HH
 
-#include <functional>
 #include <string>
 
 #include "sim/system.hh"
@@ -64,25 +63,6 @@ struct RunOutcome
     OutcomeClass outcome = OutcomeClass::kOk;
 };
 
-/**
- * What the checkpoint-cadence callback tells the run loop to do after
- * each periodic snapshot has been written.
- */
-enum class CheckpointSignal
-{
-    kContinue, //!< Keep executing toward the next checkpoint.
-    kPreempt,  //!< Yield now: the snapshot on disk is the hand-off.
-};
-
-/** What the run loop reports at each periodic checkpoint. */
-struct CheckpointBeat
-{
-    /** Simulated cycle the snapshot was taken at. */
-    Cycle now = 0;
-    /** Cycle this run started from (0 = fresh, else restore cycle). */
-    Cycle resumed_from = 0;
-};
-
 /** Checkpoint/restore knobs for a single workload run. */
 struct CheckpointOptions
 {
@@ -104,15 +84,6 @@ struct CheckpointOptions
      * SerializeError.
      */
     std::string restore_path;
-    /**
-     * Invoked after every periodic snapshot lands on disk.  Returning
-     * kPreempt abandons the run at this (snapshot-durable) boundary;
-     * the serve-layer worker uses this to rendezvous with its
-     * supervisor so preemption and kill-at-checkpoint are
-     * deterministic.  Null = always continue.
-     */
-    std::function<CheckpointSignal(const CheckpointBeat &beat)>
-        on_checkpoint;
 };
 
 /** Outcome of one checkpointed workload run. */
@@ -128,12 +99,6 @@ struct CheckpointedRun
     RunResult result;
     /** Cycle of the last snapshot taken (interrupted runs). */
     Cycle stopped_at = 0;
-    /** True when on_checkpoint requested the yield (not a stop). */
-    bool preempted = false;
-    /** Cycle the run started from (0 = fresh, else restore cycle). */
-    Cycle resumed_from = 0;
-    /** Cycles executed by THIS invocation (rework accounting). */
-    Cycle executed_cycles = 0;
 };
 
 /**
@@ -164,17 +129,10 @@ CheckpointedRun runWorkloadCheckpointed(const SystemConfig &cfg,
  * abort()/exit()).  This is what lets a sweep quarantine one broken
  * point and keep the other results.  An AbortError (operator abort)
  * still propagates.
- *
- * With @p ckpt the run goes through runWorkloadCheckpointed instead,
- * and @p ckpt_out (when non-null) receives its progress (reset when
- * the run crashes).  A run that yields at a checkpoint is ok with an
- * empty result; ckpt_out->finished tells it apart.
  */
 RunOutcome tryRunWorkload(const SystemConfig &cfg,
                           const std::string &name,
-                          bool capture_stats = false,
-                          const CheckpointOptions *ckpt = nullptr,
-                          CheckpointedRun *ckpt_out = nullptr);
+                          bool capture_stats = false);
 
 /**
  * Convenience: slowdown of mitigation @p kind vs the unprotected

@@ -5,9 +5,7 @@
 
 #include "result_store.hh"
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <vector>
 
@@ -24,7 +22,6 @@ namespace
 constexpr std::uint32_t kTagPoint = 0x504F494E; // 'POIN'
 constexpr std::uint32_t kTagRun = 0x52554E52;   // 'RUNR'
 constexpr std::uint32_t kTagId = 0x53434944;    // 'SCID'
-constexpr std::uint32_t kTagSeq = 0x53435351;   // 'SCSQ'
 
 void
 saveRunResult(Serializer &ser, const RunResult &run)
@@ -129,7 +126,6 @@ savePointResult(Serializer &ser, const PointResult &result)
     ser.putU64(result.point_id);
     ser.putU8(static_cast<std::uint8_t>(result.status));
     ser.putU64(result.seed);
-    ser.putF64(result.wall_seconds);
     ser.putStr(result.error);
     ser.putU8(static_cast<std::uint8_t>(result.outcome));
     ser.putU32(result.attempts);
@@ -151,7 +147,6 @@ loadPointResult(Deserializer &des)
     }
     result.status = static_cast<PointStatus>(status);
     result.seed = des.getU64();
-    result.wall_seconds = des.getF64();
     result.error = des.getStr();
     const std::uint8_t outcome = des.getU8();
     if (outcome > static_cast<std::uint8_t>(OutcomeClass::kHung)) {
@@ -174,8 +169,6 @@ ResultStore::ResultStore(std::string dir) : dir_(std::move(dir))
         throw SerializeError(format("cannot create result store {}: {}",
                                     dir_, ec.message()));
     }
-    scan(dir_);
-    scan(dir_ + "/quarantine");
 }
 
 std::uint64_t
@@ -201,98 +194,7 @@ ResultStore::heal(const std::string &path, const char *why)
     if (std::rename(path.c_str(), (path + ".corrupt").c_str()) != 0) {
         std::remove(path.c_str());
     }
-    forget(path);
     ++healed_;
-}
-
-void
-ResultStore::account(const std::string &path, std::uint64_t seq,
-                     std::uint64_t bytes)
-{
-    forget(path); // Replacing a file frees its older generation.
-    seq_of_[path] = seq;
-    by_seq_[seq] = {path, bytes};
-    total_bytes_ += bytes;
-}
-
-void
-ResultStore::forget(const std::string &path)
-{
-    const auto it = seq_of_.find(path);
-    if (it == seq_of_.end()) {
-        return;
-    }
-    const auto entry = by_seq_.find(it->second);
-    if (entry != by_seq_.end()) {
-        total_bytes_ -= entry->second.second;
-        by_seq_.erase(entry);
-    }
-    seq_of_.erase(it);
-}
-
-void
-ResultStore::scan(const std::string &where)
-{
-    std::vector<std::string> names;
-    std::error_code ec;
-    for (const auto &ent :
-         std::filesystem::directory_iterator(where, ec)) {
-        names.push_back(ent.path().filename().string());
-    }
-    // Lexicographic walk keeps healing and accounting order stable.
-    std::sort(names.begin(), names.end());
-
-    for (const std::string &name : names) {
-        if (name.size() != 20 || name.compare(16, 4, ".rec") != 0) {
-            continue;
-        }
-        const std::string path = where + "/" + name;
-        const std::uint64_t key =
-            std::strtoull(name.c_str(), nullptr, 16);
-        try {
-            const std::vector<std::uint8_t> bytes =
-                readFileBytes(path);
-            Deserializer des(bytes, FileKind::kCacheEntry, key);
-            des.begin(kTagId);
-            des.getStr();
-            des.getStr();
-            des.end();
-            des.begin(kTagSeq);
-            const std::uint64_t seq = des.getU64();
-            des.end();
-            account(path, seq, bytes.size());
-            next_seq_ = std::max(next_seq_, seq + 1);
-        } catch (const SerializeError &err) {
-            heal(path, err.what());
-        }
-    }
-}
-
-void
-ResultStore::evictToBudget()
-{
-    if (budget_ == 0) {
-        return;
-    }
-    while (total_bytes_ > budget_ && !by_seq_.empty()) {
-        const auto it = by_seq_.begin();
-        const auto [path, bytes] = it->second;
-        if (std::remove(path.c_str()) != 0) {
-            warn("result store: cannot evict {}", path);
-        }
-        total_bytes_ -= bytes;
-        seq_of_.erase(path);
-        by_seq_.erase(it);
-        ++evictions_;
-    }
-}
-
-void
-ResultStore::setBudget(std::uint64_t bytes)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    budget_ = bytes;
-    evictToBudget();
 }
 
 std::optional<PointResult>
@@ -317,9 +219,6 @@ ResultStore::lookup(const ExperimentPoint &point,
             throw SerializeError(
                 "key collision: stored identity differs");
         }
-        des.begin(kTagSeq);
-        des.getU64();
-        des.end();
         PointResult result = loadPointResult(des);
         des.finish();
         if (result.status != PointStatus::kOk) {
@@ -343,22 +242,16 @@ ResultStore::put(const ExperimentPoint &point,
     const std::uint64_t key = keyOf(identity, point.workload);
     const std::string path =
         entryPath(key, result.status != PointStatus::kOk);
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::uint64_t seq = next_seq_++;
     Serializer ser;
     ser.begin(kTagId);
     ser.putStr(identity);
     ser.putStr(point.workload);
     ser.end();
-    ser.begin(kTagSeq);
-    ser.putU64(seq);
-    ser.end();
     savePointResult(ser, result);
     const std::vector<std::uint8_t> bytes =
         ser.finish(FileKind::kCacheEntry, key);
+    std::lock_guard<std::mutex> lock(mutex_);
     atomicWriteFile(path, bytes);
-    account(path, seq, bytes.size());
-    evictToBudget();
 }
 
 } // namespace mopac

@@ -4,16 +4,13 @@
  *
  * Concurrency notes (the TSan preset runs the determinism test against
  * exactly this code):
- *  - Thread-pool workers claim points through one atomic cursor over
- *    the pending list; each index is handed out exactly once.
+ *  - Workers claim points through one atomic cursor over the pending
+ *    list; each index is handed out exactly once.
  *  - The report is pre-sized and each slot is written by exactly one
  *    worker (SweepControl::finish) before the join; the driver only
  *    reads it after join(), so the join is the only synchronization
  *    the results need.  The brownout counter is atomic.
- *  - The drain deadline is polled by the pool's coordinating thread
- *    (the thread that called sweep(), or the supervisor's event
- *    loop), so the driver itself never starts a thread: the process
- *    pool forks with no other thread alive.
+ *  - The drain deadline is watched by the thread that called sweep().
  */
 
 #include "runner.hh"
@@ -21,13 +18,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <optional>
 #include <thread>
 
 #include "common/log.hh"
 #include "common/rng.hh"
-#include "common/serialize.hh"
 #include "common/wallclock.hh"
 #include "sim/result_store.hh"
 #include "sim/stop.hh"
@@ -39,93 +34,90 @@ namespace
 {
 
 /**
- * How one attempt at a point runs, given the guarded (and possibly
- * reseeded) point and the 1-based attempt number.  std::nullopt means
- * the attempt yielded at a checkpoint without a terminal state.
+ * The driver's side of one sweep: owns the result store writes, the
+ * report and the progress callback.
  */
-using AttemptFn = std::function<std::optional<RunOutcome>(
-    const ExperimentPoint &point, unsigned attempt)>;
-
-/**
- * Execute @p point under @p opts into @p result: apply the cycle
- * guard, run attempts through @p run_attempt (retrying a fault-plan
- * point that classifies VIOLATED or HUNG with a reseeded fault
- * stream), then classify the last attempt.  Returns false when an
- * attempt yielded; @p result then holds only the point's identity,
- * attempts and wall time.
- */
-bool
-executePoint(const ExperimentPoint &point, const RunnerOptions &opts,
-             const AttemptFn &run_attempt, PointResult &result)
+class SweepControl
 {
-    const auto start = wallclock::now();
-
-    ExperimentPoint guarded = guardedPoint(point, opts);
-
-    result.point_id = point.point_id;
-    result.seed = guarded.cfg.seed;
-
-    // Fault-plan points: a VIOLATED / HUNG attempt may be retried with
-    // a reseeded fault stream (deterministic: attempt n always draws
-    // streamSeed(base, n)).  Fault-free points never loop.
-    const bool faulted_cfg = guarded.cfg.faults.enabled();
-    const std::uint64_t base_fault_seed =
-        guarded.cfg.faults.seed != 0 ? guarded.cfg.faults.seed
-                                     : guarded.cfg.seed;
-
-    std::optional<RunOutcome> outcome;
-    unsigned attempt = 0;
-    for (;;) {
-        ++attempt;
-        outcome = run_attempt(guarded, attempt);
-        if (!outcome) {
-            break;
+  public:
+    SweepControl(const std::vector<ExperimentPoint> &points,
+                 const RunnerOptions &opts, ResultStore *store,
+                 const Runner::ProgressFn &progress)
+        : points_(points), opts_(opts), store_(store),
+          progress_(progress)
+    {
+        report_.results.resize(points.size());
+        report_.sources.assign(points.size(), PointSource::kPending);
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            report_.results[i].point_id = points[i].point_id;
+            report_.results[i].status = PointStatus::kNotRun;
+            report_.results[i].seed = points[i].cfg.seed;
+            report_.results[i].attempts = 0;
         }
-        const bool bad = outcome->outcome == OutcomeClass::kViolated ||
-                         outcome->outcome == OutcomeClass::kHung;
-        if (!faulted_cfg || !bad || attempt > opts.fault_retries) {
-            break;
-        }
-        guarded.cfg.faults.seed =
-            Rng::streamSeed(base_fault_seed, attempt);
     }
-    result.attempts = attempt;
-    result.wall_seconds = wallclock::secondsSince(start);
-    if (!outcome) {
-        return false;
-    }
-    result.outcome = outcome->outcome;
 
-    if (!outcome->ok) {
-        result.status =
-            faulted_cfg ? PointStatus::kFaulted : PointStatus::kFailed;
-        result.error = outcome->error;
-        return true;
+    /** Knobs every point executes under (jobs resolved, >= 1). */
+    const RunnerOptions &options() const { return opts_; }
+
+    /** Record a store hit for point @p index. */
+    void serve(std::size_t index, PointResult result)
+    {
+        report_.results[index] = std::move(result);
+        report_.sources[index] = PointSource::kCache;
+        ++report_.cache_hits;
     }
-    result.run = std::move(outcome->result);
-    result.stats = std::move(outcome->stats);
-    if (result.run.timed_out) {
-        result.status =
-            faulted_cfg ? PointStatus::kFaulted : PointStatus::kTimedOut;
-        result.error = "hit the max_cycles guard";
-    } else if (faulted_cfg &&
-               outcome->outcome == OutcomeClass::kViolated) {
-        result.status = PointStatus::kFaulted;
-        result.error = format(
-            "security violated under fault plan ({} violations, max "
-            "unmitigated {})",
-            result.run.violations, result.run.max_unmitigated);
-    } else {
-        result.status = PointStatus::kOk;
+
+    /**
+     * Record finished point @p index (any terminal status): put it
+     * into the store -- a failed write (full disk, injected ENOSPC)
+     * is a brownout, counted and warned about, never fatal: the
+     * result stays in memory and a later resume re-runs the point --
+     * then report it and fire progress.  Thread-safe for distinct
+     * indices.
+     */
+    void finish(std::size_t index, PointResult result)
+    {
+        const ExperimentPoint &point = points_[index];
+        if (store_ != nullptr) {
+            try {
+                store_->put(point, opts_, result);
+            } catch (const std::exception &err) {
+                write_failures_.fetch_add(1);
+                warn("sweep: store write for point {} failed ({}); "
+                     "keeping the in-memory result",
+                     point.point_id, err.what());
+            }
+        }
+        report_.sources[index] = result.status == PointStatus::kOk
+                                     ? PointSource::kFresh
+                                     : PointSource::kQuarantine;
+        report_.results[index] = std::move(result);
+        if (progress_) {
+            progress_(point, report_.results[index]);
+        }
     }
-    return true;
-}
+
+    /** The finished report. */
+    SweepReport takeReport()
+    {
+        report_.storage_write_failures = write_failures_.load();
+        report_.stopped = report_.counts().pending > 0;
+        return std::move(report_);
+    }
+
+  private:
+    const std::vector<ExperimentPoint> &points_;
+    const RunnerOptions opts_;
+    ResultStore *const store_;
+    const Runner::ProgressFn &progress_;
+    SweepReport report_;
+    std::atomic<std::uint64_t> write_failures_{0};
+};
 
 /**
- * The default pool: worker threads sharing one atomic cursor over the
- * pending points.  A free worker takes the next point in sweep order
- * (greedy list scheduling), so a few slow points cannot serialize the
- * tail.
+ * Worker threads sharing one atomic cursor over the pending points.
+ * A free worker takes the next point in sweep order (greedy list
+ * scheduling), so a few slow points cannot serialize the tail.
  */
 void
 runThreads(const std::vector<ExperimentPoint> &points,
@@ -141,7 +133,7 @@ runThreads(const std::vector<ExperimentPoint> &points,
     auto worker = [&] {
         // Stop boundary: after a graceful stop no new point starts;
         // unfinished points stay kNotRun.
-        while (!control.stopping()) {
+        while (!sweepstop::stopRequested()) {
             const std::size_t slot = cursor.fetch_add(1);
             if (slot >= pending.size()) {
                 return;
@@ -180,9 +172,21 @@ runThreads(const std::vector<ExperimentPoint> &points,
             running.fetch_sub(1);
         });
     }
+    // After a graceful stop the in-flight points get one drain
+    // deadline; when it passes, the stop escalates to an abort: the
+    // run loops notice it at their next poll and unwind with a
+    // command-tail diagnostic, and the abandoned points stay kNotRun.
+    std::optional<wallclock::TimePoint> deadline;
     while (watch && running.load() > 0) {
-        if (control.stopping()) {
-            control.abandon();
+        if (sweepstop::stopRequested() && !sweepstop::abortRequested()) {
+            if (!deadline) {
+                deadline = wallclock::deadlineAfter(opts.drain_deadline_sec);
+            } else if (wallclock::secondsSince(*deadline) >= 0.0) {
+                warn("sweep: drain deadline ({:.1f}s) expired, aborting "
+                     "in-flight points",
+                     opts.drain_deadline_sec);
+                sweepstop::requestAbort();
+            }
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
@@ -265,33 +269,6 @@ Runner::jobs() const
     return hw > 0 ? hw : 1;
 }
 
-const char *
-toString(PointSource source)
-{
-    switch (source) {
-      case PointSource::kPending: return "pending";
-      case PointSource::kFresh: return "fresh";
-      case PointSource::kCache: return "cache";
-      case PointSource::kQuarantine: return "quarantine";
-    }
-    return "?";
-}
-
-SweepReport
-SweepReport::allPending(const std::vector<ExperimentPoint> &points)
-{
-    SweepReport report;
-    report.results.resize(points.size());
-    report.sources.assign(points.size(), PointSource::kPending);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        report.results[i].point_id = points[i].point_id;
-        report.results[i].status = PointStatus::kNotRun;
-        report.results[i].seed = points[i].cfg.seed;
-        report.results[i].attempts = 0;
-    }
-    return report;
-}
-
 SweepCounts
 SweepReport::counts() const
 {
@@ -307,70 +284,6 @@ SweepReport::counts() const
     return counts;
 }
 
-SweepControl::SweepControl(const std::vector<ExperimentPoint> &points,
-                           const RunnerOptions &opts, ResultStore *store,
-                           const Runner::ProgressFn &progress)
-    : points_(points), opts_(opts), store_(store), progress_(progress),
-      report_(SweepReport::allPending(points))
-{
-}
-
-void
-SweepControl::finish(std::size_t index, PointResult result)
-{
-    const ExperimentPoint &point = points_[index];
-    // A failed store write (full disk, injected ENOSPC) must not lose
-    // a finished result: keep it in memory, count the brownout, and
-    // go on.  A later resume re-runs the point.
-    if (store_ != nullptr) {
-        try {
-            store_->put(point, opts_, result);
-        } catch (const std::exception &err) {
-            write_failures_.fetch_add(1);
-            warn("sweep: store write for point {} failed ({}); "
-                 "keeping the in-memory result",
-                 point.point_id, err.what());
-        }
-    }
-    report_.sources[index] = result.status == PointStatus::kOk
-                                 ? PointSource::kFresh
-                                 : PointSource::kQuarantine;
-    report_.results[index] = std::move(result);
-    if (progress_) {
-        progress_(point, report_.results[index]);
-    }
-}
-
-bool
-SweepControl::stopping() const
-{
-    return sweepstop::stopRequested();
-}
-
-bool
-SweepControl::abandon()
-{
-    if (!drain_deadline_) {
-        drain_deadline_ =
-            wallclock::deadlineAfter(opts_.drain_deadline_sec);
-    }
-    if (sweepstop::abortRequested()) {
-        return true;
-    }
-    if (opts_.drain_deadline_sec <= 0.0 ||
-        wallclock::secondsSince(*drain_deadline_) < 0.0) {
-        return false;
-    }
-    // Escalate: the run loops notice the abort at their next poll and
-    // unwind with a command-tail diagnostic instead of wedging the
-    // exit.
-    warn("sweep: drain deadline ({:.1f}s) expired, aborting in-flight "
-         "points",
-         opts_.drain_deadline_sec);
-    sweepstop::requestAbort();
-    return true;
-}
-
 std::vector<PointResult>
 Runner::run(const std::vector<ExperimentPoint> &points,
             const ProgressFn &progress) const
@@ -380,14 +293,13 @@ Runner::run(const std::vector<ExperimentPoint> &points,
 
 SweepReport
 Runner::sweep(const std::vector<ExperimentPoint> &points,
-              ResultStore *store, const ProgressFn &progress,
-              SweepPool *pool) const
+              ResultStore *store, const ProgressFn &progress) const
 {
     RunnerOptions opts = opts_;
     opts.jobs = jobs();
     SweepControl control(points, opts, store, progress);
 
-    // Serve finished points from the store; the pool runs the rest.
+    // Serve finished points from the store; the threads run the rest.
     std::vector<std::size_t> pending;
     pending.reserve(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
@@ -395,81 +307,75 @@ Runner::sweep(const std::vector<ExperimentPoint> &points,
             store != nullptr ? store->lookup(points[i], opts)
                              : std::nullopt;
         if (hit) {
-            control.report_.results[i] = std::move(*hit);
-            control.report_.sources[i] = PointSource::kCache;
-            ++control.report_.cache_hits;
+            control.serve(i, std::move(*hit));
         } else {
             pending.push_back(i);
         }
     }
-
-    if (pool != nullptr) {
-        pool->execute(points, pending, control);
-    } else {
-        runThreads(points, pending, control);
-    }
-
-    SweepReport report = std::move(control.report_);
-    report.storage_write_failures = control.write_failures_.load();
-    report.stopped = report.counts().pending > 0;
-    return report;
+    runThreads(points, pending, control);
+    return control.takeReport();
 }
 
 PointResult
 Runner::replay(const ExperimentPoint &point, const RunnerOptions &opts)
 {
+    const auto start = wallclock::now();
+
+    ExperimentPoint guarded = guardedPoint(point, opts);
+
     PointResult result;
-    executePoint(
-        point, opts,
-        [](const ExperimentPoint &guarded, unsigned) {
-            return std::optional<RunOutcome>(tryRunWorkload(
-                guarded.cfg, guarded.workload, /*capture_stats=*/true));
-        },
-        result);
-    return result;
-}
+    result.point_id = point.point_id;
+    result.seed = guarded.cfg.seed;
 
-CheckpointedPointRun
-Runner::replayCheckpointed(const ExperimentPoint &point,
-                           const RunnerOptions &opts,
-                           const CheckpointOptions &ckpt)
-{
-    CheckpointOptions run_ckpt = ckpt;
-    if (!run_ckpt.restore_path.empty() &&
-        !fileExists(run_ckpt.restore_path)) {
-        run_ckpt.restore_path.clear();
+    // Fault-plan points: a VIOLATED / HUNG attempt may be retried with
+    // a reseeded fault stream (deterministic: attempt n always draws
+    // streamSeed(base, n)).  Fault-free points never loop.
+    const bool faulted_cfg = guarded.cfg.faults.enabled();
+    const std::uint64_t base_fault_seed =
+        guarded.cfg.faults.seed != 0 ? guarded.cfg.faults.seed
+                                     : guarded.cfg.seed;
+
+    RunOutcome outcome;
+    unsigned attempt = 0;
+    for (;;) {
+        ++attempt;
+        outcome = tryRunWorkload(guarded.cfg, guarded.workload,
+                                 /*capture_stats=*/true);
+        const bool bad = outcome.outcome == OutcomeClass::kViolated ||
+                         outcome.outcome == OutcomeClass::kHung;
+        if (!faulted_cfg || !bad || attempt > opts.fault_retries) {
+            break;
+        }
+        guarded.cfg.faults.seed =
+            Rng::streamSeed(base_fault_seed, attempt);
     }
+    result.attempts = attempt;
+    result.wall_seconds = wallclock::secondsSince(start);
+    result.outcome = outcome.outcome;
 
-    CheckpointedPointRun out;
-    CheckpointedRun chk;
-    const bool finished = executePoint(
-        point, opts,
-        [&](const ExperimentPoint &guarded,
-            unsigned attempt) -> std::optional<RunOutcome> {
-            if (attempt > 1) {
-                // A reseeded fault stream is a different execution:
-                // the old snapshot must not leak into the retry.
-                if (!ckpt.save_path.empty()) {
-                    std::remove(ckpt.save_path.c_str());
-                }
-                run_ckpt.restore_path.clear();
-            }
-            RunOutcome outcome =
-                tryRunWorkload(guarded.cfg, guarded.workload,
-                               /*capture_stats=*/true, &run_ckpt, &chk);
-            if (outcome.ok && !chk.finished) {
-                // Preempted (or stop-interrupted) at a snapshot-durable
-                // boundary: hand back the resumable state instead of a
-                // terminal classification.
-                return std::nullopt;
-            }
-            return outcome;
-        },
-        out.result);
-    out.preempted = !finished;
-    out.resumed_from = chk.resumed_from;
-    out.executed_cycles = chk.executed_cycles;
-    return out;
+    if (!outcome.ok) {
+        result.status =
+            faulted_cfg ? PointStatus::kFaulted : PointStatus::kFailed;
+        result.error = outcome.error;
+        return result;
+    }
+    result.run = std::move(outcome.result);
+    result.stats = std::move(outcome.stats);
+    if (result.run.timed_out) {
+        result.status =
+            faulted_cfg ? PointStatus::kFaulted : PointStatus::kTimedOut;
+        result.error = "hit the max_cycles guard";
+    } else if (faulted_cfg &&
+               outcome.outcome == OutcomeClass::kViolated) {
+        result.status = PointStatus::kFaulted;
+        result.error = format(
+            "security violated under fault plan ({} violations, max "
+            "unmitigated {})",
+            result.run.violations, result.run.max_unmitigated);
+    } else {
+        result.status = PointStatus::kOk;
+    }
+    return result;
 }
 
 StatSnapshot

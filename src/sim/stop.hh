@@ -54,11 +54,10 @@ namespace sweepstop
  *                     security oracle saw ACTs beyond T_RH, or the
  *                     point crashed -- the PR 2 convention)
  *   kHungExit      70 some point classified HUNG (forward-progress
- *                     watchdog, or a worker hang-killed by the
- *                     supervisor) and none VIOLATED
- *   kQuarantinedExit 74 some point was quarantined (timeout, worker
- *                     crash, retry exhaustion) without a VIOLATED /
- *                     HUNG classification
+ *                     watchdog or cycle guard) and none VIOLATED
+ *   kQuarantinedExit 74 some point was quarantined (timeout, crash,
+ *                     retry exhaustion) without a VIOLATED / HUNG
+ *                     classification
  *   kResumableExit 75 graceful stop: the sweep was interrupted but is
  *                     resumable (--resume)
  */

@@ -1,8 +1,8 @@
 /**
  * @file
  * Deterministic bytes of a sweep point's result: its result-store
- * encoding with the host wall time zeroed.  Tests compare results
- * across pools, engines and store round trips with it.
+ * encoding, which leaves the host wall time out.  Tests compare
+ * results across engines, jobs counts and store round trips with it.
  */
 
 #ifndef MOPAC_TESTS_POINT_BYTES_HH
@@ -17,15 +17,13 @@
 namespace mopac::test
 {
 
-/** @p result as the store writes it, with wall_seconds zeroed. */
+/** @p result as the store writes it. */
 inline std::vector<std::uint8_t>
 canonicalBytes(const PointResult &result)
 {
-    PointResult canon = result;
-    canon.wall_seconds = 0.0;
     Serializer ser;
-    savePointResult(ser, canon);
-    return ser.finish(FileKind::kCacheEntry, canon.point_id);
+    savePointResult(ser, result);
+    return ser.finish(FileKind::kCacheEntry, result.point_id);
 }
 
 } // namespace mopac::test

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Run one gtest binary once per filter, all at the same time, and fail
 # if any run fails.  Guards test isolation: two tests that share a
-# scratch path (say the /threads and /processes variants of one
-# parameterised test) interfere when ctest -j runs them together.
+# scratch path (say two copies of one test, or two variants of a
+# parameterised one) interfere when ctest -j runs them together.
 # Each run repeats its tests 20 times, so the runs overlap throughout
 # instead of only at start-up.
 #

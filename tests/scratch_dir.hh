@@ -4,9 +4,9 @@
  * system works inside its own directory, made by mkdtemp under
  * ::testing::TempDir() and removed with its contents when the test's
  * ScratchDir goes out of scope.  Two tests therefore never share a
- * path: not the /threads and /processes variants of one parameterised
- * test that `ctest -j` runs at the same time, and not the same test
- * run by a second build's ctest on the same host.
+ * path: not two variants of one parameterised test that `ctest -j`
+ * runs at the same time, and not the same test run by a second
+ * build's ctest on the same host.
  */
 
 #ifndef MOPAC_TESTS_SCRATCH_DIR_HH

@@ -14,9 +14,10 @@
  *
  * ResultStore.*: the key is the point as executed (but not the
  * run-loop engine: a tick-engine entry serves an event-engine sweep),
- * foreign entries are never served, and concurrent puts from a 4-job
- * sweep keep the on-disk accounting exact (the tsan-checkpoint preset
- * runs this file under ThreadSanitizer).
+ * foreign entries are never served, concurrent puts from a 4-job
+ * sweep land whole, and a sweep writes the same bytes at any jobs
+ * count (the tsan-checkpoint preset runs this file under
+ * ThreadSanitizer).
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -121,6 +123,22 @@ expectSameStats(const StatSnapshot &a, const StatSnapshot &b)
     EXPECT_EQ(sa.str(), sb.str());
 }
 
+/** Every path under @p dir, relative to it, with its bytes. */
+std::map<std::string, std::vector<std::uint8_t>>
+storeFiles(const std::string &dir)
+{
+    std::map<std::string, std::vector<std::uint8_t>> files;
+    for (const auto &ent :
+         std::filesystem::recursive_directory_iterator(dir)) {
+        const std::string rel =
+            std::filesystem::relative(ent.path(), dir).string();
+        files[rel] = ent.is_regular_file()
+                         ? readFileBytes(ent.path().string())
+                         : std::vector<std::uint8_t>{};
+    }
+    return files;
+}
+
 /** A journaled sweep: the driver over the result store at @p dir. */
 SweepReport
 journaled(const RunnerOptions &opts,
@@ -169,7 +187,8 @@ TEST(Journal, PointResultRoundTripsThroughTheContainer)
     EXPECT_EQ(loaded.point_id, result.point_id);
     EXPECT_EQ(loaded.status, result.status);
     EXPECT_EQ(loaded.seed, result.seed);
-    EXPECT_EQ(loaded.wall_seconds, result.wall_seconds);
+    // Host wall time is not a result: the entry leaves it out.
+    EXPECT_EQ(loaded.wall_seconds, 0.0);
     EXPECT_EQ(loaded.outcome, result.outcome);
     EXPECT_EQ(loaded.attempts, result.attempts);
     EXPECT_EQ(loaded.run.ipcs, result.run.ipcs);
@@ -363,10 +382,9 @@ TEST(Journal, HealsATornTailRecordAtEveryTruncationOffset)
                                        pristine.begin() + len);
         atomicWriteFile(victim, torn);
         ResultStore store(dir);
-        EXPECT_EQ(store.healed(), 1u) << "offset " << len;
-        EXPECT_EQ(store.totalBytes(), 0u) << "offset " << len;
         EXPECT_FALSE(store.lookup(points[0], opts).has_value())
             << "offset " << len;
+        EXPECT_EQ(store.healed(), 1u) << "offset " << len;
         EXPECT_FALSE(fileExists(victim)) << "offset " << len;
         std::remove((victim + ".corrupt").c_str());
     }
@@ -378,41 +396,6 @@ TEST(Journal, HealsATornTailRecordAtEveryTruncationOffset)
     EXPECT_EQ(executed(again), 1u);
     expectSameStats(Runner::mergeStats(first.results),
                     Runner::mergeStats(again.results));
-}
-
-TEST(Journal, RecordBudgetEvictsOldestRecordsFirst)
-{
-    const test::ScratchDir scratch;
-    sweepstop::reset();
-    const auto points = samplePoints();
-    const std::string dir = scratch.path("budget");
-    RunnerOptions opts;
-    opts.jobs = 1;
-    const SweepReport first = journaled(opts, points, dir);
-    ASSERT_FALSE(first.stopped);
-
-    std::uint64_t evicted = 0;
-    {
-        ResultStore store(dir);
-        const std::uint64_t full = store.totalBytes();
-        ASSERT_GT(full, 0u);
-        // Budget for roughly half the records: the OLDEST-put files
-        // go first (one worker puts in point order), the newest stay.
-        store.setBudget(full / 2);
-        evicted = store.evictions();
-        EXPECT_GT(evicted, 0u);
-        EXPECT_LE(store.totalBytes(), full / 2);
-        EXPECT_FALSE(fileExists(entryFile(dir, points[0], opts)));
-        EXPECT_TRUE(fileExists(entryFile(dir, points.back(), opts)));
-    }
-
-    // Evicted points simply re-run on resume; results stay identical.
-    const SweepReport second = journaled(opts, points, dir);
-    EXPECT_FALSE(second.stopped);
-    EXPECT_EQ(executed(second), evicted);
-    EXPECT_EQ(second.cache_hits, points.size() - evicted);
-    expectSameStats(Runner::mergeStats(first.results),
-                    Runner::mergeStats(second.results));
 }
 
 TEST(Journal, QuarantinedPointsReRunOnResume)
@@ -513,7 +496,7 @@ TEST(ResultCache, CorruptEntryHealsToAMiss)
 
     EXPECT_FALSE(store.lookup(point, opts).has_value());
     EXPECT_EQ(store.healed(), 1u);
-    EXPECT_EQ(store.totalBytes(), 0u);
+    EXPECT_FALSE(fileExists(entry));
     // The poisoned file is moved out of the entry namespace, so a
     // re-put works and subsequent lookups hit again.
     store.put(point, opts, okResult(point));
@@ -654,21 +637,54 @@ TEST(ResultStore, ConcurrentPutsFromAFourJobSweepKeepExactAccounting)
     ASSERT_FALSE(first.stopped);
     EXPECT_EQ(executed(first), points.size());
 
-    // Every concurrent put landed whole: a reopened store accounts
-    // exactly the bytes on disk and serves every point.
+    // Every concurrent put landed whole: the directory holds exactly
+    // one entry per point (no temp files, nothing torn) and a
+    // reopened store serves every one without healing.
     ResultStore store(dir);
-    std::uint64_t on_disk = 0;
+    EXPECT_EQ(storeFiles(dir).size(), points.size() + 1)
+        << "one entry per point plus quarantine/";
     for (const ExperimentPoint &point : points) {
-        on_disk += readFileBytes(entryFile(dir, point, opts)).size();
         EXPECT_TRUE(store.lookup(point, opts).has_value());
     }
     EXPECT_EQ(store.healed(), 0u);
-    EXPECT_EQ(store.totalBytes(), on_disk);
 
     const SweepReport second = journaled(opts, points, dir);
     EXPECT_EQ(executed(second), 0u);
     expectSameStats(Runner::mergeStats(first.results),
                     Runner::mergeStats(second.results));
+}
+
+TEST(ResultStore, SweepsAtOneAndFourJobsWriteIdenticalStores)
+{
+    // An entry is a pure function of the point and its result: no
+    // wall time, no insertion order.  The same sweep at jobs 1 and
+    // jobs 4 into two fresh stores leaves byte-identical files,
+    // quarantine artifacts included.
+    const test::ScratchDir scratch;
+    sweepstop::reset();
+    auto points = samplePoints();
+    points[3].workload = "no-such-workload";
+    std::map<std::string, std::vector<std::uint8_t>> stores[2];
+    const unsigned jobs[2] = {1, 4};
+    for (unsigned k = 0; k < 2; ++k) {
+        const std::string dir =
+            scratch.path("jobs" + std::to_string(jobs[k]));
+        RunnerOptions opts;
+        opts.jobs = jobs[k];
+        const SweepReport report = journaled(opts, points, dir);
+        EXPECT_EQ(executed(report), points.size());
+        EXPECT_EQ(report.results[3].status, PointStatus::kFailed);
+        stores[k] = storeFiles(dir);
+    }
+    // points.size() files, plus the quarantine/ directory itself.
+    ASSERT_EQ(stores[0].size(), points.size() + 1);
+    EXPECT_TRUE(stores[0].count("quarantine"));
+    for (const auto &[rel, bytes] : stores[0]) {
+        const auto it = stores[1].find(rel);
+        ASSERT_NE(it, stores[1].end()) << rel;
+        EXPECT_TRUE(it->second == bytes) << rel << " differs";
+    }
+    EXPECT_EQ(stores[0].size(), stores[1].size());
 }
 
 } // namespace

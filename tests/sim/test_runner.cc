@@ -1,24 +1,20 @@
 /**
  * @file
  * Unit tests for sweep expansion and the runner's failure paths
- * (quarantine, timeout, replay, checkpointed replay).  The heavyweight
+ * (quarantine, timeout, fault retries, replay).  The heavyweight
  * jobs-1-vs-jobs-N determinism sweep lives in tests/regression.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/rng.hh"
-#include "common/serialize.hh"
-#include "scratch_dir.hh"
+#include "point_bytes.hh"
 #include "sim/faults.hh"
-#include "sim/result_store.hh"
 #include "sim/runner.hh"
 #include "sim/stop.hh"
 #include "sim/sweep.hh"
@@ -208,7 +204,7 @@ TEST(Runner, ProgressCallbackFiresOncePerPoint)
     EXPECT_EQ(calls.load(), points.size());
 }
 
-/** What a point run through both point paths is set up to hit. */
+/** What a replayed point is set up to hit. */
 enum class PathCase
 {
     kOk,
@@ -231,32 +227,21 @@ pathCaseName(PathCase c)
     return "?";
 }
 
-/** Deterministic bytes of a result (wall clock zeroed). */
-std::vector<std::uint8_t>
-canonicalBytes(PointResult result)
-{
-    result.wall_seconds = 0.0;
-    Serializer ser;
-    savePointResult(ser, result);
-    return ser.finish(FileKind::kCacheEntry, 0);
-}
-
 /**
- * Runner::replayCheckpointed must classify every point exactly like
- * Runner::replay -- both with no checkpoint file and with periodic
- * snapshots -- because the two share one attempt/retry/classify path
- * and differ only in how one attempt runs.
+ * Runner::replay -- the one point path every sweep worker and
+ * `--replay` take -- must classify each case with the expected status
+ * and attempt count, and replaying it again must reproduce every
+ * field of the result bit-for-bit.
  */
-class RunnerPointPath
-    : public ::testing::TestWithParam<std::tuple<PathCase, bool>>
+class RunnerPointPath : public ::testing::TestWithParam<PathCase>
 {
   protected:
     void SetUp() override { sweepstop::reset(); }
 };
 
-TEST_P(RunnerPointPath, CheckpointedReplayMatchesReplay)
+TEST_P(RunnerPointPath, ReplayClassifiesThePoint)
 {
-    const auto [which, snapshots] = GetParam();
+    const PathCase which = GetParam();
 
     ExperimentPoint point;
     point.point_id = 7;
@@ -264,8 +249,7 @@ TEST_P(RunnerPointPath, CheckpointedReplayMatchesReplay)
     point.workload = "mcf";
     point.cfg = tinyConfig(MitigationKind::kMopacD);
     point.cfg.seed = 41;
-    // ~19K cycles: long enough for several periodic snapshots, and
-    // small banks keep each one cheap to write.
+    // ~19K cycles, so the 12K cycle guard below cuts it short.
     point.cfg.insts_per_core = 20000;
     point.cfg.warmup_insts = 2000;
     point.cfg.geometry.rows_per_bank = 1024;
@@ -312,39 +296,18 @@ TEST_P(RunnerPointPath, CheckpointedReplayMatchesReplay)
     ASSERT_EQ(plain.status, expected) << plain.error;
     EXPECT_EQ(plain.attempts, expected_attempts);
 
-    const test::ScratchDir scratch;
-    CheckpointOptions ckpt;
-    if (snapshots) {
-        ckpt.save_path = scratch.path("point.ckpt");
-        ckpt.restore_path = ckpt.save_path; // Honoured only if present.
-        ckpt.checkpoint_every = 5000;
-    }
-    const CheckpointedPointRun chk =
-        Runner::replayCheckpointed(point, opts, ckpt);
-
-    EXPECT_FALSE(chk.preempted);
-    const PointResult &r = chk.result;
-    EXPECT_EQ(r.point_id, plain.point_id);
-    EXPECT_EQ(r.seed, plain.seed);
-    EXPECT_EQ(r.status, plain.status);
-    EXPECT_EQ(r.error, plain.error);
-    EXPECT_EQ(r.outcome, plain.outcome);
-    EXPECT_EQ(r.attempts, plain.attempts);
     // Every field of the run (doubles bit-for-bit) and the stats.
-    EXPECT_EQ(canonicalBytes(r), canonicalBytes(plain));
+    const PointResult again = Runner::replay(point, opts);
+    EXPECT_EQ(test::canonicalBytes(again), test::canonicalBytes(plain));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    BothPaths, RunnerPointPath,
-    ::testing::Combine(::testing::Values(PathCase::kOk,
-                                         PathCase::kUnknownWorkload,
-                                         PathCase::kCycleGuard,
-                                         PathCase::kFaultWatchdog,
-                                         PathCase::kFaultCycleGuard),
-                       ::testing::Bool()),
-    [](const auto &info) {
-        return std::string(pathCaseName(std::get<0>(info.param))) +
-               (std::get<1>(info.param) ? "_snapshots" : "_no_file");
+    AllCases, RunnerPointPath,
+    ::testing::Values(PathCase::kOk, PathCase::kUnknownWorkload,
+                      PathCase::kCycleGuard, PathCase::kFaultWatchdog,
+                      PathCase::kFaultCycleGuard),
+    [](const ::testing::TestParamInfo<PathCase> &path_case) {
+        return std::string(pathCaseName(path_case.param));
     });
 
 } // namespace

@@ -1,6 +1,6 @@
 // Lint fixture: io-errno must fire on raw errno reads and on
-// write()/fsync() calls whose result is discarded.  This file is
-// outside serve/io (the one sanctioned home of both), so every site
+// write()/fsync() calls whose result is discarded.  This file
+// carries no file-wide allow for the check, so every site
 // below is a finding.
 #include <cerrno>
 #include <unistd.h>

@@ -1,6 +1,6 @@
 // Lint fixture: clean counterpart of bad_io_errno.cc.  Syscall
 // results are checked and failures surface as return values (real
-// code throws IoError / SerializeError); a member named write and an
+// code throws SerializeError); a member named write and an
 // explicit (void) discard are fine -- only statement-position free /
 // global-scope calls drop a result silently.
 #include <unistd.h>

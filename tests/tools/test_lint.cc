@@ -164,18 +164,6 @@ TEST(MopacLint, NextEventBadFixture)
         << res.output;
 }
 
-TEST(MopacLint, ServeTimeoutBadFixture)
-{
-    const LintResult res = runLint({"bad_serve_timeout.cc"});
-    expectFindings(res, {{12, "serve-timeout"},
-                         {18, "serve-timeout"},
-                         {24, "serve-timeout"},
-                         {31, "serve-timeout"}});
-    EXPECT_NE(res.output.find("EINTR-safe bounded wrappers"),
-              std::string::npos)
-        << res.output;
-}
-
 TEST(MopacLint, IoErrnoBadFixture)
 {
     const LintResult res = runLint({"bad_io_errno.cc"});
@@ -250,22 +238,6 @@ TEST(MopacLint, SerialReachBadFixture)
         << res.output;
 }
 
-TEST(MopacLint, ServeReachBadFixture)
-{
-    // The serve-scope entry point is syscall-free; the raw write sits
-    // in a non-serve helper the per-file serve-timeout check never
-    // looks at.
-    const LintResult res =
-        runLint({"bad_serve_reach.cc", "bad_reach_helper.hh"});
-    expectFindings(res, {{13, "serve-reach"}});
-    EXPECT_NE(res.output.find("pumpOnce -> proxyFlush"),
-              std::string::npos)
-        << res.output;
-    EXPECT_NE(res.output.find("serve loop can reach"),
-              std::string::npos)
-        << res.output;
-}
-
 TEST(MopacLint, ConfigKeyBadFixture)
 {
     // "seed" is documented in the repo-root CONFIG_KEYS.md; the other
@@ -292,14 +264,11 @@ TEST(MopacLint, GoodFixturesAreClean)
         "good_rng_seed.cc",
         "good_next_event.hh",
         "good_guard.hh",
-        "good_serve_timeout.cc",
         "good_io_errno.cc",
         "good_hot_path.hh",
         "good_hot_reach.cc",
         "good_reach_alloc.hh",
         "good_serial_reach.hh",
-        "good_serve_reach.cc",
-        "good_reach_helper.hh",
         "good_config_key.cc",
     });
     EXPECT_EQ(res.exit_code, 0) << res.output;
@@ -329,14 +298,11 @@ allBadFixtures()
         "bad_rng_seed.cc",
         "bad_next_event.hh",
         "bad_guard.hh",
-        "bad_serve_timeout.cc",
         "bad_io_errno.cc",
         "bad_hot_path.cc",
         "bad_hot_reach.cc",
         "bad_reach_alloc.hh",
         "bad_serial_reach.hh",
-        "bad_serve_reach.cc",
-        "bad_reach_helper.hh",
         "bad_config_key.cc",
     };
     return kAll;
@@ -348,13 +314,12 @@ TEST(MopacLint, AllBadFixturesTogether)
     // code stays 1 (findings), not 2 (usage/IO error).
     const LintResult res = runLint(allBadFixtures());
     EXPECT_EQ(res.exit_code, 1) << res.output;
-    EXPECT_EQ(res.findings.size(), 30u) << res.output;
+    EXPECT_EQ(res.findings.size(), 25u) << res.output;
     for (const char *check :
          {"det-rand", "det-time", "det-clock", "det-rng",
           "det-ptr-key", "det-unordered", "serial-drift", "rng-seed",
-          "next-event", "guard", "serve-timeout", "io-errno",
-          "hot-alloc", "hot-reach", "serial-reach", "serve-reach",
-          "config-key"}) {
+          "next-event", "guard", "io-errno", "hot-alloc",
+          "hot-reach", "serial-reach", "config-key"}) {
         bool seen = false;
         for (const LintFinding &f : res.findings) {
             seen = seen || f.check == check;
@@ -381,9 +346,8 @@ TEST(MopacLint, ListChecksEnumeratesEveryCheck)
     for (const char *check :
          {"det-rand", "det-time", "det-clock", "det-rng",
           "det-ptr-key", "det-unordered", "serial-drift", "rng-seed",
-          "next-event", "guard", "serve-timeout", "io-errno",
-          "hot-alloc", "hot-reach", "serial-reach", "serve-reach",
-          "config-key"}) {
+          "next-event", "guard", "io-errno", "hot-alloc",
+          "hot-reach", "serial-reach", "config-key"}) {
         EXPECT_NE(res.output.find(check), std::string::npos)
             << "missing from --list-checks: " << check;
     }

@@ -60,20 +60,13 @@
  *   guard          Include guards must be MOPAC_<DIR>_<FILE>_HH
  *                  derived from the path (src/ stripped); #pragma
  *                  once is not used in this repo.
- *   serve-timeout  Raw blocking syscalls (read, write, poll, accept,
- *                  waitpid, sleep, ...) in sweep-service code (any
- *                  serve/ directory, and serve-named fixtures).  The
- *                  supervisor event loop must never block without a
- *                  deadline, so all such calls go through the
- *                  EINTR-safe bounded wrappers in serve/io.{hh,cc} --
- *                  the one sanctioned home of the raw calls.
  *   io-errno       Raw errno reads, and write()/fsync() calls whose
- *                  result is discarded, anywhere outside serve/io.
- *                  Hand-rolled errno handling and fire-and-forget
- *                  durable writes are how silent data loss enters a
- *                  crash-safe store; failures must surface as
- *                  structured errors through atomicWriteFile or the
- *                  serve/io wrappers.
+ *                  result is discarded, anywhere without an explicit
+ *                  allow.  Hand-rolled errno handling and
+ *                  fire-and-forget durable writes are how silent data
+ *                  loss enters a crash-safe store; failures must
+ *                  surface as structured errors through
+ *                  atomicWriteFile.
  *
  * Whole-program checks.  The per-file checks above are token-local
  * and blind to anything hidden behind a call.  A second pass builds a
@@ -102,12 +95,6 @@
  *                  else snapshots.  Raw-pointer members (non-owning
  *                  wiring) and members carrying a serial-drift allow
  *                  are outside the graph.
- *   serve-reach    The serve-timeout rule propagates transitively:
- *                  no function reachable from the supervisor's
- *                  event loop (any function defined in serve code
- *                  outside serve/io) may hit a raw blocking syscall,
- *                  even when the call sits in a helper far outside
- *                  src/serve.
  *   config-key     Every Config key read as a single string literal
  *                  (getString/getInt/getUint/getDouble/getBool/has)
  *                  in src/ or tools/ must appear, backtick-quoted,
@@ -159,9 +146,9 @@ namespace
 const char *const kAllChecks[] = {
     "det-rand",  "det-time",     "det-clock",    "det-rng", "det-ptr-key",
     "det-unordered", "serial-drift", "rng-seed", "next-event", "guard",
-    "serve-timeout", "io-errno",   "hot-alloc",
+    "io-errno",  "hot-alloc",
     // Whole-program (pass 2) checks.
-    "hot-reach", "serial-reach", "serve-reach", "config-key",
+    "hot-reach", "serial-reach", "config-key",
 };
 
 struct Finding
@@ -854,39 +841,16 @@ checkUnorderedIteration(const SourceFile &sf,
 }
 
 // ------------------------------------------------------------------
-// serve-timeout
+// io-errno
 // ------------------------------------------------------------------
 
 /**
- * In scope: anything inside a directory named "serve" plus fixture
- * files whose name mentions serve (the self-tests).  Sanctioned: the
- * wrapper layer serve/io.{hh,cc} itself.
- */
-bool
-inServeScope(const std::string &rel)
-{
-    if (rel.find("serve/") != std::string::npos) {
-        return true;
-    }
-    const std::string name = fs::path(rel).filename().string();
-    return name.find("serve") != std::string::npos;
-}
-
-bool
-isServeIoFile(const std::string &rel)
-{
-    const std::string name = fs::path(rel).filename().string();
-    return (name == "io.cc" || name == "io.hh") &&
-           rel.find("serve/") != std::string::npos;
-}
-
-/**
- * Like calleePosition, but global-scope `::read(` -- exactly the raw
- * syscall spelling -- also counts, while qualified `Foo::read(` and
+ * Like calleePosition, but global-scope `::write(` -- exactly the raw
+ * syscall spelling -- also counts, while qualified `Foo::write(` and
  * member `x.write(` do not.
  */
 bool
-blockingCalleePosition(const Tokens &t, std::size_t i)
+rawCalleePosition(const Tokens &t, std::size_t i)
 {
     if (!is(t, i + 1, "(")) {
         return false;
@@ -899,8 +863,9 @@ blockingCalleePosition(const Tokens &t, std::size_t i)
         return false;
     }
     if (prev.text == "::") {
-        // `::read(` is global scope unless an identifier qualifies it
-        // (`Foo::read(`); a keyword like `return ::read(` does not.
+        // `::write(` is global scope unless an identifier qualifies
+        // it (`Foo::write(`); a keyword like `return ::write(` does
+        // not.
         if (i < 2) {
             return true;
         }
@@ -914,59 +879,17 @@ blockingCalleePosition(const Tokens &t, std::size_t i)
     return true;
 }
 
-// The blocking-by-default POSIX surface.  Nonblocking or
-// instantaneous calls (open, close, fork, kill, flock with
-// LOCK_NB, mkdir, rename, ...) are deliberately not listed.
-// Shared between the per-file serve-timeout check and the
-// whole-program serve-reach evidence scan.
-const std::set<std::string> kBlocking = {
-    "read",  "pread",   "readv",   "write",   "pwrite",
-    "writev", "recv",   "recvmsg", "recvfrom", "send",
-    "sendmsg", "sendto", "poll",   "ppoll",   "select",
-    "pselect", "accept", "accept4", "connect", "waitpid",
-    "wait",  "wait4",   "waitid",  "sleep",   "usleep",
-    "nanosleep", "pause",
-};
-
-void
-checkServeTimeout(const SourceFile &sf, Linter &lint)
-{
-    if (!inServeScope(sf.rel_path) || isServeIoFile(sf.rel_path)) {
-        return;
-    }
-    const Tokens &t = sf.tokens;
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        if (t[i].kind != Token::kIdent || !kBlocking.count(t[i].text) ||
-            !blockingCalleePosition(t, i)) {
-            continue;
-        }
-        lint.report(sf, t[i].line, "serve-timeout",
-                    "raw '" + t[i].text +
-                        "' can block the supervisor event loop "
-                        "forever; use the EINTR-safe bounded wrappers "
-                        "in serve/io (readExact, writeAll, "
-                        "waitAnyReadable, reapChild, sleepFor, ...)");
-    }
-}
-
-// ------------------------------------------------------------------
-// io-errno
-// ------------------------------------------------------------------
-
 /**
  * Raw errno reads and fire-and-forget durable writes, tree-wide.
- * Outside the sanctioned wrapper layer serve/io.{hh,cc}, failure
- * handling goes through structured errors (atomicWriteFile, the
- * serve/io helpers); hand-rolled errno checks drift and an unchecked
- * write()/fsync() silently drops data exactly when the disk is full
- * -- the moment the crash-safety story is being relied on.
+ * Failure handling goes through structured errors (atomicWriteFile,
+ * the one file that owns raw errno, says so with an allow-file);
+ * hand-rolled errno checks drift and an unchecked write()/fsync()
+ * silently drops data exactly when the disk is full -- the moment the
+ * crash-safety story is being relied on.
  */
 void
 checkIoErrno(const SourceFile &sf, Linter &lint)
 {
-    if (isServeIoFile(sf.rel_path)) {
-        return;
-    }
     const Tokens &t = sf.tokens;
     for (std::size_t i = 0; i < t.size(); ++i) {
         if (t[i].kind != Token::kIdent) {
@@ -978,16 +901,15 @@ checkIoErrno(const SourceFile &sf, Linter &lint)
                 continue; // a member named errno, not the macro
             }
             lint.report(sf, t[i].line, "io-errno",
-                        "raw errno read outside serve/io: surface "
-                        "failures as structured errors (IoError, "
-                        "SerializeError) or go through the serve/io "
-                        "wrappers");
+                        "raw errno read: surface failures as "
+                        "structured errors (SerializeError) or go "
+                        "through atomicWriteFile");
             continue;
         }
         if (t[i].text != "write" && t[i].text != "fsync") {
             continue;
         }
-        if (!blockingCalleePosition(t, i)) {
+        if (!rawCalleePosition(t, i)) {
             continue;
         }
         // Statement position == discarded result: the previous
@@ -1008,7 +930,7 @@ checkIoErrno(const SourceFile &sf, Linter &lint)
                     "unchecked '" + t[i].text +
                         "': a failed durable write must not be "
                         "dropped silently; check the result or use "
-                        "atomicWriteFile / serve/io writeAll");
+                        "atomicWriteFile");
     }
 }
 
@@ -1559,7 +1481,7 @@ checkNextEvent(const SourceFile &sf, Linter &lint)
 // Function index (hot-alloc and the whole-program pass)
 // ------------------------------------------------------------------
 
-/** A piece of in-body evidence (an allocation, a blocking syscall). */
+/** A piece of in-body evidence (an allocation). */
 struct Evidence
 {
     int line = 0;
@@ -1592,7 +1514,6 @@ struct FunctionDef
     bool hot = false;           //!< `// mopac: hot-path` annotated.
     std::vector<CallSite> calls;
     std::vector<Evidence> allocs;
-    std::vector<Evidence> blocking;
 };
 
 const std::set<std::string> kAllocCalls = {
@@ -1661,19 +1582,6 @@ scanAllocEvidence(const Tokens &t, std::size_t open, std::size_t close,
         }
         if (!what.empty()) {
             out.push_back({t[k].line, what});
-        }
-    }
-}
-
-/** Raw-blocking-syscall evidence inside a token span (serve-reach). */
-void
-scanBlockingEvidence(const Tokens &t, std::size_t open,
-                     std::size_t close, std::vector<Evidence> &out)
-{
-    for (std::size_t k = open + 1; k < close; ++k) {
-        if (t[k].kind == Token::kIdent && kBlocking.count(t[k].text) &&
-            blockingCalleePosition(t, k)) {
-            out.push_back({t[k].line, t[k].text});
         }
     }
 }
@@ -1788,7 +1696,6 @@ findFunctionDefs(const SourceFile &sf)
         }
         scanCalls(t, j, close, def.calls);
         scanAllocEvidence(t, j, close, def.allocs);
-        scanBlockingEvidence(t, j, close, def.blocking);
         defs.push_back(std::move(def));
     }
     // Attach the hot-path annotations: each anchors a forward scan to
@@ -1845,8 +1752,7 @@ checkHotPathAlloc(const SourceFile &sf,
 }
 
 // ------------------------------------------------------------------
-// Whole-program pass: hot-reach, serve-reach, serial-reach,
-// config-key
+// Whole-program pass: hot-reach, serial-reach, config-key
 // ------------------------------------------------------------------
 
 /** Results of the parallel per-file phase, one per loaded file. */
@@ -2113,48 +2019,6 @@ checkHotReach(const TreeIndex &ix, Linter &lint)
                             "through calls; preallocate at "
                             "construction or keep this helper off "
                             "the hot path");
-        }
-    }
-}
-
-/**
- * serve-reach: the serve-timeout rule propagates through calls.  Any
- * function defined in serve code (outside the sanctioned serve/io
- * wrapper layer) seeds the closure; raw blocking syscalls in reached
- * functions *outside* serve scope are reported (in-scope bodies are
- * already serve-timeout's job).
- */
-void
-checkServeReach(const TreeIndex &ix, Linter &lint)
-{
-    std::vector<NodeRef> seeds;
-    for (std::size_t fi = 0; fi < ix.files.size(); ++fi) {
-        const std::string &rel = ix.files[fi].rel_path;
-        if (!inServeScope(rel) || isServeIoFile(rel)) {
-            continue;
-        }
-        for (std::size_t di = 0; di < ix.analyses[fi].defs.size();
-             ++di) {
-            seeds.push_back({fi, di});
-        }
-    }
-    std::map<NodeRef, NodeRef> parent;
-    for (const NodeRef &at : callClosure(ix, seeds, parent)) {
-        const SourceFile &sf = ix.files[at.first];
-        if (inServeScope(sf.rel_path)) {
-            continue;
-        }
-        const FunctionDef &def =
-            ix.analyses[at.first].defs[at.second];
-        for (const Evidence &ev : def.blocking) {
-            lint.report(sf, ev.line, "serve-reach",
-                        "raw '" + ev.what + "' in '" + def.name +
-                            "', which the serve loop can reach (" +
-                            chainOf(ix, parent, at) +
-                            "): nothing reachable from the "
-                            "supervisor may block without a "
-                            "deadline; route through the serve/io "
-                            "wrappers");
         }
     }
 }
@@ -2684,7 +2548,6 @@ main(int argc, char **argv)
             checkPointerKeys(sf, lint);
             checkRngSeeds(sf, lint);
             checkIncludeGuard(sf, lint);
-            checkServeTimeout(sf, lint);
             checkIoErrno(sf, lint);
             checkHotPathAlloc(sf, fa.defs, lint);
 
@@ -2729,7 +2592,6 @@ main(int argc, char **argv)
                              fa.lint.findings.end());
     }
     checkHotReach(ix, lint);
-    checkServeReach(ix, lint);
     checkSerialReach(ix, lint);
     if (const auto registry = loadKeyRegistry(root)) {
         checkConfigKeys(ix, *registry, lint);
