@@ -23,7 +23,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -55,14 +54,12 @@ benchInsts()
  *                when a point fails, or enumerable via --list-points)
  *   --list-points  print the expanded point table, then exit
  *   --journal DIR  put each finished point into the result store at
- *                DIR (crash-safe);
- *                SIGINT/SIGTERM pause the sweep at the next point
- *                boundary and exit with status 75 (resumable)
+ *                DIR (crash-safe); a first SIGINT/SIGTERM lets the
+ *                in-flight points finish, starts no new one and exits
+ *                with status 75 (resumable); a second abandons the
+ *                in-flight points, which a resume re-runs
  *   --resume DIR  alias for --journal: points whose result DIR holds
  *                are skipped and only the remainder runs
- *   --drain-deadline SEC  with --journal: seconds in-flight points
- *                get to finish after a stop request before a hard
- *                abort abandons them (default 30; 0 = wait forever)
  */
 struct BenchOptions
 {
@@ -71,7 +68,6 @@ struct BenchOptions
     bool list_points = false;
     /** Result-store directory ("" = plain, non-resumable sweep). */
     std::string journal;
-    double drain_deadline_sec = 30.0;
 };
 
 /** Parse the shared bench flags; fatal() on malformed input. */
@@ -123,20 +119,10 @@ parseBenchArgs(int argc, char **argv)
         } else if (arg == "--resume" ||
                    arg.rfind("--resume=", 0) == 0) {
             opts.journal = value("--resume");
-        } else if (arg == "--drain-deadline" ||
-                   arg.rfind("--drain-deadline=", 0) == 0) {
-            const std::string text = value("--drain-deadline");
-            char *end = nullptr;
-            opts.drain_deadline_sec = std::strtod(text.c_str(), &end);
-            if (end == nullptr || *end != '\0' ||
-                opts.drain_deadline_sec < 0.0) {
-                fatal("--drain-deadline expects a non-negative "
-                      "number of seconds, got '{}'", text);
-            }
         } else if (arg == "--help" || arg == "-h") {
             std::puts("usage: <bench> [--jobs N] [--replay ID] "
                       "[--list-points] [--journal DIR] "
-                      "[--resume DIR] [--drain-deadline SEC]");
+                      "[--resume DIR]");
             std::exit(0);
         } else {
             fatal("unknown bench argument '{}'", arg);
@@ -260,8 +246,8 @@ runBenchPoints(const std::vector<ExperimentPoint> &points,
         if (!result.error.empty()) {
             std::cout << "error: " << result.error << "\n";
         }
-        // A crashed point has no stats; a kFaulted point whose last
-        // attempt completed (e.g. VIOLATED) dumps them like kOk.
+        // A crashed point has no stats; a kFaulted point whose run
+        // completed (e.g. VIOLATED) dumps them like kOk.
         if (result.status != PointStatus::kFailed) {
             result.stats.dump(std::cout);
         }
@@ -278,15 +264,21 @@ runBenchPoints(const std::vector<ExperimentPoint> &points,
         // pauses at the next point boundary with the resumable exit
         // status.
         sweepstop::installSignalHandlers();
-        ropts.drain_deadline_sec = opts.drain_deadline_sec;
         SweepReport sweep;
+        std::uint64_t healed = 0;
         try {
             ResultStore store(opts.journal);
             sweep = Runner(ropts).sweep(points, &store);
+            healed = store.healed();
         } catch (const SerializeError &e) {
             fatal("journal {}: {}", opts.journal, e.what());
         }
         const SweepCounts counts = sweep.counts();
+        if (healed > 0) {
+            warn("journal {}: {} unreadable entries (corrupt or an "
+                 "older format) renamed *.corrupt; their points re-ran",
+                 opts.journal, healed);
+        }
         if (counts.cached > 0) {
             inform("journal {}: reused {} finished points, ran {}",
                    opts.journal, counts.cached,
@@ -324,8 +316,9 @@ runBenchPoints(const std::vector<ExperimentPoint> &points,
  * (config, workload, seed) cell -- plus the baselines they pair with
  * -- into sim::ExperimentPoints, executes them on the parallel
  * Runner, and fills the cache.  slowdown() / baseline() then read the
- * cache; any cell missed by precompute() falls back to a serial run,
- * so partial precomputation degrades gracefully instead of failing.
+ * cache.  Reading a cell that precompute() never queued is a driver
+ * bug (panic); reading a queued cell whose point was quarantined
+ * names the cell and its replay id, then exits with finalExitCode().
  */
 class SlowdownLab
 {
@@ -341,8 +334,8 @@ class SlowdownLab
     /**
      * Expand and execute the full sweep grid in parallel.  Failed or
      * timed-out points are quarantined: they are reported with their
-     * point id and seed (for `--replay`) and their cells fall back to
-     * serial runs on first use.
+     * point id and seed (for `--replay`), and reading their cells
+     * ends the driver (see cachedRun()).
      */
     void
     precompute(const std::vector<SystemConfig> &cfgs,
@@ -418,10 +411,7 @@ class SlowdownLab
     /** Merged per-point stats of the last precompute() sweep. */
     const StatSnapshot &mergedStats() const { return merged_stats_; }
 
-    /**
-     * Raw run of @p cfg on @p workload: from the precomputed cache
-     * when available, serial fallback otherwise.
-     */
+    /** Raw run of @p cfg on @p workload, from the precomputed cache. */
     const RunResult &
     run(const SystemConfig &cfg, const std::string &workload)
     {
@@ -468,7 +458,7 @@ class SlowdownLab
              const SystemConfig &cfg, const std::string &workload)
     {
         const std::string key = cacheKey(cfg, workload);
-        if (!queued_.insert(key).second) {
+        if (!queued_.emplace(key, points.size()).second) {
             return;
         }
         ExperimentPoint point;
@@ -480,17 +470,31 @@ class SlowdownLab
         points.push_back(std::move(point));
     }
 
-    /** Cache lookup with a serial-run fallback. */
+    /**
+     * The precomputed OK run of a cell.  A cell no precompute() call
+     * queued is a driver bug; a queued cell without an OK result was
+     * quarantined (and reported) by the sweep, so the driver stops
+     * with the sweep's exit code rather than print a partial table.
+     */
     const RunResult &
     cachedRun(const SystemConfig &cfg, const std::string &workload)
     {
         const std::string key = cacheKey(cfg, workload);
-        auto it = results_.find(key);
-        if (it == results_.end()) {
-            it = results_.emplace(key, runWorkload(cfg, workload))
-                     .first;
+        const auto it = results_.find(key);
+        if (it != results_.end()) {
+            return it->second;
         }
-        return it->second;
+        const auto queued = queued_.find(key);
+        if (queued == queued_.end()) {
+            panic("SlowdownLab: cell {}@{} / {} was never queued by "
+                  "precompute()",
+                  toString(cfg.mitigation), cfg.trh, workload);
+        }
+        warn("cell {}@{} / {} has no OK result -- replay with "
+             "--replay {}",
+             toString(cfg.mitigation), cfg.trh, workload,
+             queued->second);
+        std::exit(finalExitCode());
     }
 
     /** Baseline for a specific seed (cached). */
@@ -504,7 +508,8 @@ class SlowdownLab
 
     SystemConfig base_;
     BenchOptions opts_;
-    std::set<std::string> queued_;
+    /** Queued cells and their point ids (the --replay handles). */
+    std::map<std::string, std::uint64_t> queued_;
     std::map<std::string, RunResult> results_;
     StatSnapshot merged_stats_;
 };

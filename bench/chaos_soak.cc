@@ -14,8 +14,9 @@
  * Part B runs a small workload sweep on the parallel sim::Runner with
  * a stuck-open-bank plan plus a tight forward-progress watchdog, to
  * demonstrate that a locked-up configuration is classified HUNG and
- * quarantined (with its replay id) instead of hanging the sweep --
- * and that fault_retries re-runs transiently-unlucky points.
+ * quarantined (with its replay id) instead of hanging the sweep.
+ * Each point runs once: a fault-plan point that classifies VIOLATED
+ * or HUNG is reported as measured, never re-seeded until it passes.
  *
  * Part C is a full-disk brownout drill: a journaled sweep on the
  * Runner's worker threads while every other result-store write fails
@@ -179,13 +180,11 @@ quarantineSweep(bool smoke, const BenchOptions &opts)
 
     RunnerOptions ropts;
     ropts.jobs = opts.jobs;
-    ropts.fault_retries = 1; // Reseed once before quarantining.
     const std::vector<PointResult> results =
         Runner(ropts).run(points);
 
     TextTable table("chaos soak: sweep quarantine behaviour");
-    table.header({"id", "config", "status", "outcome", "attempts",
-                  "note"});
+    table.header({"id", "config", "status", "outcome", "note"});
     for (std::size_t i = 0; i < results.size(); ++i) {
         const PointResult &r = results[i];
         std::string note = r.error;
@@ -194,15 +193,14 @@ quarantineSweep(bool smoke, const BenchOptions &opts)
         }
         table.row({std::to_string(r.point_id),
                    points[i].config_label, toString(r.status),
-                   toString(r.outcome), std::to_string(r.attempts),
-                   note});
+                   toString(r.outcome), note});
     }
     table.print(std::cout);
 }
 
 /**
  * Canonical bytes of one point result: everything deterministic
- * (status, outcome, seed, error, attempts, full RunResult and stats)
+ * (status, outcome, seed, error, full RunResult and stats)
  * as the result store writes it, which leaves the wall time out.
  */
 std::vector<std::uint8_t>

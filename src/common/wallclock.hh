@@ -5,9 +5,11 @@
  * Simulation state must never depend on host time: every simulated
  * quantity derives from the global cycle counter and the seeded RNG
  * streams, so sweeps are bit-identical at any --jobs (PR 1) and
- * across checkpoint/resume (PR 3).  Host time is still legitimately
- * needed for *reporting* (points/sec, wall_seconds) and *watchdogs*
- * (drain deadlines), so those uses funnel through this shim.
+ * across checkpoint/resume.  Host time is still legitimately needed
+ * for *reporting* (a point's wall_seconds, benchmark timings), so
+ * those uses funnel through this shim.  No decision in src/ reads it:
+ * what a sweep runs, stores and reports as a result is a function of
+ * the point configs alone.
  *
  * mopac_lint bans `std::chrono::*_clock::now()` (check `det-clock`)
  * everywhere except this file; code that needs elapsed wall time must
@@ -29,7 +31,7 @@ namespace wallclock
 /** Monotonic time point (never affected by host clock adjustments). */
 using TimePoint = std::chrono::steady_clock::time_point;
 
-/** Current monotonic time (reporting / watchdogs only). */
+/** Current monotonic time (reporting only). */
 inline TimePoint
 now()
 {
@@ -41,14 +43,6 @@ inline double
 secondsSince(TimePoint start)
 {
     return std::chrono::duration<double>(now() - start).count();
-}
-
-/** Deadline @p seconds from now (fractional seconds allowed). */
-inline TimePoint
-deadlineAfter(double seconds)
-{
-    return now() + std::chrono::duration_cast<TimePoint::duration>(
-                       std::chrono::duration<double>(seconds));
 }
 
 } // namespace wallclock

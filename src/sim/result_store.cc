@@ -9,8 +9,9 @@
 #include <filesystem>
 #include <vector>
 
-#include "common/log.hh"
+#include "common/format.hh"
 #include "common/serialize.hh"
+#include "sim/experiment.hh"
 
 namespace mopac
 {
@@ -94,29 +95,6 @@ loadRunResult(Deserializer &des)
     return run;
 }
 
-/**
- * Everything that decides what executing @p point under @p opts
- * produces: the configuration after the cycle guard, plus the retry
- * budget of a fault-plan point (fault-free points never retry).
- */
-std::string
-identityOf(const ExperimentPoint &point, const RunnerOptions &opts)
-{
-    const SystemConfig cfg = guardedPoint(point, opts).cfg;
-    std::string identity = configSignature(cfg);
-    if (cfg.faults.enabled()) {
-        identity += format(" retries={}", opts.fault_retries);
-    }
-    return identity;
-}
-
-/** Same hash as snapshotConfigHash() for an unchanged config. */
-std::uint64_t
-keyOf(const std::string &identity, const std::string &workload)
-{
-    return fnv1a64(identity + "#" + workload);
-}
-
 } // namespace
 
 void
@@ -128,7 +106,6 @@ savePointResult(Serializer &ser, const PointResult &result)
     ser.putU64(result.seed);
     ser.putStr(result.error);
     ser.putU8(static_cast<std::uint8_t>(result.outcome));
-    ser.putU32(result.attempts);
     saveRunResult(ser, result.run);
     result.stats.saveState(ser);
     ser.end();
@@ -154,7 +131,6 @@ loadPointResult(Deserializer &des)
             format("invalid outcome class {}", outcome));
     }
     result.outcome = static_cast<OutcomeClass>(outcome);
-    result.attempts = des.getU32();
     result.run = loadRunResult(des);
     result.stats.loadState(des);
     des.end();
@@ -172,10 +148,9 @@ ResultStore::ResultStore(std::string dir) : dir_(std::move(dir))
 }
 
 std::uint64_t
-ResultStore::keyFor(const ExperimentPoint &point,
-                    const RunnerOptions &opts)
+ResultStore::keyFor(const ExperimentPoint &point)
 {
-    return keyOf(identityOf(point, opts), point.workload);
+    return snapshotConfigHash(point.cfg, point.workload);
 }
 
 std::string
@@ -188,9 +163,8 @@ ResultStore::entryPath(std::uint64_t key, bool quarantine) const
 }
 
 void
-ResultStore::heal(const std::string &path, const char *why)
+ResultStore::heal(const std::string &path)
 {
-    warn("result store: healing corrupt entry {}: {}", path, why);
     if (std::rename(path.c_str(), (path + ".corrupt").c_str()) != 0) {
         std::remove(path.c_str());
     }
@@ -198,11 +172,10 @@ ResultStore::heal(const std::string &path, const char *why)
 }
 
 std::optional<PointResult>
-ResultStore::lookup(const ExperimentPoint &point,
-                    const RunnerOptions &opts)
+ResultStore::lookup(const ExperimentPoint &point)
 {
-    const std::string identity = identityOf(point, opts);
-    const std::uint64_t key = keyOf(identity, point.workload);
+    const std::string identity = configSignature(point.cfg);
+    const std::uint64_t key = keyFor(point);
     const std::string path = entryPath(key, /*quarantine=*/false);
     std::lock_guard<std::mutex> lock(mutex_);
     if (!fileExists(path)) {
@@ -228,18 +201,17 @@ ResultStore::lookup(const ExperimentPoint &point,
         // job; the point id is the only per-sweep field.
         result.point_id = point.point_id;
         return result;
-    } catch (const SerializeError &err) {
-        heal(path, err.what());
+    } catch (const SerializeError &) {
+        heal(path);
         return std::nullopt;
     }
 }
 
 void
-ResultStore::put(const ExperimentPoint &point,
-                 const RunnerOptions &opts, const PointResult &result)
+ResultStore::put(const ExperimentPoint &point, const PointResult &result)
 {
-    const std::string identity = identityOf(point, opts);
-    const std::uint64_t key = keyOf(identity, point.workload);
+    const std::string identity = configSignature(point.cfg);
+    const std::uint64_t key = keyFor(point);
     const std::string path =
         entryPath(key, result.status != PointStatus::kOk);
     Serializer ser;

@@ -11,13 +11,13 @@
  *   <dir>/quarantine/<key>.rec  replay artifact of the last non-OK
  *                               result of that key (never served)
  *
- * where <key> is the point's identity as executed: keyFor() hashes
- * the configuration signature with the Runner's cycle guard applied,
- * plus fault_retries when the config carries an active FaultPlan, and
- * the workload name.  A result is therefore reused by exactly the
- * points whose own run would produce it -- regardless of sweep, job,
- * point id or submitter -- and a resumed sweep needs no manifest: the
- * cells it shares with the store are served, the rest run.
+ * where <key> is the point's snapshot config hash: keyFor() hashes
+ * the configuration signature and the workload name, and the config
+ * alone decides what running the point produces.  A result is
+ * therefore reused by exactly the points whose own run would produce
+ * it -- regardless of sweep, job or point id -- and a resumed sweep
+ * needs no manifest: the cells it shares with the store are served,
+ * the rest run.
  *
  * Robustness properties:
  *  - Entries are serialize-layer containers (FileKind::kCacheEntry)
@@ -32,7 +32,9 @@
  *    the payload, so even an FNV collision cannot serve a wrong
  *    result.
  *  - A corrupt, truncated or foreign entry is a miss, not an error:
- *    lookup() renames the file *.corrupt and the point re-runs.
+ *    lookup() renames the file *.corrupt, silently, and counts it in
+ *    healed(); the point re-runs.  The sweep's caller reports the
+ *    count once, so an old-format store does not flood the log.
  *  - Loaded results round-trip StatSnapshots bit-exactly, so the
  *    merged statistics of an interrupted-and-resumed sweep equal
  *    those of an uninterrupted run at any --jobs count.
@@ -74,32 +76,32 @@ class ResultStore
      */
     explicit ResultStore(std::string dir);
 
-    /** Entry key of @p point executed under @p opts. */
-    static std::uint64_t keyFor(const ExperimentPoint &point,
-                                const RunnerOptions &opts);
+    /**
+     * Entry key of @p point:
+     * snapshotConfigHash(point.cfg, point.workload).
+     */
+    static std::uint64_t keyFor(const ExperimentPoint &point);
 
     /**
-     * The stored kOk result for @p point executed under @p opts,
-     * relabelled with the point's id, or nullopt on a miss.  A
-     * corrupt entry heals to a miss.
+     * The stored kOk result for @p point, relabelled with the point's
+     * id, or nullopt on a miss.  A corrupt entry heals to a miss
+     * without printing anything.
      */
-    std::optional<PointResult> lookup(const ExperimentPoint &point,
-                                      const RunnerOptions &opts);
+    std::optional<PointResult> lookup(const ExperimentPoint &point);
 
     /**
      * Record a finished point: a kOk result becomes the servable
      * entry, anything else the key's quarantine artifact.  Atomic;
      * throws SerializeError when the write fails.
      */
-    void put(const ExperimentPoint &point, const RunnerOptions &opts,
-             const PointResult &result);
+    void put(const ExperimentPoint &point, const PointResult &result);
 
     /** Files healed (renamed *.corrupt) since construction. */
     std::uint64_t healed() const { return healed_; }
 
   private:
     std::string entryPath(std::uint64_t key, bool quarantine) const;
-    void heal(const std::string &path, const char *why);
+    void heal(const std::string &path);
 
     std::string dir_;
     std::uint64_t healed_ = 0;

@@ -10,19 +10,16 @@
  *    worker (SweepControl::finish) before the join; the driver only
  *    reads it after join(), so the join is the only synchronization
  *    the results need.  The brownout counter is atomic.
- *  - The drain deadline is watched by the thread that called sweep().
  */
 
 #include "runner.hh"
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <optional>
 #include <thread>
 
 #include "common/log.hh"
-#include "common/rng.hh"
 #include "common/wallclock.hh"
 #include "sim/result_store.hh"
 #include "sim/stop.hh"
@@ -41,10 +38,8 @@ class SweepControl
 {
   public:
     SweepControl(const std::vector<ExperimentPoint> &points,
-                 const RunnerOptions &opts, ResultStore *store,
-                 const Runner::ProgressFn &progress)
-        : points_(points), opts_(opts), store_(store),
-          progress_(progress)
+                 ResultStore *store, const Runner::ProgressFn &progress)
+        : points_(points), store_(store), progress_(progress)
     {
         report_.results.resize(points.size());
         report_.sources.assign(points.size(), PointSource::kPending);
@@ -52,12 +47,8 @@ class SweepControl
             report_.results[i].point_id = points[i].point_id;
             report_.results[i].status = PointStatus::kNotRun;
             report_.results[i].seed = points[i].cfg.seed;
-            report_.results[i].attempts = 0;
         }
     }
-
-    /** Knobs every point executes under (jobs resolved, >= 1). */
-    const RunnerOptions &options() const { return opts_; }
 
     /** Record a store hit for point @p index. */
     void serve(std::size_t index, PointResult result)
@@ -80,7 +71,7 @@ class SweepControl
         const ExperimentPoint &point = points_[index];
         if (store_ != nullptr) {
             try {
-                store_->put(point, opts_, result);
+                store_->put(point, result);
             } catch (const std::exception &err) {
                 write_failures_.fetch_add(1);
                 warn("sweep: store write for point {} failed ({}); "
@@ -107,7 +98,6 @@ class SweepControl
 
   private:
     const std::vector<ExperimentPoint> &points_;
-    const RunnerOptions opts_;
     ResultStore *const store_;
     const Runner::ProgressFn &progress_;
     SweepReport report_;
@@ -115,20 +105,20 @@ class SweepControl
 };
 
 /**
- * Worker threads sharing one atomic cursor over the pending points.
- * A free worker takes the next point in sweep order (greedy list
- * scheduling), so a few slow points cannot serialize the tail.
+ * @p jobs worker threads sharing one atomic cursor over the pending
+ * points.  A free worker takes the next point in sweep order (greedy
+ * list scheduling), so a few slow points cannot serialize the tail.
  */
 void
 runThreads(const std::vector<ExperimentPoint> &points,
-           const std::vector<std::size_t> &pending, SweepControl &control)
+           const std::vector<std::size_t> &pending, unsigned jobs,
+           SweepControl &control)
 {
     if (pending.empty()) {
         return;
     }
-    const RunnerOptions &opts = control.options();
     const unsigned num_workers = static_cast<unsigned>(
-        std::min<std::size_t>(opts.jobs, pending.size()));
+        std::min<std::size_t>(jobs, pending.size()));
     std::atomic<std::size_t> cursor{0};
     auto worker = [&] {
         // Stop boundary: after a graceful stop no new point starts;
@@ -141,11 +131,11 @@ runThreads(const std::vector<ExperimentPoint> &points,
             const std::size_t idx = pending[slot];
             PointResult result;
             try {
-                result = Runner::replay(points[idx], opts);
+                result = Runner::replay(points[idx]);
             } catch (const AbortError &e) {
-                // Abandoned by the operator / drain deadline: the
-                // point stays kNotRun and out of the store, so a
-                // resume re-runs it cleanly.
+                // Abandoned by an operator abort: the point stays
+                // kNotRun and out of the store, so a resume re-runs
+                // it cleanly.
                 warn("sweep: point {} abandoned: {}",
                      points[idx].point_id, e.what());
                 return;
@@ -154,41 +144,16 @@ runThreads(const std::vector<ExperimentPoint> &points,
         }
     };
 
-    // The calling thread watches the drain deadline only when there
-    // is one; otherwise --jobs 1 runs inline, with no thread at all
-    // (the simplest replay / debugging environment, and the
-    // determinism reference).
-    const bool watch = opts.drain_deadline_sec > 0.0;
-    if (num_workers == 1 && !watch) {
+    // --jobs 1 runs inline, with no thread at all (the simplest
+    // replay / debugging environment, and the determinism reference).
+    if (num_workers == 1) {
         worker();
         return;
     }
-    std::atomic<unsigned> running{num_workers};
     std::vector<std::thread> threads;
     threads.reserve(num_workers);
     for (unsigned w = 0; w < num_workers; ++w) {
-        threads.emplace_back([&] {
-            worker();
-            running.fetch_sub(1);
-        });
-    }
-    // After a graceful stop the in-flight points get one drain
-    // deadline; when it passes, the stop escalates to an abort: the
-    // run loops notice it at their next poll and unwind with a
-    // command-tail diagnostic, and the abandoned points stay kNotRun.
-    std::optional<wallclock::TimePoint> deadline;
-    while (watch && running.load() > 0) {
-        if (sweepstop::stopRequested() && !sweepstop::abortRequested()) {
-            if (!deadline) {
-                deadline = wallclock::deadlineAfter(opts.drain_deadline_sec);
-            } else if (wallclock::secondsSince(*deadline) >= 0.0) {
-                warn("sweep: drain deadline ({:.1f}s) expired, aborting "
-                     "in-flight points",
-                     opts.drain_deadline_sec);
-                sweepstop::requestAbort();
-            }
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        threads.emplace_back(worker);
     }
     for (std::thread &t : threads) {
         t.join();
@@ -196,16 +161,6 @@ runThreads(const std::vector<ExperimentPoint> &points,
 }
 
 } // namespace
-
-ExperimentPoint
-guardedPoint(const ExperimentPoint &point, const RunnerOptions &opts)
-{
-    ExperimentPoint guarded = point;
-    if (guarded.cfg.max_cycles == 0 && opts.point_max_cycles > 0) {
-        guarded.cfg.max_cycles = opts.point_max_cycles;
-    }
-    return guarded;
-}
 
 const char *
 toString(PointStatus status)
@@ -295,64 +250,40 @@ SweepReport
 Runner::sweep(const std::vector<ExperimentPoint> &points,
               ResultStore *store, const ProgressFn &progress) const
 {
-    RunnerOptions opts = opts_;
-    opts.jobs = jobs();
-    SweepControl control(points, opts, store, progress);
+    SweepControl control(points, store, progress);
 
     // Serve finished points from the store; the threads run the rest.
     std::vector<std::size_t> pending;
     pending.reserve(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
         std::optional<PointResult> hit =
-            store != nullptr ? store->lookup(points[i], opts)
-                             : std::nullopt;
+            store != nullptr ? store->lookup(points[i]) : std::nullopt;
         if (hit) {
             control.serve(i, std::move(*hit));
         } else {
             pending.push_back(i);
         }
     }
-    runThreads(points, pending, control);
+    runThreads(points, pending, jobs(), control);
     return control.takeReport();
 }
 
 PointResult
-Runner::replay(const ExperimentPoint &point, const RunnerOptions &opts)
+Runner::replay(const ExperimentPoint &point)
 {
     const auto start = wallclock::now();
-
-    ExperimentPoint guarded = guardedPoint(point, opts);
+    RunOutcome outcome =
+        tryRunWorkload(point.cfg, point.workload, /*capture_stats=*/true);
 
     PointResult result;
     result.point_id = point.point_id;
-    result.seed = guarded.cfg.seed;
-
-    // Fault-plan points: a VIOLATED / HUNG attempt may be retried with
-    // a reseeded fault stream (deterministic: attempt n always draws
-    // streamSeed(base, n)).  Fault-free points never loop.
-    const bool faulted_cfg = guarded.cfg.faults.enabled();
-    const std::uint64_t base_fault_seed =
-        guarded.cfg.faults.seed != 0 ? guarded.cfg.faults.seed
-                                     : guarded.cfg.seed;
-
-    RunOutcome outcome;
-    unsigned attempt = 0;
-    for (;;) {
-        ++attempt;
-        outcome = tryRunWorkload(guarded.cfg, guarded.workload,
-                                 /*capture_stats=*/true);
-        const bool bad = outcome.outcome == OutcomeClass::kViolated ||
-                         outcome.outcome == OutcomeClass::kHung;
-        if (!faulted_cfg || !bad || attempt > opts.fault_retries) {
-            break;
-        }
-        guarded.cfg.faults.seed =
-            Rng::streamSeed(base_fault_seed, attempt);
-    }
-    result.attempts = attempt;
+    result.seed = point.cfg.seed;
     result.wall_seconds = wallclock::secondsSince(start);
     result.outcome = outcome.outcome;
 
+    // A fault-plan point that classifies VIOLATED or HUNG is
+    // quarantined as kFaulted on its one run.
+    const bool faulted_cfg = point.cfg.faults.enabled();
     if (!outcome.ok) {
         result.status =
             faulted_cfg ? PointStatus::kFaulted : PointStatus::kFailed;

@@ -18,8 +18,8 @@
  *    scheduling), so a few slow points cannot serialize the tail.
  *  - A crashing point (exception, panic(), fatal()) is quarantined:
  *    it reports PointStatus::kFailed with its seed for single-threaded
- *    replay instead of killing the sweep.  A point that hits its cycle
- *    guard reports kTimedOut the same way.
+ *    replay instead of killing the sweep.  A point that hits its
+ *    config's max_cycles guard reports kTimedOut the same way.
  *  - Per-point StatSnapshots are merged in point-id order after the
  *    workers join, so the final stats table is also schedule
  *    independent and free of data races.
@@ -45,29 +45,6 @@ struct RunnerOptions
 {
     /** Worker threads; 0 selects std::thread::hardware_concurrency. */
     unsigned jobs = 0;
-    /**
-     * Cycle guard applied to points whose config leaves max_cycles at
-     * 0 (0 = keep the config's own generous automatic bound).  This is
-     * what actually stops a livelocked point.
-     */
-    std::uint64_t point_max_cycles = 0;
-    /**
-     * Bounded retry-with-reseed for fault-plan points: when a point
-     * whose config carries an active FaultPlan classifies VIOLATED or
-     * HUNG, re-run it up to this many extra times with a reseeded
-     * fault stream (Rng::streamSeed over the plan seed and the attempt
-     * number -- still fully deterministic).  A transiently-unlucky
-     * schedule recovers; a systematic failure exhausts its retries and
-     * is quarantined as kFaulted.  0 = no retries.
-     */
-    unsigned fault_retries = 0;
-    /**
-     * Runner::sweep: once a graceful stop has been requested, give
-     * in-flight points this many seconds to finish before escalating
-     * to a hard abort, which abandons them as kNotRun.  0 = wait
-     * forever.
-     */
-    double drain_deadline_sec = 0.0;
 };
 
 /** Terminal state of one executed point. */
@@ -78,8 +55,8 @@ enum class PointStatus
     kTimedOut,
     /**
      * The point ran under an active FaultPlan and classified VIOLATED
-     * or HUNG (after exhausting any fault_retries).  Quarantined like
-     * kFailed: excluded from merged stats, replayable by id.
+     * or HUNG.  Quarantined like kFailed: excluded from merged stats,
+     * replayable by id.
      */
     kFaulted,
     /**
@@ -104,13 +81,11 @@ struct PointResult
     double wall_seconds = 0.0;
     /** Failure / timeout description (empty when kOk). */
     std::string error;
-    /** Fault-aware severity of the (last) attempt. */
+    /** Fault-aware severity of the run. */
     OutcomeClass outcome = OutcomeClass::kOk;
-    /** Executions of this point (1 unless fault_retries kicked in). */
-    unsigned attempts = 1;
     /**
      * Simulation result (valid when status == kOk, and for kFaulted
-     * points whose last attempt completed -- e.g. a VIOLATED run).
+     * points whose run completed -- e.g. a VIOLATED run).
      */
     RunResult run;
     /** Component statistics snapshot (valid like @c run). */
@@ -122,17 +97,10 @@ struct PointResult
  * sim/stop.hh: kViolatedExit when any point's outcome classified
  * VIOLATED, else kHungExit when any classified HUNG, else
  * kQuarantinedExit when any point was quarantined for another reason
- * (crash, timeout, retry exhaustion), else kResumableExit when points
- * are left kNotRun (interrupted sweep), else 0.
+ * (crash, timeout), else kResumableExit when points are left kNotRun
+ * (interrupted sweep), else 0.
  */
 int sweepExitCode(const std::vector<PointResult> &results);
-
-/**
- * @p point as the Runner executes it under @p opts: a config that
- * leaves max_cycles at 0 takes the point_max_cycles guard.
- */
-ExperimentPoint guardedPoint(const ExperimentPoint &point,
-                             const RunnerOptions &opts);
 
 class ResultStore;
 
@@ -203,11 +171,10 @@ class Runner
      * the rest, and each finished point is put into the store -- a
      * failed write is counted as a brownout and the result kept in
      * memory.  A graceful stop (sweepstop) ends the sweep at the next
-     * point boundary; in-flight points get drain_deadline_sec to
-     * finish before a hard abort abandons them as kNotRun.  Interrupt
-     * at any instant (including SIGKILL), re-invoke with the same
-     * store, and the results are bit-identical to an uninterrupted
-     * run at any jobs count.  @p progress fires once per executed
+     * point boundary and lets in-flight points finish; a hard abort
+     * abandons them as kNotRun.  Interrupt at any instant (including
+     * SIGKILL), re-invoke with the same store, and the results are
+     * bit-identical to an uninterrupted run at any jobs count.  @p progress fires once per executed
      * point (not for store hits), from whichever thread finished it.
      */
     SweepReport sweep(const std::vector<ExperimentPoint> &points,
@@ -217,10 +184,10 @@ class Runner
     /**
      * Run one point on the calling thread with stats captured --
      * exactly what a sweep worker does per point, and the
-     * `--replay point_id` debugging path.
+     * `--replay point_id` debugging path.  The point's config alone
+     * decides the result.
      */
-    static PointResult replay(const ExperimentPoint &point,
-                              const RunnerOptions &opts = {});
+    static PointResult replay(const ExperimentPoint &point);
 
     /**
      * Merge the stat snapshots of all kOk points, in point-id order,

@@ -55,9 +55,8 @@ namespace sweepstop
  *                     point crashed -- the PR 2 convention)
  *   kHungExit      70 some point classified HUNG (forward-progress
  *                     watchdog or cycle guard) and none VIOLATED
- *   kQuarantinedExit 74 some point was quarantined (timeout, crash,
- *                     retry exhaustion) without a VIOLATED / HUNG
- *                     classification
+ *   kQuarantinedExit 74 some point was quarantined (timeout, crash)
+ *                     without a VIOLATED / HUNG classification
  *   kResumableExit 75 graceful stop: the sweep was interrupted but is
  *                     resumable (--resume)
  */
@@ -81,10 +80,10 @@ bool stopRequested();
 /** Has a hard abort been requested? */
 bool abortRequested();
 
-/** Programmatic stop request (tests, drain deadlines). */
+/** Programmatic stop request (tests). */
 void requestStop();
 
-/** Programmatic abort request (tests, drain deadlines). */
+/** Programmatic abort request (tests). */
 void requestAbort();
 
 /** Clear both flags (tests; also before a fresh run in one process). */

@@ -24,9 +24,7 @@ SweepSpec::expand() const
             point.config_label = named.label;
             point.workload = workloads[w];
             point.cfg = named.cfg;
-            const std::uint64_t stream =
-                seed_policy == SeedPolicy::kPerWorkload ? w : id;
-            point.cfg.seed = Rng::streamSeed(master_seed, stream);
+            point.cfg.seed = Rng::streamSeed(master_seed, w);
             points.push_back(std::move(point));
             ++id;
         }

@@ -46,30 +46,17 @@ struct NamedConfig
 /** Declarative sweep: configs x workloads. */
 struct SweepSpec
 {
-    /**
-     * How per-point seeds are derived from master_seed.
-     *
-     * kPerWorkload gives every config the *same* stream on a given
-     * workload (stream id = workload index), which keeps paired
-     * baseline/test runs on identical traces -- required for the
-     * paper's slowdown methodology.  kPerPoint gives every cell its
-     * own stream (stream id = point id) for independent-sample
-     * studies.
-     */
-    enum class SeedPolicy
-    {
-        kPerWorkload,
-        kPerPoint,
-    };
-
     std::uint64_t master_seed = 12345;
-    SeedPolicy seed_policy = SeedPolicy::kPerWorkload;
     std::vector<NamedConfig> configs;
     std::vector<std::string> workloads;
 
     /**
      * Expand to the full point list, workload-major (all configs of
      * workload 0, then workload 1, ...), point_id dense from 0.
+     * Every config gets the *same* seed stream on a given workload
+     * (stream id = workload index), which keeps paired baseline/test
+     * runs on identical traces -- required for the paper's slowdown
+     * methodology.
      */
     std::vector<ExperimentPoint> expand() const;
 };

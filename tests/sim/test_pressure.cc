@@ -3,8 +3,8 @@
  * Sweep-driver pressure tests: storage failures (injected ENOSPC
  * through the serialize layer's write-fault hook) are a brownout --
  * counted, tolerated, results served from memory -- and a graceful
- * stop or an expired drain deadline leaves a sweep that resumes
- * bit-identically to a clean run.
+ * stop or an abort leaves a sweep that resumes bit-identically to a
+ * clean run.
  */
 
 #include <atomic>
@@ -61,12 +61,10 @@ serialRun(const std::vector<ExperimentPoint> &points)
 /** Run @p points through the sweep driver on @p workers threads. */
 SweepReport
 sweepOn(unsigned workers, const std::vector<ExperimentPoint> &points,
-        ResultStore *store, const Runner::ProgressFn &progress = nullptr,
-        double drain_deadline_sec = 0.0)
+        ResultStore *store, const Runner::ProgressFn &progress = nullptr)
 {
     RunnerOptions opts;
     opts.jobs = workers;
-    opts.drain_deadline_sec = drain_deadline_sec;
     return Runner(opts).sweep(points, store, progress);
 }
 
@@ -153,7 +151,7 @@ TEST(SweepPressure, EnospcBrownoutKeepsServingResults)
         EXPECT_EQ(report.results[i].status, PointStatus::kOk);
         EXPECT_EQ(test::canonicalBytes(report.results[i]),
                   test::canonicalBytes(clean[i]));
-        EXPECT_FALSE(store.lookup(points[i], RunnerOptions{}).has_value());
+        EXPECT_FALSE(store.lookup(points[i]).has_value());
     }
 }
 
@@ -197,14 +195,15 @@ TEST(SweepStop, GracefulStopThenResumeMatchesCleanRun)
     }
 }
 
-TEST(SweepStop, ExpiredDrainDeadlineLeavesInFlightPointsNotRun)
+TEST(SweepStop, AbortLeavesInFlightPointsNotRun)
 {
     const test::ScratchDir scratch;
     sweepstop::reset();
     // Point 0 cannot finish on its own: a bank stuck open forever, no
     // watchdog and no cycle bound, so only an abort ends it.  Point
-    // 1's finish requests the stop while point 0 is in flight, on any
-    // host, and the drain deadline then has to expire on it.
+    // 1's finish requests the stop and then the abort (a second
+    // signal) while point 0 is in flight, on any host: a worker
+    // claims point 0 before any worker can claim point 1.
     std::vector<ExperimentPoint> points = tinySweep();
     points.resize(2);
     points[0].cfg.faults = FaultPlan::single(FaultKind::kStuckOpenBank,
@@ -219,11 +218,9 @@ TEST(SweepStop, ExpiredDrainDeadlineLeavesInFlightPointsNotRun)
         2, points, &store,
         [](const ExperimentPoint &, const PointResult &) {
             sweepstop::requestStop();
-        },
-        0.05);
+            sweepstop::requestAbort();
+        });
     EXPECT_TRUE(cut.stopped);
-    EXPECT_TRUE(sweepstop::abortRequested())
-        << "an expired drain deadline escalates to an abort";
     EXPECT_EQ(cut.sources[0], PointSource::kPending);
     EXPECT_EQ(cut.results[0].status, PointStatus::kNotRun);
     EXPECT_EQ(cut.sources[1], PointSource::kFresh);
@@ -234,9 +231,8 @@ TEST(SweepStop, ExpiredDrainDeadlineLeavesInFlightPointsNotRun)
     // stored and serves the resume with the clean run's bytes.
     sweepstop::reset();
     EXPECT_EQ(filesUnder(store_dir), 1u);
-    EXPECT_FALSE(store.lookup(points[0], RunnerOptions{}).has_value());
-    const std::optional<PointResult> served =
-        store.lookup(points[1], RunnerOptions{});
+    EXPECT_FALSE(store.lookup(points[0]).has_value());
+    const std::optional<PointResult> served = store.lookup(points[1]);
     ASSERT_TRUE(served.has_value());
     EXPECT_EQ(test::canonicalBytes(*served), test::canonicalBytes(clean));
 }

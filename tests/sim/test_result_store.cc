@@ -12,9 +12,10 @@
  * ResultCache.*: the store as a content-addressed cache -- hit, miss,
  * relabelling, non-OK results, self-heal.
  *
- * ResultStore.*: the key is the point as executed (but not the
- * run-loop engine: a tick-engine entry serves an event-engine sweep),
- * foreign entries are never served, concurrent puts from a 4-job
+ * ResultStore.*: the key is the point's snapshot config hash (but not
+ * the run-loop engine: a tick-engine entry serves an event-engine
+ * sweep), foreign entries are never served, healing prints nothing,
+ * concurrent puts from a 4-job
  * sweep land whole, and a sweep writes the same bytes at any jobs
  * count (the tsan-checkpoint preset runs this file under
  * ThreadSanitizer).
@@ -104,12 +105,12 @@ okResult(const ExperimentPoint &point)
 /** Path of @p point's entry (or quarantine artifact) in @p dir. */
 std::string
 entryFile(const std::string &dir, const ExperimentPoint &point,
-          const RunnerOptions &opts, bool quarantine = false)
+          bool quarantine = false)
 {
     char name[24];
     std::snprintf(name, sizeof(name), "%016llx.rec",
                   static_cast<unsigned long long>(
-                      ResultStore::keyFor(point, opts)));
+                      ResultStore::keyFor(point)));
     return dir + (quarantine ? "/quarantine/" : "/") + name;
 }
 
@@ -171,7 +172,6 @@ TEST(Journal, PointResultRoundTripsThroughTheContainer)
     result.seed = 424242;
     result.wall_seconds = 1.5;
     result.outcome = OutcomeClass::kDegraded;
-    result.attempts = 3;
     result.run.ipcs = {0.5, 1.25};
     result.run.cycles = 123456;
     result.run.acts = 999;
@@ -190,7 +190,6 @@ TEST(Journal, PointResultRoundTripsThroughTheContainer)
     // Host wall time is not a result: the entry leaves it out.
     EXPECT_EQ(loaded.wall_seconds, 0.0);
     EXPECT_EQ(loaded.outcome, result.outcome);
-    EXPECT_EQ(loaded.attempts, result.attempts);
     EXPECT_EQ(loaded.run.ipcs, result.run.ipcs);
     EXPECT_EQ(loaded.run.cycles, result.run.cycles);
     EXPECT_EQ(loaded.run.acts, result.run.acts);
@@ -307,7 +306,7 @@ TEST(Journal, ResumeUnderATighterCycleGuardReRunsThePoint)
     const test::ScratchDir scratch;
     // A result is only reused by a point that would run the same way:
     // a kOk point finished without a cycle guard must not be served to
-    // a resume whose own guard would time it out.
+    // a resume whose config's own guard would time it out.
     sweepstop::reset();
     const std::vector<ExperimentPoint> points = {samplePoints()[0]};
     const std::string dir = scratch.path("guard");
@@ -316,9 +315,9 @@ TEST(Journal, ResumeUnderATighterCycleGuardReRunsThePoint)
     const SweepReport first = journaled(opts, points, dir);
     ASSERT_EQ(first.results[0].status, PointStatus::kOk);
 
-    RunnerOptions guarded = opts;
-    guarded.point_max_cycles = 500;
-    const SweepReport second = journaled(guarded, points, dir);
+    std::vector<ExperimentPoint> guarded = points;
+    guarded[0].cfg.max_cycles = 500;
+    const SweepReport second = journaled(opts, guarded, dir);
     EXPECT_EQ(second.cache_hits, 0u);
     EXPECT_EQ(executed(second), 1u);
     EXPECT_EQ(second.results[0].status, PointStatus::kTimedOut);
@@ -343,7 +342,7 @@ TEST(Journal, HealsACorruptPointRecordByReRunningIt)
     // Flip one payload bit in a finished record: the store heals
     // (renames the file *.corrupt, re-runs that one point) rather
     // than bricking the whole sweep.
-    const std::string victim = entryFile(dir, points[0], opts);
+    const std::string victim = entryFile(dir, points[0]);
     std::vector<std::uint8_t> image = readFileBytes(victim);
     image[image.size() / 2] ^= 0x10;
     atomicWriteFile(victim, image);
@@ -373,7 +372,7 @@ TEST(Journal, HealsATornTailRecordAtEveryTruncationOffset)
     const SweepReport first = journaled(opts, points, dir);
     ASSERT_FALSE(first.stopped);
 
-    const std::string victim = entryFile(dir, points[0], opts);
+    const std::string victim = entryFile(dir, points[0]);
     const std::vector<std::uint8_t> pristine = readFileBytes(victim);
     ASSERT_GT(pristine.size(), 0u);
 
@@ -382,7 +381,7 @@ TEST(Journal, HealsATornTailRecordAtEveryTruncationOffset)
                                        pristine.begin() + len);
         atomicWriteFile(victim, torn);
         ResultStore store(dir);
-        EXPECT_FALSE(store.lookup(points[0], opts).has_value())
+        EXPECT_FALSE(store.lookup(points[0]).has_value())
             << "offset " << len;
         EXPECT_EQ(store.healed(), 1u) << "offset " << len;
         EXPECT_FALSE(fileExists(victim)) << "offset " << len;
@@ -411,8 +410,8 @@ TEST(Journal, QuarantinedPointsReRunOnResume)
     const SweepReport first = journaled(opts, points, dir);
     EXPECT_FALSE(first.stopped);
     EXPECT_EQ(first.results[2].status, PointStatus::kFailed);
-    EXPECT_TRUE(fileExists(entryFile(dir, points[2], opts, true)));
-    EXPECT_FALSE(fileExists(entryFile(dir, points[2], opts)));
+    EXPECT_TRUE(fileExists(entryFile(dir, points[2], true)));
+    EXPECT_FALSE(fileExists(entryFile(dir, points[2])));
 
     // On resume the failed point re-runs (it may be fixed by now);
     // the finished ones do not.
@@ -429,12 +428,11 @@ TEST(ResultCache, MissThenHitThenKeyIdentity)
 {
     const test::ScratchDir scratch;
     ResultStore store(scratch.path("cache_hit"));
-    const RunnerOptions opts;
     const ExperimentPoint point = faultPoint(5);
-    EXPECT_FALSE(store.lookup(point, opts).has_value());
+    EXPECT_FALSE(store.lookup(point).has_value());
 
-    store.put(point, opts, okResult(point));
-    const auto back = store.lookup(point, opts);
+    store.put(point, okResult(point));
+    const auto back = store.lookup(point);
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(back->status, PointStatus::kOk);
     EXPECT_DOUBLE_EQ(back->run.ipcs.at(0), 1.25);
@@ -443,16 +441,16 @@ TEST(ResultCache, MissThenHitThenKeyIdentity)
     // under a different id hits and is re-labelled with the new id.
     ExperimentPoint renumbered = point;
     renumbered.point_id = 99;
-    const auto relabeled = store.lookup(renumbered, opts);
+    const auto relabeled = store.lookup(renumbered);
     ASSERT_TRUE(relabeled.has_value());
     EXPECT_EQ(relabeled->point_id, 99u);
 
     // A different workload is a different cell entirely.
     ExperimentPoint other = point;
     other.workload = "xz";
-    EXPECT_NE(ResultStore::keyFor(other, opts),
-              ResultStore::keyFor(point, opts));
-    EXPECT_FALSE(store.lookup(other, opts).has_value());
+    EXPECT_NE(ResultStore::keyFor(other),
+              ResultStore::keyFor(point));
+    EXPECT_FALSE(store.lookup(other).has_value());
 }
 
 TEST(ResultCache, NonOkResultsAreNeverStored)
@@ -462,15 +460,14 @@ TEST(ResultCache, NonOkResultsAreNeverStored)
     // never as a servable entry.
     const std::string dir = scratch.path("cache_nonok");
     ResultStore store(dir);
-    const RunnerOptions opts;
     const ExperimentPoint point = faultPoint(6);
     PointResult bad = okResult(point);
     bad.status = PointStatus::kFailed;
     bad.outcome = OutcomeClass::kViolated;
-    store.put(point, opts, bad);
-    EXPECT_FALSE(store.lookup(point, opts).has_value());
-    EXPECT_FALSE(fileExists(entryFile(dir, point, opts)));
-    EXPECT_TRUE(fileExists(entryFile(dir, point, opts, true)));
+    store.put(point, bad);
+    EXPECT_FALSE(store.lookup(point).has_value());
+    EXPECT_FALSE(fileExists(entryFile(dir, point)));
+    EXPECT_TRUE(fileExists(entryFile(dir, point, true)));
 }
 
 TEST(ResultCache, CorruptEntryHealsToAMiss)
@@ -478,13 +475,12 @@ TEST(ResultCache, CorruptEntryHealsToAMiss)
     const test::ScratchDir scratch;
     const std::string dir = scratch.path("cache_heal");
     ResultStore store(dir);
-    const RunnerOptions opts;
     const ExperimentPoint point = faultPoint(7);
-    store.put(point, opts, okResult(point));
-    ASSERT_TRUE(store.lookup(point, opts).has_value());
+    store.put(point, okResult(point));
+    ASSERT_TRUE(store.lookup(point).has_value());
 
     // Flip one payload byte in the single entry on disk.
-    const std::string entry = entryFile(dir, point, opts);
+    const std::string entry = entryFile(dir, point);
     {
         std::fstream f(entry, std::ios::in | std::ios::out |
                                   std::ios::binary);
@@ -494,13 +490,13 @@ TEST(ResultCache, CorruptEntryHealsToAMiss)
         f.put('\x7f');
     }
 
-    EXPECT_FALSE(store.lookup(point, opts).has_value());
+    EXPECT_FALSE(store.lookup(point).has_value());
     EXPECT_EQ(store.healed(), 1u);
     EXPECT_FALSE(fileExists(entry));
     // The poisoned file is moved out of the entry namespace, so a
     // re-put works and subsequent lookups hit again.
-    store.put(point, opts, okResult(point));
-    EXPECT_TRUE(store.lookup(point, opts).has_value());
+    store.put(point, okResult(point));
+    EXPECT_TRUE(store.lookup(point).has_value());
 }
 
 // ------------------------------------------------------------------
@@ -509,41 +505,55 @@ TEST(ResultCache, CorruptEntryHealsToAMiss)
 
 TEST(ResultStore, KeyIsThePointAsExecuted)
 {
-    const test::ScratchDir scratch;
-    const RunnerOptions plain;
-    ExperimentPoint clean = samplePoints()[0];
-    ExperimentPoint faulty = faultPoint(1);
-
-    // The cycle guard changes the key only when it applies.
-    RunnerOptions guarded;
-    guarded.point_max_cycles = 1000;
-    EXPECT_NE(ResultStore::keyFor(clean, guarded),
-              ResultStore::keyFor(clean, plain));
+    // The config alone decides what a point produces, so the key is
+    // its snapshot config hash: for a clean point, one with its own
+    // cycle guard, and one with a fault plan.
+    const ExperimentPoint clean = samplePoints()[0];
     ExperimentPoint bounded = clean;
     bounded.cfg.max_cycles = 5000;
-    EXPECT_EQ(ResultStore::keyFor(bounded, guarded),
-              ResultStore::keyFor(bounded, plain));
+    const ExperimentPoint faulty = faultPoint(1);
+    for (const ExperimentPoint &p : {clean, bounded, faulty}) {
+        EXPECT_EQ(ResultStore::keyFor(p),
+                  snapshotConfigHash(p.cfg, p.workload));
+    }
 
-    // fault_retries changes what a fault-plan point produces (its
-    // attempts, and whether it ends kOk or kFaulted), and nothing
-    // about a fault-free one.
-    RunnerOptions retries;
-    retries.fault_retries = 2;
-    EXPECT_NE(ResultStore::keyFor(faulty, retries),
-              ResultStore::keyFor(faulty, plain));
-    EXPECT_EQ(ResultStore::keyFor(clean, retries),
-              ResultStore::keyFor(clean, plain));
+    // A tighter cycle guard is a different point.
+    ExperimentPoint tighter = bounded;
+    tighter.cfg.max_cycles = 1000;
+    EXPECT_NE(ResultStore::keyFor(tighter), ResultStore::keyFor(bounded));
+    EXPECT_NE(ResultStore::keyFor(bounded), ResultStore::keyFor(clean));
+}
 
-    // A fault-free, unguarded point keeps the snapshot config hash,
-    // so entries written before the guard was keyed still serve.
-    EXPECT_EQ(ResultStore::keyFor(clean, plain),
-              snapshotConfigHash(clean.cfg, clean.workload));
+TEST(ResultStore, LookupHealsCorruptEntriesSilently)
+{
+    // Healing is counted, not printed: resuming a store written in an
+    // older format heals every entry, and the sweep's caller reports
+    // healed() in one line.
+    const test::ScratchDir scratch;
+    const std::string dir = scratch.path("silent_heal");
+    constexpr unsigned kEntries = 5;
+    std::vector<ExperimentPoint> points;
+    {
+        ResultStore store(dir);
+        for (unsigned k = 0; k < kEntries; ++k) {
+            points.push_back(faultPoint(20 + k));
+            store.put(points.back(), okResult(points.back()));
+        }
+    }
+    for (const ExperimentPoint &point : points) {
+        std::vector<std::uint8_t> image =
+            readFileBytes(entryFile(dir, point));
+        image[image.size() / 2] ^= 0x10;
+        atomicWriteFile(entryFile(dir, point), image);
+    }
 
-    // End to end: a result put under retries is not served without.
-    ResultStore store(scratch.path("key_retries"));
-    store.put(faulty, retries, okResult(faulty));
-    EXPECT_TRUE(store.lookup(faulty, retries).has_value());
-    EXPECT_FALSE(store.lookup(faulty, plain).has_value());
+    ResultStore store(dir);
+    ::testing::internal::CaptureStderr();
+    for (const ExperimentPoint &point : points) {
+        EXPECT_FALSE(store.lookup(point).has_value());
+    }
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+    EXPECT_EQ(store.healed(), kEntries);
 }
 
 TEST(ResultStore, TickEngineEntriesServeAnEventEngineSweep)
@@ -590,22 +600,21 @@ TEST(ResultStore, PlantedEntryWithAForeignSignatureHealsToAMiss)
     // whose stored identity belongs to a different point (an FNV
     // collision, or a file copied in by hand) is never served.
     const std::string dir = scratch.path("planted");
-    const RunnerOptions opts;
     const ExperimentPoint point = faultPoint(8);
     ExperimentPoint other = point;
     other.cfg.trh += 250;
 
     {
         ResultStore store(dir);
-        store.put(other, opts, okResult(other));
+        store.put(other, okResult(other));
     }
-    const std::string planted = entryFile(dir, point, opts);
-    std::filesystem::rename(entryFile(dir, other, opts), planted);
+    const std::string planted = entryFile(dir, point);
+    std::filesystem::rename(entryFile(dir, other), planted);
     // Re-seal the moved bytes under the victim's key (header bytes
     // 16..23) with a fresh CRC trailer, so only the stored identity
     // is wrong.
     std::vector<std::uint8_t> image = readFileBytes(planted);
-    const std::uint64_t key = ResultStore::keyFor(point, opts);
+    const std::uint64_t key = ResultStore::keyFor(point);
     for (unsigned b = 0; b < 8; ++b) {
         image[16 + b] = static_cast<std::uint8_t>(key >> (8 * b));
     }
@@ -618,11 +627,11 @@ TEST(ResultStore, PlantedEntryWithAForeignSignatureHealsToAMiss)
 
     ResultStore store(dir);
     EXPECT_EQ(store.healed(), 0u) << "the envelope is valid";
-    EXPECT_FALSE(store.lookup(point, opts).has_value());
+    EXPECT_FALSE(store.lookup(point).has_value());
     EXPECT_EQ(store.healed(), 1u);
     EXPECT_FALSE(fileExists(planted));
     EXPECT_TRUE(fileExists(planted + ".corrupt"));
-    EXPECT_FALSE(store.lookup(point, opts).has_value());
+    EXPECT_FALSE(store.lookup(point).has_value());
 }
 
 TEST(ResultStore, ConcurrentPutsFromAFourJobSweepKeepExactAccounting)
@@ -644,7 +653,7 @@ TEST(ResultStore, ConcurrentPutsFromAFourJobSweepKeepExactAccounting)
     EXPECT_EQ(storeFiles(dir).size(), points.size() + 1)
         << "one entry per point plus quarantine/";
     for (const ExperimentPoint &point : points) {
-        EXPECT_TRUE(store.lookup(point, opts).has_value());
+        EXPECT_TRUE(store.lookup(point).has_value());
     }
     EXPECT_EQ(store.healed(), 0u);
 

@@ -1,14 +1,13 @@
 /**
  * @file
  * Unit tests for sweep expansion and the runner's failure paths
- * (quarantine, timeout, fault retries, replay).  The heavyweight
+ * (quarantine, timeout, faulted points, replay).  The heavyweight
  * jobs-1-vs-jobs-N determinism sweep lives in tests/regression.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -63,8 +62,7 @@ TEST(Sharding, ExpandIsWorkloadMajorWithDenseIds)
 
 TEST(Sharding, PerWorkloadPolicyPairsSeedsAcrossConfigs)
 {
-    SweepSpec spec = tinySweep();
-    spec.seed_policy = SweepSpec::SeedPolicy::kPerWorkload;
+    const SweepSpec spec = tinySweep();
     const auto points = spec.expand();
     // Baseline and test on the same workload share a trace seed;
     // different workloads never do.
@@ -73,19 +71,6 @@ TEST(Sharding, PerWorkloadPolicyPairsSeedsAcrossConfigs)
     EXPECT_NE(points[0].cfg.seed, points[2].cfg.seed);
     EXPECT_EQ(points[0].cfg.seed, Rng::streamSeed(spec.master_seed, 0));
     EXPECT_EQ(points[2].cfg.seed, Rng::streamSeed(spec.master_seed, 1));
-}
-
-TEST(Sharding, PerPointPolicyGivesEveryCellItsOwnSeed)
-{
-    SweepSpec spec = tinySweep();
-    spec.seed_policy = SweepSpec::SeedPolicy::kPerPoint;
-    const auto points = spec.expand();
-    std::set<std::uint64_t> seeds;
-    for (const auto &p : points) {
-        seeds.insert(p.cfg.seed);
-    }
-    EXPECT_EQ(seeds.size(), points.size());
-    EXPECT_EQ(points[3].cfg.seed, Rng::streamSeed(spec.master_seed, 3));
 }
 
 TEST(Sharding, ConfigSignatureSeparatesMeaningfulFields)
@@ -138,20 +123,6 @@ TEST(Runner, CycleGuardClassifiesPointAsTimedOut)
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].status, PointStatus::kTimedOut);
     EXPECT_FALSE(results[0].error.empty());
-}
-
-TEST(Runner, PointMaxCyclesOptionAppliesWhenConfigHasNone)
-{
-    SweepSpec spec = tinySweep();
-    spec.workloads = {"mcf"};
-    spec.configs = {{"base", tinyConfig()}};
-    const auto points = spec.expand();
-    ASSERT_EQ(points[0].cfg.max_cycles, 0u);
-    RunnerOptions opts;
-    opts.jobs = 1;
-    opts.point_max_cycles = 500;
-    const auto results = Runner(opts).run(points);
-    EXPECT_EQ(results[0].status, PointStatus::kTimedOut);
 }
 
 TEST(Runner, ReplayReproducesTheSweepResult)
@@ -229,9 +200,9 @@ pathCaseName(PathCase c)
 
 /**
  * Runner::replay -- the one point path every sweep worker and
- * `--replay` take -- must classify each case with the expected status
- * and attempt count, and replaying it again must reproduce every
- * field of the result bit-for-bit.
+ * `--replay` take -- must classify each case, set up on the point's
+ * config alone, with the expected status, and replaying it again must
+ * reproduce every field of the result bit-for-bit.
  */
 class RunnerPointPath : public ::testing::TestWithParam<PathCase>
 {
@@ -253,10 +224,7 @@ TEST_P(RunnerPointPath, ReplayClassifiesThePoint)
     point.cfg.insts_per_core = 20000;
     point.cfg.warmup_insts = 2000;
     point.cfg.geometry.rows_per_bank = 1024;
-    RunnerOptions opts;
-    opts.jobs = 1;
     PointStatus expected = PointStatus::kOk;
-    unsigned expected_attempts = 1;
     switch (which) {
       case PathCase::kOk:
         break;
@@ -265,39 +233,36 @@ TEST_P(RunnerPointPath, ReplayClassifiesThePoint)
         expected = PointStatus::kFailed;
         break;
       case PathCase::kCycleGuard:
-        opts.point_max_cycles = 12000;
+        point.cfg.max_cycles = 12000;
         expected = PointStatus::kTimedOut;
         break;
       case PathCase::kFaultWatchdog:
         // The stuck-bank plan of FaultRuns.StuckForeverIsQuarantined-
-        // HungWithRetries: every reseed trips the watchdog (a crash
-        // classified HUNG), so the point exhausts its retries.
+        // Hung: the run trips the watchdog (a crash classified HUNG).
         point.cfg.faults = FaultPlan::single(FaultKind::kStuckOpenBank,
                                              1.0, kNeverCycle);
         point.cfg.watchdog_cycles = 20000;
-        opts.fault_retries = 2;
         expected = PointStatus::kFaulted;
-        expected_attempts = 3;
         break;
       case PathCase::kFaultCycleGuard:
-        // Same plan with the watchdog off: each attempt completes at
-        // the cycle guard instead, classified HUNG.
+        // Same plan with the watchdog off: the run completes at the
+        // cycle guard instead, classified HUNG.
         point.cfg.faults = FaultPlan::single(FaultKind::kStuckOpenBank,
                                              1.0, kNeverCycle);
         point.cfg.watchdog_cycles = 0;
         point.cfg.max_cycles = 30000;
-        opts.fault_retries = 1;
         expected = PointStatus::kFaulted;
-        expected_attempts = 2;
         break;
     }
 
-    const PointResult plain = Runner::replay(point, opts);
+    const PointResult plain = Runner::replay(point);
     ASSERT_EQ(plain.status, expected) << plain.error;
-    EXPECT_EQ(plain.attempts, expected_attempts);
+    if (expected == PointStatus::kFaulted) {
+        EXPECT_EQ(plain.outcome, OutcomeClass::kHung);
+    }
 
     // Every field of the run (doubles bit-for-bit) and the stats.
-    const PointResult again = Runner::replay(point, opts);
+    const PointResult again = Runner::replay(point);
     EXPECT_EQ(test::canonicalBytes(again), test::canonicalBytes(plain));
 }
 
