@@ -12,16 +12,15 @@
  */
 
 #include <algorithm>
-#include <iostream>
 
 #include "bench_util.hh"
 #include "mitigation/mint_sampler.hh"
 #include "sim/attack.hh"
 
+namespace mopac::bench
+{
 namespace
 {
-
-using namespace mopac;
 
 AttackResult
 hammer(MopacDEngine::SamplerKind sampler, std::uint64_t seed)
@@ -59,13 +58,9 @@ maxGap(bool mint, unsigned window, unsigned n, std::uint64_t seed)
     return max_gap;
 }
 
-} // namespace
-
-int
-main()
+void
+render(SlowdownLab &, std::ostream &os)
 {
-    using namespace mopac;
-
     TextTable table("Ablation: MINT vs PARA sampling for the SRQ "
                     "(footnote 6)");
     table.header({"metric", "MINT", "PARA"});
@@ -96,6 +91,11 @@ main()
                "construction; PARA's tail is unbounded (observe "
                "~15x the window), which is exactly the slack an "
                "attacker exploits around SRQ-full ABOs.");
-    table.print(std::cout);
-    return mopac::bench::finalExitCode();
+    table.print(os);
 }
+
+} // namespace
+
+extern const Exhibit abl_mint_vs_para{"abl_mint_vs_para", nullptr, render};
+
+} // namespace mopac::bench

@@ -6,20 +6,24 @@
  * implies, and whether it survives the attack battery at T_RH 500.
  */
 
-#include <iostream>
 #include <string>
 #include <vector>
 
-#include "analysis/security.hh"
 #include "bench_util.hh"
 #include "mitigation/extra_engines.hh"
 #include "sim/attack.hh"
 
+namespace mopac::bench
+{
 namespace
 {
 
-using namespace mopac;
-using namespace mopac::bench;
+const MitigationKind kKinds[] = {
+    MitigationKind::kNone,     MitigationKind::kTrr,
+    MitigationKind::kPara,     MitigationKind::kMint,
+    MitigationKind::kPride,    MitigationKind::kGraphene,
+    MitigationKind::kPracMoat, MitigationKind::kQprac,
+    MitigationKind::kMopacC,   MitigationKind::kMopacD};
 
 /** Worst oracle exposure over the three-pattern attack battery. */
 std::pair<std::uint32_t, std::uint64_t>
@@ -71,39 +75,28 @@ sramPerBank(MitigationKind kind)
     return "?";
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+void
+declare(SlowdownLab &lab)
 {
-    SlowdownLab lab(benchConfig(MitigationKind::kNone, 500),
-                    parseBenchArgs(argc, argv));
-
-    std::vector<SystemConfig> sweep;
-    for (MitigationKind kind :
-         {MitigationKind::kNone, MitigationKind::kTrr,
-          MitigationKind::kPara, MitigationKind::kMint,
-          MitigationKind::kPride, MitigationKind::kGraphene,
-          MitigationKind::kPracMoat, MitigationKind::kQprac,
-          MitigationKind::kMopacC, MitigationKind::kMopacD}) {
-        sweep.push_back(benchConfig(kind, 500));
+    std::vector<NamedConfig> cells;
+    for (MitigationKind kind : kKinds) {
+        cells.push_back(benchCell(kind, 500));
     }
-    lab.precompute(sweep, {"mcf"});
+    lab.queue(cells, {"mcf"});
+}
 
+void
+render(SlowdownLab &lab, std::ostream &os)
+{
     TextTable table("Tracker landscape at T_RH 500 "
                     "(benign cost vs security vs SRAM)");
     table.header({"design", "slowdown (mcf)", "ALERTs", "mitigations",
                   "worst exposure", "secure?", "SRAM per bank"});
 
-    for (MitigationKind kind :
-         {MitigationKind::kNone, MitigationKind::kTrr,
-          MitigationKind::kPara, MitigationKind::kMint,
-          MitigationKind::kPride, MitigationKind::kGraphene,
-          MitigationKind::kPracMoat, MitigationKind::kQprac,
-          MitigationKind::kMopacC, MitigationKind::kMopacD}) {
+    for (MitigationKind kind : kKinds) {
         SystemConfig cfg = benchConfig(kind, 500);
         const double slowdown = lab.slowdown(cfg, "mcf");
-        const RunResult run = lab.run(cfg, "mcf");
+        const RunResult &run = lab.run(cfg, "mcf");
         const auto [worst, violations] = attackBattery(kind);
         table.row({toString(kind), TextTable::pct(slowdown, 1),
                    std::to_string(run.alerts),
@@ -119,6 +112,12 @@ main(int argc, char **argv)
                "secure but taxes every benign access ~10%; MoPAC "
                "keeps PRAC's security at a fraction of the tax and "
                "tiny SRAM, unlike Graphene-class trackers.");
-    table.print(std::cout);
-    return mopac::bench::finalExitCode();
+    table.print(os);
 }
+
+} // namespace
+
+extern const Exhibit abl_tracker_landscape{"abl_tracker_landscape",
+                                           declare, render};
+
+} // namespace mopac::bench

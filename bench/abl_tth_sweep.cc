@@ -7,19 +7,19 @@
  * cheap DoS (ABO every TTH activations => 7/(TTH+7) loss).
  */
 
-#include <iostream>
-
 #include "analysis/perf_attack.hh"
 #include "analysis/security.hh"
 #include "bench_util.hh"
 #include "sim/attack.hh"
 
-int
-main()
+namespace mopac::bench
 {
-    using namespace mopac;
-    using namespace mopac::bench;
+namespace
+{
 
+void
+render(SlowdownLab &, std::ostream &os)
+{
     TextTable table("Ablation: tardiness threshold (TTH) sweep at "
                     "T_RH 500");
     table.header({"TTH", "A'", "C", "ATH*", "TTH-attack slowdown",
@@ -45,6 +45,11 @@ main()
                "tardiness-attack cost is already ~18% (Table 10) "
                "while ATH* loses only 32 of ATH's activation "
                "budget.");
-    table.print(std::cout);
-    return mopac::bench::finalExitCode();
+    table.print(os);
 }
+
+} // namespace
+
+extern const Exhibit abl_tth_sweep{"abl_tth_sweep", nullptr, render};
+
+} // namespace mopac::bench

@@ -1,51 +1,52 @@
 /**
  * @file
- * Shared plumbing for the paper-reproduction bench binaries.
+ * Shared plumbing for the paper-reproduction bench programs
+ * (mopac_exhibits and chaos_soak).
  *
- * Every binary prints the same rows/series as its paper exhibit.
+ * Every exhibit prints the same rows/series as its paper counterpart.
  * Simulation horizon defaults to 200K instructions per core
  * (MOPAC_SIM_SCALE / MOPAC_SIM_INSTS rescale it); EXPERIMENTS.md
  * records the fidelity implications.
  *
- * The simulation-driven drivers all funnel through SlowdownLab, which
- * executes its sweep on the parallel sim::Runner: declare the full
- * (config x workload) grid with precompute(), then read slowdowns out
- * of the cache.  `--jobs N` picks the worker count and `--replay ID`
- * re-runs one point single-threaded with a full stats dump; per-point
- * results are bit-identical at any job count (see EXPERIMENTS.md,
- * "Parallel sweeps and determinism").
+ * Each exhibit is data (Exhibit: a name, a declare function that
+ * queues its cells into the one SlowdownLab, a render function that
+ * prints its table from the lab's results); the lab runs the cells
+ * of every selected exhibit once, as one sweep on the parallel
+ * sim::Runner.  `--jobs N` picks the worker count and `--replay ID`
+ * re-runs one point single-threaded with a full stats dump;
+ * per-point results are bit-identical at any job count (see
+ * EXPERIMENTS.md, "Parallel sweeps and determinism").
  */
 
 #ifndef MOPAC_BENCH_BENCH_UTIL_HH
 #define MOPAC_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <iostream>
 #include <map>
+#include <ostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/format.hh"
 #include "common/mathutil.hh"
 #include "common/table.hh"
+#include "sim/attack.hh"
 #include "sim/experiment.hh"
 #include "sim/result_store.hh"
 #include "sim/runner.hh"
 #include "sim/stop.hh"
+#include "sim/sweep.hh"
 #include "workload/spec.hh"
 
 namespace mopac::bench
 {
 
-/** Default per-core instruction budget for bench runs. */
-inline std::uint64_t
-benchInsts()
-{
-    return defaultInstsPerCore(200000);
-}
-
 /**
- * Command-line options shared by every bench driver.
+ * Command-line options shared by the bench programs.
  *
  *   --jobs N     worker threads for the sweep (default: MOPAC_JOBS
  *                env var, else hardware concurrency)
@@ -54,10 +55,8 @@ benchInsts()
  *                when a point fails, or enumerable via --list-points)
  *   --list-points  print the expanded point table, then exit
  *   --journal DIR  put each finished point into the result store at
- *                DIR (crash-safe); a first SIGINT/SIGTERM lets the
- *                in-flight points finish, starts no new one and exits
- *                with status 75 (resumable); a second abandons the
- *                in-flight points, which a resume re-runs
+ *                DIR (crash-safe); a first SIGINT/SIGTERM stops at a
+ *                point boundary and exits 75 (resumable)
  *   --resume DIR  alias for --journal: points whose result DIR holds
  *                are skipped and only the remainder runs
  */
@@ -68,11 +67,18 @@ struct BenchOptions
     bool list_points = false;
     /** Result-store directory ("" = plain, non-resumable sweep). */
     std::string journal;
+    /** Exhibit names given as positional arguments, in order. */
+    std::vector<std::string> exhibits;
 };
 
-/** Parse the shared bench flags; fatal() on malformed input. */
+/**
+ * Parse the shared bench flags; fatal() on malformed input.  A
+ * positional argument must be one of @p exhibits (the names a driver
+ * accepts, listed by --help); with none accepted, it is an error.
+ */
 inline BenchOptions
-parseBenchArgs(int argc, char **argv)
+parseBenchArgs(int argc, char **argv,
+               const std::vector<std::string> &exhibits = {})
 {
     auto number = [](const std::string &flag,
                      const std::string &text) -> std::uint64_t {
@@ -120,10 +126,21 @@ parseBenchArgs(int argc, char **argv)
                    arg.rfind("--resume=", 0) == 0) {
             opts.journal = value("--resume");
         } else if (arg == "--help" || arg == "-h") {
-            std::puts("usage: <bench> [--jobs N] [--replay ID] "
-                      "[--list-points] [--journal DIR] "
-                      "[--resume DIR]");
+            std::string names;
+            for (const std::string &name : exhibits) {
+                names += " " + name;
+            }
+            std::printf("usage: %s [--jobs N] [--replay ID] "
+                        "[--list-points] [--journal DIR] "
+                        "[--resume DIR]%s\n",
+                        argv[0], names.empty() ? "" : " [EXHIBIT ...]");
+            if (!names.empty()) {
+                std::printf("exhibits:%s\n", names.c_str());
+            }
             std::exit(0);
+        } else if (std::find(exhibits.begin(), exhibits.end(), arg) !=
+                   exhibits.end()) {
+            opts.exhibits.push_back(arg);
         } else {
             fatal("unknown bench argument '{}'", arg);
         }
@@ -143,69 +160,32 @@ sensitivitySubset()
             "xz",     "roms",   "masstree", "add"};
 }
 
-/** Build a bench config for one mitigation/threshold. */
+/**
+ * Build a bench config for one mitigation/threshold, at the bench
+ * horizon of 200K instructions per core (MOPAC_SIM_SCALE /
+ * MOPAC_SIM_INSTS rescale it).
+ */
 inline SystemConfig
 benchConfig(MitigationKind kind, std::uint32_t trh)
 {
     SystemConfig cfg = makeConfig(kind, trh);
-    cfg.insts_per_core = benchInsts();
+    cfg.insts_per_core = defaultInstsPerCore(200000);
     cfg.warmup_insts = cfg.insts_per_core / 10;
     return cfg;
 }
 
-namespace detail
-{
-
-/** Severity rank of an exit code (sim/stop.hh map); unknown = worst. */
-inline int
-exitSeverity(int code)
-{
-    switch (code) {
-      case 0: return 0;
-      case sweepstop::kResumableExit: return 1;
-      case sweepstop::kQuarantinedExit: return 2;
-      case sweepstop::kHungExit: return 3;
-      case sweepstop::kViolatedExit: return 4;
-    }
-    return 5;
-}
-
-/** Sticky worst exit code of every sweep this process ran. */
+/**
+ * The process exit code every bench program returns from main(): its
+ * sweep's outcome per the shared map in sim/stop.hh (0 clean, 65
+ * VIOLATED, 70 HUNG, 74 quarantined; the most severe wins), so
+ * wrappers and CI can triage a finished run without parsing its
+ * report.  runBenchPoints() sets it.
+ */
 inline int &
-worstExitCode()
+finalExitCode()
 {
     static int code = 0;
     return code;
-}
-
-} // namespace detail
-
-/**
- * Record a sweep's exit code; the worst one across all sweeps of the
- * process becomes finalExitCode().  runBenchPoints() calls this
- * automatically; drivers that run the Runner directly (chaos_soak)
- * call it for the sweeps that are supposed to be clean.
- */
-inline void
-noteSweepExit(int code)
-{
-    if (detail::exitSeverity(code) >
-        detail::exitSeverity(detail::worstExitCode())) {
-        detail::worstExitCode() = code;
-    }
-}
-
-/**
- * The process exit code every bench driver returns from main(): the
- * worst sweep outcome per the shared map in sim/stop.hh (0 clean, 65
- * VIOLATED, 70 HUNG, 74 quarantined, 75 interrupted-resumable), so
- * wrappers and CI can triage a finished driver without parsing its
- * report.
- */
-inline int
-finalExitCode()
-{
-    return detail::worstExitCode();
 }
 
 /**
@@ -304,87 +284,105 @@ runBenchPoints(const std::vector<ExperimentPoint> &points,
                  r.point_id, r.seed);
         }
     }
-    noteSweepExit(sweepExitCode(results));
+    finalExitCode() = sweepExitCode(results);
     return results;
 }
 
+/** Thrown by SlowdownLab when a queued cell has no OK result. */
+struct MissingCell : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
 /**
- * Runs workloads under test configs and caches the matching baseline
- * runs, so sweeps that share a baseline do not re-simulate it.
+ * benchConfig(kind, trh) labelled "kind@trh", plus " detail" when
+ * @p detail is set; exhibits name in it the fields they vary
+ * ("srq=8", "tON=100ns"), so every cell of a sweep reads apart.
+ */
+inline NamedConfig
+benchCell(MitigationKind kind, std::uint32_t trh,
+          const std::string &detail = "")
+{
+    return {toString(kind) + "@" + std::to_string(trh) +
+                (detail.empty() ? "" : " " + detail),
+            benchConfig(kind, trh)};
+}
+
+/** The default baseline cell: no mitigation, T_RH 500. */
+inline NamedConfig
+baselineCell()
+{
+    return benchCell(MitigationKind::kNone, 500);
+}
+
+/**
+ * One deduplicated sweep shared by every exhibit of a process.
  *
- * Call precompute() with the full grid first: it expands every
- * (config, workload, seed) cell -- plus the baselines they pair with
- * -- into sim::ExperimentPoints, executes them on the parallel
- * Runner, and fills the cache.  slowdown() / baseline() then read the
- * cache.  Reading a cell that precompute() never queued is a driver
- * bug (panic); reading a queued cell whose point was quarantined
- * names the cell and its replay id, then exits with finalExitCode().
+ * Exhibits queue() their (config x workload) cells and the baselines
+ * they pair with; execute() runs every queued point as one sweep on
+ * the parallel Runner, a cell two exhibits share (same
+ * configSignature and workload) once, labelled by the first exhibit
+ * that queued it.  slowdown() / run() then read the results.  Reading
+ * a cell nobody queued is a driver bug (panic); reading a queued cell
+ * without an OK result throws MissingCell, naming the cell and its
+ * replay id.
  */
 class SlowdownLab
 {
   public:
-    /** @param base_template Baseline config (mitigation forced off). */
-    explicit SlowdownLab(SystemConfig base_template,
-                         BenchOptions opts = {})
-        : base_(std::move(base_template)), opts_(opts)
-    {
-        base_.mitigation = MitigationKind::kNone;
-    }
-
     /**
-     * Expand and execute the full sweep grid in parallel.  Failed or
-     * timed-out points are quarantined: they are reported with their
-     * point id and seed (for `--replay`), and reading their cells
-     * ends the driver (see cachedRun()).
+     * Queue every (cell, workload) pair over the seeds slowdown()
+     * averages, each paired with a run of @p base (an unprotected
+     * baseline) on the same seed.
      */
     void
-    precompute(const std::vector<SystemConfig> &cfgs,
-               const std::vector<std::string> &workloads)
+    queue(const std::vector<NamedConfig> &cells,
+          const std::vector<std::string> &workloads,
+          const NamedConfig &base = baselineCell())
     {
-        std::vector<ExperimentPoint> points;
         for (const std::string &name : workloads) {
-            for (const SystemConfig &cfg : cfgs) {
-                for (std::uint64_t seed : seedsFor(cfg, name)) {
-                    SystemConfig test_cfg = cfg;
-                    test_cfg.seed = seed;
-                    addPoint(points, test_cfg, name);
-                    SystemConfig base_cfg = base_;
-                    base_cfg.seed = seed;
-                    addPoint(points, base_cfg, name);
+            for (const NamedConfig &cell : cells) {
+                for (std::uint64_t seed : seedsFor(cell.cfg, name)) {
+                    addPoint(cell, seed, name);
+                    addPoint(base, seed, name);
                 }
             }
         }
-        execute(points);
     }
 
     /**
-     * Like precompute(), but runs exactly the given (config x
-     * workload) cells with no automatic baseline pairing -- for
-     * drivers that consume raw RunResults (or pair baselines
-     * themselves, e.g. per-geometry baselines).
+     * Queue exactly the given (cell x workload) runs with no baseline
+     * pairing -- for exhibits that read raw RunResults (or pair
+     * baselines themselves, e.g. per-geometry baselines).
      */
     void
-    precomputeRuns(const std::vector<SystemConfig> &cfgs,
-                   const std::vector<std::string> &workloads)
+    queueRuns(const std::vector<NamedConfig> &cells,
+              const std::vector<std::string> &workloads)
     {
-        std::vector<ExperimentPoint> points;
         for (const std::string &name : workloads) {
-            for (const SystemConfig &cfg : cfgs) {
-                addPoint(points, cfg, name);
+            for (const NamedConfig &cell : cells) {
+                addPoint(cell, cell.cfg.seed, name);
             }
         }
-        execute(points);
     }
 
-    /** Baseline result for @p workload at the template seed. */
-    const RunResult &
-    baseline(const std::string &workload)
+    /** Run every queued point as one sweep (see runBenchPoints). */
+    void
+    execute(const BenchOptions &opts)
     {
-        return baseline(workload, base_.seed);
+        const std::vector<PointResult> results =
+            runBenchPoints(points_, opts);
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            if (results[i].status == PointStatus::kOk) {
+                results_.emplace(cacheKey(points_[i].cfg,
+                                          points_[i].workload),
+                                 results[i].run);
+            }
+        }
     }
 
     /**
-     * Slowdown of @p cfg on @p workload vs the cached baseline.
+     * Slowdown of @p cfg on @p workload vs @p base.
      *
      * The STREAM kernels are chaotic (8 identical strided cores
      * produce phase-sensitive bank conflicts, +/- a few percent per
@@ -392,51 +390,63 @@ class SlowdownLab
      * all other workloads use one paired run.
      */
     double
-    slowdown(const SystemConfig &cfg, const std::string &workload)
+    slowdown(const SystemConfig &cfg, const std::string &workload,
+             const SystemConfig &base = baselineCell().cfg)
     {
         double sum = 0.0;
         const std::vector<std::uint64_t> seeds =
             seedsFor(cfg, workload);
         for (std::uint64_t seed : seeds) {
             SystemConfig test_cfg = cfg;
-            test_cfg.seed = seed;
-            const RunResult &test = cachedRun(test_cfg, workload);
-            sum += weightedSlowdown(baseline(workload, seed), test);
+            SystemConfig base_cfg = base;
+            test_cfg.seed = base_cfg.seed = seed;
+            sum += weightedSlowdown(run(base_cfg, workload),
+                                    run(test_cfg, workload));
         }
         return sum / static_cast<double>(seeds.size());
     }
 
-    const SystemConfig &baseConfig() const { return base_; }
-
-    /** Merged per-point stats of the last precompute() sweep. */
-    const StatSnapshot &mergedStats() const { return merged_stats_; }
-
-    /** Raw run of @p cfg on @p workload, from the precomputed cache. */
-    const RunResult &
-    run(const SystemConfig &cfg, const std::string &workload)
+    /** The paper's "average": mean slowdown over @p workloads. */
+    double
+    average(const SystemConfig &cfg,
+            const std::vector<std::string> &workloads,
+            const SystemConfig &base = baselineCell().cfg)
     {
-        return cachedRun(cfg, workload);
+        std::vector<double> series;
+        for (const std::string &name : workloads) {
+            series.push_back(slowdown(cfg, name, base));
+        }
+        return mean(series);
+    }
+
+    /**
+     * The OK run of a queued cell.  A cell nobody queued is a driver
+     * bug; a queued cell without an OK result was quarantined (and
+     * reported) by the sweep, so its exhibit cannot print.
+     */
+    const RunResult &
+    run(const SystemConfig &cfg, const std::string &workload) const
+    {
+        const std::string key = cacheKey(cfg, workload);
+        const auto it = results_.find(key);
+        if (it != results_.end()) {
+            return it->second;
+        }
+        const auto queued = queued_.find(key);
+        if (queued == queued_.end()) {
+            panic("SlowdownLab: cell {}@{} / {} was never queued",
+                  toString(cfg.mitigation), cfg.trh, workload);
+        }
+        const ExperimentPoint &point = points_[queued->second];
+        throw MissingCell(format(
+            "cell {} / {} has no OK result -- replay with --replay {}",
+            point.config_label, workload, point.point_id));
     }
 
   private:
-    /** Run queued points through the shared bench runner path. */
-    void
-    execute(const std::vector<ExperimentPoint> &points)
-    {
-        const std::vector<PointResult> results =
-            runBenchPoints(points, opts_);
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            if (results[i].status == PointStatus::kOk) {
-                results_.emplace(cacheKey(points[i].cfg,
-                                          points[i].workload),
-                                 results[i].run);
-            }
-        }
-        merged_stats_ = Runner::mergeStats(results);
-    }
     /** Seeds slowdown() averages over for this (config, workload). */
-    std::vector<std::uint64_t>
-    seedsFor(const SystemConfig &cfg, const std::string &workload) const
+    static std::vector<std::uint64_t>
+    seedsFor(const SystemConfig &cfg, const std::string &workload)
     {
         const bool streaming = workload.rfind("mix", 0) != 0 &&
                                findWorkload(workload).streaming;
@@ -446,79 +456,135 @@ class SlowdownLab
         return {cfg.seed};
     }
 
-    std::string
-    cacheKey(const SystemConfig &cfg, const std::string &workload) const
+    static std::string
+    cacheKey(const SystemConfig &cfg, const std::string &workload)
     {
         return configSignature(cfg) + "#" + workload;
     }
 
     /** Append a point unless an identical cell is already queued. */
     void
-    addPoint(std::vector<ExperimentPoint> &points,
-             const SystemConfig &cfg, const std::string &workload)
+    addPoint(const NamedConfig &cell, std::uint64_t seed,
+             const std::string &workload)
     {
-        const std::string key = cacheKey(cfg, workload);
-        if (!queued_.emplace(key, points.size()).second) {
-            return;
-        }
         ExperimentPoint point;
-        point.point_id = points.size();
-        point.config_label = toString(cfg.mitigation) + "@" +
-                             std::to_string(cfg.trh);
+        point.point_id = points_.size();
+        point.config_label = cell.label;
         point.workload = workload;
-        point.cfg = cfg;
-        points.push_back(std::move(point));
-    }
-
-    /**
-     * The precomputed OK run of a cell.  A cell no precompute() call
-     * queued is a driver bug; a queued cell without an OK result was
-     * quarantined (and reported) by the sweep, so the driver stops
-     * with the sweep's exit code rather than print a partial table.
-     */
-    const RunResult &
-    cachedRun(const SystemConfig &cfg, const std::string &workload)
-    {
-        const std::string key = cacheKey(cfg, workload);
-        const auto it = results_.find(key);
-        if (it != results_.end()) {
-            return it->second;
+        point.cfg = cell.cfg;
+        point.cfg.seed = seed;
+        if (queued_.emplace(cacheKey(point.cfg, workload),
+                            point.point_id)
+                .second) {
+            points_.push_back(std::move(point));
         }
-        const auto queued = queued_.find(key);
-        if (queued == queued_.end()) {
-            panic("SlowdownLab: cell {}@{} / {} was never queued by "
-                  "precompute()",
-                  toString(cfg.mitigation), cfg.trh, workload);
-        }
-        warn("cell {}@{} / {} has no OK result -- replay with "
-             "--replay {}",
-             toString(cfg.mitigation), cfg.trh, workload,
-             queued->second);
-        std::exit(finalExitCode());
     }
 
-    /** Baseline for a specific seed (cached). */
-    const RunResult &
-    baseline(const std::string &workload, std::uint64_t seed)
-    {
-        SystemConfig cfg = base_;
-        cfg.seed = seed;
-        return cachedRun(cfg, workload);
-    }
-
-    SystemConfig base_;
-    BenchOptions opts_;
+    std::vector<ExperimentPoint> points_;
     /** Queued cells and their point ids (the --replay handles). */
     std::map<std::string, std::uint64_t> queued_;
     std::map<std::string, RunResult> results_;
-    StatSnapshot merged_stats_;
 };
 
-/** Arithmetic mean of per-workload slowdowns (the paper's "average"). */
-inline double
-meanSlowdown(const std::vector<double> &xs)
+/** One paper exhibit (or ablation) of mopac_exhibits. */
+struct Exhibit
 {
-    return mean(xs);
+    /** Command-line name. */
+    const char *name;
+    /** Queue the simulated cells; nullptr for an exhibit with none. */
+    void (*declare)(SlowdownLab &lab);
+    /** Print the exhibit from the lab's results. */
+    void (*render)(SlowdownLab &lab, std::ostream &os);
+};
+
+/**
+ * ACT throughput (per us, over 1 ms) under @p cfg of the 64-bank
+ * multi-bank attack or, with @p srq_fill, of the 48-row SRQ-fill
+ * attack on one bank (Tables 9 and 10).
+ */
+inline double
+attackThroughput(const SystemConfig &cfg, bool srq_fill = false)
+{
+    AttackRunner runner(cfg);
+    const AddressMap &map = runner.system().addressMap();
+    AttackPattern p = srq_fill ? makeManySidedAttack(map, 0, 0, 48, 3000)
+                               : makeMultiBankAttack(map, 64, 1000);
+    return runner.run(p, nsToCycles(1.0e6), 8).acts_per_us;
+}
+
+/** A threshold and the paper's values at it (one table row). */
+struct PaperRef
+{
+    std::uint32_t trh;
+    const char *paper;
+};
+
+/**
+ * A per-workload slowdown table (Figures 2, 9 and 11): one row per
+ * workload with one column per cell, then the column averages.
+ */
+inline void
+perWorkloadTable(SlowdownLab &lab, std::ostream &os, TextTable table,
+                 const std::vector<NamedConfig> &cells)
+{
+    std::vector<std::vector<double>> series(cells.size());
+    for (const std::string &name : allWorkloadNames()) {
+        std::vector<std::string> row{name};
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            series[i].push_back(lab.slowdown(cells[i].cfg, name));
+            row.push_back(TextTable::pct(series[i].back(), 1));
+        }
+        table.row(row);
+    }
+    std::vector<std::string> average{"average"};
+    for (const std::vector<double> &column : series) {
+        average.push_back(TextTable::pct(mean(column), 1));
+    }
+    table.separator();
+    table.row(average);
+    table.print(os);
+}
+
+/** One row of a sensitivity table: its cells and the paper's values. */
+struct GridRow
+{
+    std::string label;
+    /** One cell per column, each vs @c base. */
+    std::vector<NamedConfig> cells;
+    std::string paper;
+    NamedConfig base = baselineCell();
+};
+
+/** Queue every cell of @p rows over the sensitivity subset. */
+inline void
+queueGrid(SlowdownLab &lab, const std::vector<GridRow> &rows)
+{
+    for (const GridRow &row : rows) {
+        lab.queue(row.cells, sensitivitySubset(), row.base);
+    }
+}
+
+/**
+ * A sensitivity table (Figures 12, 13, 17, 18; Table 15): per row its
+ * label, each cell's average slowdown over the sensitivity subset and
+ * the paper's values.
+ */
+inline void
+gridTable(SlowdownLab &lab, std::ostream &os, TextTable table,
+          const std::vector<GridRow> &rows)
+{
+    for (const GridRow &row : rows) {
+        std::vector<std::string> cells{row.label};
+        for (const NamedConfig &cell : row.cells) {
+            cells.push_back(TextTable::pct(
+                lab.average(cell.cfg, sensitivitySubset(),
+                            row.base.cfg),
+                1));
+        }
+        cells.push_back(row.paper);
+        table.row(cells);
+    }
+    table.print(os);
 }
 
 } // namespace mopac::bench

@@ -6,52 +6,45 @@
  * case, ~1% for STREAM) because the latency tax, not ABO, dominates.
  */
 
-#include <iostream>
-
 #include "bench_util.hh"
 
-int
-main(int argc, char **argv)
+namespace mopac::bench
 {
-    using namespace mopac;
-    using namespace mopac::bench;
+namespace
+{
 
-    SlowdownLab lab(benchConfig(MitigationKind::kNone, 500),
-                    parseBenchArgs(argc, argv));
+std::vector<NamedConfig>
+cells()
+{
+    std::vector<NamedConfig> out;
+    for (std::uint32_t trh : {4000u, 500u, 100u}) {
+        out.push_back(benchCell(MitigationKind::kPracMoat, trh));
+    }
+    return out;
+}
 
+void
+declare(SlowdownLab &lab)
+{
+    lab.queue(cells(), allWorkloadNames());
+}
+
+void
+render(SlowdownLab &lab, std::ostream &os)
+{
     TextTable table("Figure 2: PRAC slowdown at T_RH 4000 / 500 / 100");
     table.header({"workload", "T_RH=4000", "T_RH=500", "T_RH=100"});
-
-    const std::vector<std::uint32_t> trhs = {4000, 500, 100};
-    std::vector<SystemConfig> sweep;
-    for (std::uint32_t trh : trhs) {
-        sweep.push_back(benchConfig(MitigationKind::kPracMoat, trh));
-    }
-    lab.precompute(sweep, allWorkloadNames());
-
-    std::vector<std::vector<double>> per_trh(trhs.size());
-
-    for (const std::string &name : allWorkloadNames()) {
-        std::vector<std::string> cells{name};
-        for (std::size_t i = 0; i < trhs.size(); ++i) {
-            SystemConfig cfg =
-                benchConfig(MitigationKind::kPracMoat, trhs[i]);
-            const double s = lab.slowdown(cfg, name);
-            per_trh[i].push_back(s);
-            cells.push_back(TextTable::pct(s, 1));
-        }
-        table.row(cells);
-    }
-    table.separator();
-    std::vector<std::string> avg{"average"};
-    for (const auto &series : per_trh) {
-        avg.push_back(TextTable::pct(meanSlowdown(series), 1));
-    }
-    table.row(avg);
     table.note("Paper: 10% average, 18% worst case, ~1% for STREAM, "
                "identical across the three thresholds.");
-    table.note("STREAM rows carry run-to-run noise of a few percent from chaotic "
-               "bank-conflict phasing (see EXPERIMENTS.md).");
-    table.print(std::cout);
-    return mopac::bench::finalExitCode();
+    table.note("STREAM rows carry run-to-run noise of a few percent "
+               "from chaotic bank-conflict phasing (see "
+               "EXPERIMENTS.md).");
+    perWorkloadTable(lab, os, std::move(table), cells());
 }
+
+} // namespace
+
+extern const Exhibit fig02_prac_slowdown{"fig02_prac_slowdown",
+                                         declare, render};
+
+} // namespace mopac::bench

@@ -5,59 +5,44 @@
  * 1.8% / 3.0%.
  */
 
-#include <iostream>
-
 #include "bench_util.hh"
 
-int
-main(int argc, char **argv)
+namespace mopac::bench
 {
-    using namespace mopac;
-    using namespace mopac::bench;
+namespace
+{
 
-    SlowdownLab lab(benchConfig(MitigationKind::kNone, 500),
-                    parseBenchArgs(argc, argv));
+std::vector<NamedConfig>
+cells()
+{
+    std::vector<NamedConfig> out{
+        benchCell(MitigationKind::kPracMoat, 500)};
+    for (std::uint32_t trh : {1000u, 500u, 250u}) {
+        out.push_back(benchCell(MitigationKind::kMopacC, trh));
+    }
+    return out;
+}
 
-    TextTable table(
-        "Figure 9: PRAC vs MoPAC-C slowdown (T_RH 1000/500/250)");
+void
+declare(SlowdownLab &lab)
+{
+    lab.queue(cells(), allWorkloadNames());
+}
+
+void
+render(SlowdownLab &lab, std::ostream &os)
+{
+    TextTable table("Figure 9: PRAC vs MoPAC-C slowdown (T_RH 1000/500/250)");
     table.header({"workload", "PRAC", "MoPAC-C@1000", "MoPAC-C@500",
                   "MoPAC-C@250"});
-
-    const std::vector<std::uint32_t> trhs = {1000, 500, 250};
-    std::vector<SystemConfig> sweep{
-        benchConfig(MitigationKind::kPracMoat, 500)};
-    for (std::uint32_t trh : trhs) {
-        sweep.push_back(benchConfig(MitigationKind::kMopacC, trh));
-    }
-    lab.precompute(sweep, allWorkloadNames());
-
-    std::vector<double> prac_series;
-    std::vector<std::vector<double>> mopac_series(trhs.size());
-
-    for (const std::string &name : allWorkloadNames()) {
-        std::vector<std::string> cells{name};
-        const double prac = lab.slowdown(
-            benchConfig(MitigationKind::kPracMoat, 500), name);
-        prac_series.push_back(prac);
-        cells.push_back(TextTable::pct(prac, 1));
-        for (std::size_t i = 0; i < trhs.size(); ++i) {
-            const double s = lab.slowdown(
-                benchConfig(MitigationKind::kMopacC, trhs[i]), name);
-            mopac_series[i].push_back(s);
-            cells.push_back(TextTable::pct(s, 1));
-        }
-        table.row(cells);
-    }
-    table.separator();
-    std::vector<std::string> avg{
-        "average", TextTable::pct(meanSlowdown(prac_series), 1)};
-    for (const auto &series : mopac_series) {
-        avg.push_back(TextTable::pct(meanSlowdown(series), 1));
-    }
-    table.row(avg);
     table.note("Paper averages: PRAC 10%; MoPAC-C 0.8% / 1.8% / 3.0% "
                "at T_RH 1000 / 500 / 250 (PRAC shown once; its "
                "overhead is threshold-independent, Figure 2).");
-    table.print(std::cout);
-    return mopac::bench::finalExitCode();
+    perWorkloadTable(lab, os, std::move(table), cells());
 }
+
+} // namespace
+
+extern const Exhibit fig09_mopac_c_perf{"fig09_mopac_c_perf", declare, render};
+
+} // namespace mopac::bench

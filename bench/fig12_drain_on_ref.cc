@@ -6,60 +6,53 @@
  * 250: 14.1/10.5/7.4/3.5%.
  */
 
-#include <iostream>
-
 #include "bench_util.hh"
 
-int
-main(int argc, char **argv)
+namespace mopac::bench
 {
-    using namespace mopac;
-    using namespace mopac::bench;
+namespace
+{
 
-    SlowdownLab lab(benchConfig(MitigationKind::kNone, 500),
-                    parseBenchArgs(argc, argv));
-    const std::vector<std::string> names = sensitivitySubset();
-
-    std::vector<SystemConfig> sweep;
-    for (std::uint32_t trh : {1000u, 500u, 250u}) {
+std::vector<GridRow>
+grid()
+{
+    std::vector<GridRow> rows;
+    for (const PaperRef &ref :
+         {PaperRef{1000, "3.1% / 0.1% / 0% / 0%"},
+          PaperRef{500, "6.2% / 2.9% / 0.8% / 0.1%"},
+          PaperRef{250, "14.1% / 10.5% / 7.4% / 3.5%"}}) {
+        GridRow row{std::to_string(ref.trh), {}, ref.paper};
         for (int drain : {0, 1, 2, 4}) {
-            SystemConfig cfg =
-                benchConfig(MitigationKind::kMopacD, trh);
-            cfg.drain_per_ref = drain;
-            sweep.push_back(cfg);
+            row.cells.push_back(benchCell(MitigationKind::kMopacD,
+                                          ref.trh,
+                                          "drain=" + std::to_string(drain)));
+            row.cells.back().cfg.drain_per_ref = drain;
         }
+        rows.push_back(row);
     }
-    lab.precompute(sweep, names);
+    return rows;
+}
 
+void
+declare(SlowdownLab &lab)
+{
+    queueGrid(lab, grid());
+}
+
+void
+render(SlowdownLab &lab, std::ostream &os)
+{
     TextTable table(
         "Figure 12: MoPAC-D slowdown vs drain-on-REF rate");
     table.header({"T_RH", "drain=0", "drain=1", "drain=2", "drain=4",
                   "paper (0/1/2/4)"});
-    struct Ref
-    {
-        std::uint32_t trh;
-        const char *paper;
-    };
-    for (const Ref &ref :
-         {Ref{1000, "3.1% / 0.1% / 0% / 0%"},
-          Ref{500, "6.2% / 2.9% / 0.8% / 0.1%"},
-          Ref{250, "14.1% / 10.5% / 7.4% / 3.5%"}}) {
-        std::vector<std::string> cells{std::to_string(ref.trh)};
-        for (int drain : {0, 1, 2, 4}) {
-            std::vector<double> series;
-            for (const std::string &name : names) {
-                SystemConfig cfg =
-                    benchConfig(MitigationKind::kMopacD, ref.trh);
-                cfg.drain_per_ref = drain;
-                series.push_back(lab.slowdown(cfg, name));
-            }
-            cells.push_back(TextTable::pct(meanSlowdown(series), 1));
-        }
-        cells.push_back(ref.paper);
-        table.row(cells);
-    }
     table.note("Averaged over the 8-workload sensitivity subset "
                "(see bench_util.hh); the paper averages all 23.");
-    table.print(std::cout);
-    return mopac::bench::finalExitCode();
+    gridTable(lab, os, std::move(table), grid());
 }
+
+} // namespace
+
+extern const Exhibit fig12_drain_on_ref{"fig12_drain_on_ref", declare, render};
+
+} // namespace mopac::bench

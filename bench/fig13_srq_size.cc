@@ -5,60 +5,53 @@
  * 1000: 0.5/0.1/0.1%; 500: 1.9/0.8/0.3%; 250: 9.0/3.5/2.7%.
  */
 
-#include <iostream>
-
 #include "bench_util.hh"
 
-int
-main(int argc, char **argv)
+namespace mopac::bench
 {
-    using namespace mopac;
-    using namespace mopac::bench;
+namespace
+{
 
-    SlowdownLab lab(benchConfig(MitigationKind::kNone, 500),
-                    parseBenchArgs(argc, argv));
-    const std::vector<std::string> names = sensitivitySubset();
-
-    std::vector<SystemConfig> sweep;
-    for (std::uint32_t trh : {1000u, 500u, 250u}) {
+std::vector<GridRow>
+grid()
+{
+    std::vector<GridRow> rows;
+    for (const PaperRef &ref : {PaperRef{1000, "0.5% / 0.1% / 0.1%"},
+                                PaperRef{500, "1.9% / 0.8% / 0.3%"},
+                                PaperRef{250, "9.0% / 3.5% / 2.7%"}}) {
+        GridRow row{std::to_string(ref.trh), {}, ref.paper};
         for (unsigned srq : {8u, 16u, 32u}) {
-            SystemConfig cfg =
-                benchConfig(MitigationKind::kMopacD, trh);
-            cfg.srq_capacity = srq;
-            sweep.push_back(cfg);
+            row.cells.push_back(benchCell(MitigationKind::kMopacD,
+                                          ref.trh,
+                                          "srq=" + std::to_string(srq)));
+            row.cells.back().cfg.srq_capacity = srq;
         }
+        rows.push_back(row);
     }
-    lab.precompute(sweep, names);
+    return rows;
+}
 
+void
+declare(SlowdownLab &lab)
+{
+    queueGrid(lab, grid());
+}
+
+void
+render(SlowdownLab &lab, std::ostream &os)
+{
     TextTable table("Figure 13: MoPAC-D slowdown vs SRQ size");
     table.header({"T_RH", "SRQ=8", "SRQ=16", "SRQ=32",
                   "paper (8/16/32)"});
-    struct Ref
-    {
-        std::uint32_t trh;
-        const char *paper;
-    };
-    for (const Ref &ref : {Ref{1000, "0.5% / 0.1% / 0.1%"},
-                           Ref{500, "1.9% / 0.8% / 0.3%"},
-                           Ref{250, "9.0% / 3.5% / 2.7%"}}) {
-        std::vector<std::string> cells{std::to_string(ref.trh)};
-        for (unsigned srq : {8u, 16u, 32u}) {
-            std::vector<double> series;
-            for (const std::string &name : names) {
-                SystemConfig cfg =
-                    benchConfig(MitigationKind::kMopacD, ref.trh);
-                cfg.srq_capacity = srq;
-                series.push_back(lab.slowdown(cfg, name));
-            }
-            cells.push_back(TextTable::pct(meanSlowdown(series), 1));
-        }
-        cells.push_back(ref.paper);
-        table.row(cells);
-    }
     table.note("Lower thresholds fill the queue faster (insertion "
                "every 1/p ACTs), so T_RH 250 benefits most from a "
                "bigger SRQ (96 B per bank at 32 entries).");
     table.note("Averaged over the 8-workload sensitivity subset.");
-    table.print(std::cout);
-    return mopac::bench::finalExitCode();
+    gridTable(lab, os, std::move(table), grid());
 }
+
+} // namespace
+
+extern const Exhibit fig13_srq_size{"fig13_srq_size", declare, render};
+
+} // namespace mopac::bench

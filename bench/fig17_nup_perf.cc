@@ -5,59 +5,53 @@
  * uniform 0.1% / 0.8% / 3.5%; NUP 0% / 0% / 1.1%.
  */
 
-#include <iostream>
-
 #include "bench_util.hh"
 
-int
-main(int argc, char **argv)
+namespace mopac::bench
 {
-    using namespace mopac;
-    using namespace mopac::bench;
+namespace
+{
 
-    SlowdownLab lab(benchConfig(MitigationKind::kNone, 500),
-                    parseBenchArgs(argc, argv));
-    const std::vector<std::string> names = sensitivitySubset();
-
-    std::vector<SystemConfig> sweep;
-    for (std::uint32_t trh : {1000u, 500u, 250u}) {
-        sweep.push_back(benchConfig(MitigationKind::kMopacD, trh));
-        SystemConfig nup = benchConfig(MitigationKind::kMopacD, trh);
-        nup.nup = true;
-        sweep.push_back(nup);
+std::vector<GridRow>
+grid()
+{
+    std::vector<GridRow> rows;
+    for (const PaperRef &ref : {PaperRef{1000, "0.1% / 0%"},
+                                PaperRef{500, "0.8% / 0%"},
+                                PaperRef{250, "3.5% / 1.1%"}}) {
+        GridRow row{std::to_string(ref.trh), {}, ref.paper};
+        for (bool nup : {false, true}) {
+            row.cells.push_back(benchCell(MitigationKind::kMopacD,
+                                          ref.trh,
+                                          nup ? "nup" : "uniform"));
+            row.cells.back().cfg.nup = nup;
+        }
+        rows.push_back(row);
     }
-    lab.precompute(sweep, names);
+    return rows;
+}
 
+void
+declare(SlowdownLab &lab)
+{
+    queueGrid(lab, grid());
+}
+
+void
+render(SlowdownLab &lab, std::ostream &os)
+{
     TextTable table(
         "Figure 17: MoPAC-D slowdown with and without NUP");
     table.header({"T_RH", "MoPAC-D (uniform)", "MoPAC-D (NUP)",
                   "paper (uniform / NUP)"});
-    struct Ref
-    {
-        std::uint32_t trh;
-        const char *paper;
-    };
-    for (const Ref &ref : {Ref{1000, "0.1% / 0%"},
-                           Ref{500, "0.8% / 0%"},
-                           Ref{250, "3.5% / 1.1%"}}) {
-        std::vector<double> uni_series;
-        std::vector<double> nup_series;
-        for (const std::string &name : names) {
-            uni_series.push_back(lab.slowdown(
-                benchConfig(MitigationKind::kMopacD, ref.trh), name));
-            SystemConfig nup =
-                benchConfig(MitigationKind::kMopacD, ref.trh);
-            nup.nup = true;
-            nup_series.push_back(lab.slowdown(nup, name));
-        }
-        table.row({std::to_string(ref.trh),
-                   TextTable::pct(meanSlowdown(uni_series), 1),
-                   TextTable::pct(meanSlowdown(nup_series), 1),
-                   ref.paper});
-    }
     table.note("NUP samples zero-count rows at p/2, roughly halving "
                "SRQ pressure (Table 12) at a slightly lower ATH* "
                "(Table 11); averaged over the sensitivity subset.");
-    table.print(std::cout);
-    return mopac::bench::finalExitCode();
+    gridTable(lab, os, std::move(table), grid());
 }
+
+} // namespace
+
+extern const Exhibit fig17_nup_perf{"fig17_nup_perf", declare, render};
+
+} // namespace mopac::bench

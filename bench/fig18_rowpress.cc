@@ -7,29 +7,58 @@
  */
 
 #include "analysis/security.hh"
-#include <iostream>
-
 #include "bench_util.hh"
 
-int
-main(int argc, char **argv)
+namespace mopac::bench
 {
-    using namespace mopac;
-    using namespace mopac::bench;
+namespace
+{
 
-    const BenchOptions opts = parseBenchArgs(argc, argv);
+std::vector<GridRow>
+grid()
+{
+    struct Case
+    {
+        MitigationKind kind;
+        std::uint32_t trh;
+        const char *label;
+        const char *paper;
+    };
+    std::vector<GridRow> rows;
+    for (const Case &cs :
+         {Case{MitigationKind::kMopacC, 1000, "MoPAC-C@1000", "0.9%"},
+          Case{MitigationKind::kMopacD, 1000, "MoPAC-D@1000", "0.4%"},
+          Case{MitigationKind::kMopacC, 500, "MoPAC-C@500", "1.8%"},
+          Case{MitigationKind::kMopacD, 500, "MoPAC-D@500", "6.8%"}}) {
+        NamedConfig rp = benchCell(cs.kind, cs.trh, "rowpress");
+        rp.cfg.rowpress = true;
+        if (cs.kind == MitigationKind::kMopacC) {
+            // Appendix A: MoPAC-C caps the row-open time at 180 ns
+            // via a timeout closure policy.
+            rp.cfg.mc.page_policy = PagePolicy::kTimeout;
+            rp.cfg.mc.timeout_ton = nsToCycles(180.0);
+        }
+        rows.push_back(
+            {cs.label, {benchCell(cs.kind, cs.trh), rp}, cs.paper});
+    }
+    return rows;
+}
 
+void
+declare(SlowdownLab &lab)
+{
+    queueGrid(lab, grid());
+}
+
+void
+render(SlowdownLab &lab, std::ostream &os)
+{
     // --- Table 14: adjusted ATH* -------------------------------------
     TextTable params("Table 14: ATH* modified for Row-Press");
     params.header({"T_RH", "p", "ATH* (MoPAC-C)", "ATH* (MoPAC-D)",
                    "paper (C / D)"});
-    struct Ref
-    {
-        std::uint32_t trh;
-        const char *paper;
-    };
-    for (const Ref &ref :
-         {Ref{500, "80 / 64"}, Ref{1000, "160 / 144"}}) {
+    for (const PaperRef &ref :
+         {PaperRef{500, "80 / 64"}, PaperRef{1000, "160 / 144"}}) {
         const MopacCDerived c = deriveMopacC(ref.trh, true);
         const MopacDDerived d = deriveMopacD(ref.trh, 32, true);
         params.row({std::to_string(ref.trh),
@@ -39,66 +68,20 @@ main(int argc, char **argv)
     }
     params.note("ATH derated by the 1.5x Row-Press damage factor "
                 "(180 ns open time ~ 1.5 activations of damage).");
-    params.print(std::cout);
+    params.print(os);
 
     // --- Figure 18: slowdowns ----------------------------------------
-    SlowdownLab lab(benchConfig(MitigationKind::kNone, 500), opts);
-    const std::vector<std::string> names = sensitivitySubset();
-
-    std::vector<SystemConfig> sweep;
-    for (std::uint32_t trh : {1000u, 500u}) {
-        for (MitigationKind kind :
-             {MitigationKind::kMopacC, MitigationKind::kMopacD}) {
-            sweep.push_back(benchConfig(kind, trh));
-            SystemConfig rp = benchConfig(kind, trh);
-            rp.rowpress = true;
-            if (kind == MitigationKind::kMopacC) {
-                rp.mc.page_policy = PagePolicy::kTimeout;
-                rp.mc.timeout_ton = nsToCycles(180.0);
-            }
-            sweep.push_back(rp);
-        }
-    }
-    lab.precompute(sweep, names);
-
     TextTable table("Figure 18: slowdown with and without Row-Press "
                     "(RP) protection");
     table.header({"config", "no RP", "with RP", "paper (with RP)"});
-    struct Case
-    {
-        MitigationKind kind;
-        std::uint32_t trh;
-        const char *label;
-        const char *paper;
-    };
-    for (const Case &cs :
-         {Case{MitigationKind::kMopacC, 1000, "MoPAC-C@1000", "0.9%"},
-          Case{MitigationKind::kMopacD, 1000, "MoPAC-D@1000", "0.4%"},
-          Case{MitigationKind::kMopacC, 500, "MoPAC-C@500", "1.8%"},
-          Case{MitigationKind::kMopacD, 500, "MoPAC-D@500", "6.8%"}}) {
-        std::vector<double> plain_series;
-        std::vector<double> rp_series;
-        for (const std::string &name : names) {
-            plain_series.push_back(
-                lab.slowdown(benchConfig(cs.kind, cs.trh), name));
-            SystemConfig rp = benchConfig(cs.kind, cs.trh);
-            rp.rowpress = true;
-            if (cs.kind == MitigationKind::kMopacC) {
-                // Appendix A: MoPAC-C caps the row-open time at
-                // 180 ns via a timeout closure policy.
-                rp.mc.page_policy = PagePolicy::kTimeout;
-                rp.mc.timeout_ton = nsToCycles(180.0);
-            }
-            rp_series.push_back(lab.slowdown(rp, name));
-        }
-        table.row({cs.label,
-                   TextTable::pct(meanSlowdown(plain_series), 1),
-                   TextTable::pct(meanSlowdown(rp_series), 1),
-                   cs.paper});
-    }
     table.note("MoPAC-D@500 degrades the most with RP (the paper "
                "sees 6.8%): the lower ATH* (64) plus SCtr inflation "
                "for long-open rows raises the ABO rate.");
-    table.print(std::cout);
-    return mopac::bench::finalExitCode();
+    gridTable(lab, os, std::move(table), grid());
 }
+
+} // namespace
+
+extern const Exhibit fig18_rowpress{"fig18_rowpress", declare, render};
+
+} // namespace mopac::bench

@@ -7,71 +7,76 @@
  * 2.7% / 3.1% / 3.5% / 3.9% / 4.2%.
  */
 
-#include <iostream>
-
 #include "bench_util.hh"
 
-int
-main(int argc, char **argv)
+namespace mopac::bench
 {
-    using namespace mopac;
-    using namespace mopac::bench;
+namespace
+{
 
-    const std::vector<std::string> names = sensitivitySubset();
+const unsigned kChips[] = {1, 2, 4, 8, 16};
 
-    // Baselines are geometry-matched (chips vary), so pair them by
-    // hand via precomputeRuns() instead of precompute()'s automatic
-    // fixed-geometry baseline.
-    SlowdownLab lab(benchConfig(MitigationKind::kNone, 500),
-                    parseBenchArgs(argc, argv));
-    std::vector<SystemConfig> sweep;
-    for (std::uint32_t trh : {250u, 500u, 1000u}) {
-        for (unsigned chips : {1u, 2u, 4u, 8u, 16u}) {
-            SystemConfig base =
-                benchConfig(MitigationKind::kNone, trh);
-            base.geometry.chips = chips;
-            sweep.push_back(base);
-            SystemConfig cfg =
-                benchConfig(MitigationKind::kMopacD, trh);
-            cfg.geometry.chips = chips;
-            sweep.push_back(cfg);
+const PaperRef kRefs[] = {{250, "2.7/3.1/3.5/3.9/4.2% (1..16 chips)"},
+                          {500, "insignificant variation"},
+                          {1000, "insignificant variation"}};
+
+/**
+ * Per threshold of kRefs and chip count: the geometry-matched
+ * baseline, then MoPAC-D.  The exhibit pairs them itself (queueRuns),
+ * since queue()'s baseline has a fixed geometry.
+ */
+std::vector<NamedConfig>
+cells()
+{
+    std::vector<NamedConfig> out;
+    for (const PaperRef &ref : kRefs) {
+        for (unsigned chips : kChips) {
+            for (MitigationKind kind :
+                 {MitigationKind::kNone, MitigationKind::kMopacD}) {
+                out.push_back(benchCell(
+                    kind, ref.trh, "chips=" + std::to_string(chips)));
+                out.back().cfg.geometry.chips = chips;
+            }
         }
     }
-    lab.precomputeRuns(sweep, names);
+    return out;
+}
 
+void
+declare(SlowdownLab &lab)
+{
+    lab.queueRuns(cells(), sensitivitySubset());
+}
+
+void
+render(SlowdownLab &lab, std::ostream &os)
+{
     TextTable table("Figure 19: MoPAC-D slowdown vs chips per "
                     "sub-channel");
     table.header({"T_RH", "1 chip", "2", "4", "8", "16", "paper"});
-    struct Ref
-    {
-        std::uint32_t trh;
-        const char *paper;
-    };
-    for (const Ref &ref :
-         {Ref{250, "2.7/3.1/3.5/3.9/4.2% (1..16 chips)"},
-          Ref{500, "insignificant variation"},
-          Ref{1000, "insignificant variation"}}) {
-        std::vector<std::string> cells{std::to_string(ref.trh)};
-        for (unsigned chips : {1u, 2u, 4u, 8u, 16u}) {
+    const std::vector<NamedConfig> grid = cells();
+    auto cell = grid.begin();
+    for (const PaperRef &ref : kRefs) {
+        std::vector<std::string> row{std::to_string(ref.trh)};
+        for (std::size_t c = 0; c < std::size(kChips); ++c, cell += 2) {
             std::vector<double> series;
-            for (const std::string &name : names) {
-                SystemConfig base =
-                    benchConfig(MitigationKind::kNone, ref.trh);
-                base.geometry.chips = chips;
-                SystemConfig cfg =
-                    benchConfig(MitigationKind::kMopacD, ref.trh);
-                cfg.geometry.chips = chips;
+            for (const std::string &name : sensitivitySubset()) {
                 series.push_back(weightedSlowdown(
-                    lab.run(base, name), lab.run(cfg, name)));
+                    lab.run(cell[0].cfg, name), lab.run(cell[1].cfg, name)));
             }
-            cells.push_back(TextTable::pct(meanSlowdown(series), 1));
+            row.push_back(TextTable::pct(mean(series), 1));
         }
-        cells.push_back(ref.paper);
-        table.row(cells);
+        row.push_back(ref.paper);
+        table.row(row);
     }
     table.note("At T_RH 500 / 1000 the sampling probability is low "
                "enough (1/8, 1/16) that chip count barely matters; "
                "at 250 (p = 1/4) oversampling grows with chips.");
-    table.print(std::cout);
-    return mopac::bench::finalExitCode();
+    table.print(os);
 }
+
+} // namespace
+
+extern const Exhibit fig19_chip_count{"fig19_chip_count", declare, render};
+
+} // namespace mopac::bench

@@ -5,28 +5,22 @@
  * for Figure 1(d)'s higher thresholds.
  */
 
-#include <iostream>
-
+#include "analysis/moat_model.hh"
 #include "bench_util.hh"
 
-#include "analysis/moat_model.hh"
-#include "common/table.hh"
-
-int
-main()
+namespace mopac::bench
 {
-    using namespace mopac;
+namespace
+{
 
+void
+render(SlowdownLab &, std::ostream &os)
+{
     TextTable table("Table 2: The ALERT Threshold (ATH) of MOAT");
     table.header({"Rowhammer Threshold (T_RH)", "ATH (paper)",
                   "ATH (this repo)", "slippage"});
-    struct Row
-    {
-        std::uint32_t trh;
-        const char *paper;
-    };
-    for (const Row &row : {Row{1000, "975"}, Row{500, "472"},
-                           Row{250, "219"}}) {
+    for (const PaperRef &row : {PaperRef{1000, "975"}, PaperRef{500, "472"},
+                                PaperRef{250, "219"}}) {
         table.row({std::to_string(row.trh), row.paper,
                    std::to_string(moatAth(row.trh)),
                    std::to_string(moatSlippage(row.trh))});
@@ -40,6 +34,11 @@ main()
     table.note("Rows below the rule are the fitted-curve extensions "
                "used by Figure 1(d); the paper publishes only the "
                "first three.");
-    table.print(std::cout);
-    return mopac::bench::finalExitCode();
+    table.print(os);
 }
+
+} // namespace
+
+extern const Exhibit tab02_moat_ath{"tab02_moat_ath", nullptr, render};
+
+} // namespace mopac::bench

@@ -12,44 +12,52 @@
  * assumption; see EXPERIMENTS.md for the caveats.
  */
 
-#include <iostream>
-
 #include "bench_util.hh"
 
-int
-main(int argc, char **argv)
+namespace mopac::bench
 {
-    using namespace mopac;
-    using namespace mopac::bench;
+namespace
+{
 
+/** The unprotected run, with epoch hot-row tracking. */
+NamedConfig
+epochCell()
+{
+    NamedConfig cell =
+        benchCell(MitigationKind::kNone, 500, "epoch=2ms");
+    SystemConfig &cfg = cell.cfg;
     // Long enough to complete at least one 2 ms epoch per run.
-    const std::uint64_t insts =
-        std::max<std::uint64_t>(benchInsts() * 5, 1000000);
-    const Cycle epoch = nsToCycles(2.0e6);
+    cfg.insts_per_core =
+        std::max<std::uint64_t>(cfg.insts_per_core * 5, 1000000);
+    cfg.warmup_insts = cfg.insts_per_core / 10;
+    cfg.track_epoch_stats = true;
+    cfg.epoch_cycles = nsToCycles(2.0e6);
+    cfg.epoch_hi1 = 4;
+    cfg.epoch_hi2 = 13;
+    return cell;
+}
 
-    SystemConfig epoch_cfg = benchConfig(MitigationKind::kNone, 500);
-    epoch_cfg.insts_per_core = insts;
-    epoch_cfg.warmup_insts = insts / 10;
-    epoch_cfg.track_epoch_stats = true;
-    epoch_cfg.epoch_cycles = epoch;
-    epoch_cfg.epoch_hi1 = 4;
-    epoch_cfg.epoch_hi2 = 13;
+void
+declare(SlowdownLab &lab)
+{
+    lab.queueRuns({epochCell()}, allWorkloadNames());
+}
 
-    SlowdownLab lab(benchConfig(MitigationKind::kNone, 500),
-                    parseBenchArgs(argc, argv));
-    lab.precomputeRuns({epoch_cfg}, allWorkloadNames());
-
+void
+render(SlowdownLab &lab, std::ostream &os)
+{
     TextTable table(
         "Table 4: workload characteristics (measured | paper)");
     table.header({"workload", "MPKI", "RBHR", "APRI", "ACT-64+",
                   "ACT-200+"});
 
+    const SystemConfig cfg = epochCell().cfg;
     for (const std::string &name : allWorkloadNames()) {
-        const SystemConfig &cfg = epoch_cfg;
-        const RunResult r = lab.run(cfg, name);
+        const RunResult &r = lab.run(cfg, name);
 
         const double total_insts =
-            static_cast<double>(insts + cfg.warmup_insts) *
+            static_cast<double>(cfg.insts_per_core +
+                                cfg.warmup_insts) *
             cfg.num_cores;
         const double mpki = static_cast<double>(r.reads + r.writes) /
                             (total_insts / 1000.0);
@@ -83,6 +91,11 @@ main(int argc, char **argv)
                "scaled-epoch metric because sequential sweeps "
                "concentrate a row's accesses in time (not "
                "stationary); the paper's full-32ms window reports 0.");
-    table.print(std::cout);
-    return mopac::bench::finalExitCode();
+    table.print(os);
 }
+
+} // namespace
+
+extern const Exhibit tab04_workloads{"tab04_workloads", declare, render};
+
+} // namespace mopac::bench

@@ -5,18 +5,17 @@
  * 10K-year per-chip Bank-MTTF target.
  */
 
-#include <iostream>
-
+#include "analysis/security.hh"
 #include "bench_util.hh"
 
-#include "analysis/security.hh"
-#include "common/table.hh"
-
-int
-main()
+namespace mopac::bench
 {
-    using namespace mopac;
+namespace
+{
 
+void
+render(SlowdownLab &, std::ostream &os)
+{
     TextTable table(
         "Table 5: Values of F and epsilon for Varying Threshold");
     table.header({"Threshold (T)", "F", "epsilon",
@@ -41,6 +40,12 @@ main()
     table.note("The paper's Table 5 prints 1.12e-08 at T=1000; "
                "sqrt(1.44e-16) = 1.20e-08 -- a rounding artifact in "
                "the paper that does not change any derived C.");
-    table.print(std::cout);
-    return mopac::bench::finalExitCode();
+    table.print(os);
 }
+
+} // namespace
+
+extern const Exhibit tab05_failure_budget{"tab05_failure_budget",
+                                          nullptr, render};
+
+} // namespace mopac::bench

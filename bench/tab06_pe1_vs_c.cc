@@ -7,21 +7,20 @@
  * the paper) is marked with '*'.
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
-
 #include "analysis/binomial.hh"
 #include "analysis/moat_model.hh"
 #include "analysis/security.hh"
+#include "bench_util.hh"
 #include "common/format.hh"
-#include "common/table.hh"
 
-int
-main()
+namespace mopac::bench
 {
-    using namespace mopac;
+namespace
+{
 
+void
+render(SlowdownLab &, std::ostream &os)
+{
     TextTable table(
         "Table 6: Row failure probability P_e1 at varying T_RH");
     table.header({"C", "T_RH=250 (eps 5.99e-9)",
@@ -60,6 +59,11 @@ main()
                "paper's bold entries: 20 / 22 / 23).");
     table.note("Paper reference diagonals: 250: C=21 -> 6.1e-9; "
                "500: C=22 -> 5.9e-9; 1000: C=23 -> 1.08e-8.");
-    table.print(std::cout);
-    return mopac::bench::finalExitCode();
+    table.print(os);
 }
+
+} // namespace
+
+extern const Exhibit tab06_pe1_vs_c{"tab06_pe1_vs_c", nullptr, render};
+
+} // namespace mopac::bench

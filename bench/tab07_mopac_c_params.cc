@@ -5,30 +5,24 @@
  * Figure 1(d).
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
-
 #include "analysis/security.hh"
+#include "bench_util.hh"
 #include "common/format.hh"
-#include "common/table.hh"
 
-int
-main()
+namespace mopac::bench
 {
-    using namespace mopac;
+namespace
+{
 
+void
+render(SlowdownLab &, std::ostream &os)
+{
     TextTable table("Table 7: MoPAC-C p, C and ATH* vs T_RH");
     table.header({"T_RH", "ATH", "p", "C (critical updates)", "ATH*",
                   "paper (ATH,p,C,ATH*)"});
-    struct Ref
-    {
-        std::uint32_t trh;
-        const char *paper;
-    };
-    for (const Ref &ref : {Ref{250, "219, 1/4, 20, 80"},
-                           Ref{500, "472, 1/8, 22, 176"},
-                           Ref{1000, "975, 1/16, 23, 368"}}) {
+    for (const PaperRef &ref : {PaperRef{250, "219, 1/4, 20, 80"},
+                                PaperRef{500, "472, 1/8, 22, 176"},
+                                PaperRef{1000, "975, 1/16, 23, 368"}}) {
         const MopacCDerived d = deriveMopacC(ref.trh);
         table.row({std::to_string(d.trh), std::to_string(d.ath),
                    format("1/{}", 1u << d.log2_inv_p),
@@ -45,6 +39,12 @@ main()
     }
     table.note("Rows below the rule are the Figure 1(d) extensions "
                "(p halves per threshold doubling, §1).");
-    table.print(std::cout);
-    return mopac::bench::finalExitCode();
+    table.print(os);
 }
+
+} // namespace
+
+extern const Exhibit tab07_mopac_c_params{"tab07_mopac_c_params",
+                                          nullptr, render};
+
+} // namespace mopac::bench

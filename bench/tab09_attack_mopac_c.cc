@@ -6,60 +6,35 @@
  * Monte Carlo) and a full attack simulation as a cross-check.
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
-
 #include "analysis/perf_attack.hh"
 #include "analysis/security.hh"
+#include "bench_util.hh"
 #include "common/format.hh"
-#include "common/table.hh"
-#include "sim/attack.hh"
 
+namespace mopac::bench
+{
 namespace
 {
 
-using namespace mopac;
-
-/** ACT throughput of the multi-bank pattern under one config. */
-double
-actsPerMicrosecond(const SystemConfig &cfg)
+void
+render(SlowdownLab &, std::ostream &os)
 {
-    AttackRunner runner(cfg);
-    AttackPattern p =
-        makeMultiBankAttack(runner.system().addressMap(), 64, 1000);
-    const AttackResult res =
-        runner.run(p, nsToCycles(1.0e6), 8);
-    return res.acts_per_us;
-}
-
-} // namespace
-
-int
-main()
-{
-    using namespace mopac;
-
     // Monte Carlo alpha as in §7.2 (32 banks).
     const MopacCDerived d500 = deriveMopacC(500);
     const double alpha_mc =
         estimateAlpha(32, d500.c + 1, d500.p, 20000, 7);
 
     const double base_tput =
-        actsPerMicrosecond(makeConfig(MitigationKind::kNone, 500));
+        attackThroughput(makeConfig(MitigationKind::kNone, 500));
 
     TextTable table("Table 9: Impact of performance attacks on "
                     "MoPAC-C");
     table.header({"T_RH", "ATH+", "ABO stall (ACTs)",
                   "slowdown (model)", "slowdown (simulated)",
                   "paper"});
-    struct Ref
-    {
-        std::uint32_t trh;
-        const char *paper;
-    };
-    for (const Ref &ref :
-         {Ref{250, "14.0%"}, Ref{500, "6.7%"}, Ref{1000, "3.2%"}}) {
+    for (const PaperRef &ref :
+         {PaperRef{250, "14.0%"}, PaperRef{500, "6.7%"},
+          PaperRef{1000, "3.2%"}}) {
         const MopacCDerived d = deriveMopacC(ref.trh);
         const std::uint32_t ath_plus =
             (d.c + 1) * (1u << d.log2_inv_p);
@@ -67,7 +42,7 @@ main()
             mitigationAttackSlowdown(ath_plus, 0.55);
         SystemConfig cfg = makeConfig(MitigationKind::kMopacC,
                                       ref.trh);
-        const double tput = actsPerMicrosecond(cfg);
+        const double tput = attackThroughput(cfg);
         const double simulated = 1.0 - tput / base_tput;
         table.row({std::to_string(ref.trh),
                    std::to_string(ath_plus), "7",
@@ -80,6 +55,12 @@ main()
     table.note("Simulated column: ACT-throughput loss of the 64-bank "
                "circular pattern vs the unprotected baseline; it "
                "also folds in MoPAC-C's own PREcu latency.");
-    table.print(std::cout);
-    return mopac::bench::finalExitCode();
+    table.print(os);
 }
+
+} // namespace
+
+extern const Exhibit tab09_attack_mopac_c{"tab09_attack_mopac_c",
+                                          nullptr, render};
+
+} // namespace mopac::bench

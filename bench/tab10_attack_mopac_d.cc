@@ -6,66 +6,39 @@
  * attack -- closed forms plus simulated cross-checks.
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
-
 #include "analysis/perf_attack.hh"
 #include "analysis/security.hh"
-#include "common/table.hh"
-#include "sim/attack.hh"
+#include "bench_util.hh"
 
+namespace mopac::bench
+{
 namespace
 {
 
-using namespace mopac;
-
-double
-throughput(const SystemConfig &cfg, bool srq_fill)
+void
+render(SlowdownLab &, std::ostream &os)
 {
-    AttackRunner runner(cfg);
-    AttackPattern p =
-        srq_fill ? makeManySidedAttack(runner.system().addressMap(),
-                                       0, 0, 48, 3000)
-                 : makeMultiBankAttack(runner.system().addressMap(),
-                                       64, 1000);
-    return runner.run(p, nsToCycles(1.0e6), 8).acts_per_us;
-}
-
-} // namespace
-
-int
-main()
-{
-    using namespace mopac;
-
-    const double base_multi =
-        throughput(makeConfig(MitigationKind::kNone, 500), false);
-    const double base_fill =
-        throughput(makeConfig(MitigationKind::kNone, 500), true);
+    const SystemConfig base = makeConfig(MitigationKind::kNone, 500);
+    const double base_multi = attackThroughput(base, false);
+    const double base_fill = attackThroughput(base, true);
 
     TextTable table("Table 10: Impact of performance attacks on "
                     "MoPAC-D");
     table.header({"T_RH", "ATH+", "Mitig-Attack", "SRQ-Attack",
                   "TTH-Attack", "Mitig (sim)", "SRQ (sim)",
                   "paper (mitig/srq/tth)"});
-    struct Ref
-    {
-        std::uint32_t trh;
-        const char *paper;
-    };
-    for (const Ref &ref : {Ref{250, "16.6% / 25.9% / 17.9%"},
-                           Ref{500, "7.4% / 14.9% / 17.9%"},
-                           Ref{1000, "3.5% / 8.1% / 17.9%"}}) {
+    for (const PaperRef &ref : {PaperRef{250, "16.6% / 25.9% / 17.9%"},
+                                PaperRef{500, "7.4% / 14.9% / 17.9%"},
+                                PaperRef{1000, "3.5% / 8.1% / 17.9%"}}) {
         const MopacDDerived d = deriveMopacD(ref.trh);
         const std::uint32_t ath_plus =
             (d.c + 1) * (1u << d.log2_inv_p);
         SystemConfig cfg = makeConfig(MitigationKind::kMopacD,
                                       ref.trh);
         const double sim_mitig =
-            1.0 - throughput(cfg, false) / base_multi;
+            1.0 - attackThroughput(cfg, false) / base_multi;
         const double sim_fill =
-            1.0 - throughput(cfg, true) / base_fill;
+            1.0 - attackThroughput(cfg, true) / base_fill;
         table.row({std::to_string(ref.trh),
                    std::to_string(ath_plus),
                    TextTable::pct(
@@ -81,6 +54,12 @@ main()
     table.note("All attacks stay within ~26%, far below the 2-3x of "
                "classic row-buffer-conflict attacks (the paper's "
                "DoS conclusion).");
-    table.print(std::cout);
-    return mopac::bench::finalExitCode();
+    table.print(os);
 }
+
+} // namespace
+
+extern const Exhibit tab10_attack_mopac_d{"tab10_attack_mopac_d",
+                                          nullptr, render};
+
+} // namespace mopac::bench

@@ -4,31 +4,25 @@
  * the Non-Uniform-Probability (NUP) Markov-chain derivation (§8.2).
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
-
 #include "analysis/security.hh"
+#include "bench_util.hh"
 #include "common/format.hh"
-#include "common/table.hh"
 
-int
-main()
+namespace mopac::bench
 {
-    using namespace mopac;
+namespace
+{
 
+void
+render(SlowdownLab &, std::ostream &os)
+{
     TextTable table(
         "Table 11: ATH* of MoPAC-D and MoPAC-D with NUP");
     table.header({"T_RH (p)", "MoPAC-D (Uniform)", "MoPAC-D (NUP)",
                   "paper (uniform / NUP)"});
-    struct Ref
-    {
-        std::uint32_t trh;
-        const char *paper;
-    };
-    for (const Ref &ref : {Ref{1000, "336 / 288"},
-                           Ref{500, "152 / 136"},
-                           Ref{250, "60 / 56"}}) {
+    for (const PaperRef &ref : {PaperRef{1000, "336 / 288"},
+                                PaperRef{500, "152 / 136"},
+                                PaperRef{250, "60 / 56"}}) {
         const MopacDDerived uni = deriveMopacD(ref.trh);
         const MopacDDerived nup =
             deriveMopacD(ref.trh, 32, false, true);
@@ -40,6 +34,11 @@ main()
     table.note("NUP samples zero-count rows at p/2; the Markov chain "
                "of Figure 16 run for ATH steps yields C = 18/17/14 "
                "(Eq. 9), lowering ATH* below the uniform values.");
-    table.print(std::cout);
-    return mopac::bench::finalExitCode();
+    table.print(os);
 }
+
+} // namespace
+
+extern const Exhibit tab11_nup_ath{"tab11_nup_ath", nullptr, render};
+
+} // namespace mopac::bench

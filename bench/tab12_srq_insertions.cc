@@ -5,26 +5,40 @@
  * Paper: 6.2 -> 3.1, 12.5 -> 6.3, 25.0 -> 13.4.
  */
 
-#include <iostream>
-
 #include "analysis/security.hh"
 #include "bench_util.hh"
 
+namespace mopac::bench
+{
 namespace
 {
 
-using namespace mopac;
-using namespace mopac::bench;
+const PaperRef kRefs[] = {{1000, "6.2 / 3.1 (0.5x)"},
+                          {500, "12.5 / 6.3 (0.5x)"},
+                          {250, "25.0 / 13.4 (0.54x)"}};
+
+/** MoPAC-D per threshold of kRefs, with uniform sampling then NUP. */
+std::vector<NamedConfig>
+cells()
+{
+    std::vector<NamedConfig> out;
+    for (const PaperRef &ref : kRefs) {
+        for (bool nup : {false, true}) {
+            out.push_back(benchCell(MitigationKind::kMopacD, ref.trh,
+                                    nup ? "nup" : "uniform"));
+            out.back().cfg.nup = nup;
+        }
+    }
+    return out;
+}
 
 /** Per-chip SRQ selections per 100 ACTs across the workload set. */
 double
-selectionsPer100Acts(SlowdownLab &lab, std::uint32_t trh, bool nup,
-                     const std::vector<std::string> &names)
+selectionsPer100Acts(const SlowdownLab &lab, const SystemConfig &cfg)
 {
+    const std::vector<std::string> names = sensitivitySubset();
     double sum = 0.0;
     for (const std::string &name : names) {
-        SystemConfig cfg = benchConfig(MitigationKind::kMopacD, trh);
-        cfg.nup = nup;
         const RunResult &r = lab.run(cfg, name);
         const double per_chip =
             static_cast<double>(r.srq_insertions) /
@@ -34,42 +48,25 @@ selectionsPer100Acts(SlowdownLab &lab, std::uint32_t trh, bool nup,
     return sum / static_cast<double>(names.size());
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+void
+declare(SlowdownLab &lab)
 {
-    const std::vector<std::string> names = sensitivitySubset();
+    lab.queueRuns(cells(), sensitivitySubset());
+}
 
-    SlowdownLab lab(benchConfig(MitigationKind::kNone, 500),
-                    parseBenchArgs(argc, argv));
-    std::vector<SystemConfig> sweep;
-    for (std::uint32_t trh : {1000u, 500u, 250u}) {
-        for (bool nup : {false, true}) {
-            SystemConfig cfg =
-                benchConfig(MitigationKind::kMopacD, trh);
-            cfg.nup = nup;
-            sweep.push_back(cfg);
-        }
-    }
-    lab.precomputeRuns(sweep, names);
-
+void
+render(SlowdownLab &lab, std::ostream &os)
+{
     TextTable table(
         "Table 12: SRQ insertions per 100 ACTs (lower is better)");
     table.header({"T_RH (p)", "MoPAC-D (Uniform)", "MoPAC-D (NUP)",
                   "ratio", "paper (uniform / NUP)"});
-    struct Ref
-    {
-        std::uint32_t trh;
-        const char *paper;
-    };
-    for (const Ref &ref : {Ref{1000, "6.2 / 3.1 (0.5x)"},
-                           Ref{500, "12.5 / 6.3 (0.5x)"},
-                           Ref{250, "25.0 / 13.4 (0.54x)"}}) {
-        const double uni =
-            selectionsPer100Acts(lab, ref.trh, false, names);
+    const std::vector<NamedConfig> grid = cells();
+    for (std::size_t i = 0; i < std::size(kRefs); ++i) {
+        const PaperRef &ref = kRefs[i];
+        const double uni = selectionsPer100Acts(lab, grid[2 * i].cfg);
         const double nup =
-            selectionsPer100Acts(lab, ref.trh, true, names);
+            selectionsPer100Acts(lab, grid[2 * i + 1].cfg);
         const unsigned inv_p =
             1u << deriveMopacD(ref.trh).log2_inv_p;
         table.row({mopac::format("{} (p=1/{})", ref.trh, inv_p),
@@ -81,6 +78,12 @@ main(int argc, char **argv)
                "paper's 'insertions').  Uniform sampling inserts "
                "~100p per 100 ACTs; NUP halves it because most rows "
                "hold a zero counter within tREFW (§8.4).");
-    table.print(std::cout);
-    return mopac::bench::finalExitCode();
+    table.print(os);
 }
+
+} // namespace
+
+extern const Exhibit tab12_srq_insertions{"tab12_srq_insertions",
+                                          declare, render};
+
+} // namespace mopac::bench

@@ -5,19 +5,18 @@
  * varied (paper §9.2).
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
-
 #include "analysis/related.hh"
+#include "bench_util.hh"
 #include "common/format.hh"
-#include "common/table.hh"
 
-int
-main()
+namespace mopac::bench
 {
-    using namespace mopac;
+namespace
+{
 
+void
+render(SlowdownLab &, std::ostream &os)
+{
     TextTable table("Table 13: Tolerated T_RH vs mitigation time "
                     "per REF");
     table.header({"Mitigation time per REF", "MoPAC-D", "MINT",
@@ -48,6 +47,11 @@ main()
     table.note("MINT/PrIDE columns come from the escape-probability "
                "models documented in DESIGN.md; they reproduce the "
                "published numbers within a few percent.");
-    table.print(std::cout);
-    return mopac::bench::finalExitCode();
+    table.print(os);
 }
+
+} // namespace
+
+extern const Exhibit tab13_related_trh{"tab13_related_trh", nullptr, render};
+
+} // namespace mopac::bench

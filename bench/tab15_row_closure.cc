@@ -6,106 +6,80 @@
  * 7.5% / 8.2%; MoPAC-D@500 0.8% / 1.3% / 1.0% / 0.9%.
  */
 
-#include <iostream>
-
 #include "bench_util.hh"
 
+namespace mopac::bench
+{
 namespace
 {
 
-using namespace mopac;
-using namespace mopac::bench;
-
-void
-applyPolicy(SystemConfig &cfg, int policy_idx)
+/**
+ * Per policy: PRAC@500, then MoPAC-D at T_RH 1000 / 500 / 250, each
+ * against a baseline with the same closure policy (the paper's
+ * comparison).
+ */
+std::vector<GridRow>
+grid()
 {
-    switch (policy_idx) {
-      case 0:
-        cfg.mc.page_policy = PagePolicy::kOpen;
-        break;
-      case 1:
-        cfg.mc.page_policy = PagePolicy::kClose;
-        break;
-      case 2:
-        cfg.mc.page_policy = PagePolicy::kTimeout;
-        cfg.mc.timeout_ton = nsToCycles(100.0);
-        break;
-      default:
-        cfg.mc.page_policy = PagePolicy::kTimeout;
-        cfg.mc.timeout_ton = nsToCycles(200.0);
-        break;
+    struct Policy
+    {
+        const char *name;
+        const char *detail;
+        PagePolicy policy;
+        double ton_ns;
+        const char *paper;
+    };
+    std::vector<GridRow> rows;
+    for (const Policy &p :
+         {Policy{"Open-Page", "open-page", PagePolicy::kOpen, 0.0,
+                 "10% | 0.1% 0.8% 3.5%"},
+          Policy{"Close-Page", "close-page", PagePolicy::kClose, 0.0,
+                 "7.1% | 0.4% 1.3% 4.9%"},
+          Policy{"tON = 100ns", "tON=100ns", PagePolicy::kTimeout,
+                 100.0, "7.5% | 0.5% 1.0% 4.2%"},
+          Policy{"tON = 200ns", "tON=200ns", PagePolicy::kTimeout,
+                 200.0, "8.2% | 0.3% 0.9% 3.8%"}}) {
+        auto cell = [&p](MitigationKind kind, std::uint32_t trh) {
+            NamedConfig out = benchCell(kind, trh, p.detail);
+            out.cfg.mc.page_policy = p.policy;
+            if (p.policy == PagePolicy::kTimeout) {
+                out.cfg.mc.timeout_ton = nsToCycles(p.ton_ns);
+            }
+            return out;
+        };
+        rows.push_back({p.name,
+                        {cell(MitigationKind::kPracMoat, 500),
+                         cell(MitigationKind::kMopacD, 1000),
+                         cell(MitigationKind::kMopacD, 500),
+                         cell(MitigationKind::kMopacD, 250)},
+                        p.paper,
+                        cell(MitigationKind::kNone, 500)});
     }
+    return rows;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+void
+declare(SlowdownLab &lab)
 {
-    const std::vector<std::string> names = sensitivitySubset();
-    const BenchOptions opts = parseBenchArgs(argc, argv);
-    const char *policy_names[4] = {"Open-Page", "Close-Page",
-                                   "tON = 100ns", "tON = 200ns"};
-    const char *paper[4] = {
-        "10% | 0.1% 0.8% 3.5%", "7.1% | 0.4% 1.3% 4.9%",
-        "7.5% | 0.5% 1.0% 4.2%", "8.2% | 0.3% 0.9% 3.8%"};
+    queueGrid(lab, grid());
+}
 
+void
+render(SlowdownLab &lab, std::ostream &os)
+{
     TextTable table("Table 15: slowdowns with proactive row closure");
     table.header({"policy", "PRAC", "MoPAC-D@1000", "MoPAC-D@500",
                   "MoPAC-D@250", "paper (PRAC | D@1K,500,250)"});
-
-    for (int policy = 0; policy < 4; ++policy) {
-        // Baselines are policy-matched: the paper compares each
-        // configuration to a baseline with the same closure policy.
-        SystemConfig base = benchConfig(MitigationKind::kNone, 500);
-        applyPolicy(base, policy);
-        // Each policy is its own sweep; --replay / --list-points
-        // address the first (open-page) sweep.
-        BenchOptions lab_opts = opts;
-        if (policy > 0) {
-            lab_opts.replay = -1;
-            lab_opts.list_points = false;
-        }
-        SlowdownLab lab(base, lab_opts);
-        std::vector<SystemConfig> sweep{
-            benchConfig(MitigationKind::kPracMoat, 500)};
-        for (std::uint32_t trh : {1000u, 500u, 250u}) {
-            sweep.push_back(benchConfig(MitigationKind::kMopacD, trh));
-        }
-        for (SystemConfig &cfg : sweep) {
-            applyPolicy(cfg, policy);
-        }
-        lab.precompute(sweep, names);
-
-        std::vector<std::string> cells{policy_names[policy]};
-        {
-            std::vector<double> series;
-            for (const std::string &name : names) {
-                SystemConfig cfg =
-                    benchConfig(MitigationKind::kPracMoat, 500);
-                applyPolicy(cfg, policy);
-                series.push_back(lab.slowdown(cfg, name));
-            }
-            cells.push_back(TextTable::pct(meanSlowdown(series), 1));
-        }
-        for (std::uint32_t trh : {1000u, 500u, 250u}) {
-            std::vector<double> series;
-            for (const std::string &name : names) {
-                SystemConfig cfg =
-                    benchConfig(MitigationKind::kMopacD, trh);
-                applyPolicy(cfg, policy);
-                series.push_back(lab.slowdown(cfg, name));
-            }
-            cells.push_back(TextTable::pct(meanSlowdown(series), 1));
-        }
-        cells.push_back(paper[policy]);
-        table.row(cells);
-    }
     table.note("Closing rows ahead of conflicts takes PRAC's 36 ns "
                "precharge off the critical path (10% -> ~7%), at the "
                "cost of refetching row hits; the paper also notes "
                "the close-page *baseline* is 1.8% slower than "
                "open-page.");
-    table.print(std::cout);
-    return mopac::bench::finalExitCode();
+    gridTable(lab, os, std::move(table), grid());
 }
+
+} // namespace
+
+extern const Exhibit tab15_row_closure{"tab15_row_closure", declare, render};
+
+} // namespace mopac::bench

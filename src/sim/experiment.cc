@@ -234,13 +234,4 @@ runWorkloadCheckpointed(const SystemConfig &cfg, const std::string &name,
     return out;
 }
 
-double
-workloadSlowdown(const SystemConfig &base_cfg,
-                 const SystemConfig &test_cfg, const std::string &name)
-{
-    const RunResult base = runWorkload(base_cfg, name);
-    const RunResult test = runWorkload(test_cfg, name);
-    return weightedSlowdown(base, test);
-}
-
 } // namespace mopac

@@ -1,8 +1,8 @@
 /**
  * @file
- * Experiment helpers shared by the bench binaries, examples, and the
+ * Experiment helpers shared by the bench exhibits, examples, and the
  * CLI: building and running named workloads, environment-based run
- * scaling, and slowdown computation.
+ * scaling, and guarded / checkpointed runs.
  */
 
 #ifndef MOPAC_SIM_EXPERIMENT_HH
@@ -133,14 +133,6 @@ CheckpointedRun runWorkloadCheckpointed(const SystemConfig &cfg,
 RunOutcome tryRunWorkload(const SystemConfig &cfg,
                           const std::string &name,
                           bool capture_stats = false);
-
-/**
- * Convenience: slowdown of mitigation @p kind vs the unprotected
- * baseline on one workload (both runs share the seed).
- */
-double workloadSlowdown(const SystemConfig &base_cfg,
-                        const SystemConfig &test_cfg,
-                        const std::string &name);
 
 } // namespace mopac
 

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "sim/experiment.hh"
+#include "workload_slowdown.hh"
 
 namespace mopac
 {
@@ -35,7 +36,7 @@ slowdownOf(MitigationKind kind, const std::string &workload,
     if (tweak) {
         tweak(test);
     }
-    return workloadSlowdown(base, test, workload);
+    return test::workloadSlowdown(base, test, workload);
 }
 
 TEST(PerfShape, PracCostsAboutTenPercent)
@@ -134,7 +135,7 @@ TEST(PerfShape, ClosePagePolicyShrinksPracPenalty)
         SystemConfig prac = perfConfig(MitigationKind::kPracMoat);
         base.mc.page_policy = policy;
         prac.mc.page_policy = policy;
-        return workloadSlowdown(base, prac, "mcf");
+        return test::workloadSlowdown(base, prac, "mcf");
     };
     const double open_page = with_policy(PagePolicy::kOpen);
     const double close_page = with_policy(PagePolicy::kClose);

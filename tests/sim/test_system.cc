@@ -8,6 +8,7 @@
 
 #include "sim/experiment.hh"
 #include "sim/system.hh"
+#include "workload_slowdown.hh"
 
 namespace mopac
 {
@@ -105,7 +106,7 @@ TEST(System, PracIsSlowerThanBaseline)
     SystemConfig base = quickConfig(MitigationKind::kNone);
     SystemConfig prac = quickConfig(MitigationKind::kPracMoat);
     base.insts_per_core = prac.insts_per_core = 40000;
-    const double slowdown = workloadSlowdown(base, prac, "mcf");
+    const double slowdown = test::workloadSlowdown(base, prac, "mcf");
     EXPECT_GT(slowdown, 0.05);
     EXPECT_LT(slowdown, 0.40);
 }
@@ -117,8 +118,8 @@ TEST(System, MopacCRecoversMostOfPracSlowdown)
     SystemConfig mopac = quickConfig(MitigationKind::kMopacC);
     base.insts_per_core = prac.insts_per_core =
         mopac.insts_per_core = 40000;
-    const double prac_s = workloadSlowdown(base, prac, "mcf");
-    const double mopac_s = workloadSlowdown(base, mopac, "mcf");
+    const double prac_s = test::workloadSlowdown(base, prac, "mcf");
+    const double mopac_s = test::workloadSlowdown(base, mopac, "mcf");
     EXPECT_LT(mopac_s, prac_s / 2.0);
 }
 

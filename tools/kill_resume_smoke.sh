@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Kill-resume smoke test.
 #
-# For each bench driver given on the command line:
+# For each exhibit of mopac_exhibits named on the command line:
 #   1. run it cleanly (no journal) and keep the report,
 #   2. run it with --journal (a result-store directory) and SIGKILL
 #      it as soon as the first point lands in the store (the harshest
@@ -24,15 +24,17 @@
 # keyed lookup of finished points, graceful stop at a point boundary,
 # and schedule-independent stat merging.
 #
-# Usage: kill_resume_smoke.sh <bench-binary> [<bench-binary> ...]
+# Usage: kill_resume_smoke.sh <mopac_exhibits> <exhibit> [<exhibit> ...]
 # Env:   MOPAC_SIM_SCALE  simulation downscale (default 0.03)
 
 set -u
 
-if [ "$#" -lt 1 ]; then
-    echo "usage: $0 <bench-binary> [<bench-binary> ...]" >&2
+if [ "$#" -lt 2 ]; then
+    echo "usage: $0 <mopac_exhibits> <exhibit> [<exhibit> ...]" >&2
     exit 2
 fi
+bin=$1
+shift
 
 export MOPAC_SIM_SCALE="${MOPAC_SIM_SCALE:-0.03}"
 
@@ -75,12 +77,11 @@ same_as_clean() {
 }
 
 status=0
-for bin in "$@"; do
-    name=$(basename "$bin")
+for name in "$@"; do
     journal="$workdir/$name.journal"
     echo "== $name (scale $MOPAC_SIM_SCALE)"
 
-    if ! "$bin" --jobs 2 >"$workdir/$name.clean" \
+    if ! "$bin" "$name" --jobs 2 >"$workdir/$name.clean" \
             2>"$workdir/$name.clean.err"; then
         echo "FAIL: clean run of $name failed" >&2
         cat "$workdir/$name.clean.err" >&2
@@ -89,7 +90,7 @@ for bin in "$@"; do
     fi
 
     # Steps 2-4: SIGKILL mid-sweep, resume, compare.
-    "$bin" --jobs 4 --journal "$journal" \
+    "$bin" "$name" --jobs 4 --journal "$journal" \
         >"$workdir/$name.killed" 2>&1 &
     sweep_pid=$!
     if wait_for_first_point "$journal" "$sweep_pid" &&
@@ -102,7 +103,7 @@ for bin in "$@"; do
     wait "$sweep_pid" 2>/dev/null
     sweep_pid=""
 
-    if ! "$bin" --jobs 3 --resume "$journal" \
+    if ! "$bin" "$name" --jobs 3 --resume "$journal" \
             >"$workdir/$name.resumed" 2>"$workdir/$name.resumed.err"; then
         echo "FAIL: resume of $name failed" >&2
         cat "$workdir/$name.resumed.err" >&2
@@ -112,7 +113,7 @@ for bin in "$@"; do
     same_as_clean "$workdir/$name.resumed" "resumed"
 
     # Step 5: a finished store serves the whole rerun.
-    if ! "$bin" --jobs 2 --resume "$journal" \
+    if ! "$bin" "$name" --jobs 2 --resume "$journal" \
             >"$workdir/$name.rerun" 2>"$workdir/$name.rerun.err"; then
         echo "FAIL: rerun of $name on its finished store failed" >&2
         cat "$workdir/$name.rerun.err" >&2
@@ -136,7 +137,7 @@ for bin in "$@"; do
 
     # Step 6: SIGTERM mid-sweep is a graceful, resumable stop.
     term_journal="$workdir/$name.term"
-    "$bin" --jobs 1 --journal "$term_journal" \
+    "$bin" "$name" --jobs 1 --journal "$term_journal" \
         >"$workdir/$name.term.out" 2>&1 &
     sweep_pid=$!
     wait_for_first_point "$term_journal" "$sweep_pid" &&
@@ -152,7 +153,7 @@ for bin in "$@"; do
         status=1
         continue
     fi
-    if ! "$bin" --jobs 2 --resume "$term_journal" \
+    if ! "$bin" "$name" --jobs 2 --resume "$term_journal" \
             >"$workdir/$name.term.resumed" \
             2>"$workdir/$name.term.resumed.err"; then
         echo "FAIL: resume of $name after SIGTERM failed" >&2
