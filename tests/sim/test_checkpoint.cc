@@ -4,12 +4,15 @@
  * checkpoint and resumed from the snapshot must finish bit-identically
  * to the uninterrupted run -- for every mitigation engine, and with an
  * active fault plan.  Corrupt, truncated, and mismatched snapshots
- * must fail loudly with SerializeError.
+ * must fail loudly with SerializeError.  Each interrupted snapshot's
+ * bytes are pinned by hash, so a field order that changes the same way
+ * in the writer and the reader still shows.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -70,9 +73,37 @@ expectSameRun(const RunResult &a, const RunResult &b)
 }
 
 /**
- * Interrupt @p cfg on @p workload at an early checkpoint, resume from
- * the snapshot, and require the final result to equal the
- * uninterrupted reference.
+ * FNV-1a of each round trip's interrupted snapshot image, by tag.
+ * Snapshot bytes are a file format: a change here is a format change,
+ * and old snapshots stop loading.
+ */
+const std::map<std::string, std::uint64_t> kSnapshotHashes = {
+    {"none", 0xea13ee57884bf663ull},
+    {"prac", 0xc67d3851b3be87a8ull},
+    {"mopac-c", 0x418cae56ea2e18e6ull},
+    {"mopac-d", 0x1c672cf7c2a521c0ull},
+    {"mint", 0x412c9a521711f213ull},
+    {"pride", 0x56a3b93a1eaafd7full},
+    {"trr", 0x807f902a6d336484ull},
+    {"para", 0xbd996b7a2e2a9b53ull},
+    {"graphene", 0xec800b6cf560c732ull},
+    {"qprac", 0xc2a5455a5fdcb146ull},
+    {"faultplan", 0xc3059eb0aaa4b77eull},
+    {"wl_bwaves", 0xe66fb710c40d748cull},
+    {"wl_mix1", 0x9737e294c6c77f68ull},
+};
+
+std::uint64_t
+imageHash(const std::vector<std::uint8_t> &image)
+{
+    return fnv1a64(std::string(image.begin(), image.end()));
+}
+
+/**
+ * Interrupt @p cfg on @p workload at an early checkpoint, require the
+ * snapshot's bytes to hash to @p tag's pinned value, resume from the
+ * snapshot, and require the final result to equal the uninterrupted
+ * reference.
  */
 void
 roundTrip(const SystemConfig &cfg, const std::string &workload,
@@ -96,7 +127,12 @@ roundTrip(const SystemConfig &cfg, const std::string &workload,
     sweepstop::reset();
     EXPECT_FALSE(interrupted.finished) << tag;
     EXPECT_GT(interrupted.stopped_at, 0u) << tag;
-    EXPECT_TRUE(fileExists(path)) << tag;
+    ASSERT_TRUE(fileExists(path)) << tag;
+    const auto pinned = kSnapshotHashes.find(tag);
+    ASSERT_NE(pinned, kSnapshotHashes.end()) << tag;
+    EXPECT_EQ(imageHash(readFileBytes(path)), pinned->second)
+        << tag << std::hex << " hashes to 0x"
+        << imageHash(readFileBytes(path));
 
     CheckpointOptions restore;
     restore.restore_path = path;
