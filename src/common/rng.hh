@@ -21,9 +21,6 @@
 namespace mopac
 {
 
-class Serializer;
-class Deserializer;
-
 /**
  * xoshiro256** pseudo-random generator with convenience draws.
  *
@@ -92,11 +89,15 @@ class Rng
     static Rng forStream(std::uint64_t master_seed,
                          std::uint64_t stream_id);
 
-    /** Checkpoint the stream position (exact xoshiro state). */
-    void saveState(Serializer &ser) const;
-
-    /** Restore a stream position saved by saveState(). */
-    void loadState(Deserializer &des);
+    /** Snapshot the stream position (exact xoshiro state). */
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
+    {
+        for (auto &word : self.state_) {
+            ar.u64(word);
+        }
+    }
 
   private:
     std::array<std::uint64_t, 4> state_;

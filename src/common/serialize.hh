@@ -23,6 +23,19 @@
  * SerializeError -- never undefined behaviour, never silently partial
  * state.  All reads are bounds-checked against the declared payload
  * size before touching memory.
+ *
+ * A class describes its snapshot state once, in one body that both
+ * archives run:
+ *
+ *   template <class Self, class Ar>
+ *   static void transfer(Self &self, Ar &ar);
+ *
+ * The Serializer runs it with Self = const T and reads each field;
+ * the Deserializer runs it with Self = T and assigns each field.
+ * Field order, widths and section tags are then written down once and
+ * the two directions cannot drift apart.  Load-only work (validation,
+ * rebuilding derived state) sits behind `if constexpr (Ar::kLoading)`
+ * or a plain `if (Ar::kLoading && ...)`.
  */
 
 #ifndef MOPAC_COMMON_SERIALIZE_HH
@@ -34,10 +47,22 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace mopac
 {
+
+/** An integer or enum converted to or from a field no narrower. */
+template <class To, class From>
+constexpr To
+fieldCast(From v)
+{
+    static_assert(std::is_integral_v<To> || std::is_enum_v<To>);
+    static_assert(std::is_integral_v<From> || std::is_enum_v<From>);
+    static_assert(sizeof(From) <= sizeof(To), "narrowing field");
+    return static_cast<To>(v);
+}
 
 /** Current checkpoint container format version. */
 constexpr std::uint32_t kSerializeVersion = 1;
@@ -96,6 +121,19 @@ class Serializer
     void putVecU32(const std::vector<std::uint32_t> &v);
     void putVecU64(const std::vector<std::uint64_t> &v);
 
+    // The transfer surface: each method writes its argument.
+    static constexpr bool kLoading = false;
+
+    template <class T> void u8(const T &v) { putU8(fieldCast<std::uint8_t>(v)); }
+    template <class T> void u32(const T &v) { putU32(fieldCast<std::uint32_t>(v)); }
+    template <class T> void u64(const T &v) { putU64(fieldCast<std::uint64_t>(v)); }
+    void f64(const double &v) { putF64(v); }
+    void flag(const bool &v) { putU8(v ? 1 : 0); }
+    void str(const std::string &v) { putStr(v); }
+    void vecU8(const std::vector<std::uint8_t> &v) { putVecU8(v); }
+    void vecU32(const std::vector<std::uint32_t> &v) { putVecU32(v); }
+    void vecU64(const std::vector<std::uint64_t> &v) { putVecU64(v); }
+
     /**
      * Seal the payload into a full container image (header + payload
      * + CRC trailer).  All sections must be closed.
@@ -152,6 +190,19 @@ class Deserializer
     std::vector<std::uint32_t> getVecU32();
     std::vector<std::uint64_t> getVecU64();
 
+    // The transfer surface: each method assigns its argument.
+    static constexpr bool kLoading = true;
+
+    template <class T> void u8(T &v) { v = fieldCast<T>(getU8()); }
+    template <class T> void u32(T &v) { v = fieldCast<T>(getU32()); }
+    template <class T> void u64(T &v) { v = fieldCast<T>(getU64()); }
+    void f64(double &v) { v = getF64(); }
+    void flag(bool &v) { v = getU8() != 0; }
+    void str(std::string &v) { v = getStr(); }
+    void vecU8(std::vector<std::uint8_t> &v) { v = getVecU8(); }
+    void vecU32(std::vector<std::uint32_t> &v) { v = getVecU32(); }
+    void vecU64(std::vector<std::uint64_t> &v) { v = getVecU64(); }
+
     /** Throws unless every payload byte has been consumed. */
     void finish() const;
 
@@ -164,6 +215,72 @@ class Deserializer
     std::uint64_t config_hash_ = 0;
     std::vector<std::size_t> limits_; //!< End offsets of open sections.
 };
+
+/**
+ * Transfer @p obj through its virtual saveState/loadState pair (a
+ * polymorphic member: a mitigation engine, a trace source).
+ */
+template <class T, class Ar>
+void
+transferVirtual(T &obj, Ar &ar)
+{
+    if constexpr (Ar::kLoading) {
+        obj.loadState(ar);
+    } else {
+        obj.saveState(ar);
+    }
+}
+
+/**
+ * A u32 written from the live object that a load must find unchanged:
+ * a differing saved value throws "@p what mismatch (saved N, live M)".
+ */
+template <class Ar>
+void
+matchU32(Ar &ar, std::uint32_t live, const char *what)
+{
+    std::uint32_t saved = live;
+    ar.u32(saved);
+    if (Ar::kLoading && saved != live) {
+        throw SerializeError(std::string(what) + " mismatch (saved " +
+                             std::to_string(saved) + ", live " +
+                             std::to_string(live) + ")");
+    }
+}
+
+/**
+ * A u32 element count, then every element of @p v through @p each.
+ * A load rejects a count above @p cap ("@p what occupancy N exceeds
+ * capacity C") and resizes @p v to the count first.
+ */
+template <class Ar, class V, class Fn>
+void
+transferBounded(Ar &ar, V &v, std::size_t cap, const char *what,
+                Fn &&each)
+{
+    auto n = static_cast<std::uint32_t>(v.size());
+    ar.u32(n);
+    if constexpr (Ar::kLoading) {
+        if (n > cap) {
+            throw SerializeError(std::string(what) + " occupancy " +
+                                 std::to_string(n) +
+                                 " exceeds capacity " +
+                                 std::to_string(cap));
+        }
+        v.resize(n);
+    }
+    for (auto &e : v) {
+        each(e);
+    }
+}
+
+/**
+ * Explicitly instantiate @p Cls::transfer for both archives, in the
+ * .cc file that defines it.
+ */
+#define MOPAC_TRANSFER_INSTANTIATE(Cls)                                  \
+    template void Cls::transfer(const Cls &, ::mopac::Serializer &);    \
+    template void Cls::transfer(Cls &, ::mopac::Deserializer &)
 
 /**
  * Crash-safe file write: the bytes are written to a temporary sibling,

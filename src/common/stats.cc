@@ -240,75 +240,64 @@ StatSnapshot::operator==(const StatSnapshot &other) const
     return entries_ == other.entries_;
 }
 
+template <class Self, class Ar>
 void
-Histogram::saveState(Serializer &ser) const
+Histogram::transfer(Self &self, Ar &ar)
 {
-    ser.putU64(bucket_width_);
-    ser.putVecU64(buckets_);
-    ser.putU64(count_);
-    ser.putU64(sum_);
-    ser.putU64(min_);
-    ser.putU64(max_);
-}
-
-void
-Histogram::loadState(Deserializer &des)
-{
-    const std::uint64_t width = des.getU64();
-    std::vector<std::uint64_t> buckets = des.getVecU64();
-    if (width != bucket_width_ || buckets.size() != buckets_.size()) {
+    const std::size_t live_buckets = self.buckets_.size();
+    std::uint64_t width = self.bucket_width_;
+    ar.u64(width);
+    ar.vecU64(self.buckets_);
+    if (Ar::kLoading && (width != self.bucket_width_ ||
+                         self.buckets_.size() != live_buckets)) {
         throw SerializeError(
             format("histogram shape mismatch (saved width {} x {} "
                    "buckets, live width {} x {})",
-                   width, buckets.size(), bucket_width_,
-                   buckets_.size()));
+                   width, self.buckets_.size(), self.bucket_width_,
+                   live_buckets));
     }
-    buckets_ = std::move(buckets);
-    count_ = des.getU64();
-    sum_ = des.getU64();
-    min_ = des.getU64();
-    max_ = des.getU64();
+    ar.u64(self.count_);
+    ar.u64(self.sum_);
+    ar.u64(self.min_);
+    ar.u64(self.max_);
 }
 
+MOPAC_TRANSFER_INSTANTIATE(Histogram);
+
+template <class Self, class Ar>
 void
-StatSnapshot::saveState(Serializer &ser) const
+StatSnapshot::transfer(Self &self, Ar &ar)
 {
-    ser.putU64(entries_.size());
-    for (const Entry &entry : entries_) {
-        ser.putStr(entry.name);
-        if (std::holds_alternative<std::uint64_t>(entry.value)) {
-            ser.putU8(0);
-            ser.putU64(std::get<std::uint64_t>(entry.value));
-        } else {
-            ser.putU8(1);
-            ser.putF64(std::get<double>(entry.value));
+    std::uint64_t n = self.entries_.size();
+    ar.u64(n);
+    if constexpr (Ar::kLoading) {
+        if (n > (1ull << 32)) {
+            throw SerializeError(format("implausible stat count {}", n));
         }
+        self.entries_.assign(n, Entry{});
     }
-}
-
-void
-StatSnapshot::loadState(Deserializer &des)
-{
-    const std::uint64_t n = des.getU64();
-    if (n > (1ull << 32)) {
-        throw SerializeError(format("implausible stat count {}", n));
-    }
-    entries_.clear();
-    entries_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Entry entry;
-        entry.name = des.getStr();
-        const std::uint8_t kind = des.getU8();
+    for (auto &entry : self.entries_) {
+        ar.str(entry.name);
+        auto kind = static_cast<std::uint8_t>(entry.value.index());
+        ar.u8(kind);
         if (kind == 0) {
-            entry.value = des.getU64();
+            std::uint64_t v = Ar::kLoading ? 0 : std::get<0>(entry.value);
+            ar.u64(v);
+            if constexpr (Ar::kLoading) {
+                entry.value = v;
+            }
         } else if (kind == 1) {
-            entry.value = des.getF64();
+            double v = Ar::kLoading ? 0.0 : std::get<1>(entry.value);
+            ar.f64(v);
+            if constexpr (Ar::kLoading) {
+                entry.value = v;
+            }
         } else {
-            throw SerializeError(
-                format("bad stat entry kind {}", kind));
+            throw SerializeError(format("bad stat entry kind {}", kind));
         }
-        entries_.push_back(std::move(entry));
     }
 }
+
+MOPAC_TRANSFER_INSTANTIATE(StatSnapshot);
 
 } // namespace mopac

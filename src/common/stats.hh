@@ -21,9 +21,6 @@
 namespace mopac
 {
 
-class Serializer;
-class Deserializer;
-
 /**
  * A streaming histogram over unsigned samples with fixed-width
  * buckets, also tracking exact count / sum / min / max.
@@ -66,11 +63,9 @@ class Histogram
     /** Reset all recorded data. */
     void reset();
 
-    /** Checkpoint the recorded data (shape must match on load). */
-    void saveState(Serializer &ser) const;
-
-    /** Restore data saved by saveState(); throws on a shape mismatch. */
-    void loadState(Deserializer &des);
+    /** Snapshot the recorded data; a load throws on a shape mismatch. */
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
 
   private:
     std::uint64_t bucket_width_;
@@ -187,11 +182,12 @@ class StatSnapshot
         return !(*this == other);
     }
 
-    /** Serialize the snapshot (bit-exact, including doubles). */
-    void saveState(Serializer &ser) const;
-
-    /** Replace this snapshot with one saved by saveState(). */
-    void loadState(Deserializer &des);
+    /**
+     * Serialize the snapshot (bit-exact, including doubles); a load
+     * replaces this snapshot.
+     */
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
 
   private:
     struct Entry

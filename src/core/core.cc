@@ -640,103 +640,82 @@ Core::mshrIndexReqIds() const
     return ids;
 }
 
+template <class Self, class Ar>
 void
-Core::saveState(Serializer &ser) const
+Core::transfer(Self &self, Ar &ar)
 {
-    ser.putU64(fetch_inst_);
-    ser.putU64(retire_inst_);
-    ser.putU32(ops_count_);
-    for (std::uint32_t j = 0; j < ops_count_; ++j) {
-        const MemOp &op = opAt(j);
-        ser.putU64(op.inst_idx);
-        ser.putU64(op.line_addr);
-        ser.putU8(op.is_write ? 1 : 0);
-        ser.putU8(op.depends_on_prev ? 1 : 0);
-        ser.putU8(op.issued ? 1 : 0);
-        ser.putU8(op.done ? 1 : 0);
-        ser.putU8(op.mshr_held ? 1 : 0);
-        ser.putU64(op.done_at);
-        ser.putU64(op.req_id);
+    ar.u64(self.fetch_inst_);
+    ar.u64(self.retire_inst_);
+    std::uint32_t n = self.ops_count_;
+    ar.u32(n);
+    if constexpr (Ar::kLoading) {
+        if (n > self.params_.rob_entries) {
+            throw SerializeError(format(
+                "core ROB occupancy {} exceeds {} entries", n,
+                self.params_.rob_entries));
+        }
+        // Rebuild the ring from position 0 and recompute every derived
+        // gate (hint, unissued counters, pending-release bound) from
+        // the restored ops.
+        self.ops_head_ = 0;
+        self.ops_count_ = 0;
+        self.first_unissued_ = 0;
+        self.unissued_ops_ = 0;
+        self.unissued_writes_ = 0;
+        self.mshr_releases_ = 0;
+        self.mshr_count_ = 0;
+        self.next_release_at_ = kNeverCycle;
+        self.issue_idle_ = false;
+        self.issue_wake_at_ = kNeverCycle;
+        self.mshr_waiter_ = false;
+        self.window_end_ = 0;
     }
-    ser.putU8(record_pending_ ? 1 : 0);
-    record_.saveState(ser);
-    ser.putU32(gap_left_);
-    ser.putU32(outstanding_reads_);
-    ser.putU64(next_req_id_);
-    ser.putU64(issued_reads_);
-    ser.putU64(issued_writes_);
-    ser.putU64(finish_cycle_);
-    ser.putU64(finish_insts_);
-    ser.putU64(measure_start_cycle_);
-    ser.putU64(measure_start_insts_);
+    for (std::uint32_t j = 0; j < n; ++j) {
+        MemOp op = Ar::kLoading ? MemOp{} : self.opAt(j);
+        ar.u64(op.inst_idx);
+        ar.u64(op.line_addr);
+        ar.flag(op.is_write);
+        ar.flag(op.depends_on_prev);
+        ar.flag(op.issued);
+        ar.flag(op.done);
+        ar.flag(op.mshr_held);
+        ar.u64(op.done_at);
+        ar.u64(op.req_id);
+        if constexpr (Ar::kLoading) {
+            if (op.mshr_held) {
+                if (self.mshr_count_ == self.mshr_slots_.size()) {
+                    throw SerializeError(
+                        format("core holds more than {} MSHRs",
+                               self.mshr_slots_.size()));
+                }
+                self.mshr_slots_[self.mshr_count_++] = self.ops_count_;
+            }
+            self.ops_[self.ops_count_++] = op;
+            if (!op.issued) {
+                ++self.unissued_ops_;
+                if (op.is_write) {
+                    ++self.unissued_writes_;
+                }
+            } else if (op.mshr_held && op.done) {
+                ++self.mshr_releases_;
+                self.next_release_at_ =
+                    std::min(self.next_release_at_, op.done_at);
+            }
+        }
+    }
+    ar.flag(self.record_pending_);
+    TraceRecord::transfer(self.record_, ar);
+    ar.u32(self.gap_left_);
+    ar.u32(self.outstanding_reads_);
+    ar.u64(self.next_req_id_);
+    ar.u64(self.issued_reads_);
+    ar.u64(self.issued_writes_);
+    ar.u64(self.finish_cycle_);
+    ar.u64(self.finish_insts_);
+    ar.u64(self.measure_start_cycle_);
+    ar.u64(self.measure_start_insts_);
 }
 
-void
-Core::loadState(Deserializer &des)
-{
-    fetch_inst_ = des.getU64();
-    retire_inst_ = des.getU64();
-    const std::uint32_t n = des.getU32();
-    if (n > params_.rob_entries) {
-        throw SerializeError(format(
-            "core ROB occupancy {} exceeds {} entries", n,
-            params_.rob_entries));
-    }
-    // Rebuild the ring from position 0 and recompute every derived
-    // gate (hint, unissued counters, pending-release bound) from the
-    // restored ops.
-    ops_head_ = 0;
-    ops_count_ = 0;
-    first_unissued_ = 0;
-    unissued_ops_ = 0;
-    unissued_writes_ = 0;
-    mshr_releases_ = 0;
-    mshr_count_ = 0;
-    next_release_at_ = kNeverCycle;
-    issue_idle_ = false;
-    issue_wake_at_ = kNeverCycle;
-    mshr_waiter_ = false;
-    window_end_ = 0;
-    for (std::uint32_t i = 0; i < n; ++i) {
-        MemOp op;
-        op.inst_idx = des.getU64();
-        op.line_addr = des.getU64();
-        op.is_write = des.getU8() != 0;
-        op.depends_on_prev = des.getU8() != 0;
-        op.issued = des.getU8() != 0;
-        op.done = des.getU8() != 0;
-        op.mshr_held = des.getU8() != 0;
-        op.done_at = des.getU64();
-        op.req_id = des.getU64();
-        if (op.mshr_held) {
-            if (mshr_count_ == mshr_slots_.size()) {
-                throw SerializeError(format(
-                    "core holds more than {} MSHRs", mshr_slots_.size()));
-            }
-            mshr_slots_[mshr_count_++] = ops_count_;
-        }
-        ops_[ops_count_++] = op;
-        if (!op.issued) {
-            ++unissued_ops_;
-            if (op.is_write) {
-                ++unissued_writes_;
-            }
-        } else if (op.mshr_held && op.done) {
-            ++mshr_releases_;
-            next_release_at_ = std::min(next_release_at_, op.done_at);
-        }
-    }
-    record_pending_ = des.getU8() != 0;
-    record_.loadState(des);
-    gap_left_ = des.getU32();
-    outstanding_reads_ = des.getU32();
-    next_req_id_ = des.getU64();
-    issued_reads_ = des.getU64();
-    issued_writes_ = des.getU64();
-    finish_cycle_ = des.getU64();
-    finish_insts_ = des.getU64();
-    measure_start_cycle_ = des.getU64();
-    measure_start_insts_ = des.getU64();
-}
+MOPAC_TRANSFER_INSTANTIATE(Core);
 
 } // namespace mopac

@@ -39,9 +39,6 @@
 namespace mopac
 {
 
-class Serializer;
-class Deserializer;
-
 /** Where cores hand their memory requests (implemented by the System). */
 class RequestSink
 {
@@ -176,14 +173,12 @@ class Core
     std::vector<std::uint64_t> mshrIndexReqIds() const;
 
     /**
-     * Checkpoint the pipeline: ROB contents (including in-flight
+     * Snapshot the pipeline: ROB contents (including in-flight
      * reads), the partially dispatched trace record, and every
-     * progress counter.  The trace source checkpoints separately.
+     * progress counter.  The trace source snapshots separately.
      */
-    void saveState(Serializer &ser) const;
-
-    /** Restore state saved by saveState(). */
-    void loadState(Deserializer &des);
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
 
   private:
     /** An in-flight memory operation occupying a ROB slot. */
@@ -229,7 +224,7 @@ class Core
     void popFront();
 
     // Construction-time identity and wiring: a restored System
-    // rebuilds these from its own config before loadState() runs, and
+    // rebuilds these from its own config before a snapshot loads, and
     // the trace cursor checkpoints itself in the workload section.
     unsigned id_;                // mopac-lint: allow(serial-drift)
     CoreParams params_;
@@ -243,9 +238,8 @@ class Core
     // ROB ring buffer: fixed power-of-two capacity sized at
     // construction, occupancy bounded by rob_entries.  Serialized as
     // the flat op sequence (oldest first), byte-identical to the old
-    // deque layout; head/count/mask are rebuilt on load.  saveState
-    // walks it through opAt(), so the member name only shows up in
-    // loadState.
+    // deque layout; head/count/mask are rebuilt on load.  A save
+    // walks it through opAt(), a load through the rebuild.
     std::vector<MemOp> ops_; // mopac-lint: allow(serial-drift)
     std::uint32_t ops_head_ = 0;  // mopac-lint: allow(serial-drift)
     std::uint32_t ops_count_ = 0; // mopac-lint: allow(serial-drift)
@@ -289,7 +283,7 @@ class Core
     // MSHR index: the ops_ positions of the ops holding an MSHR, in
     // no particular order (mshr_count_ entries, at most params_.mshrs).
     // onReadComplete() and releaseMshrs() walk it instead of the
-    // whole ROB; loadState() rebuilds it.
+    // whole ROB; a snapshot load rebuilds it.
     std::vector<std::uint32_t> mshr_slots_; // mopac-lint: allow(serial-drift)
     std::uint32_t mshr_count_ = 0;          // mopac-lint: allow(serial-drift)
 
@@ -310,7 +304,7 @@ class Core
     std::uint64_t measure_start_insts_ = 0;
 
     // Last cycle fastForward() simulated: the Cpu checks completions
-    // against it.  Scratch; loadState() resets it.
+    // against it.  Scratch; a snapshot load resets it.
     Cycle window_end_ = 0; // mopac-lint: allow(serial-drift)
 };
 

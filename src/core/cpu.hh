@@ -181,28 +181,24 @@ class Cpu : public MemClient
     /** Per-core IPC over the measured interval. */
     std::vector<double> measuredIpcs() const;
 
-    /** Checkpoint every core (trace sources checkpoint separately). */
-    void
-    saveState(Serializer &ser) const
+    /** Snapshot every core (trace sources snapshot separately). */
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
     {
-        for (const auto &core : cores_) {
-            core.saveState(ser);
+        for (auto &core : self.cores_) {
+            Core::transfer(core, ar);
         }
-    }
-
-    /** Restore state saved by saveState(). */
-    void
-    loadState(Deserializer &des)
-    {
-        done_count_ = 0;
-        for (auto &core : cores_) {
-            core.loadState(des);
-            done_count_ += core.done() ? 1 : 0;
+        if constexpr (Ar::kLoading) {
+            self.done_count_ = 0;
+            for (const auto &core : self.cores_) {
+                self.done_count_ += core.done() ? 1 : 0;
+            }
+            // The restored cores may be runnable immediately; the
+            // bounds rebuild themselves on the next tick of each core.
+            self.wake_.assign(self.cores_.size(), 0);
+            self.next_wake_min_ = 0;
         }
-        // The restored cores may be runnable immediately; the bounds
-        // rebuild themselves on the next tick of each core.
-        wake_.assign(cores_.size(), 0);
-        next_wake_min_ = 0;
     }
 
   private:
@@ -223,7 +219,7 @@ class Cpu : public MemClient
     /** Contiguous core storage: the tick scan is a linear walk. */
     std::vector<Core> cores_;
     // Construction-time thresholds and lookahead (the System derives
-    // them from its own config before loadState() runs).
+    // them from its own config before a snapshot loads).
     std::uint64_t target_;  // mopac-lint: allow(serial-drift)
     std::uint64_t warmup_;  // mopac-lint: allow(serial-drift)
     Cycle lookahead_;       // mopac-lint: allow(serial-drift)
@@ -235,17 +231,17 @@ class Cpu : public MemClient
     /**
      * Per-core wake bound: core i needs no tick at any cycle <
      * wake_[i] (Core::nextSelfEventAt or a fast-forward window's end).
-     * Scratch, derived from core state; never serialized -- loadState
-     * resets it.
+     * Scratch, derived from core state; never serialized -- a snapshot
+     * load resets it.
      */
     std::vector<Cycle> wake_; // mopac-lint: allow(serial-drift)
     /**
      * Cached min over wake_, maintained at every mutation (tick,
-     * memComplete, loadState) so nextSelfEventAt() is one load.
+     * memComplete, snapshot load) so nextSelfEventAt() is one load.
      * Scratch like wake_ itself.
      */
     Cycle next_wake_min_ = 0; // mopac-lint: allow(serial-drift)
-    /** Cores with done() set; rebuilt by loadState(). */
+    /** Cores with done() set; rebuilt by a snapshot load. */
     std::size_t done_count_ = 0; // mopac-lint: allow(serial-drift)
 };
 

@@ -38,22 +38,14 @@ struct TraceRecord
      */
     bool depends_on_prev = false;
 
-    void
-    saveState(Serializer &ser) const
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
     {
-        ser.putU32(inst_gap);
-        ser.putU64(line_addr);
-        ser.putU8(is_write ? 1 : 0);
-        ser.putU8(depends_on_prev ? 1 : 0);
-    }
-
-    void
-    loadState(Deserializer &des)
-    {
-        inst_gap = des.getU32();
-        line_addr = des.getU64();
-        is_write = des.getU8() != 0;
-        depends_on_prev = des.getU8() != 0;
+        ar.u32(self.inst_gap);
+        ar.u64(self.line_addr);
+        ar.flag(self.is_write);
+        ar.flag(self.depends_on_prev);
     }
 };
 
@@ -71,7 +63,8 @@ class TraceSource
      * identical record sequence.  Sources that cannot be checkpointed
      * (externally driven streams) keep the throwing default, which
      * makes whole-System snapshots fail loudly instead of silently
-     * desynchronizing the workload.
+     * desynchronizing the workload.  A source that checkpoints
+     * overrides both with one-line forwards to its transfer body.
      */
     virtual void
     saveState(Serializer &ser) const

@@ -118,43 +118,35 @@ BankArray::blockAllUntil(Cycle until)
     }
 }
 
+template <class Self, class Ar>
 void
-BankArray::saveState(Serializer &ser) const
+BankArray::transfer(Self &self, Ar &ar)
 {
     // Byte-compatible with the former per-bank object layout: a bank
     // count, then the seven fields of each bank in turn.
-    ser.putU32(size());
-    for (unsigned b = 0; b < size(); ++b) {
-        ser.putU32(open_row_[b]);
-        ser.putU64(open_since_[b]);
-        ser.putU64(last_cas_[b]);
-        ser.putU64(act_ready_[b]);
-        ser.putU64(cas_ready_[b]);
-        ser.putU64(pre_cas_constraint_[b]);
-        ser.putU64(last_act_[b]);
+    std::uint32_t nbanks = self.size();
+    ar.u32(nbanks);
+    if (Ar::kLoading && nbanks != self.size()) {
+        throw SerializeError("sub-channel bank count mismatch");
+    }
+    std::uint64_t open_mask = 0;
+    for (unsigned b = 0; b < self.size(); ++b) {
+        ar.u32(self.open_row_[b]);
+        ar.u64(self.open_since_[b]);
+        ar.u64(self.last_cas_[b]);
+        ar.u64(self.act_ready_[b]);
+        ar.u64(self.cas_ready_[b]);
+        ar.u64(self.pre_cas_constraint_[b]);
+        ar.u64(self.last_act_[b]);
+        if (self.open_row_[b] != kInvalid32) {
+            open_mask |= std::uint64_t{1} << b;
+        }
+    }
+    if constexpr (Ar::kLoading) {
+        self.open_mask_ = open_mask;
     }
 }
 
-void
-BankArray::loadState(Deserializer &des)
-{
-    const std::uint32_t nbanks = des.getU32();
-    if (nbanks != size()) {
-        throw SerializeError("sub-channel bank count mismatch");
-    }
-    open_mask_ = 0;
-    for (unsigned b = 0; b < size(); ++b) {
-        open_row_[b] = des.getU32();
-        open_since_[b] = des.getU64();
-        last_cas_[b] = des.getU64();
-        act_ready_[b] = des.getU64();
-        cas_ready_[b] = des.getU64();
-        pre_cas_constraint_[b] = des.getU64();
-        last_act_[b] = des.getU64();
-        if (open_row_[b] != kInvalid32) {
-            open_mask_ |= std::uint64_t{1} << b;
-        }
-    }
-}
+MOPAC_TRANSFER_INSTANTIATE(BankArray);
 
 } // namespace mopac

@@ -45,9 +45,6 @@
 namespace mopac
 {
 
-class Serializer;
-class Deserializer;
-
 /** Timing state for every bank of a sub-channel (SoA). */
 class BankArray
 {
@@ -137,11 +134,9 @@ class BankArray
     /** blockUntil() on every bank (REF / RFM; all must be closed). */
     void blockAllUntil(Cycle until);
 
-    /** Checkpoint the mutable timing state of every bank. */
-    void saveState(Serializer &ser) const;
-
-    /** Restore state saved by saveState(). */
-    void loadState(Deserializer &des);
+    /** Snapshot the mutable timing state of every bank. */
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
 
   private:
     const TimingSet *normal_;
@@ -164,8 +159,9 @@ class BankArray
     /** Time of the ACT that opened the current row (tRAS base). */
     std::vector<Cycle> last_act_;
 
-    // Derived from open_row_ (bit b <=> open); loadState() rebuilds
-    // it from the restored rows instead of trusting extra bytes.
+    // Derived from open_row_ (bit b <=> open); a snapshot load
+    // rebuilds it from the restored rows instead of trusting extra
+    // bytes.
     std::uint64_t open_mask_ = 0; // mopac-lint: allow(serial-drift)
 };
 

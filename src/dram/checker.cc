@@ -271,76 +271,65 @@ ProtocolChecker::onCommand(DramCommand cmd, unsigned bank, Cycle now)
     }
 }
 
+template <class Self, class Ar>
 void
-SecurityChecker::saveState(Serializer &ser) const
+SecurityChecker::transfer(Self &self, Ar &ar)
 {
-    ser.putU32(counts_.banks());
-    ser.putU32(counts_.rows());
-    ser.putU32(counts_.chips());
-    ser.putU32(trh_);
-    counts_.saveState(ser);
-    ser.putU32(max_unmitigated_);
-    ser.putU64(violations_);
+    std::uint32_t banks = self.counts_.banks();
+    std::uint32_t rows = self.counts_.rows();
+    std::uint32_t chips = self.counts_.chips();
+    std::uint32_t trh = self.trh_;
+    ar.u32(banks);
+    ar.u32(rows);
+    ar.u32(chips);
+    ar.u32(trh);
+    if (Ar::kLoading &&
+        (banks != self.counts_.banks() || rows != self.counts_.rows() ||
+         chips != self.counts_.chips() || trh != self.trh_)) {
+        throw SerializeError("security checker shape mismatch");
+    }
+    RowStore::transfer(self.counts_, ar);
+    ar.u32(self.max_unmitigated_);
+    ar.u64(self.violations_);
 
-    ser.putU8(epoch_enabled_ ? 1 : 0);
-    ser.putU64(epoch_len_);
-    ser.putU32(epoch_hi1_);
-    ser.putU32(epoch_hi2_);
-    ser.putU64(epoch_start_);
-    ser.putU64(epoch_counts_.size());
-    for (const auto &per_bank : epoch_counts_) {
+    ar.flag(self.epoch_enabled_);
+    ar.u64(self.epoch_len_);
+    ar.u32(self.epoch_hi1_);
+    ar.u32(self.epoch_hi2_);
+    ar.u64(self.epoch_start_);
+    std::uint64_t num_banks = self.epoch_counts_.size();
+    ar.u64(num_banks);
+    if constexpr (Ar::kLoading) {
+        if (self.epoch_enabled_ && num_banks != self.counts_.banks()) {
+            throw SerializeError("epoch tracker bank count mismatch");
+        }
+        self.epoch_counts_.assign(num_banks, {});
+    }
+    for (auto &per_bank : self.epoch_counts_) {
         // Sort keys so the byte stream is deterministic regardless of
         // unordered_map iteration order.
         std::vector<std::pair<std::uint32_t, std::uint32_t>> items(
             per_bank.begin(), per_bank.end());
         std::sort(items.begin(), items.end());
-        ser.putU64(items.size());
-        for (const auto &[row, count] : items) {
-            ser.putU32(row);
-            ser.putU32(count);
-        }
-    }
-    ser.putU64(epochs_);
-    ser.putU64(rows_act64_);
-    ser.putU64(rows_act200_);
-}
-
-void
-SecurityChecker::loadState(Deserializer &des)
-{
-    const std::uint32_t banks = des.getU32();
-    const std::uint32_t rows = des.getU32();
-    const std::uint32_t chips = des.getU32();
-    const std::uint32_t trh = des.getU32();
-    if (banks != counts_.banks() || rows != counts_.rows() ||
-        chips != counts_.chips() || trh != trh_) {
-        throw SerializeError("security checker shape mismatch");
-    }
-    counts_.loadState(des);
-    max_unmitigated_ = des.getU32();
-    violations_ = des.getU64();
-
-    epoch_enabled_ = des.getU8() != 0;
-    epoch_len_ = des.getU64();
-    epoch_hi1_ = des.getU32();
-    epoch_hi2_ = des.getU32();
-    epoch_start_ = des.getU64();
-    const std::uint64_t num_banks = des.getU64();
-    if (epoch_enabled_ && num_banks != counts_.banks()) {
-        throw SerializeError("epoch tracker bank count mismatch");
-    }
-    epoch_counts_.assign(num_banks, {});
-    for (std::uint64_t b = 0; b < num_banks; ++b) {
-        const std::uint64_t n = des.getU64();
+        std::uint64_t n = items.size();
+        ar.u64(n);
         for (std::uint64_t i = 0; i < n; ++i) {
-            const std::uint32_t row = des.getU32();
-            const std::uint32_t count = des.getU32();
-            epoch_counts_[b][row] = count;
+            auto [row, count] = Ar::kLoading
+                                    ? std::pair<std::uint32_t,
+                                                std::uint32_t>{}
+                                    : items[i];
+            ar.u32(row);
+            ar.u32(count);
+            if constexpr (Ar::kLoading) {
+                per_bank[row] = count;
+            }
         }
     }
-    epochs_ = des.getU64();
-    rows_act64_ = des.getU64();
-    rows_act200_ = des.getU64();
+    ar.u64(self.epochs_);
+    ar.u64(self.rows_act64_);
+    ar.u64(self.rows_act200_);
 }
+
+MOPAC_TRANSFER_INSTANTIATE(SecurityChecker);
 
 } // namespace mopac

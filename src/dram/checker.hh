@@ -41,9 +41,6 @@
 namespace mopac
 {
 
-class Serializer;
-class Deserializer;
-
 /** "All chips" selector for victim refreshes. */
 constexpr unsigned kAllChips = ~0u;
 
@@ -109,11 +106,12 @@ class SecurityChecker
 
     std::uint64_t epochsCompleted() const { return epochs_; }
 
-    /** Checkpoint the oracle counts and epoch tracking state. */
-    void saveState(Serializer &ser) const;
-
-    /** Restore state saved by saveState(); throws on a mismatch. */
-    void loadState(Deserializer &des);
+    /**
+     * Snapshot the oracle counts and epoch tracking state; a load
+     * throws on a shape mismatch.
+     */
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
 
   private:
     void bumpChip(unsigned chip, unsigned bank, std::uint32_t row);
@@ -124,7 +122,7 @@ class SecurityChecker
      * Chip-minor layout: the chips() counts of one (bank, row) are
      * adjacent, so onActivate's per-chip bump touches one cache line
      * instead of striding banks*rows words per chip.  The snapshot
-     * stream is chip-major either way (RowStore::saveState).
+     * stream is chip-major either way (RowStore::transfer).
      */
     RowStore counts_;
     std::uint32_t max_unmitigated_ = 0;

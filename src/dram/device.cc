@@ -253,86 +253,50 @@ SubChannel::commandTail(unsigned k) const
     return out;
 }
 
+template <class Self, class Ar>
 void
-SubChannel::saveState(Serializer &ser) const
+SubChannel::transfer(Self &self, Ar &ar)
 {
     // BankArray writes the same bytes the per-bank objects used to
     // (leading count, then each bank's seven fields).
-    banks_.saveState(ser);
-    checker_.saveState(ser);
+    BankArray::transfer(self.banks_, ar);
+    SecurityChecker::transfer(self.checker_, ar);
 
-    ser.putU64(last_act_);
-    ser.putU64(act_count_);
-    for (const Cycle c : faw_window_) {
-        ser.putU64(c);
+    ar.u64(self.last_act_);
+    ar.u64(self.act_count_);
+    for (auto &c : self.faw_window_) {
+        ar.u64(c);
     }
-    ser.putU32(faw_idx_);
-    ser.putU64(bus_free_at_);
+    ar.u32(self.faw_idx_);
+    ar.u64(self.bus_free_at_);
 
-    ser.putU8(alert_asserted_ ? 1 : 0);
-    ser.putU8(alert_pending_ ? 1 : 0);
-    ser.putU64(alert_since_);
-    ser.putU64(acts_since_rfm_);
-    ser.putU32(sweep_row_);
-    ser.putU64(now_);
+    ar.flag(self.alert_asserted_);
+    ar.flag(self.alert_pending_);
+    ar.u64(self.alert_since_);
+    ar.u64(self.acts_since_rfm_);
+    ar.u32(self.sweep_row_);
+    ar.u64(self.now_);
 
-    for (const CommandRecord &rec : cmd_ring_) {
-        ser.putU8(static_cast<std::uint8_t>(rec.cmd));
-        ser.putU32(rec.bank);
-        ser.putU32(rec.row);
-        ser.putU64(rec.at);
+    for (auto &rec : self.cmd_ring_) {
+        ar.u8(rec.cmd);
+        ar.u32(rec.bank);
+        ar.u32(rec.row);
+        ar.u64(rec.at);
     }
-    ser.putU64(cmd_ring_count_);
+    ar.u64(self.cmd_ring_count_);
 
-    ser.putU64(stats_.acts);
-    ser.putU64(stats_.pres);
-    ser.putU64(stats_.precus);
-    ser.putU64(stats_.reads);
-    ser.putU64(stats_.writes);
-    ser.putU64(stats_.refs);
-    ser.putU64(stats_.rfms);
-    ser.putU64(stats_.alerts);
-    ser.putU64(stats_.victim_refreshes);
+    auto &stats = self.stats_;
+    ar.u64(stats.acts);
+    ar.u64(stats.pres);
+    ar.u64(stats.precus);
+    ar.u64(stats.reads);
+    ar.u64(stats.writes);
+    ar.u64(stats.refs);
+    ar.u64(stats.rfms);
+    ar.u64(stats.alerts);
+    ar.u64(stats.victim_refreshes);
 }
 
-void
-SubChannel::loadState(Deserializer &des)
-{
-    banks_.loadState(des);
-    checker_.loadState(des);
-
-    last_act_ = des.getU64();
-    act_count_ = des.getU64();
-    for (Cycle &c : faw_window_) {
-        c = des.getU64();
-    }
-    faw_idx_ = des.getU32();
-    bus_free_at_ = des.getU64();
-
-    alert_asserted_ = des.getU8() != 0;
-    alert_pending_ = des.getU8() != 0;
-    alert_since_ = des.getU64();
-    acts_since_rfm_ = des.getU64();
-    sweep_row_ = des.getU32();
-    now_ = des.getU64();
-
-    for (CommandRecord &rec : cmd_ring_) {
-        rec.cmd = static_cast<DramCommand>(des.getU8());
-        rec.bank = des.getU32();
-        rec.row = des.getU32();
-        rec.at = des.getU64();
-    }
-    cmd_ring_count_ = des.getU64();
-
-    stats_.acts = des.getU64();
-    stats_.pres = des.getU64();
-    stats_.precus = des.getU64();
-    stats_.reads = des.getU64();
-    stats_.writes = des.getU64();
-    stats_.refs = des.getU64();
-    stats_.rfms = des.getU64();
-    stats_.alerts = des.getU64();
-    stats_.victim_refreshes = des.getU64();
-}
+MOPAC_TRANSFER_INSTANTIATE(SubChannel);
 
 } // namespace mopac

@@ -135,23 +135,21 @@ class SubChannel : public DramBackend
     const TimingSet &normalTiming() const { return *normal_; }
 
     /**
-     * Checkpoint every mutable field of the sub-channel: bank timing
+     * Snapshot every mutable field of the sub-channel: bank timing
      * machines, ACT/FAW windows, bus occupancy, ALERT latch, refresh
      * sweep position, command ring, statistics, and the security
-     * oracle.  The attached engine and fault injector checkpoint
+     * oracle.  The attached engine and fault injector snapshot
      * separately (the System orchestrates the order).
      */
-    void saveState(Serializer &ser) const;
-
-    /** Restore state saved by saveState(). */
-    void loadState(Deserializer &des);
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
 
   private:
     void assertAllClosed(const char *what) const;
 
     // Geometry is fixed at construction; the engine and fault
     // injector are owned and serialized by the System, which re-wires
-    // the pointers before loadState() runs.
+    // the pointers before a snapshot loads.
     Geometry geo_;                    // mopac-lint: allow(serial-drift)
     const TimingSet *normal_;
     const TimingSet *cu_;

@@ -50,41 +50,25 @@ struct EngineStats
     std::uint64_t tth_alerts = 0;
     /** SRQ entries drained during REF (drain-on-REF). */
     std::uint64_t ref_drains = 0;
+
+    /** Snapshot the block (field order is the format). */
+    template <class Self, class Ar>
+    static void
+    transfer(Self &s, Ar &ar)
+    {
+        ar.u64(s.counter_updates);
+        ar.u64(s.selected_acts);
+        ar.u64(s.mitigations);
+        ar.u64(s.alerts_requested);
+        ar.u64(s.ath_alerts);
+        ar.u64(s.srq_insertions);
+        ar.u64(s.srq_coalesced);
+        ar.u64(s.srq_drains);
+        ar.u64(s.srq_full_alerts);
+        ar.u64(s.tth_alerts);
+        ar.u64(s.ref_drains);
+    }
 };
-
-/** Checkpoint an EngineStats block (field order is the format). */
-inline void
-saveEngineStats(Serializer &ser, const EngineStats &s)
-{
-    ser.putU64(s.counter_updates);
-    ser.putU64(s.selected_acts);
-    ser.putU64(s.mitigations);
-    ser.putU64(s.alerts_requested);
-    ser.putU64(s.ath_alerts);
-    ser.putU64(s.srq_insertions);
-    ser.putU64(s.srq_coalesced);
-    ser.putU64(s.srq_drains);
-    ser.putU64(s.srq_full_alerts);
-    ser.putU64(s.tth_alerts);
-    ser.putU64(s.ref_drains);
-}
-
-/** Restore an EngineStats block saved by saveEngineStats(). */
-inline void
-loadEngineStats(Deserializer &des, EngineStats &s)
-{
-    s.counter_updates = des.getU64();
-    s.selected_acts = des.getU64();
-    s.mitigations = des.getU64();
-    s.alerts_requested = des.getU64();
-    s.ath_alerts = des.getU64();
-    s.srq_insertions = des.getU64();
-    s.srq_coalesced = des.getU64();
-    s.srq_drains = des.getU64();
-    s.srq_full_alerts = des.getU64();
-    s.tth_alerts = des.getU64();
-    s.ref_drains = des.getU64();
-}
 
 /**
  * Services the DRAM device offers to a mitigation engine.
@@ -202,8 +186,10 @@ class Mitigator
     /**
      * Checkpoint every mutable field of the engine, including private
      * RNG streams, so a restored engine continues bit-identically.
-     * Engines that skip the override make whole-System snapshots fail
-     * loudly instead of silently losing mitigation state.
+     * An engine overrides both with one-line forwards to its
+     * transfer body.  Engines that skip the override make whole-System
+     * snapshots fail loudly instead of silently losing mitigation
+     * state.
      */
     virtual void
     saveState(Serializer &ser) const

@@ -48,30 +48,27 @@ PracCounters::resetRange(unsigned bank, std::uint32_t row_begin,
     data_.zeroRows(bank, row_begin, row_end);
 }
 
+template <class Self, class Ar>
 void
-PracCounters::saveState(Serializer &ser) const
+PracCounters::transfer(Self &self, Ar &ar)
 {
-    ser.putU32(banks());
-    ser.putU32(rows());
-    ser.putU32(chips());
-    data_.saveState(ser);
-}
-
-void
-PracCounters::loadState(Deserializer &des)
-{
-    const std::uint32_t banks = des.getU32();
-    const std::uint32_t rows = des.getU32();
-    const std::uint32_t chips = des.getU32();
-    if (banks != this->banks() || rows != this->rows() ||
-        chips != this->chips()) {
+    std::uint32_t banks = self.banks();
+    std::uint32_t rows = self.rows();
+    std::uint32_t chips = self.chips();
+    ar.u32(banks);
+    ar.u32(rows);
+    ar.u32(chips);
+    if (Ar::kLoading && (banks != self.banks() || rows != self.rows() ||
+                         chips != self.chips())) {
         throw SerializeError(
             format("PRAC geometry mismatch (saved {}x{}x{}, live "
                    "{}x{}x{})",
-                   chips, banks, rows, this->chips(), this->banks(),
-                   this->rows()));
+                   chips, banks, rows, self.chips(), self.banks(),
+                   self.rows()));
     }
-    data_.loadState(des);
+    RowStore::transfer(self.data_, ar);
 }
+
+MOPAC_TRANSFER_INSTANTIATE(PracCounters);
 
 } // namespace mopac

@@ -26,9 +26,6 @@
 namespace mopac
 {
 
-class Serializer;
-class Deserializer;
-
 /** Per-chip, per-bank, per-row activation counters. */
 class PracCounters
 {
@@ -86,11 +83,9 @@ class PracCounters
     void resetRange(unsigned bank, std::uint32_t row_begin,
                     std::uint32_t row_end);
 
-    /** Checkpoint every counter value. */
-    void saveState(Serializer &ser) const;
-
-    /** Restore counters; throws on a geometry mismatch. */
-    void loadState(Deserializer &des);
+    /** Snapshot every counter value; a load throws on a geometry mismatch. */
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
 
     /** Storage footprint in bytes (for reporting). */
     std::uint64_t storageBytes() const { return data_.bytes(); }

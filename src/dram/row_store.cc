@@ -105,34 +105,32 @@ RowStore::put(std::size_t i, std::uint32_t value)
     }
 }
 
+template <class Self, class Ar>
 void
-RowStore::saveState(Serializer &ser) const
+RowStore::transfer(Self &self, Ar &ar)
 {
     // Byte-for-byte what putVecU32 writes for the dense chip-major
     // vector, streamed without building one.
-    ser.putU64(words_);
-    for (unsigned chip = 0; chip < chips_; ++chip) {
-        for (unsigned bank = 0; bank < banks_; ++bank) {
-            for (std::uint32_t row = 0; row < rows_; ++row) {
-                ser.putU32(get(chip, bank, row));
+    std::uint64_t words = self.words_;
+    ar.u64(words);
+    if (Ar::kLoading && words != self.words_) {
+        throw SerializeError("row state word count mismatch");
+    }
+    for (unsigned chip = 0; chip < self.chips_; ++chip) {
+        for (unsigned bank = 0; bank < self.banks_; ++bank) {
+            for (std::uint32_t row = 0; row < self.rows_; ++row) {
+                if constexpr (Ar::kLoading) {
+                    std::uint32_t word = 0;
+                    ar.u32(word);
+                    self.put(self.index(chip, bank, row), word);
+                } else {
+                    ar.u32(self.get(chip, bank, row));
+                }
             }
         }
     }
 }
 
-void
-RowStore::loadState(Deserializer &des)
-{
-    if (des.getU64() != words_) {
-        throw SerializeError("row state word count mismatch");
-    }
-    for (unsigned chip = 0; chip < chips_; ++chip) {
-        for (unsigned bank = 0; bank < banks_; ++bank) {
-            for (std::uint32_t row = 0; row < rows_; ++row) {
-                put(index(chip, bank, row), des.getU32());
-            }
-        }
-    }
-}
+MOPAC_TRANSFER_INSTANTIATE(RowStore);
 
 } // namespace mopac

@@ -35,9 +35,6 @@
 namespace mopac
 {
 
-class Serializer;
-class Deserializer;
-
 /** Lazily materialized per-chip, per-bank, per-row words. */
 class RowStore
 {
@@ -116,15 +113,13 @@ class RowStore
     void zeroRows(unsigned bank, std::uint32_t row_begin,
                   std::uint32_t row_end);
 
-    /** Stream every word, chip-major, zeros for unwritten pages. */
-    void saveState(Serializer &ser) const;
-
     /**
-     * Replace every word from a saveState() stream; pages whose words
-     * are all zero stay (or become logically) unwritten.  Throws on a
-     * length mismatch.
+     * Stream every word, chip-major, zeros for unwritten pages.  A
+     * load replaces every word; pages whose words are all zero stay
+     * (or become logically) unwritten.  Throws on a length mismatch.
      */
-    void loadState(Deserializer &des);
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
 
   private:
     static constexpr std::size_t kPageBytes = 4096;
@@ -172,7 +167,7 @@ class RowStore
     void put(std::size_t i, std::uint32_t value);
 
     // Shape and layout are construction-time; the owner's snapshot
-    // header pins them, and loadState checks the word count.
+    // header pins them, and a load checks the word count.
     unsigned banks_;     // mopac-lint: allow(serial-drift)
     std::uint32_t rows_; // mopac-lint: allow(serial-drift)
     unsigned chips_;     // mopac-lint: allow(serial-drift)
@@ -180,7 +175,7 @@ class RowStore
     std::size_t words_;  // mopac-lint: allow(serial-drift)
     std::size_t map_bytes_; // mopac-lint: allow(serial-drift)
     // The words and page bits are snapshotted through get() and put(),
-    // so saveState/loadState never name them.
+    // so transfer never names them.
     /** Anonymous mapping of map_bytes_ zero bytes. */
     std::uint32_t *data_; // mopac-lint: allow(serial-drift)
     /** One bit per kPageBytes page of data_. */

@@ -517,11 +517,13 @@ Controller::scheduleOne(Cycle now)
     }
 }
 
-// Reference scheduler: the pre-ISSUE-9 scans, expressed over the
-// RequestQueue's global arrival list (identical iteration order to
-// the old flat vectors).  Not a hot path -- it exists so the property
-// test can replay randomized traffic through both schedulers and the
-// throughput harness can measure the busy-path win on one host.
+// Reference scheduler: the full-queue scans the indexed walks
+// replaced, expressed over the RequestQueue's global arrival list
+// (identical iteration order to the old flat vectors).  Not a hot
+// path -- its one reason to exist is the scheduler property test
+// (tests/mc/test_scheduler_policy.cc), which replays randomized
+// traffic through both schedulers and requires identical commands,
+// stats and snapshots.
 
 bool
 Controller::tryCasNaive(RequestQueue &queue, bool is_write, Cycle now)
@@ -703,83 +705,63 @@ Controller::rowBufferHitRate() const
            static_cast<double>(cas);
 }
 
+template <class Self, class Ar>
 void
-ControllerStats::saveState(Serializer &ser) const
+ControllerStats::transfer(Self &self, Ar &ar)
 {
-    ser.putU64(reads_enqueued);
-    ser.putU64(writes_enqueued);
-    ser.putU64(cas_reads);
-    ser.putU64(cas_writes);
-    ser.putU64(row_hits);
-    ser.putU64(refs_issued);
-    ser.putU64(rfms_issued);
-    ser.putU64(alert_stall_cycles);
-    read_latency.saveState(ser);
+    ar.u64(self.reads_enqueued);
+    ar.u64(self.writes_enqueued);
+    ar.u64(self.cas_reads);
+    ar.u64(self.cas_writes);
+    ar.u64(self.row_hits);
+    ar.u64(self.refs_issued);
+    ar.u64(self.rfms_issued);
+    ar.u64(self.alert_stall_cycles);
+    Histogram::transfer(self.read_latency, ar);
 }
 
-void
-ControllerStats::loadState(Deserializer &des)
-{
-    reads_enqueued = des.getU64();
-    writes_enqueued = des.getU64();
-    cas_reads = des.getU64();
-    cas_writes = des.getU64();
-    row_hits = des.getU64();
-    refs_issued = des.getU64();
-    rfms_issued = des.getU64();
-    alert_stall_cycles = des.getU64();
-    read_latency.loadState(des);
-}
+MOPAC_TRANSFER_INSTANTIATE(ControllerStats);
 
+template <class Self, class Ar>
 void
-Controller::saveState(Serializer &ser) const
+Controller::transfer(Self &self, Ar &ar)
 {
-    read_q_.saveState(ser);
-    write_q_.saveState(ser);
-    ser.putU8(static_cast<std::uint8_t>(state_));
-    ser.putU64(stall_at_);
-    ser.putU64(busy_until_);
-    ser.putU64(next_ref_at_);
-    ser.putU64(next_wake_);
-    ser.putU8(drain_mode_ ? 1 : 0);
-    ser.putVecU8(cu_pending_);
-    ser.putVecU8(act_claimed_);
+    RequestQueue::transfer(self.read_q_, ar, self.params_.read_queue_cap,
+                           "controller read queue");
+    RequestQueue::transfer(self.write_q_, ar,
+                           self.params_.write_queue_cap,
+                           "controller write queue");
+    auto state = static_cast<std::uint8_t>(self.state_);
+    ar.u8(state);
+    if constexpr (Ar::kLoading) {
+        if (state > static_cast<std::uint8_t>(MaintState::kRefBusy)) {
+            throw SerializeError(format(
+                "invalid controller maintenance state {}", state));
+        }
+        self.state_ = static_cast<MaintState>(state);
+    }
+    ar.u64(self.stall_at_);
+    ar.u64(self.busy_until_);
+    ar.u64(self.next_ref_at_);
+    ar.u64(self.next_wake_);
+    ar.flag(self.drain_mode_);
+    const std::size_t live_cu = self.cu_pending_.size();
+    const std::size_t live_claimed = self.act_claimed_.size();
+    ar.vecU8(self.cu_pending_);
+    ar.vecU8(self.act_claimed_);
+    if (Ar::kLoading && (self.cu_pending_.size() != live_cu ||
+                         self.act_claimed_.size() != live_claimed)) {
+        throw SerializeError(format(
+            "controller bank count mismatch (saved {}/{}, live {}/{})",
+            self.cu_pending_.size(), self.act_claimed_.size(), live_cu,
+            live_claimed));
+    }
     // The mark() cache (hit/conflict masks, hit heads) is scratch
     // derived from the queues and bank state -- not checkpointed; the
     // restored queues mark every bank stale, so it rebuilds itself.
-    stats_.saveState(ser);
+    ControllerStats::transfer(self.stats_, ar);
 }
 
-void
-Controller::loadState(Deserializer &des)
-{
-    read_q_.loadState(des, params_.read_queue_cap,
-                      "controller read queue");
-    write_q_.loadState(des, params_.write_queue_cap,
-                       "controller write queue");
-    const std::uint8_t state = des.getU8();
-    if (state > static_cast<std::uint8_t>(MaintState::kRefBusy)) {
-        throw SerializeError(format(
-            "invalid controller maintenance state {}", state));
-    }
-    state_ = static_cast<MaintState>(state);
-    stall_at_ = des.getU64();
-    busy_until_ = des.getU64();
-    next_ref_at_ = des.getU64();
-    next_wake_ = des.getU64();
-    drain_mode_ = des.getU8() != 0;
-    std::vector<std::uint8_t> cu = des.getVecU8();
-    std::vector<std::uint8_t> claimed = des.getVecU8();
-    if (cu.size() != cu_pending_.size() ||
-        claimed.size() != act_claimed_.size()) {
-        throw SerializeError(format(
-            "controller bank count mismatch (saved {}/{}, live {}/{})",
-            cu.size(), claimed.size(), cu_pending_.size(),
-            act_claimed_.size()));
-    }
-    cu_pending_ = std::move(cu);
-    act_claimed_ = std::move(claimed);
-    stats_.loadState(des);
-}
+MOPAC_TRANSFER_INSTANTIATE(Controller);
 
 } // namespace mopac

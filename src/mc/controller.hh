@@ -63,11 +63,11 @@ struct ControllerParams
     Cycle timeout_ton = nsToCycles(200.0);
     /**
      * Reference scheduler: replace the indexed candidate walks with
-     * the pre-ISSUE-9 full-queue scans.  Bit-identical to the indexed
-     * path by design -- the scheduler property test drives both over
-     * randomized traffic to prove it.  Deliberately excluded from
-     * configSignature() and the serve wire format, like the run-loop
-     * engine choice.
+     * the full-queue scans they replaced.  Bit-identical to the
+     * indexed path by design -- the scheduler property test drives
+     * both over randomized traffic to prove it.  Deliberately
+     * excluded from configSignature(), like the run-loop engine
+     * choice.
      */
     bool naive_scan = false;
 };
@@ -87,10 +87,8 @@ struct ControllerStats
     Histogram read_latency{16, 512};
 
     /** Serialize every counter plus the latency histogram. */
-    void saveState(Serializer &ser) const;
-
-    /** Restore counters saved by saveState(). */
-    void loadState(Deserializer &des);
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
 };
 
 /** FR-FCFS memory controller for one sub-channel. */
@@ -150,13 +148,11 @@ class Controller
     double rowBufferHitRate() const;
 
     /**
-     * Checkpoint queues, maintenance state, per-bank PREcu decisions,
-     * and statistics.  The driven SubChannel checkpoints separately.
+     * Snapshot queues, maintenance state, per-bank PREcu decisions,
+     * and statistics.  The driven SubChannel snapshots separately.
      */
-    void saveState(Serializer &ser) const;
-
-    /** Restore state saved by saveState(). */
-    void loadState(Deserializer &des);
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
 
   private:
     enum class MaintState
@@ -192,8 +188,8 @@ class Controller
 
     SubChannel &device_;
     const AddressMap &map_;
-    // Construction-time config; loadState() only reads it to bound
-    // the restored queue occupancy, save has nothing to write.
+    // Construction-time config; a load only reads it to bound the
+    // restored queue occupancy, save has nothing to write.
     ControllerParams params_; // mopac-lint: allow(serial-drift)
     // Wired by the System at construction, not part of the snapshot.
     MemClient *client_; // mopac-lint: allow(serial-drift)

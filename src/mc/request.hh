@@ -8,7 +8,6 @@
 
 #include <cstdint>
 
-#include "common/serialize.hh"
 #include "common/types.hh"
 
 namespace mopac
@@ -32,30 +31,18 @@ struct Request
     std::uint32_t row = 0;
     std::uint32_t column = 0;
 
-    void
-    saveState(Serializer &ser) const
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
     {
-        ser.putU64(line_addr);
-        ser.putU8(is_write ? 1 : 0);
-        ser.putU32(core_id);
-        ser.putU64(req_id);
-        ser.putU64(enqueue_cycle);
-        ser.putU32(bank);
-        ser.putU32(row);
-        ser.putU32(column);
-    }
-
-    void
-    loadState(Deserializer &des)
-    {
-        line_addr = des.getU64();
-        is_write = des.getU8() != 0;
-        core_id = des.getU32();
-        req_id = des.getU64();
-        enqueue_cycle = des.getU64();
-        bank = des.getU32();
-        row = des.getU32();
-        column = des.getU32();
+        ar.u64(self.line_addr);
+        ar.flag(self.is_write);
+        ar.u32(self.core_id);
+        ar.u64(self.req_id);
+        ar.u64(self.enqueue_cycle);
+        ar.u32(self.bank);
+        ar.u32(self.row);
+        ar.u32(self.column);
     }
 };
 

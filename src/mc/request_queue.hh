@@ -203,36 +203,33 @@ class RequestQueue
      * flat-vector order, so the byte stream is identical to the
      * pre-indexed layout).  Sequence numbers are never serialized; a
      * reload renumbers from zero, which preserves every ordering
-     * comparison.
-     */
-    void
-    saveState(Serializer &ser) const
-    {
-        ser.putU32(size_);
-        for (std::int32_t s = head_; s != kNil; s = next_[s]) {
-            slots_[s].saveState(ser);
-        }
-    }
-
-    /**
-     * Restore contents saved by saveState().
+     * comparison.  A load rebuilds through push().
      * @param cap Capacity bound; more saved entries than this is a
      *        corrupt or mismatched snapshot.
      * @param what Label for the error message ("read queue", ...).
      */
-    void
-    loadState(Deserializer &des, unsigned cap, const char *what)
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar, unsigned cap, const char *what)
     {
-        const std::uint32_t n = des.getU32();
-        if (n > cap) {
-            throw SerializeError(format(
-                "{} occupancy {} exceeds capacity {}", what, n, cap));
-        }
-        clear();
-        for (std::uint32_t i = 0; i < n; ++i) {
-            Request req;
-            req.loadState(des);
-            push(req);
+        std::uint32_t n = self.size_;
+        ar.u32(n);
+        if constexpr (Ar::kLoading) {
+            if (n > cap) {
+                throw SerializeError(format(
+                    "{} occupancy {} exceeds capacity {}", what, n, cap));
+            }
+            self.clear();
+            for (std::uint32_t i = 0; i < n; ++i) {
+                Request req;
+                Request::transfer(req, ar);
+                self.push(req);
+            }
+        } else {
+            for (std::int32_t s = self.head_; s != kNil;
+                 s = self.next_[s]) {
+                Request::transfer(self.slots_[s], ar);
+            }
         }
     }
 

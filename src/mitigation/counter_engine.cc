@@ -98,40 +98,4 @@ CounterEngineBase::onNeighborRefresh(unsigned bank, std::uint32_t row,
     update(bank, row, 1);
 }
 
-void
-CounterEngineBase::saveState(Serializer &ser) const
-{
-    ser.putU32(ath_);
-    ser.putU32(eth_);
-    prac_.saveState(ser);
-    ser.putU32(static_cast<std::uint32_t>(moat_.size()));
-    for (const MoatEntry &entry : moat_) {
-        entry.saveState(ser);
-    }
-    saveEngineStats(ser, stats_);
-}
-
-void
-CounterEngineBase::loadState(Deserializer &des)
-{
-    const std::uint32_t ath = des.getU32();
-    const std::uint32_t eth = des.getU32();
-    if (ath != ath_ || eth != eth_) {
-        throw SerializeError(format(
-            "counter engine threshold mismatch (saved ATH={} ETH={}, "
-            "live ATH={} ETH={})", ath, eth, ath_, eth_));
-    }
-    prac_.loadState(des);
-    const std::uint32_t n = des.getU32();
-    if (n != moat_.size()) {
-        throw SerializeError(format(
-            "MOAT entry count mismatch (saved {}, live {})", n,
-            moat_.size()));
-    }
-    for (MoatEntry &entry : moat_) {
-        entry.loadState(des);
-    }
-    loadEngineStats(des, stats_);
-}
-
 } // namespace mopac

@@ -16,6 +16,7 @@
 
 #include <vector>
 
+#include "common/format.hh"
 #include "dram/mitigator.hh"
 #include "dram/prac.hh"
 #include "mitigation/moat.hh"
@@ -52,13 +53,34 @@ class CounterEngineBase : public Mitigator
 
     const EngineStats &engineStats() const override { return stats_; }
 
-    /**
-     * Checkpoint the PRAC array, MOAT entries, and statistics.
-     * Derived engines with extra state (MoPAC-C's RNG) extend this.
-     */
-    void saveState(Serializer &ser) const override;
+    void saveState(Serializer &ser) const override { transfer(*this, ser); }
+    void loadState(Deserializer &des) override { transfer(*this, des); }
 
-    void loadState(Deserializer &des) override;
+    /**
+     * Snapshot the PRAC array, MOAT entries, and statistics.  Derived
+     * engines with extra state (MoPAC-C's RNG) extend this.
+     */
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
+    {
+        std::uint32_t ath = self.ath_;
+        std::uint32_t eth = self.eth_;
+        ar.u32(ath);
+        ar.u32(eth);
+        if (Ar::kLoading && (ath != self.ath_ || eth != self.eth_)) {
+            throw SerializeError(format(
+                "counter engine threshold mismatch (saved ATH={} ETH={}, "
+                "live ATH={} ETH={})", ath, eth, self.ath_, self.eth_));
+        }
+        PracCounters::transfer(self.prac_, ar);
+        matchU32(ar, static_cast<std::uint32_t>(self.moat_.size()),
+                 "MOAT entry count");
+        for (auto &entry : self.moat_) {
+            MoatEntry::transfer(entry, ar);
+        }
+        EngineStats::transfer(self.stats_, ar);
+    }
 
     std::uint32_t ath() const { return ath_; }
     std::uint32_t eth() const { return eth_; }

@@ -232,126 +232,77 @@ QpracEngine::onNeighborRefresh(unsigned bank, std::uint32_t row,
     observe(bank, row, value);
 }
 
+template <class Self, class Ar>
 void
-ParaEngine::saveState(Serializer &ser) const
+ParaEngine::transfer(Self &self, Ar &ar)
 {
-    ser.putF64(params_.q);
-    rng_.saveState(ser);
-    saveEngineStats(ser, stats_);
-}
-
-void
-ParaEngine::loadState(Deserializer &des)
-{
-    const double q = des.getF64();
-    if (q != params_.q) {
+    double q = self.params_.q;
+    ar.f64(q);
+    if (Ar::kLoading && q != self.params_.q) {
         throw SerializeError(format(
             "PARA probability mismatch (saved {:.6f}, live {:.6f})", q,
-            params_.q));
+            self.params_.q));
     }
-    rng_.loadState(des);
-    loadEngineStats(des, stats_);
+    Rng::transfer(self.rng_, ar);
+    EngineStats::transfer(self.stats_, ar);
 }
 
-void
-GrapheneTracker::saveState(Serializer &ser) const
-{
-    ser.putU32(params_.mitigation_threshold);
-    ser.putU32(static_cast<std::uint32_t>(bank_state_.size()));
-    for (const BankState &bs : bank_state_) {
-        ser.putU32(static_cast<std::uint32_t>(bs.table.size()));
-        for (const Entry &e : bs.table) {
-            ser.putU32(e.row);
-            ser.putU32(e.count);
-        }
-        ser.putU32(bs.spill);
-    }
-    saveEngineStats(ser, stats_);
-}
+MOPAC_TRANSFER_INSTANTIATE(ParaEngine);
 
+template <class Self, class Ar>
 void
-GrapheneTracker::loadState(Deserializer &des)
+GrapheneTracker::transfer(Self &self, Ar &ar)
 {
-    const std::uint32_t threshold = des.getU32();
-    const std::uint32_t banks = des.getU32();
-    if (threshold != params_.mitigation_threshold ||
-        banks != bank_state_.size()) {
+    std::uint32_t threshold = self.params_.mitigation_threshold;
+    auto banks = static_cast<std::uint32_t>(self.bank_state_.size());
+    ar.u32(threshold);
+    ar.u32(banks);
+    if (Ar::kLoading && (threshold != self.params_.mitigation_threshold ||
+                         banks != self.bank_state_.size())) {
         throw SerializeError(format(
             "Graphene shape mismatch (saved threshold={} banks={}, "
             "live threshold={} banks={})", threshold, banks,
-            params_.mitigation_threshold, bank_state_.size()));
+            self.params_.mitigation_threshold, self.bank_state_.size()));
     }
-    for (BankState &bs : bank_state_) {
-        const std::uint32_t n = des.getU32();
-        if (n > params_.entries) {
-            throw SerializeError(format(
-                "Graphene table occupancy {} exceeds capacity {}", n,
-                params_.entries));
-        }
-        bs.table.clear();
-        bs.table.reserve(n);
-        for (std::uint32_t i = 0; i < n; ++i) {
-            Entry e;
-            e.row = des.getU32();
-            e.count = des.getU32();
-            bs.table.push_back(e);
-        }
-        bs.spill = des.getU32();
+    for (auto &bs : self.bank_state_) {
+        transferBounded(ar, bs.table, self.params_.entries,
+                        "Graphene table", [&](auto &e) {
+                            ar.u32(e.row);
+                            ar.u32(e.count);
+                        });
+        ar.u32(bs.spill);
     }
-    loadEngineStats(des, stats_);
+    EngineStats::transfer(self.stats_, ar);
 }
 
-void
-QpracEngine::saveState(Serializer &ser) const
-{
-    ser.putU32(params_.ath);
-    ser.putU32(eth_);
-    prac_.saveState(ser);
-    ser.putU32(static_cast<std::uint32_t>(bank_state_.size()));
-    for (const BankState &bs : bank_state_) {
-        ser.putU32(static_cast<std::uint32_t>(bs.queue.size()));
-        for (const Candidate &c : bs.queue) {
-            ser.putU32(c.row);
-            ser.putU32(c.count);
-        }
-    }
-    saveEngineStats(ser, stats_);
-}
+MOPAC_TRANSFER_INSTANTIATE(GrapheneTracker);
 
+template <class Self, class Ar>
 void
-QpracEngine::loadState(Deserializer &des)
+QpracEngine::transfer(Self &self, Ar &ar)
 {
-    const std::uint32_t ath = des.getU32();
-    const std::uint32_t eth = des.getU32();
-    if (ath != params_.ath || eth != eth_) {
+    std::uint32_t ath = self.params_.ath;
+    std::uint32_t eth = self.eth_;
+    ar.u32(ath);
+    ar.u32(eth);
+    if (Ar::kLoading && (ath != self.params_.ath || eth != self.eth_)) {
         throw SerializeError(format(
             "QPRAC threshold mismatch (saved ATH={} ETH={}, live "
-            "ATH={} ETH={})", ath, eth, params_.ath, eth_));
+            "ATH={} ETH={})", ath, eth, self.params_.ath, self.eth_));
     }
-    prac_.loadState(des);
-    const std::uint32_t banks = des.getU32();
-    if (banks != bank_state_.size()) {
-        throw SerializeError(format(
-            "QPRAC bank count mismatch (saved {}, live {})", banks,
-            bank_state_.size()));
+    PracCounters::transfer(self.prac_, ar);
+    matchU32(ar, static_cast<std::uint32_t>(self.bank_state_.size()),
+             "QPRAC bank count");
+    for (auto &bs : self.bank_state_) {
+        transferBounded(ar, bs.queue, self.params_.queue_entries,
+                        "QPRAC queue", [&](auto &c) {
+                            ar.u32(c.row);
+                            ar.u32(c.count);
+                        });
     }
-    for (BankState &bs : bank_state_) {
-        const std::uint32_t n = des.getU32();
-        if (n > params_.queue_entries) {
-            throw SerializeError(format(
-                "QPRAC queue occupancy {} exceeds capacity {}", n,
-                params_.queue_entries));
-        }
-        bs.queue.clear();
-        bs.queue.reserve(n);
-        for (std::uint32_t i = 0; i < n; ++i) {
-            Candidate c;
-            c.row = des.getU32();
-            c.count = des.getU32();
-            bs.queue.push_back(c);
-        }
-    }
-    loadEngineStats(des, stats_);
+    EngineStats::transfer(self.stats_, ar);
 }
+
+MOPAC_TRANSFER_INSTANTIATE(QpracEngine);
 
 } // namespace mopac

@@ -74,8 +74,11 @@ class ParaEngine : public Mitigator
 
     const EngineStats &engineStats() const override { return stats_; }
 
-    void saveState(Serializer &ser) const override;
-    void loadState(Deserializer &des) override;
+    void saveState(Serializer &ser) const override { transfer(*this, ser); }
+    void loadState(Deserializer &des) override { transfer(*this, des); }
+
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
 
   private:
     DramBackend &backend_;
@@ -124,8 +127,11 @@ class GrapheneTracker : public Mitigator
 
     const EngineStats &engineStats() const override { return stats_; }
 
-    void saveState(Serializer &ser) const override;
-    void loadState(Deserializer &des) override;
+    void saveState(Serializer &ser) const override { transfer(*this, ser); }
+    void loadState(Deserializer &des) override { transfer(*this, des); }
+
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
 
   private:
     struct Entry
@@ -187,8 +193,11 @@ class QpracEngine : public Mitigator
 
     const EngineStats &engineStats() const override { return stats_; }
 
-    void saveState(Serializer &ser) const override;
-    void loadState(Deserializer &des) override;
+    void saveState(Serializer &ser) const override { transfer(*this, ser); }
+    void loadState(Deserializer &des) override { transfer(*this, des); }
+
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
 
     std::uint32_t counter(unsigned bank, std::uint32_t row) const
     {

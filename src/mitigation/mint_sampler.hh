@@ -91,31 +91,19 @@ class MintSampler
     /** Position within the current window (tests). */
     unsigned position() const { return pos_; }
 
-    /** Checkpoint the window cursor and private RNG stream. */
-    void
-    saveState(Serializer &ser) const
+    /**
+     * Snapshot the window cursor and private RNG stream; a load
+     * throws on a window mismatch.
+     */
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
     {
-        ser.putU32(window_);
-        ser.putU32(pos_);
-        ser.putU32(selected_idx_);
-        ser.putU32(candidate_);
-        rng_.saveState(ser);
-    }
-
-    /** Restore state saved by saveState(); throws on mismatch. */
-    void
-    loadState(Deserializer &des)
-    {
-        std::uint32_t window = des.getU32();
-        if (window != window_) {
-            throw SerializeError(format(
-                "MINT sampler window mismatch (saved {}, live {})",
-                window, window_));
-        }
-        pos_ = des.getU32();
-        selected_idx_ = des.getU32();
-        candidate_ = des.getU32();
-        rng_.loadState(des);
+        matchU32(ar, self.window_, "MINT sampler window");
+        ar.u32(self.pos_);
+        ar.u32(self.selected_idx_);
+        ar.u32(self.candidate_);
+        Rng::transfer(self.rng_, ar);
     }
 
   private:

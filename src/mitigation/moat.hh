@@ -16,7 +16,6 @@
 
 #include <cstdint>
 
-#include "common/serialize.hh"
 #include "common/types.hh"
 
 namespace mopac
@@ -62,20 +61,13 @@ class MoatEntry
         }
     }
 
-    /** Checkpoint the tracked entry. */
-    void
-    saveState(Serializer &ser) const
+    /** Snapshot the tracked entry. */
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
     {
-        ser.putU32(row_);
-        ser.putU32(count_);
-    }
-
-    /** Restore state saved by saveState(). */
-    void
-    loadState(Deserializer &des)
-    {
-        row_ = des.getU32();
-        count_ = des.getU32();
+        ar.u32(self.row_);
+        ar.u32(self.count_);
     }
 
   private:

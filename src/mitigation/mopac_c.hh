@@ -15,7 +15,6 @@
 #ifndef MOPAC_MITIGATION_MOPAC_C_HH
 #define MOPAC_MITIGATION_MOPAC_C_HH
 
-#include "common/format.hh"
 #include "common/rng.hh"
 #include "mitigation/counter_engine.hh"
 
@@ -65,24 +64,16 @@ class MopacCEngine : public CounterEngineBase
     double probability() const { return 1.0 / static_cast<double>(1u << k_); }
 
     /** Checkpoint base state plus the MC-side sampling RNG. */
-    void
-    saveState(Serializer &ser) const override
-    {
-        CounterEngineBase::saveState(ser);
-        ser.putU32(k_);
-        rng_.saveState(ser);
-    }
+    void saveState(Serializer &ser) const override { transfer(*this, ser); }
+    void loadState(Deserializer &des) override { transfer(*this, des); }
 
-    void
-    loadState(Deserializer &des) override
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
     {
-        CounterEngineBase::loadState(des);
-        const std::uint32_t k = des.getU32();
-        if (k != k_) {
-            throw SerializeError(format(
-                "MoPAC-C k mismatch (saved {}, live {})", k, k_));
-        }
-        rng_.loadState(des);
+        CounterEngineBase::transfer(self, ar);
+        matchU32(ar, self.k_, "MoPAC-C k");
+        Rng::transfer(self.rng_, ar);
     }
 
   protected:

@@ -313,78 +313,50 @@ MopacDEngine::onNeighborRefresh(unsigned bank, std::uint32_t row,
     }
 }
 
+template <class Self, class Ar>
 void
-MopacDEngine::saveState(Serializer &ser) const
+MopacDEngine::transfer(Self &self, Ar &ar)
 {
-    ser.putU32(params_.log2_inv_p);
-    ser.putU32(static_cast<std::uint32_t>(params_.chips));
-    ser.putU32(static_cast<std::uint32_t>(params_.srq_capacity));
-    ser.putU32(banks_);
-    ser.putU32(eth_star_);
-    prac_.saveState(ser);
-    ser.putU32(static_cast<std::uint32_t>(state_.size()));
-    for (const ChipBank &cb : state_) {
-        cb.sampler.saveState(ser);
-        ser.putU32(static_cast<std::uint32_t>(cb.srq.size()));
-        for (const SrqEntry &e : cb.srq) {
-            ser.putU32(e.row);
-            ser.putU32(e.actr);
-            ser.putU32(e.sctr);
-        }
-        ser.putVecU32(cb.overflow);
-        cb.moat.saveState(ser);
-        cb.rng.saveState(ser);
-    }
-    saveEngineStats(ser, stats_);
-}
-
-void
-MopacDEngine::loadState(Deserializer &des)
-{
-    const std::uint32_t k = des.getU32();
-    const std::uint32_t chips = des.getU32();
-    const std::uint32_t srq_cap = des.getU32();
-    const std::uint32_t banks = des.getU32();
-    const std::uint32_t eth = des.getU32();
-    if (k != params_.log2_inv_p || chips != params_.chips ||
-        srq_cap != params_.srq_capacity || banks != banks_ ||
-        eth != eth_star_) {
+    const Params &params = self.params_;
+    std::uint32_t k = params.log2_inv_p;
+    std::uint32_t chips = params.chips;
+    std::uint32_t srq_cap = params.srq_capacity;
+    std::uint32_t banks = self.banks_;
+    std::uint32_t eth = self.eth_star_;
+    ar.u32(k);
+    ar.u32(chips);
+    ar.u32(srq_cap);
+    ar.u32(banks);
+    ar.u32(eth);
+    if (Ar::kLoading &&
+        (k != params.log2_inv_p || chips != params.chips ||
+         srq_cap != params.srq_capacity || banks != self.banks_ ||
+         eth != self.eth_star_)) {
         throw SerializeError(format(
             "MoPAC-D parameter mismatch (saved k={} chips={} srq={} "
             "banks={} ETH*={}, live k={} chips={} srq={} banks={} "
             "ETH*={})", k, chips, srq_cap, banks, eth,
-            params_.log2_inv_p, params_.chips, params_.srq_capacity,
-            banks_, eth_star_));
+            params.log2_inv_p, params.chips, params.srq_capacity,
+            self.banks_, self.eth_star_));
     }
-    prac_.loadState(des);
-    const std::uint32_t n = des.getU32();
-    if (n != state_.size()) {
-        throw SerializeError(format(
-            "MoPAC-D chip-bank count mismatch (saved {}, live {})", n,
-            state_.size()));
+    PracCounters::transfer(self.prac_, ar);
+    matchU32(ar, static_cast<std::uint32_t>(self.state_.size()),
+             "MoPAC-D chip-bank count");
+    for (auto &cb : self.state_) {
+        MintSampler::transfer(cb.sampler, ar);
+        transferBounded(ar, cb.srq, params.srq_capacity, "SRQ",
+                        [&](auto &e) {
+                            ar.u32(e.row);
+                            ar.u32(e.actr);
+                            ar.u32(e.sctr);
+                        });
+        ar.vecU32(cb.overflow);
+        MoatEntry::transfer(cb.moat, ar);
+        Rng::transfer(cb.rng, ar);
     }
-    for (ChipBank &cb : state_) {
-        cb.sampler.loadState(des);
-        const std::uint32_t m = des.getU32();
-        if (m > params_.srq_capacity) {
-            throw SerializeError(format(
-                "SRQ occupancy {} exceeds capacity {}", m,
-                params_.srq_capacity));
-        }
-        cb.srq.clear();
-        cb.srq.reserve(m);
-        for (std::uint32_t i = 0; i < m; ++i) {
-            SrqEntry e;
-            e.row = des.getU32();
-            e.actr = des.getU32();
-            e.sctr = des.getU32();
-            cb.srq.push_back(e);
-        }
-        cb.overflow = des.getVecU32();
-        cb.moat.loadState(des);
-        cb.rng.loadState(des);
-    }
-    loadEngineStats(des, stats_);
+    EngineStats::transfer(self.stats_, ar);
 }
+
+MOPAC_TRANSFER_INSTANTIATE(MopacDEngine);
 
 } // namespace mopac

@@ -113,13 +113,15 @@ class MopacDEngine : public Mitigator
     /** Current SRQ occupancy for one (chip, bank) (tests). */
     std::size_t srqOccupancy(unsigned chip, unsigned bank) const;
 
+    void saveState(Serializer &ser) const override { transfer(*this, ser); }
+    void loadState(Deserializer &des) override { transfer(*this, des); }
+
     /**
-     * Checkpoint per-chip PRAC copies, every SRQ / sampler / MOAT /
+     * Snapshot per-chip PRAC copies, every SRQ / sampler / MOAT /
      * RNG, and statistics.
      */
-    void saveState(Serializer &ser) const override;
-
-    void loadState(Deserializer &des) override;
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
 
   private:
     /** One SRQ entry. */

@@ -36,16 +36,14 @@ class NoMitigation : public Mitigator
 
     const EngineStats &engineStats() const override { return stats_; }
 
-    void
-    saveState(Serializer &ser) const override
-    {
-        saveEngineStats(ser, stats_);
-    }
+    void saveState(Serializer &ser) const override { transfer(*this, ser); }
+    void loadState(Deserializer &des) override { transfer(*this, des); }
 
-    void
-    loadState(Deserializer &des) override
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
     {
-        loadEngineStats(des, stats_);
+        EngineStats::transfer(self.stats_, ar);
     }
 
   private:

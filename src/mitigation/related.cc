@@ -163,117 +163,67 @@ TrrTracker::onRefresh(Cycle)
     }
 }
 
+template <class Self, class Ar>
 void
-MintTracker::saveState(Serializer &ser) const
+MintTracker::transfer(Self &self, Ar &ar)
 {
-    ser.putU32(static_cast<std::uint32_t>(params_.mitigations_per_ref));
-    ser.putU32(static_cast<std::uint32_t>(bank_state_.size()));
-    for (const BankState &bs : bank_state_) {
-        ser.putU32(bs.candidate);
-        ser.putU32(bs.acts);
-        bs.rng.saveState(ser);
-    }
-    saveEngineStats(ser, stats_);
-}
-
-void
-MintTracker::loadState(Deserializer &des)
-{
-    const std::uint32_t mit = des.getU32();
-    if (mit != params_.mitigations_per_ref) {
+    std::uint32_t mit = self.params_.mitigations_per_ref;
+    ar.u32(mit);
+    if (Ar::kLoading && mit != self.params_.mitigations_per_ref) {
         throw SerializeError(format(
             "MINT tracker parameter mismatch (saved "
             "mitigations_per_ref={}, live {})", mit,
-            params_.mitigations_per_ref));
+            self.params_.mitigations_per_ref));
     }
-    const std::uint32_t n = des.getU32();
-    if (n != bank_state_.size()) {
-        throw SerializeError(format(
-            "MINT tracker bank count mismatch (saved {}, live {})", n,
-            bank_state_.size()));
+    matchU32(ar, static_cast<std::uint32_t>(self.bank_state_.size()),
+             "MINT tracker bank count");
+    for (auto &bs : self.bank_state_) {
+        ar.u32(bs.candidate);
+        ar.u32(bs.acts);
+        Rng::transfer(bs.rng, ar);
     }
-    for (BankState &bs : bank_state_) {
-        bs.candidate = des.getU32();
-        bs.acts = des.getU32();
-        bs.rng.loadState(des);
-    }
-    loadEngineStats(des, stats_);
+    EngineStats::transfer(self.stats_, ar);
 }
 
-void
-PrideTracker::saveState(Serializer &ser) const
-{
-    ser.putU32(static_cast<std::uint32_t>(bank_state_.size()));
-    for (const BankState &bs : bank_state_) {
-        ser.putVecU32(bs.fifo);
-        bs.rng.saveState(ser);
-    }
-    saveEngineStats(ser, stats_);
-}
+MOPAC_TRANSFER_INSTANTIATE(MintTracker);
 
+template <class Self, class Ar>
 void
-PrideTracker::loadState(Deserializer &des)
+PrideTracker::transfer(Self &self, Ar &ar)
 {
-    const std::uint32_t n = des.getU32();
-    if (n != bank_state_.size()) {
-        throw SerializeError(format(
-            "PrIDE bank count mismatch (saved {}, live {})", n,
-            bank_state_.size()));
-    }
-    for (BankState &bs : bank_state_) {
-        bs.fifo = des.getVecU32();
-        if (bs.fifo.size() > params_.fifo_capacity) {
+    matchU32(ar, static_cast<std::uint32_t>(self.bank_state_.size()),
+             "PrIDE bank count");
+    for (auto &bs : self.bank_state_) {
+        ar.vecU32(bs.fifo);
+        if (Ar::kLoading && bs.fifo.size() > self.params_.fifo_capacity) {
             throw SerializeError(format(
                 "PrIDE FIFO occupancy {} exceeds capacity {}",
-                bs.fifo.size(), params_.fifo_capacity));
+                bs.fifo.size(), self.params_.fifo_capacity));
         }
-        bs.rng.loadState(des);
+        Rng::transfer(bs.rng, ar);
     }
-    loadEngineStats(des, stats_);
+    EngineStats::transfer(self.stats_, ar);
 }
 
+MOPAC_TRANSFER_INSTANTIATE(PrideTracker);
+
+template <class Self, class Ar>
 void
-TrrTracker::saveState(Serializer &ser) const
+TrrTracker::transfer(Self &self, Ar &ar)
 {
-    ser.putU32(static_cast<std::uint32_t>(bank_state_.size()));
-    for (const BankState &bs : bank_state_) {
-        ser.putU32(static_cast<std::uint32_t>(bs.table.size()));
-        for (const Entry &e : bs.table) {
-            ser.putU32(e.row);
-            ser.putU32(e.count);
-        }
-        ser.putU32(bs.refs_seen);
+    matchU32(ar, static_cast<std::uint32_t>(self.bank_state_.size()),
+             "TRR bank count");
+    for (auto &bs : self.bank_state_) {
+        transferBounded(ar, bs.table, self.params_.entries, "TRR table",
+                        [&](auto &e) {
+                            ar.u32(e.row);
+                            ar.u32(e.count);
+                        });
+        ar.u32(bs.refs_seen);
     }
-    saveEngineStats(ser, stats_);
+    EngineStats::transfer(self.stats_, ar);
 }
 
-void
-TrrTracker::loadState(Deserializer &des)
-{
-    const std::uint32_t n = des.getU32();
-    if (n != bank_state_.size()) {
-        throw SerializeError(format(
-            "TRR bank count mismatch (saved {}, live {})", n,
-            bank_state_.size()));
-    }
-    for (BankState &bs : bank_state_) {
-        const std::uint32_t m = des.getU32();
-        if (m > params_.entries) {
-            throw SerializeError(format(
-                "TRR table occupancy {} exceeds capacity {}", m,
-                params_.entries));
-        }
-        bs.table.clear();
-        bs.table.reserve(m);
-        for (std::uint32_t i = 0; i < m; ++i) {
-            Entry e;
-            e.row = des.getU32();
-            e.count = des.getU32();
-            bs.table.push_back(e);
-        }
-        bs.refs_seen = des.getU32();
-    }
-    loadEngineStats(des, stats_);
-}
+MOPAC_TRANSFER_INSTANTIATE(TrrTracker);
 
 } // namespace mopac

@@ -73,8 +73,11 @@ class MintTracker : public RefTimeTrackerBase
     void onActivate(unsigned bank, std::uint32_t row, Cycle now) override;
     void onRefresh(Cycle now) override;
 
-    void saveState(Serializer &ser) const override;
-    void loadState(Deserializer &des) override;
+    void saveState(Serializer &ser) const override { transfer(*this, ser); }
+    void loadState(Deserializer &des) override { transfer(*this, des); }
+
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
 
   private:
     struct BankState
@@ -112,8 +115,11 @@ class PrideTracker : public RefTimeTrackerBase
     void onActivate(unsigned bank, std::uint32_t row, Cycle now) override;
     void onRefresh(Cycle now) override;
 
-    void saveState(Serializer &ser) const override;
-    void loadState(Deserializer &des) override;
+    void saveState(Serializer &ser) const override { transfer(*this, ser); }
+    void loadState(Deserializer &des) override { transfer(*this, des); }
+
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
 
   private:
     struct BankState
@@ -123,8 +129,8 @@ class PrideTracker : public RefTimeTrackerBase
         Rng rng;
     };
 
-    // Construction-time config; loadState() only reads it to bound
-    // the restored FIFO occupancy, save has nothing to write.
+    // Construction-time config; a load only reads it to bound the
+    // restored FIFO occupancy, save has nothing to write.
     Params params_; // mopac-lint: allow(serial-drift)
     std::vector<BankState> bank_state_;
 };
@@ -149,8 +155,11 @@ class TrrTracker : public RefTimeTrackerBase
     void onActivate(unsigned bank, std::uint32_t row, Cycle now) override;
     void onRefresh(Cycle now) override;
 
-    void saveState(Serializer &ser) const override;
-    void loadState(Deserializer &des) override;
+    void saveState(Serializer &ser) const override { transfer(*this, ser); }
+    void loadState(Deserializer &des) override { transfer(*this, des); }
+
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
 
   private:
     struct Entry
@@ -165,8 +174,8 @@ class TrrTracker : public RefTimeTrackerBase
         unsigned refs_seen = 0;
     };
 
-    // Construction-time config; loadState() only reads it to bound
-    // the restored table occupancy, save has nothing to write.
+    // Construction-time config; a load only reads it to bound the
+    // restored table occupancy, save has nothing to write.
     Params params_; // mopac-lint: allow(serial-drift)
     std::vector<BankState> bank_state_;
 };

@@ -144,40 +144,35 @@ namespace
 /** Snapshot section holding the workload trace cursors. */
 constexpr std::uint32_t kTagTraces = 0x54524143; // 'TRAC'
 
+/** A snapshot's payload: the System, then the trace cursors. */
+template <class Sys, class Ar>
+void
+transferSnapshot(Sys &system, const std::vector<TraceSource *> &traces,
+                 Ar &ar)
+{
+    System::transfer(system, ar);
+    ar.begin(kTagTraces);
+    auto count = static_cast<std::uint32_t>(traces.size());
+    ar.u32(count);
+    if (Ar::kLoading && count != traces.size()) {
+        throw SerializeError(format(
+            "snapshot holds {} trace cursors, workload has {}", count,
+            traces.size()));
+    }
+    for (TraceSource *trace : traces) {
+        transferVirtual(*trace, ar);
+    }
+    ar.end();
+}
+
 void
 writeSnapshot(const std::string &path, std::uint64_t hash,
               const System &system,
               const std::vector<TraceSource *> &traces)
 {
     Serializer ser;
-    system.saveState(ser);
-    ser.begin(kTagTraces);
-    ser.putU32(static_cast<std::uint32_t>(traces.size()));
-    for (const TraceSource *trace : traces) {
-        trace->saveState(ser);
-    }
-    ser.end();
+    transferSnapshot(system, traces, ser);
     atomicWriteFile(path, ser.finish(FileKind::kSnapshot, hash));
-}
-
-void
-readSnapshot(const std::string &path, std::uint64_t hash,
-             System &system, const std::vector<TraceSource *> &traces)
-{
-    Deserializer des(readFileBytes(path), FileKind::kSnapshot, hash);
-    system.loadState(des);
-    des.begin(kTagTraces);
-    const std::uint32_t count = des.getU32();
-    if (count != traces.size()) {
-        throw SerializeError(format(
-            "snapshot holds {} trace cursors, workload has {}", count,
-            traces.size()));
-    }
-    for (TraceSource *trace : traces) {
-        trace->loadState(des);
-    }
-    des.end();
-    des.finish();
 }
 
 } // namespace
@@ -199,7 +194,10 @@ runWorkloadCheckpointed(const SystemConfig &cfg, const std::string &name,
 
     const std::uint64_t hash = snapshotConfigHash(cfg, name);
     if (!ckpt.restore_path.empty()) {
-        readSnapshot(ckpt.restore_path, hash, system, traces);
+        Deserializer des(readFileBytes(ckpt.restore_path),
+                         FileKind::kSnapshot, hash);
+        transferSnapshot(system, traces, des);
+        des.finish();
     }
 
     // Execute in bounded chunks so the stop flag is observed at

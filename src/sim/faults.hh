@@ -90,25 +90,6 @@ struct FaultSpec
     Cycle duration = 0;
     /** Restrict per-chip kinds to one chip; kFaultAnyChip = all. */
     unsigned chip = kFaultAnyChip;
-
-    /**
-     * Checkpoint the mutable part: only @c at changes after
-     * construction (a one-shot is consumed when it fires).  The
-     * rate/duration/chip are plan parameters; the restoring side is
-     * built from the same plan.
-     */
-    void
-    saveState(Serializer &ser) const
-    {
-        ser.putU64(at);
-    }
-
-    /** Restore state saved by saveState(). */
-    void
-    loadState(Deserializer &des)
-    {
-        at = des.getU64();
-    }
 };
 
 /** A complete, deterministic fault schedule description. */
@@ -173,24 +154,18 @@ struct FaultPlan
     std::string signature() const;
 
     /**
-     * Checkpoint the mutable schedule state (the pending one-shot
-     * cycle of every spec).  seed/intensity are construction inputs
-     * and are not saved.
+     * Snapshot the mutable schedule state: the pending one-shot cycle
+     * of every spec, the only field that changes after construction
+     * (a one-shot is consumed when it fires).  seed/intensity and the
+     * rates/durations/chips are plan parameters; the restoring side
+     * is built from the same plan.
      */
-    void
-    saveState(Serializer &ser) const
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
     {
-        for (const FaultSpec &s : specs) {
-            s.saveState(ser);
-        }
-    }
-
-    /** Restore state saved by saveState(). */
-    void
-    loadState(Deserializer &des)
-    {
-        for (FaultSpec &s : specs) {
-            s.loadState(des);
+        for (auto &s : self.specs) {
+            ar.u64(s.at);
         }
     }
 };
@@ -210,19 +185,12 @@ struct FaultStats
         return sum;
     }
 
-    void
-    saveState(Serializer &ser) const
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
     {
-        for (std::uint64_t f : fired) {
-            ser.putU64(f);
-        }
-    }
-
-    void
-    loadState(Deserializer &des)
-    {
-        for (std::uint64_t &f : fired) {
-            f = des.getU64();
+        for (auto &f : self.fired) {
+            ar.u64(f);
         }
     }
 };
@@ -391,29 +359,20 @@ class FaultInjector
     }
 
     /**
-     * Checkpoint the mutable schedule state: pending one-shot cycles
+     * Snapshot the mutable schedule state: pending one-shot cycles
      * (consumed as they fire), the RNG stream, fired counts, and the
      * stuck-open windows.  The rates/durations/chips of the plan are
      * construction parameters and are not saved; the restoring side
      * must be built from the same plan.
      */
-    void
-    saveState(Serializer &ser) const
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
     {
-        plan_.saveState(ser);
-        rng_.saveState(ser);
-        stats_.saveState(ser);
-        ser.putVecU64(stuck_until_);
-    }
-
-    /** Restore state saved by saveState(). */
-    void
-    loadState(Deserializer &des)
-    {
-        plan_.loadState(des);
-        rng_.loadState(des);
-        stats_.loadState(des);
-        stuck_until_ = des.getVecU64();
+        FaultPlan::transfer(self.plan_, ar);
+        Rng::transfer(self.rng_, ar);
+        FaultStats::transfer(self.stats_, ar);
+        ar.vecU64(self.stuck_until_);
     }
 
   private:

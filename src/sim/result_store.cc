@@ -24,118 +24,99 @@ constexpr std::uint32_t kTagPoint = 0x504F494E; // 'POIN'
 constexpr std::uint32_t kTagRun = 0x52554E52;   // 'RUNR'
 constexpr std::uint32_t kTagId = 0x53434944;    // 'SCID'
 
+template <class Run, class Ar>
 void
-saveRunResult(Serializer &ser, const RunResult &run)
+transferRunResult(Run &run, Ar &ar)
 {
-    ser.begin(kTagRun);
-    ser.putU32(static_cast<std::uint32_t>(run.ipcs.size()));
-    for (double ipc : run.ipcs) {
-        ser.putF64(ipc);
+    ar.begin(kTagRun);
+    auto cores = static_cast<std::uint32_t>(run.ipcs.size());
+    ar.u32(cores);
+    if constexpr (Ar::kLoading) {
+        if (cores > (1u << 16)) {
+            throw SerializeError(
+                format("implausible core count {}", cores));
+        }
+        run.ipcs.resize(cores);
     }
-    ser.putU64(run.cycles);
-    ser.putU8(run.timed_out ? 1 : 0);
-    ser.putU64(run.acts);
-    ser.putU64(run.reads);
-    ser.putU64(run.writes);
-    ser.putU64(run.refs);
-    ser.putU64(run.rfms);
-    ser.putU64(run.alerts);
-    ser.putF64(run.rbhr);
-    ser.putF64(run.apri);
-    ser.putF64(run.avg_read_latency_ns);
-    ser.putU32(run.max_unmitigated);
-    ser.putU64(run.violations);
-    ser.putU64(run.faults_injected);
-    ser.putU64(run.counter_updates);
-    ser.putU64(run.srq_insertions);
-    ser.putU64(run.mitigations);
-    ser.putU64(run.ref_drains);
-    ser.putF64(run.act64);
-    ser.putF64(run.act200);
-    ser.putU64(run.epochs);
-    ser.end();
-}
-
-RunResult
-loadRunResult(Deserializer &des)
-{
-    RunResult run;
-    des.begin(kTagRun);
-    const std::uint32_t cores = des.getU32();
-    if (cores > (1u << 16)) {
-        throw SerializeError(
-            format("implausible core count {}", cores));
+    for (auto &ipc : run.ipcs) {
+        ar.f64(ipc);
     }
-    run.ipcs.reserve(cores);
-    for (std::uint32_t i = 0; i < cores; ++i) {
-        run.ipcs.push_back(des.getF64());
-    }
-    run.cycles = des.getU64();
-    run.timed_out = des.getU8() != 0;
-    run.acts = des.getU64();
-    run.reads = des.getU64();
-    run.writes = des.getU64();
-    run.refs = des.getU64();
-    run.rfms = des.getU64();
-    run.alerts = des.getU64();
-    run.rbhr = des.getF64();
-    run.apri = des.getF64();
-    run.avg_read_latency_ns = des.getF64();
-    run.max_unmitigated = des.getU32();
-    run.violations = des.getU64();
-    run.faults_injected = des.getU64();
-    run.counter_updates = des.getU64();
-    run.srq_insertions = des.getU64();
-    run.mitigations = des.getU64();
-    run.ref_drains = des.getU64();
-    run.act64 = des.getF64();
-    run.act200 = des.getF64();
-    run.epochs = des.getU64();
-    des.end();
-    return run;
+    ar.u64(run.cycles);
+    ar.flag(run.timed_out);
+    ar.u64(run.acts);
+    ar.u64(run.reads);
+    ar.u64(run.writes);
+    ar.u64(run.refs);
+    ar.u64(run.rfms);
+    ar.u64(run.alerts);
+    ar.f64(run.rbhr);
+    ar.f64(run.apri);
+    ar.f64(run.avg_read_latency_ns);
+    ar.u32(run.max_unmitigated);
+    ar.u64(run.violations);
+    ar.u64(run.faults_injected);
+    ar.u64(run.counter_updates);
+    ar.u64(run.srq_insertions);
+    ar.u64(run.mitigations);
+    ar.u64(run.ref_drains);
+    ar.f64(run.act64);
+    ar.f64(run.act200);
+    ar.u64(run.epochs);
+    ar.end();
 }
 
 } // namespace
 
+template <class Result, class Ar>
 void
-savePointResult(Serializer &ser, const PointResult &result)
+transferPointResult(Result &result, Ar &ar)
 {
-    ser.begin(kTagPoint);
-    ser.putU64(result.point_id);
-    ser.putU8(static_cast<std::uint8_t>(result.status));
-    ser.putU64(result.seed);
-    ser.putStr(result.error);
-    ser.putU8(static_cast<std::uint8_t>(result.outcome));
-    saveRunResult(ser, result.run);
-    result.stats.saveState(ser);
-    ser.end();
-}
-
-PointResult
-loadPointResult(Deserializer &des)
-{
-    PointResult result;
-    des.begin(kTagPoint);
-    result.point_id = des.getU64();
-    const std::uint8_t status = des.getU8();
-    if (status > static_cast<std::uint8_t>(PointStatus::kNotRun)) {
+    ar.begin(kTagPoint);
+    ar.u64(result.point_id);
+    auto status = static_cast<std::uint8_t>(result.status);
+    ar.u8(status);
+    if (Ar::kLoading &&
+        status > static_cast<std::uint8_t>(PointStatus::kNotRun)) {
         throw SerializeError(
             format("invalid point status {}", status));
     }
-    result.status = static_cast<PointStatus>(status);
-    result.seed = des.getU64();
-    result.error = des.getStr();
-    const std::uint8_t outcome = des.getU8();
-    if (outcome > static_cast<std::uint8_t>(OutcomeClass::kHung)) {
+    ar.u64(result.seed);
+    ar.str(result.error);
+    auto outcome = static_cast<std::uint8_t>(result.outcome);
+    ar.u8(outcome);
+    if (Ar::kLoading &&
+        outcome > static_cast<std::uint8_t>(OutcomeClass::kHung)) {
         throw SerializeError(
             format("invalid outcome class {}", outcome));
     }
-    result.outcome = static_cast<OutcomeClass>(outcome);
-    result.run = loadRunResult(des);
-    result.stats.loadState(des);
-    des.end();
-    return result;
+    if constexpr (Ar::kLoading) {
+        result.status = static_cast<PointStatus>(status);
+        result.outcome = static_cast<OutcomeClass>(outcome);
+    }
+    transferRunResult(result.run, ar);
+    StatSnapshot::transfer(result.stats, ar);
+    ar.end();
 }
+
+template void transferPointResult(const PointResult &, Serializer &);
+template void transferPointResult(PointResult &, Deserializer &);
+
+namespace
+{
+
+/** A store entry: the identity section, then the point result. */
+template <class Str, class Result, class Ar>
+void
+transferEntry(Ar &ar, Str &identity, Str &workload, Result &result)
+{
+    ar.begin(kTagId);
+    ar.str(identity);
+    ar.str(workload);
+    ar.end();
+    transferPointResult(result, ar);
+}
+
+} // namespace
 
 ResultStore::ResultStore(std::string dir) : dir_(std::move(dir))
 {
@@ -184,16 +165,15 @@ ResultStore::lookup(const ExperimentPoint &point)
     try {
         Deserializer des(readFileBytes(path), FileKind::kCacheEntry,
                          key);
-        des.begin(kTagId);
-        const std::string stored_identity = des.getStr();
-        const std::string workload = des.getStr();
-        des.end();
+        std::string stored_identity;
+        std::string workload;
+        PointResult result;
+        transferEntry(des, stored_identity, workload, result);
+        des.finish();
         if (stored_identity != identity || workload != point.workload) {
             throw SerializeError(
                 "key collision: stored identity differs");
         }
-        PointResult result = loadPointResult(des);
-        des.finish();
         if (result.status != PointStatus::kOk) {
             throw SerializeError("entry holds a non-OK result");
         }
@@ -215,11 +195,7 @@ ResultStore::put(const ExperimentPoint &point, const PointResult &result)
     const std::string path =
         entryPath(key, result.status != PointStatus::kOk);
     Serializer ser;
-    ser.begin(kTagId);
-    ser.putStr(identity);
-    ser.putStr(point.workload);
-    ser.end();
-    savePointResult(ser, result);
+    transferEntry(ser, identity, point.workload, result);
     const std::vector<std::uint8_t> bytes =
         ser.finish(FileKind::kCacheEntry, key);
     std::lock_guard<std::mutex> lock(mutex_);

@@ -58,13 +58,12 @@ namespace mopac
 {
 
 /**
- * Serialize a PointResult payload (store entries): every field but
- * the host wall time, which a loaded result reports as 0.
+ * Snapshot a PointResult payload (store entries): every field but the
+ * host wall time, which a loaded result reports as 0.  Instantiated
+ * for (const PointResult, Serializer) and (PointResult, Deserializer).
  */
-void savePointResult(Serializer &ser, const PointResult &result);
-
-/** Restore a PointResult saved by savePointResult(). */
-PointResult loadPointResult(Deserializer &des);
+template <class Result, class Ar>
+void transferPointResult(Result &result, Ar &ar);
 
 /** On-disk result store rooted at one directory. */
 class ResultStore

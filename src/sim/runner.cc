@@ -309,16 +309,4 @@ Runner::replay(const ExperimentPoint &point)
     return result;
 }
 
-StatSnapshot
-Runner::mergeStats(const std::vector<PointResult> &results)
-{
-    StatSnapshot merged;
-    for (const PointResult &result : results) {
-        if (result.status == PointStatus::kOk) {
-            merged.merge(result.stats);
-        }
-    }
-    return merged;
-}
-
 } // namespace mopac

@@ -20,9 +20,9 @@
  *    it reports PointStatus::kFailed with its seed for single-threaded
  *    replay instead of killing the sweep.  A point that hits its
  *    config's max_cycles guard reports kTimedOut the same way.
- *  - Per-point StatSnapshots are merged in point-id order after the
- *    workers join, so the final stats table is also schedule
- *    independent and free of data races.
+ *  - Each point captures its own StatSnapshot, stored with its result
+ *    in point-id order, so a table merged from them after the workers
+ *    join is also schedule independent and free of data races.
  */
 
 #ifndef MOPAC_SIM_RUNNER_HH
@@ -188,13 +188,6 @@ class Runner
      * decides the result.
      */
     static PointResult replay(const ExperimentPoint &point);
-
-    /**
-     * Merge the stat snapshots of all kOk points, in point-id order,
-     * into one table.
-     */
-    static StatSnapshot mergeStats(
-        const std::vector<PointResult> &results);
 
     /** Resolved worker count. */
     unsigned jobs() const;

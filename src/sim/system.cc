@@ -6,6 +6,7 @@
 #include "system.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "analysis/moat_model.hh"
 #include "analysis/security.hh"
@@ -516,88 +517,73 @@ System::reportAbort(Cycle now) const
         tail.empty() ? "\n  (none)" : tail.c_str()));
 }
 
+template <class Self, class Ar>
 void
-System::saveState(Serializer &ser) const
+System::transfer(Self &self, Ar &ar)
 {
-    ser.begin(0x5359u); // 'SY'
-    ser.putStr(engines_.empty() ? std::string()
-                                : engines_.front()->name());
-    ser.putU32(static_cast<std::uint32_t>(subch_.size()));
-    ser.putU8(cfg_.faults.enabled() ? 1 : 0);
-    ser.putU8(cpu_ ? 1 : 0);
-    for (unsigned s = 0; s < subch_.size(); ++s) {
-        subch_[s]->saveState(ser);
-        if (s < faults_.size()) {
-            faults_[s]->saveState(ser);
+    // unique_ptr does not pass the owner's constness on to the
+    // pointee; a save must see every component as const.
+    auto view = [](auto &obj) -> auto & {
+        if constexpr (Ar::kLoading) {
+            return obj;
+        } else {
+            return std::as_const(obj);
         }
-        engines_[s]->saveState(ser);
-        controllers_[s]->saveState(ser);
-    }
-    if (cpu_) {
-        cpu_->saveState(ser);
-    }
-    ser.putU64(now_);
-    ser.putU8(timed_out_ ? 1 : 0);
-    ser.putVecU8(measuring_);
-    ser.putU64(wd_last_retired_);
-    ser.putU64(wd_last_progress_);
-    ser.end();
-}
-
-void
-System::loadState(Deserializer &des)
-{
-    des.begin(0x5359u);
+    };
+    ar.begin(0x5359u); // 'SY'
     const std::string engine_name =
-        engines_.empty() ? std::string() : engines_.front()->name();
-    const std::string saved_engine = des.getStr();
-    if (saved_engine != engine_name) {
+        self.engines_.empty() ? std::string()
+                              : self.engines_.front()->name();
+    std::string saved_engine = engine_name;
+    ar.str(saved_engine);
+    if (Ar::kLoading && saved_engine != engine_name) {
         throw SerializeError(format(
             "snapshot engine mismatch (saved '{}', live '{}')",
             saved_engine, engine_name));
     }
-    const std::uint32_t subch = des.getU32();
-    if (subch != subch_.size()) {
-        throw SerializeError(format(
-            "snapshot sub-channel count mismatch (saved {}, live {})",
-            subch, subch_.size()));
-    }
-    const bool saved_faults = des.getU8() != 0;
-    if (saved_faults != cfg_.faults.enabled()) {
+    matchU32(ar, static_cast<std::uint32_t>(self.subch_.size()),
+             "snapshot sub-channel count");
+    bool saved_faults = self.cfg_.faults.enabled();
+    ar.flag(saved_faults);
+    if (Ar::kLoading && saved_faults != self.cfg_.faults.enabled()) {
         throw SerializeError(format(
             "snapshot fault-plan mismatch (saved {}, live {})",
             saved_faults ? "active" : "inactive",
-            cfg_.faults.enabled() ? "active" : "inactive"));
+            self.cfg_.faults.enabled() ? "active" : "inactive"));
     }
-    const bool saved_cpu = des.getU8() != 0;
-    if (saved_cpu != (cpu_ != nullptr)) {
+    bool saved_cpu = self.cpu_ != nullptr;
+    ar.flag(saved_cpu);
+    if (Ar::kLoading && saved_cpu != (self.cpu_ != nullptr)) {
         throw SerializeError(format(
             "snapshot CPU presence mismatch (saved {}, live {})",
-            saved_cpu ? "yes" : "no", cpu_ ? "yes" : "no"));
+            saved_cpu ? "yes" : "no", self.cpu_ ? "yes" : "no"));
     }
-    for (unsigned s = 0; s < subch_.size(); ++s) {
-        subch_[s]->loadState(des);
-        if (s < faults_.size()) {
-            faults_[s]->loadState(des);
+    for (unsigned s = 0; s < self.subch_.size(); ++s) {
+        SubChannel::transfer(view(*self.subch_[s]), ar);
+        if (s < self.faults_.size()) {
+            FaultInjector::transfer(view(*self.faults_[s]), ar);
         }
-        engines_[s]->loadState(des);
-        controllers_[s]->loadState(des);
+        transferVirtual(view(*self.engines_[s]), ar);
+        Controller::transfer(view(*self.controllers_[s]), ar);
     }
-    if (cpu_) {
-        cpu_->loadState(des);
+    if (self.cpu_) {
+        Cpu::transfer(view(*self.cpu_), ar);
     }
-    now_ = des.getU64();
-    timed_out_ = des.getU8() != 0;
-    measuring_ = des.getVecU8();
-    if (!measuring_.empty() && measuring_.size() != cfg_.num_cores) {
+    ar.u64(self.now_);
+    ar.flag(self.timed_out_);
+    ar.vecU8(self.measuring_);
+    if (Ar::kLoading && !self.measuring_.empty() &&
+        self.measuring_.size() != self.cfg_.num_cores) {
         throw SerializeError(format(
             "snapshot core count mismatch (saved {}, live {})",
-            measuring_.size(), cfg_.num_cores));
+            self.measuring_.size(), self.cfg_.num_cores));
     }
-    wd_last_retired_ = des.getU64();
-    wd_last_progress_ = des.getU64();
-    des.end();
+    ar.u64(self.wd_last_retired_);
+    ar.u64(self.wd_last_progress_);
+    ar.end();
 }
+
+MOPAC_TRANSFER_INSTANTIATE(System);
 
 void
 System::registerStats(StatRegistry &registry) const

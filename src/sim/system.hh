@@ -97,7 +97,7 @@ class System : public RequestSink
      * comes first.  Repeated calls continue where the previous one
      * paused, and N calls produce the bit-identical execution of one
      * uninterrupted run (the loop state lives in members).  A pause
-     * boundary is a quiesced point for saveState().
+     * boundary is a quiesced point for a snapshot (transfer()).
      *
      * @return true when the run is finished (complete or timed out);
      *         false when it merely paused at @p stop_at.
@@ -142,20 +142,17 @@ class System : public RequestSink
     std::uint64_t faultsInjected() const;
 
     /**
-     * Checkpoint the whole system at a quiesced run-loop boundary:
+     * Snapshot the whole system at a quiesced run-loop boundary:
      * every sub-channel, fault injector, mitigation engine, and
      * controller, the cores, and the run-loop state itself.  Trace
-     * sources are not owned by the System and checkpoint separately
-     * (the checkpoint orchestrator keeps the order).
+     * sources are not owned by the System and snapshot separately
+     * (the checkpoint orchestrator keeps the order).  A load goes
+     * into a freshly constructed System with the identical
+     * configuration and throws SerializeError on any shape or engine
+     * mismatch.
      */
-    void saveState(Serializer &ser) const;
-
-    /**
-     * Restore state saved by saveState() into a freshly constructed
-     * System with the identical configuration; throws SerializeError
-     * on any shape or engine mismatch.
-     */
-    void loadState(Deserializer &des);
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
 
   private:
     /** Watchdog trip: panic with a command-trace tail. */

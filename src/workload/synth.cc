@@ -225,64 +225,54 @@ makeWorkloadTraces(const std::string &name, const AddressMap &map,
     return traces;
 }
 
+template <class Self, class Ar>
 void
-BurstTraceSource::saveState(Serializer &ser) const
+BurstTraceSource::transfer(Self &self, Ar &ar)
 {
-    rng_.saveState(ser);
-    ser.putU32(row_base_);
-    ser.putU32(footprint_);
-    ser.putU32(lines_per_row_);
-    ser.putU32(cluster_left_);
-    ser.putU32(coord_.subchannel);
-    ser.putU32(coord_.bank);
-    ser.putU32(coord_.row);
-    ser.putU32(coord_.column);
-    ser.putU32(burst_left_);
-}
-
-void
-BurstTraceSource::loadState(Deserializer &des)
-{
-    rng_.loadState(des);
-    const std::uint32_t row_base = des.getU32();
-    const std::uint32_t footprint = des.getU32();
-    const std::uint32_t lines_per_row = des.getU32();
-    if (row_base != row_base_ || footprint != footprint_ ||
-        lines_per_row != lines_per_row_) {
+    Rng::transfer(self.rng_, ar);
+    std::uint32_t row_base = self.row_base_;
+    std::uint32_t footprint = self.footprint_;
+    std::uint32_t lines_per_row = self.lines_per_row_;
+    ar.u32(row_base);
+    ar.u32(footprint);
+    ar.u32(lines_per_row);
+    if (Ar::kLoading && (row_base != self.row_base_ ||
+                         footprint != self.footprint_ ||
+                         lines_per_row != self.lines_per_row_)) {
         throw SerializeError(format(
             "burst trace layout mismatch (saved {}/{}/{}, live "
-            "{}/{}/{})", row_base, footprint, lines_per_row, row_base_,
-            footprint_, lines_per_row_));
+            "{}/{}/{})", row_base, footprint, lines_per_row,
+            self.row_base_, self.footprint_, self.lines_per_row_));
     }
-    cluster_left_ = des.getU32();
-    coord_.subchannel = des.getU32();
-    coord_.bank = des.getU32();
-    coord_.row = des.getU32();
-    coord_.column = des.getU32();
-    burst_left_ = des.getU32();
+    ar.u32(self.cluster_left_);
+    ar.u32(self.coord_.subchannel);
+    ar.u32(self.coord_.bank);
+    ar.u32(self.coord_.row);
+    ar.u32(self.coord_.column);
+    ar.u32(self.burst_left_);
 }
 
-void
-StreamTraceSource::saveState(Serializer &ser) const
-{
-    rng_.saveState(ser);
-    ser.putU64(region_base_);
-    ser.putU64(region_lines_);
-    ser.putU64(pos_);
-}
+MOPAC_TRANSFER_INSTANTIATE(BurstTraceSource);
 
+template <class Self, class Ar>
 void
-StreamTraceSource::loadState(Deserializer &des)
+StreamTraceSource::transfer(Self &self, Ar &ar)
 {
-    rng_.loadState(des);
-    const Addr region_base = des.getU64();
-    const Addr region_lines = des.getU64();
-    if (region_base != region_base_ || region_lines != region_lines_) {
+    Rng::transfer(self.rng_, ar);
+    Addr region_base = self.region_base_;
+    Addr region_lines = self.region_lines_;
+    ar.u64(region_base);
+    ar.u64(region_lines);
+    if (Ar::kLoading && (region_base != self.region_base_ ||
+                         region_lines != self.region_lines_)) {
         throw SerializeError(format(
             "stream trace region mismatch (saved {}+{}, live {}+{})",
-            region_base, region_lines, region_base_, region_lines_));
+            region_base, region_lines, self.region_base_,
+            self.region_lines_));
     }
-    pos_ = des.getU64();
+    ar.u64(self.pos_);
 }
+
+MOPAC_TRANSFER_INSTANTIATE(StreamTraceSource);
 
 } // namespace mopac

@@ -55,8 +55,11 @@ class BurstTraceSource : public TraceSource
 
     TraceRecord next() override;
 
-    void saveState(Serializer &ser) const override;
-    void loadState(Deserializer &des) override;
+    void saveState(Serializer &ser) const override { transfer(*this, ser); }
+    void loadState(Deserializer &des) override { transfer(*this, des); }
+
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
 
   private:
     void startBurst();
@@ -89,8 +92,11 @@ class StreamTraceSource : public TraceSource
 
     TraceRecord next() override;
 
-    void saveState(Serializer &ser) const override;
-    void loadState(Deserializer &des) override;
+    void saveState(Serializer &ser) const override { transfer(*this, ser); }
+    void loadState(Deserializer &des) override { transfer(*this, des); }
+
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
 
   private:
     // Workload shape, fixed once the constructor clamps it; the

@@ -75,31 +75,28 @@ class FileTraceSource : public TraceSource
     /** Times the trace has wrapped around. */
     std::uint64_t loops() const { return loops_; }
 
-    /** Checkpoint the replay cursor (not the trace image itself). */
-    void
-    saveState(Serializer &ser) const override
-    {
-        ser.putU64(trace_.records.size());
-        ser.putU64(pos_);
-        ser.putU64(loops_);
-    }
+    void saveState(Serializer &ser) const override { transfer(*this, ser); }
+    void loadState(Deserializer &des) override { transfer(*this, des); }
 
-    void
-    loadState(Deserializer &des) override
+    /** Snapshot the replay cursor (not the trace image itself). */
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
     {
-        const std::uint64_t n = des.getU64();
-        if (n != trace_.records.size()) {
+        std::uint64_t n = self.trace_.records.size();
+        ar.u64(n);
+        if (Ar::kLoading && n != self.trace_.records.size()) {
             throw SerializeError(format(
                 "trace length mismatch (saved {}, live {})", n,
-                trace_.records.size()));
+                self.trace_.records.size()));
         }
-        pos_ = static_cast<std::size_t>(des.getU64());
-        if (pos_ >= trace_.records.size()) {
+        ar.u64(self.pos_);
+        if (Ar::kLoading && self.pos_ >= self.trace_.records.size()) {
             throw SerializeError(format(
-                "trace cursor {} out of range {}", pos_,
-                trace_.records.size()));
+                "trace cursor {} out of range {}", self.pos_,
+                self.trace_.records.size()));
         }
-        loops_ = des.getU64();
+        ar.u64(self.loops_);
     }
 
   private:

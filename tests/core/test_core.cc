@@ -327,7 +327,7 @@ std::vector<std::uint8_t>
 coreImage(const Core &core)
 {
     Serializer ser;
-    core.saveState(ser);
+    Core::transfer(core, ser);
     return ser.finish(FileKind::kSnapshot, 0);
 }
 
@@ -375,7 +375,7 @@ TEST(Core, MshrIndexMatchesRobScan)
                     std::make_unique<Core>(0, p, &trace, ~0ull, &sink);
                 Deserializer des(std::move(image), FileKind::kSnapshot,
                                  Deserializer::kAnyConfigHash);
-                restored->loadState(des);
+                Core::transfer(*restored, des);
                 ASSERT_EQ(sortedIndex(*restored), rob)
                     << "seed " << seed << " restore at " << now;
                 core = std::move(restored);

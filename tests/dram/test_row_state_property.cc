@@ -114,7 +114,7 @@ std::vector<std::uint8_t>
 snapshot(const T &obj)
 {
     Serializer ser;
-    obj.saveState(ser);
+    T::transfer(obj, ser);
     return ser.finish(FileKind::kSnapshot, 0);
 }
 
@@ -226,7 +226,7 @@ TEST(RowStateProperty, PracCountersMatchDenseModel)
             const std::vector<std::uint8_t> image = snapshot(prac);
             PracCounters restored(kBanks, kRows, chips);
             Deserializer des(image, FileKind::kSnapshot, 0);
-            restored.loadState(des);
+            PracCounters::transfer(restored, des);
             des.finish();
             EXPECT_EQ(snapshot(restored), image);
             EXPECT_LE(restored.writtenBytes(), prac.writtenBytes());
@@ -244,14 +244,14 @@ TEST(RowStateProperty, LoadingZerosMaterializesNothing)
 
     PracCounters restored(kBanks, kRows, 4);
     Deserializer des(image, FileKind::kSnapshot, 0);
-    restored.loadState(des);
+    PracCounters::transfer(restored, des);
     EXPECT_EQ(restored.writtenBytes(), 0u);
 
     // Loading over live state clears what the image does not hold.
     PracCounters live(kBanks, kRows, 4);
     live.add(2, 0, 0, 9);
     Deserializer des2(image, FileKind::kSnapshot, 0);
-    live.loadState(des2);
+    PracCounters::transfer(live, des2);
     EXPECT_EQ(live.get(2, 0, 0), 0u);
     EXPECT_EQ(snapshot(live), image);
 }
@@ -428,7 +428,7 @@ TEST(RowStateProperty, SecurityCheckerMatchesDenseModel)
             const std::vector<std::uint8_t> image = snapshot(checker);
             SecurityChecker restored(kBanks, kRows, chips, kTrh);
             Deserializer des(image, FileKind::kSnapshot, 0);
-            restored.loadState(des);
+            SecurityChecker::transfer(restored, des);
             des.finish();
             EXPECT_EQ(snapshot(restored), image);
         }

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -309,8 +310,8 @@ runSchedulerDifferential(std::uint64_t seed, PagePolicy policy,
             // the scheduler flavour at all.
             Serializer sn;
             Serializer si;
-            naive.mc->saveState(sn);
-            indexed.mc->saveState(si);
+            Controller::transfer(std::as_const(*naive.mc), sn);
+            Controller::transfer(std::as_const(*indexed.mc), si);
             ASSERT_EQ(sn.finish(FileKind::kSnapshot, 0),
                       si.finish(FileKind::kSnapshot, 0))
                 << "cycle " << now;

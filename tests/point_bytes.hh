@@ -22,7 +22,7 @@ inline std::vector<std::uint8_t>
 canonicalBytes(const PointResult &result)
 {
     Serializer ser;
-    savePointResult(ser, result);
+    transferPointResult(result, ser);
     return ser.finish(FileKind::kCacheEntry, result.point_id);
 }
 

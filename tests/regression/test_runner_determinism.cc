@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/stats.hh"
+#include "merge_stats.hh"
 #include "sim/runner.hh"
 #include "sim/sweep.hh"
 #include "sim/system.hh"
@@ -98,8 +99,8 @@ expectIdenticalSweeps(const std::vector<PointResult> &a,
             << "stat snapshot of point " << i
             << " differs between schedules";
     }
-    const StatSnapshot merged_a = Runner::mergeStats(a);
-    const StatSnapshot merged_b = Runner::mergeStats(b);
+    const StatSnapshot merged_a = test::mergeStats(a);
+    const StatSnapshot merged_b = test::mergeStats(b);
     EXPECT_TRUE(merged_a == merged_b)
         << "merged stats differ between schedules";
 }
@@ -132,7 +133,7 @@ TEST(RunnerDeterminism, OddWorkerCountMatchesToo)
 TEST(RunnerDeterminism, MergedStatsCoverEveryPoint)
 {
     const auto results = runWithJobs(8);
-    const StatSnapshot merged = Runner::mergeStats(results);
+    const StatSnapshot merged = test::mergeStats(results);
     ASSERT_TRUE(merged.has("subch0.dram.acts"));
     std::uint64_t sum = 0;
     for (const auto &r : results) {

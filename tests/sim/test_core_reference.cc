@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/serialize.hh"
@@ -65,12 +66,12 @@ struct Sim
         ser.end();
     }
 
-    /** Production snapshot: System::saveState plus trace cursors. */
+    /** Production snapshot: System::transfer plus trace cursors. */
     std::vector<std::uint8_t>
     snapshot() const
     {
         Serializer ser;
-        system->saveState(ser);
+        System::transfer(std::as_const(*system), ser);
         saveTraces(ser);
         return ser.finish(FileKind::kSnapshot, 0);
     }
@@ -79,7 +80,7 @@ struct Sim
     restore(std::vector<std::uint8_t> image)
     {
         Deserializer des(std::move(image), FileKind::kSnapshot, 0);
-        system->loadState(des);
+        System::transfer(*system, des);
         des.begin(kTagTraces);
         EXPECT_EQ(des.getU32(), traces.size());
         for (TraceSource *t : traces) {
@@ -165,7 +166,7 @@ class ReferenceLoop
         return res;
     }
 
-    /** The snapshot System::saveState would write for this state. */
+    /** The snapshot System::transfer would write for this state. */
     std::vector<std::uint8_t>
     snapshot()
     {
@@ -177,14 +178,14 @@ class ReferenceLoop
         ser.putU8(1);
         for (unsigned s = 0; s < sys_.numSubchannels(); ++s) {
             SubChannel &dev = sys_.subchannel(s);
-            dev.saveState(ser);
+            SubChannel::transfer(std::as_const(dev), ser);
             if (cfg_.faults.enabled()) {
-                dev.faults()->saveState(ser);
+                FaultInjector::transfer(std::as_const(*dev.faults()), ser);
             }
             sys_.engine(s).saveState(ser);
-            sys_.controller(s).saveState(ser);
+            Controller::transfer(std::as_const(sys_.controller(s)), ser);
         }
-        sys_.cpu().saveState(ser);
+        Cpu::transfer(std::as_const(sys_.cpu()), ser);
         ser.putU64(now_);
         ser.putU8(timed_out_ ? 1 : 0);
         ser.putVecU8(measuring_);

@@ -16,6 +16,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/serialize.hh"
@@ -74,7 +75,7 @@ std::vector<std::uint8_t>
 snapshot(const Sim &sim)
 {
     Serializer ser;
-    sim.system->saveState(ser);
+    System::transfer(std::as_const(*sim.system), ser);
     for (const auto &t : sim.owned) {
         t->saveState(ser);
     }
@@ -85,7 +86,7 @@ void
 restore(Sim &sim, const std::vector<std::uint8_t> &bytes)
 {
     Deserializer des(bytes, FileKind::kSnapshot, 0);
-    sim.system->loadState(des);
+    System::transfer(*sim.system, des);
     for (auto &t : sim.owned) {
         t->loadState(des);
     }
@@ -115,14 +116,14 @@ class HammerTraceSource : public TraceSource
         return rec;
     }
 
-    void saveState(Serializer &ser) const override
-    {
-        ser.putU64(pos_);
-    }
+    void saveState(Serializer &ser) const override { transfer(*this, ser); }
+    void loadState(Deserializer &des) override { transfer(*this, des); }
 
-    void loadState(Deserializer &des) override
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
     {
-        pos_ = des.getU64();
+        ar.u64(self.pos_);
     }
 
   private:

@@ -27,6 +27,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/serialize.hh"
@@ -78,7 +79,7 @@ runEngine(SystemConfig cfg, SimEngine engine, BuildTraces &&build)
     EngineRun run;
     run.result = system.run();
     Serializer ser;
-    system.saveState(ser);
+    System::transfer(std::as_const(system), ser);
     run.state = ser.finish(FileKind::kSnapshot, 0);
     return run;
 }
@@ -259,7 +260,7 @@ runAttackEngine(SystemConfig cfg, SimEngine engine, AttackShape shape)
         run.subch.push_back(runner.system().subchannel(s).stats());
     }
     Serializer ser;
-    runner.system().saveState(ser);
+    System::transfer(std::as_const(runner.system()), ser);
     run.state = ser.finish(FileKind::kSnapshot, 0);
     return run;
 }

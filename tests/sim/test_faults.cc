@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/config.hh"
+#include "merge_stats.hh"
 #include "sim/faults.hh"
 #include "sim/runner.hh"
 
@@ -325,7 +326,7 @@ TEST(FaultRuns, StuckForeverIsQuarantinedHung)
     EXPECT_EQ(r.outcome, OutcomeClass::kHung);
     EXPECT_NE(r.error.find(kWatchdogMarker), std::string::npos);
     // Quarantined points contribute nothing to the merged stats.
-    EXPECT_EQ(Runner::mergeStats(results).size(), 0u);
+    EXPECT_EQ(test::mergeStats(results).size(), 0u);
 }
 
 TEST(FaultRuns, DegradedFaultyRunStaysOk)

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "merge_stats.hh"
 #include "point_bytes.hh"
 #include "sim/faults.hh"
 #include "sim/runner.hh"
@@ -146,7 +147,7 @@ TEST(Runner, MergeStatsSumsOkPointsOnly)
     spec.workloads = {"mcf", "nosuchworkload"};
     const auto points = spec.expand();
     const auto results = Runner(RunnerOptions{.jobs = 1}).run(points);
-    const StatSnapshot merged = Runner::mergeStats(results);
+    const StatSnapshot merged = test::mergeStats(results);
     ASSERT_TRUE(merged.has("subch0.dram.acts"));
     std::uint64_t sum = 0;
     for (const auto &r : results) {

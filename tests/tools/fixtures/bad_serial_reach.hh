@@ -1,36 +1,36 @@
 // Lint fixture: serial-reach must fire twice.  Member inner_ has a
-// type that snapshots, but System only *mentions* it (which satisfies
-// serial-drift) without delegating; ReachLeaf is reachable from
-// System's member-type graph yet neither snapshots nor declares
-// itself stateless.
+// type that snapshots, but System's transfer only *mentions* it
+// (which satisfies serial-drift) without delegating to its transfer;
+// ReachLeaf is reachable from System's member-type graph yet neither
+// snapshots nor declares itself stateless.
 #ifndef MOPAC_TESTS_TOOLS_FIXTURES_BAD_SERIAL_REACH_HH
 #define MOPAC_TESTS_TOOLS_FIXTURES_BAD_SERIAL_REACH_HH
 
 #include <cstdint>
 
-struct Serializer;
-struct Deserializer;
-
 class ReachInner
 {
   public:
-    void
-    saveState(Serializer &ser) const
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
     {
-        (void)ser;
-        (void)count_;
+        ar.u32(self.count_);
     }
 
-    void
-    loadState(Deserializer &des)
+    std::uint32_t
+    count() const
     {
-        (void)des;
-        (void)count_;
+        return count_;
     }
 
   private:
+    // Bumped by the owner; the snapshot carries it.
     std::uint32_t count_ = 0;
 };
+
+// A leaf with a value but no word on whether it snapshots: it needs
+// a transfer body or a `// mopac: stateless` annotation.
 
 class ReachLeaf // expect serial-reach (closure), line 35
 {
@@ -44,20 +44,20 @@ class ReachLeaf // expect serial-reach (closure), line 35
 class System
 {
   public:
-    void
-    saveState(Serializer &ser) const
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
     {
-        (void)ser;
-        (void)inner_;
-        (void)leaf_;
+        (void)self.inner_; // named, but count_ never reaches ar
+        (void)self.leaf_;
+        (void)ar;
     }
 
-    void
-    loadState(Deserializer &des)
+    std::uint32_t
+    total() const
     {
-        (void)des;
-        (void)inner_;
-        (void)leaf_;
+        return inner_.count() +
+               static_cast<std::uint32_t>(leaf_.value());
     }
 
   private:

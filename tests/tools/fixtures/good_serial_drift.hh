@@ -1,6 +1,7 @@
 // Lint fixture: clean counterpart of bad_serial_drift.hh.  Every
-// serializable member appears in both bodies; the construction-time
-// reference and the annotated config member are exempt.
+// serializable member appears in the one transfer body; the
+// construction-time reference and the annotated config member are
+// exempt, and the virtual pair only forwards to transfer.
 #ifndef MOPAC_TESTS_TOOLS_FIXTURES_GOOD_SERIAL_DRIFT_HH
 #define MOPAC_TESTS_TOOLS_FIXTURES_GOOD_SERIAL_DRIFT_HH
 
@@ -16,20 +17,17 @@ struct Config
 class Widget
 {
   public:
-    void
-    saveState(Serializer &ser) const
-    {
-        (void)ser;
-        (void)a_;
-        (void)b_;
-    }
+    virtual ~Widget() = default;
 
-    void
-    loadState(Deserializer &des)
+    virtual void saveState(Serializer &ser) const { transfer(*this, ser); }
+    virtual void loadState(Deserializer &des) { transfer(*this, des); }
+
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
     {
-        (void)des;
-        (void)a_;
-        (void)b_;
+        ar.u32(self.a_);
+        ar.u32(self.b_);
     }
 
   private:

@@ -25,15 +25,21 @@
  *                  iteration order is address order, which varies run
  *                  to run, so any output derived from it drifts.
  *   det-unordered  Range-for over an unordered container inside
- *                  saveState/loadState or a stats-emission function:
+ *                  transfer/saveState/loadState or a stats-emission
+ *                  function:
  *                  bucket order is implementation-defined, so the
  *                  byte stream / table order is not reproducible.
  *                  (Copy into a vector and sort first.)
- *   serial-drift   A class defines saveState/loadState but one of its
- *                  members is mentioned in neither body -- the "added
- *                  a field, forgot the snapshot" bug class.  Reference
- *                  members and members whose declaration starts with
- *                  `const` (fixed at construction) are exempt.
+ *   serial-drift   A class snapshots through one `transfer` body (run
+ *                  by both the Serializer and the Deserializer) but
+ *                  one of its members is never mentioned in it -- the
+ *                  "added a field, forgot the snapshot" bug class.  A
+ *                  class that instead writes separate saveState and
+ *                  loadState bodies (not one-line forwards to
+ *                  transfer) is reported too: its two halves can
+ *                  drift.  Reference members and members whose
+ *                  declaration starts with `const` (fixed at
+ *                  construction) are exempt.
  *   rng-seed       Rng/forStream/streamSeed whose seed argument is a
  *                  bare literal.  Seeds must be *named* expressions
  *                  (a constant, a config field, a counter-mode
@@ -84,12 +90,13 @@
  *                  directory (src -> src); unknown names (std::,
  *                  libc) resolve to nothing.
  *   serial-reach   Two state-graph audits.  (1) A member whose own
- *                  type defines saveState must be *delegated* to
- *                  (`m_.saveState(...)` or a loop over it) in the
- *                  owner's saveState and loadState -- mentioning the
- *                  name is not enough.  (2) Every class reachable
- *                  from System's member-type graph either defines
- *                  saveState or is explicitly annotated
+ *                  type snapshots (defines transfer or saveState)
+ *                  must be *delegated* to in the owner's transfer
+ *                  body (`T::transfer(self.m_, ar)`,
+ *                  `transferVirtual(*self.m_, ar)`, or a loop over
+ *                  it) -- mentioning the name is not enough.  (2)
+ *                  Every class reachable from System's member-type
+ *                  graph either snapshots or is explicitly annotated
  *                  `// mopac: stateless` (directly above the class):
  *                  a class of derived/no state says so, everything
  *                  else snapshots.  Raw-pointer members (non-owning
@@ -707,7 +714,8 @@ struct BodySpan
 bool
 isStateOrStatsFunction(const std::string &name)
 {
-    if (name == "saveState" || name == "loadState") {
+    if (name == "transfer" || name == "saveState" ||
+        name == "loadState") {
         return true;
     }
     if (name.find("Stats") != std::string::npos ||
@@ -1121,14 +1129,19 @@ struct ClassInfo
     int line = 0;
     bool has_save = false;
     bool has_load = false;
+    bool has_transfer = false;
     std::optional<BodySpan> inline_save;
     std::optional<BodySpan> inline_load;
+    std::optional<BodySpan> inline_transfer;
     std::vector<Member> members;
+
+    /** Takes part in snapshots: a transfer body or a virtual pair. */
+    bool snapshots() const { return has_transfer || has_save; }
 };
 
 /**
  * Extract classes (with their serializable-member lists and any
- * inline saveState/loadState bodies) from a token stream.  This is a
+ * inline transfer/saveState/loadState bodies) from a token stream.  This is a
  * heuristic parser tuned to this repo's style: members end in '_',
  * reference and leading-const members are exempt, nested types are
  * recursed into independently.
@@ -1276,6 +1289,9 @@ collectClasses(const Tokens &t, std::size_t begin, std::size_t end,
                     } else if (fn_name == "loadState") {
                         cls.has_load = true;
                         cls.inline_load = BodySpan{fn_name, k, close};
+                    } else if (fn_name == "transfer") {
+                        cls.has_transfer = true;
+                        cls.inline_transfer = BodySpan{fn_name, k, close};
                     }
                     stmt.clear();
                     k = close + 1;
@@ -1286,14 +1302,11 @@ collectClasses(const Tokens &t, std::size_t begin, std::size_t end,
                 k = close + 1;
                 continue;
             }
-            if (tok.kind == Token::kIdent &&
-                (tok.text == "saveState" || tok.text == "loadState") &&
-                is(t, k + 1, "(")) {
-                if (tok.text == "saveState") {
-                    cls.has_save = true;
-                } else {
-                    cls.has_load = true;
-                }
+            if (tok.kind == Token::kIdent && is(t, k + 1, "(")) {
+                cls.has_save = cls.has_save || tok.text == "saveState";
+                cls.has_load = cls.has_load || tok.text == "loadState";
+                cls.has_transfer =
+                    cls.has_transfer || tok.text == "transfer";
             }
             stmt.push_back(k);
             ++k;
@@ -1349,6 +1362,26 @@ spanMentions(const Tokens &t, const BodySpan &span,
     return false;
 }
 
+/** Body of @p method in @p cls: inline, in the header, or in @p impl. */
+std::optional<std::pair<const Tokens *, BodySpan>>
+findClassBody(const ClassInfo &cls, const std::string &method,
+              const std::optional<BodySpan> &inline_body,
+              const SourceFile &header, const SourceFile *impl)
+{
+    if (inline_body) {
+        return std::make_pair(&header.tokens, *inline_body);
+    }
+    if (auto b = findOutOfLineBody(header.tokens, cls.name, method)) {
+        return std::make_pair(&header.tokens, *b);
+    }
+    if (impl) {
+        if (auto b = findOutOfLineBody(impl->tokens, cls.name, method)) {
+            return std::make_pair(&impl->tokens, *b);
+        }
+    }
+    return std::nullopt;
+}
+
 void
 checkSerializationDrift(const SourceFile &header,
                         const SourceFile *impl, Linter &lint)
@@ -1356,48 +1389,37 @@ checkSerializationDrift(const SourceFile &header,
     std::vector<ClassInfo> classes;
     collectClasses(header.tokens, 0, header.tokens.size(), classes);
     for (const ClassInfo &cls : classes) {
-        if (!cls.has_save || !cls.has_load || cls.members.empty()) {
+        if (cls.members.empty()) {
             continue;
         }
-        const Tokens *save_toks = &header.tokens;
-        const Tokens *load_toks = &header.tokens;
-        std::optional<BodySpan> save = cls.inline_save;
-        std::optional<BodySpan> load = cls.inline_load;
-        if (!save) {
-            save = findOutOfLineBody(header.tokens, cls.name, "saveState");
+        if (!cls.has_transfer) {
+            // Two hand-kept halves: report the class once.
+            if (findClassBody(cls, "saveState", cls.inline_save, header,
+                              impl) &&
+                findClassBody(cls, "loadState", cls.inline_load, header,
+                              impl)) {
+                lint.report(header, cls.line, "serial-drift",
+                            "class " + cls.name +
+                                " describes its snapshot in separate "
+                                "saveState and loadState bodies: write "
+                                "one transfer body both run, so the "
+                                "two halves cannot drift");
+            }
+            continue;
         }
-        if (!load) {
-            load = findOutOfLineBody(header.tokens, cls.name, "loadState");
-        }
-        if (!save && impl) {
-            save = findOutOfLineBody(impl->tokens, cls.name, "saveState");
-            save_toks = &impl->tokens;
-        }
-        if (!load && impl) {
-            load = findOutOfLineBody(impl->tokens, cls.name, "loadState");
-            load_toks = &impl->tokens;
-        }
-        if (!save || !load) {
-            continue; // pure-virtual interface or separate TU; skip
+        const auto body = findClassBody(cls, "transfer",
+                                        cls.inline_transfer, header, impl);
+        if (!body) {
+            continue; // defined in a separate TU; skip
         }
         for (const Member &m : cls.members) {
-            const bool in_save = spanMentions(*save_toks, *save, m.name);
-            const bool in_load = spanMentions(*load_toks, *load, m.name);
-            if (in_save && in_load) {
+            if (spanMentions(*body->first, body->second, m.name)) {
                 continue;
-            }
-            std::string where;
-            if (!in_save && !in_load) {
-                where = "neither saveState nor loadState";
-            } else if (!in_save) {
-                where = "loadState but not saveState";
-            } else {
-                where = "saveState but not loadState";
             }
             lint.report(header, m.line, "serial-drift",
                         "member '" + m.name + "' of " + cls.name +
-                            " appears in " + where +
-                            ": snapshot/restore will silently drop "
+                            " is never mentioned in its transfer "
+                            "body: snapshot/restore will silently drop "
                             "or skew it");
         }
     }
@@ -2045,22 +2067,41 @@ findMethodDef(const TreeIndex &ix, const std::string &cls,
     return nullptr;
 }
 
+/** A call that runs a member's own snapshot body. */
+bool
+isTransferCall(const Token &tok)
+{
+    return tok.kind == Token::kIdent &&
+           (tok.text == "transfer" || tok.text == "transferVirtual");
+}
+
 /**
- * Delegation: a mention of @p member followed by @p method within a
- * few tokens.  Covers `m_.saveState(s)`, `m_[i]->saveState(s)`, and
- * the range-for idiom `for (auto &x : m_) { x.saveState(s); }`.
+ * Delegation: a mention of @p member in the arguments of a transfer
+ * call earlier in the same statement (`T::transfer(self.m_, ar)`,
+ * `transferVirtual(*self.m_[s], ar)`), or followed by one within a
+ * few tokens -- the range-for idiom
+ * `for (auto &x : self.m_) { T::transfer(x, ar); }`.
  */
 bool
 delegates(const Tokens &t, std::size_t open, std::size_t close,
-          const std::string &member, const char *method)
+          const std::string &member)
 {
     for (std::size_t i = open + 1; i < close; ++i) {
         if (t[i].kind != Token::kIdent || t[i].text != member) {
             continue;
         }
+        for (std::size_t j = i; j > open; --j) {
+            const std::string &text = t[j - 1].text;
+            if (text == ";" || text == "{" || text == "}") {
+                break;
+            }
+            if (isTransferCall(t[j - 1])) {
+                return true;
+            }
+        }
         const std::size_t lim = std::min(close, i + 16);
         for (std::size_t j = i + 1; j < lim; ++j) {
-            if (t[j].kind == Token::kIdent && t[j].text == method) {
+            if (isTransferCall(t[j])) {
                 return true;
             }
         }
@@ -2070,13 +2111,13 @@ delegates(const Tokens &t, std::size_t open, std::size_t close,
 
 /**
  * serial-reach: two state-graph audits.  (1) A member whose own type
- * defines saveState must be *delegated* to in the owner's
- * saveState/loadState -- mentioning the name (which satisfies
- * serial-drift) is not enough.  (2) Every class reachable from
- * System's member-type graph either defines saveState or carries a
- * `// mopac: stateless` annotation directly above its declaration.
- * Raw-pointer members (non-owning wiring) and members carrying a
- * serial-drift/serial-reach allow are outside the graph.
+ * snapshots must be *delegated* to in the owner's transfer body --
+ * mentioning the name (which satisfies serial-drift) is not enough.
+ * (2) Every class reachable from System's member-type graph either
+ * snapshots or carries a `// mopac: stateless` annotation directly
+ * above its declaration.  Raw-pointer members (non-owning wiring) and
+ * members carrying a serial-drift/serial-reach allow are outside the
+ * graph.
  */
 void
 checkSerialReach(const TreeIndex &ix, Linter &lint)
@@ -2086,41 +2127,33 @@ checkSerialReach(const TreeIndex &ix, Linter &lint)
         return m.is_ptr || lineAllowed(sf, m.line, "serial-drift") ||
                lineAllowed(sf, m.line, "serial-reach");
     };
-    // (1) Delegation audit, for every class that snapshots.
+    // (1) Delegation audit, for every class with a transfer body.
     for (std::size_t fi = 0; fi < ix.files.size(); ++fi) {
         const SourceFile &sf = ix.files[fi];
         const std::string dir = topDir(sf.rel_path);
         for (const ClassInfo &cls : ix.analyses[fi].classes) {
-            if (!cls.has_save || !cls.has_load) {
+            if (!cls.has_transfer) {
                 continue;
             }
-            const Tokens *st = nullptr, *lt = nullptr;
-            std::size_t so = 0, sc = 0, lo = 0, lc = 0;
-            if (cls.inline_save) {
-                st = &sf.tokens;
-                so = cls.inline_save->open;
-                sc = cls.inline_save->close;
+            // An unlocated body (a TU not in the index) is treated as
+            // delegating: absence of evidence is not evidence of drift.
+            const Tokens *bt = nullptr;
+            std::size_t bo = 0, bc = 0;
+            if (cls.inline_transfer) {
+                bt = &sf.tokens;
+                bo = cls.inline_transfer->open;
+                bc = cls.inline_transfer->close;
             } else {
                 std::size_t df = 0;
                 if (const FunctionDef *d = findMethodDef(
-                        ix, cls.name, "saveState", dir, df)) {
-                    st = &ix.files[df].tokens;
-                    so = d->body_open;
-                    sc = d->body_close;
+                        ix, cls.name, "transfer", dir, df)) {
+                    bt = &ix.files[df].tokens;
+                    bo = d->body_open;
+                    bc = d->body_close;
                 }
             }
-            if (cls.inline_load) {
-                lt = &sf.tokens;
-                lo = cls.inline_load->open;
-                lc = cls.inline_load->close;
-            } else {
-                std::size_t df = 0;
-                if (const FunctionDef *d = findMethodDef(
-                        ix, cls.name, "loadState", dir, df)) {
-                    lt = &ix.files[df].tokens;
-                    lo = d->body_open;
-                    lc = d->body_close;
-                }
+            if (bt == nullptr) {
+                continue;
             }
             for (const Member &m : cls.members) {
                 if (memberOutsideGraph(sf, m)) {
@@ -2136,7 +2169,7 @@ checkSerialReach(const TreeIndex &ix, Linter &lint)
                         const ClassInfo &mc =
                             ix.analyses[cand.first]
                                 .classes[cand.second];
-                        if (mc.has_save &&
+                        if (mc.snapshots() &&
                             ix.scope[fi].count(cand.first) &&
                             topDir(ix.files[cand.first].rel_path) ==
                                 dir) {
@@ -2144,33 +2177,16 @@ checkSerialReach(const TreeIndex &ix, Linter &lint)
                         }
                     }
                 }
-                if (!snapshotting_type) {
+                if (!snapshotting_type || delegates(*bt, bo, bc, m.name)) {
                     continue;
                 }
-                // An unlocated body (pure-virtual interface, TU not
-                // in the index) is treated as delegating: absence of
-                // evidence is not evidence of drift.
-                const bool ds = st == nullptr ||
-                                delegates(*st, so, sc, m.name,
-                                          "saveState");
-                const bool dl = lt == nullptr ||
-                                delegates(*lt, lo, lc, m.name,
-                                          "loadState");
-                if (ds && dl) {
-                    continue;
-                }
-                const char *where = (!ds && !dl)
-                                        ? "saveState or loadState"
-                                        : (!ds ? "saveState"
-                                               : "loadState");
                 lint.report(
                     sf, m.line, "serial-reach",
                     "member '" + m.name + "' of " + cls.name +
-                        " has a type that defines saveState but is "
-                        "never delegated to in " + where +
-                        ": mentioning the name is not enough; call "
-                        "the member's saveState/loadState (directly "
-                        "or in a loop)");
+                        " has a type that snapshots but is never "
+                        "delegated to in transfer: mentioning the name "
+                        "is not enough; call the member's transfer "
+                        "(directly or in a loop)");
             }
         }
     }
@@ -2218,7 +2234,7 @@ checkSerialReach(const TreeIndex &ix, Linter &lint)
         const ClassInfo &cls =
             ix.analyses[at.first].classes[at.second];
         const SourceFile &sf = ix.files[at.first];
-        if (cls.has_save || sf.stateless_lines.count(cls.line - 1) ||
+        if (cls.snapshots() || sf.stateless_lines.count(cls.line - 1) ||
             sf.stateless_lines.count(cls.line)) {
             continue;
         }
@@ -2235,7 +2251,7 @@ checkSerialReach(const TreeIndex &ix, Linter &lint)
                     "class " + cls.name +
                         " is reachable from System's state graph (" +
                         chain +
-                        ") but defines no saveState and is not "
+                        ") but defines no transfer body and is not "
                         "marked `// mopac: stateless`: snapshot it "
                         "or annotate why it holds no state");
     }
